@@ -30,7 +30,7 @@
 //! file: it walks the generation chain newest→oldest, moving every
 //! file that fails structural/CRC validation into a `quarantine/`
 //! subdirectory, and restores the newest *intact* generation — so a
-//! torn write costs one slice of re-crawled progress, never the study.
+//! torn write costs re-crawled rounds, never the study.
 //! Only when every generation is corrupt does it return the typed
 //! [`CheckpointError::Quarantined`].
 //!
@@ -70,16 +70,36 @@ pub const DEFAULT_KEEP_GENERATIONS: usize = 4;
 /// Name of the subdirectory corrupt checkpoints are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
 
-/// IEEE CRC-32 (the zlib/PNG polynomial), bitwise implementation — the
-/// payloads are small enough that a table buys nothing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Byte-at-a-time lookup table of the reflected IEEE polynomial
+/// `0xEDB88320`, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// IEEE CRC-32 (the zlib/PNG polynomial) of `bytes`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_of(&[bytes])
+}
+
+/// IEEE CRC-32 of the concatenation of `parts`, computed without
+/// concatenating them — a checkpoint's CRC covers its header line and
+/// its multi-megabyte body, which are built separately.
+fn crc32_of(parts: &[&[u8]]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in parts.iter().copied().flatten() {
+        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -314,17 +334,19 @@ pub fn encode_checkpoint(
     header: &CheckpointHeader,
     state: &CrawlCheckpointState,
 ) -> Result<String, CheckpointError> {
-    let body = state
-        .to_body()
-        .map_err(|e| CheckpointError::Malformed { line: 0, detail: e.to_string() })?;
+    let malformed =
+        |e: serde_json::Error| CheckpointError::Malformed { line: 0, detail: e.to_string() };
+    let mut file = state.to_body().map_err(malformed)?;
     let mut header = header.clone();
     header.version = FORMAT_VERSION;
     header.round = state.round;
-    header.body_len = body.len() as u64;
-    let header_json = serde_json::to_string(&header)
-        .map_err(|e| CheckpointError::Malformed { line: 0, detail: e.to_string() })?;
-    let payload = format!("{header_json}\n{body}");
-    Ok(format!("{MAGIC_PREFIX}{FORMAT_VERSION}\n{}\n{payload}", crc32(payload.as_bytes())))
+    header.body_len = file.len() as u64;
+    let header_json = serde_json::to_string(&header).map_err(malformed)?;
+    let crc = crc32_of(&[header_json.as_bytes(), b"\n", file.as_bytes()]);
+    // The body is the file's tail: prepend the three header lines in
+    // place instead of copying the body into a second buffer.
+    file.insert_str(0, &format!("{MAGIC_PREFIX}{FORMAT_VERSION}\n{crc}\n{header_json}\n"));
+    Ok(file)
 }
 
 /// Parses and validates full checkpoint file content.
@@ -378,11 +400,11 @@ pub fn decode_checkpoint(
 
 /// Per-store bookkeeping of the resilience machinery: save outcomes,
 /// injected faults, quarantine and rollback events, pruned generations.
-/// Counts cover this store instance's lifetime (one `run_pipeline`
-/// call on the study path) — except `quarantined`, which is seeded
-/// from the quarantine directory at open and therefore cumulative
-/// across the directory's whole history, matching
-/// [`CheckpointStore::epoch`].
+/// Counts cover this store instance's lifetime (one
+/// [`CrawlSession`](crate::study::CrawlSession), from open to finish) —
+/// except `quarantined`, which is seeded from the quarantine directory
+/// at open and therefore cumulative across the directory's whole
+/// history, matching [`CheckpointStore::epoch`].
 #[derive(Debug, Default)]
 pub struct CkptStats {
     /// Checkpoint files that landed on disk (including corrupted ones —
@@ -727,6 +749,60 @@ mod tests {
         // The classic IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bitwise CRC-32 loop the lookup table replaced — the oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_oracle_on_random_input() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0c0f_fee5);
+        for _ in 0..200 {
+            let len = rng.gen_range(0..2048usize);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {len}");
+            // Any split into parts gives the CRC of the whole.
+            let cut = rng.gen_range(0..=len);
+            let (head, tail) = bytes.split_at(cut);
+            assert_eq!(crc32_of(&[head, b"", tail]), crc32_bitwise(&bytes), "cut {cut}/{len}");
+        }
+    }
+
+    #[test]
+    fn encoder_output_equals_the_concatenating_construction() {
+        // The encoder before it learned to CRC the parts in place: three
+        // buffers, one `format!` each. The bytes on disk must not change.
+        fn concatenating(header: &CheckpointHeader, state: &CrawlCheckpointState) -> String {
+            let body = state.to_body().unwrap();
+            let mut header = header.clone();
+            header.version = FORMAT_VERSION;
+            header.round = state.round;
+            header.body_len = body.len() as u64;
+            let header_json = serde_json::to_string(&header).unwrap();
+            let payload = format!("{header_json}\n{body}");
+            let crc = crc32_bitwise(payload.as_bytes());
+            format!("{MAGIC_PREFIX}{FORMAT_VERSION}\n{crc}\n{payload}")
+        }
+        for state in states(3) {
+            let header = sample_header();
+            assert_eq!(
+                encode_checkpoint(&header, &state).unwrap(),
+                concatenating(&header, &state),
+                "round {}",
+                state.round
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The `epoch` input is the store's cumulative quarantine count. Every
 //! quarantined file advances it, so a save that was torn at round R is
 //! re-rolled — not replayed — when recovery re-reaches R: a fault costs
-//! one slice of re-crawl, never a livelock of identical torn writes.
+//! re-crawled rounds, never a livelock of identical torn writes.
 //!
 //! Like the scan- and crawl-fault layers (PR 4/5), injection is
 //! strictly opt-in: the [`DiskFaultProfile::none`] default is inert and

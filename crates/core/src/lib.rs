@@ -71,5 +71,5 @@ pub use faultloss::{run_fault_loss_experiment, FaultLossConfig, FaultLossReport}
 pub use filter::ReferralClass;
 pub use report::Render;
 pub use scanpipe::{FaultLog, ScanCaches, ScanOutcome, ScanPipeline, VerdictSource};
-pub use study::{ConfigError, Study, StudyConfig, StudyConfigBuilder};
+pub use study::{ConfigError, CrawlSession, Restore, Study, StudyConfig, StudyConfigBuilder};
 pub use substrate::{SourceMeta, Substrate};

@@ -12,11 +12,12 @@ use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use slum_crawler::drive::CrawlStats;
 use slum_crawler::{
-    crawl_all_resilient, crawl_all_segmented, crawl_all_streaming, replay_restored_loads,
-    CrawlFaultProfile, CrawlHealth, CrawlRecord, RecordChunk, RecordStore,
+    crawl_all_resilient, crawl_all_streaming, replay_restored_loads, CrawlCheckpointState,
+    CrawlFaultProfile, CrawlHealth, CrawlPlan, CrawlRecord, RecordChunk, RecordStore,
 };
 use slum_exchange::TrafficSource;
 use slum_obs::{LocalMetrics, MetricsSnapshot, Registry};
@@ -28,7 +29,7 @@ use crate::checkpoint::{CheckpointError, CheckpointHeader, CheckpointStore, Ckpt
 use crate::case_studies;
 use crate::diskfault::DiskFaultProfile;
 use crate::categorize::CategoryCounts;
-use crate::filter::{ReferralClass, ReferralFilter};
+use crate::filter::ReferralClass;
 use slum_detect::fault::{FaultPlan, FaultProfile, ScanService};
 
 use crate::redirects::{ChainExhibit, RedirectHistogram};
@@ -115,12 +116,27 @@ pub struct StudyConfig {
     pub substrate: Substrate,
 }
 
+/// Master seed of the default configuration.
+pub const DEFAULT_SEED: u64 = 2016;
+
+/// Crawl scale of the default configuration.
+pub const DEFAULT_CRAWL_SCALE: f64 = 0.001;
+
+/// Domain scale of the default configuration.
+pub const DEFAULT_DOMAIN_SCALE: f64 = 0.05;
+
+/// Traffic substrate of the default configuration.
+pub const DEFAULT_SUBSTRATE: Substrate = Substrate::Exchange;
+
+/// Scan-phase JavaScript engine of the default configuration.
+pub const DEFAULT_JS_ENGINE: JsEngine = JsEngine::Vm;
+
 impl Default for StudyConfig {
     fn default() -> Self {
         StudyConfig {
-            seed: 2016,
-            crawl_scale: 0.001,
-            domain_scale: 0.05,
+            seed: DEFAULT_SEED,
+            crawl_scale: DEFAULT_CRAWL_SCALE,
+            domain_scale: DEFAULT_DOMAIN_SCALE,
             scan_workers: default_scan_workers(),
             fault_profile: FaultProfile::none(),
             crawl_fault_profile: CrawlFaultProfile::none(),
@@ -129,8 +145,8 @@ impl Default for StudyConfig {
             scan_chunk: DEFAULT_SCAN_CHUNK,
             serial_scan_threshold: DEFAULT_SERIAL_SCAN_THRESHOLD,
             overlap_scan: false,
-            js_engine: JsEngine::default(),
-            substrate: Substrate::default(),
+            js_engine: DEFAULT_JS_ENGINE,
+            substrate: DEFAULT_SUBSTRATE,
         }
     }
 }
@@ -470,26 +486,6 @@ pub struct Study {
     obs: Registry,
 }
 
-/// How the crawl phase of [`Study::run_pipeline`] executes.
-enum CrawlMode<'a> {
-    /// In-memory crawl, no checkpoint I/O (the historical path).
-    Direct,
-    /// Segmented crawl writing a checkpoint file after every round.
-    Checkpointed {
-        /// Checkpoint directory.
-        dir: &'a Path,
-        /// Restore the latest checkpoint in `dir` before crawling.
-        resume: bool,
-        /// Abandon the run after this many rounds (simulated crash).
-        kill_after_round: Option<u64>,
-        /// When every generation proves corrupt at resume, restart the
-        /// crawl from scratch instead of failing — the cooperative
-        /// scheduler's stance (a wiped checkpoint dir costs progress,
-        /// never the study). Explicit `resume_from` stays strict.
-        fallback_fresh: bool,
-    },
-}
-
 /// Crawl-resume bookkeeping for the `crawl.resume.*` counters.
 #[derive(Debug, Clone, Copy, Default)]
 struct ResumeStats {
@@ -506,11 +502,57 @@ struct ResumeStats {
 impl Study {
     /// Runs the full pipeline.
     pub fn run(config: &StudyConfig) -> Study {
-        match Study::run_pipeline(config, CrawlMode::Direct, None) {
-            Ok(Some(study)) => study,
-            Ok(None) => unreachable!("direct runs are never killed"),
-            Err(e) => unreachable!("direct runs do no checkpoint I/O: {e}"),
+        let obs = Registry::new();
+        record_config(&obs, config);
+
+        // 1. Build the configured substrate: its web population plus
+        //    the traffic sources, boxed behind the `TrafficSource`
+        //    contract. Each source gets its *own* planned crawl span so
+        //    time-boxed campaigns (manual-surf bursts, malvertising
+        //    flights) land inside the crawl window rather than after it
+        //    ends.
+        let mut built = {
+            let _span = obs.span("phase.build");
+            build_substrate(config)
+        };
+
+        // Overlapped (streaming) pipeline: only with an inert scan-fault
+        // profile, because a fault plan is compiled from the *complete*
+        // corpus. Ineligible overlap requests fall through to the
+        // barrier path below and are counted as
+        // `scan.pipeline.fault_fallback`.
+        if config.overlap_scan && config.fault_profile.is_inert() {
+            let (store, outcomes, referrals, health) = run_overlapped(config, &obs, &mut built);
+            record_substrate_tallies(&obs, config.substrate, built.meta.len(), store.len() as u64);
+            return Study {
+                web: built.web,
+                store,
+                outcomes,
+                referrals,
+                health,
+                sources: built.meta,
+                config: config.clone(),
+                obs,
+            };
         }
+
+        // 2. Crawl every source in parallel; each crawl returns its
+        //    per-worker counter buffer, merged at phase end. Every path
+        //    funnels through the same segment driver, so the records are
+        //    bit-identical to checkpointed runs whatever their cadence
+        //    and resume points.
+        let crawled = {
+            let _span = obs.span("phase.crawl");
+            let steps = &built.steps;
+            crawl_all_resilient(
+                &built.web,
+                &mut built.sources,
+                config.seed,
+                &config.crawl_fault_profile,
+                |x| steps[x.name()],
+            )
+        };
+        scan_crawl(config, obs, built, crawled, &ResumeStats::default(), None)
     }
 
     /// Runs the full pipeline with crawl checkpointing: after every
@@ -521,13 +563,8 @@ impl Study {
     ///
     /// Propagates checkpoint I/O and serialization failures.
     pub fn run_checkpointed(config: &StudyConfig, dir: &Path) -> Result<Study, CheckpointError> {
-        let mode = CrawlMode::Checkpointed {
-            dir,
-            resume: false,
-            kill_after_round: None,
-            fallback_fresh: false,
-        };
-        Ok(Study::run_pipeline(config, mode, None)?.expect("unkilled runs complete"))
+        let session = CrawlSession::open(config, dir, Restore::Never)?.advance(u64::MAX)?;
+        Ok(session.finish(None))
     }
 
     /// Like [`Study::run_checkpointed`], but abandons the run after
@@ -544,13 +581,11 @@ impl Study {
         dir: &Path,
         kill_after_round: u64,
     ) -> Result<Option<Study>, CheckpointError> {
-        let mode = CrawlMode::Checkpointed {
-            dir,
-            resume: false,
-            kill_after_round: Some(kill_after_round),
-            fallback_fresh: false,
-        };
-        Study::run_pipeline(config, mode, None)
+        let session =
+            CrawlSession::open(config, dir, Restore::Never)?.advance(kill_after_round)?;
+        // A killed run leaves its checkpoints on disk and the study
+        // abandoned here.
+        Ok(session.crawl_done().then(|| session.finish(None)))
     }
 
     /// Resumes an interrupted run from the latest checkpoint in `dir`
@@ -563,254 +598,8 @@ impl Study {
     /// Fails on missing/corrupt checkpoints and on configuration
     /// mismatches between the checkpoint and `config`.
     pub fn resume_from(config: &StudyConfig, dir: &Path) -> Result<Study, CheckpointError> {
-        let mode = CrawlMode::Checkpointed {
-            dir,
-            resume: true,
-            kill_after_round: None,
-            fallback_fresh: false,
-        };
-        Ok(Study::run_pipeline(config, mode, None)?.expect("unkilled runs complete"))
-    }
-
-    /// One cooperative scheduling slice of a checkpointed study: crawls
-    /// at most `rounds` further checkpoint rounds (resuming from the
-    /// latest checkpoint in `dir` when one exists, starting fresh
-    /// otherwise), then yields. Returns `None` while the crawl is
-    /// unfinished — call again to advance — or the completed study once
-    /// the crawl ends inside the slice, scanned through `shared_caches`
-    /// when given (see [`ScanCaches`] for when sharing is sound).
-    ///
-    /// Because every slice funnels through the same segment driver as
-    /// batch runs, the completed study is bit-identical to
-    /// [`Study::run_checkpointed`] with the same config, no matter how
-    /// the slices interleave with other studies' — this is the
-    /// scheduling primitive the slum-serve daemon multiplexes tenants
-    /// with.
-    ///
-    /// # Errors
-    ///
-    /// Propagates checkpoint I/O, serialization and config-mismatch
-    /// failures.
-    pub fn advance_checkpointed(
-        config: &StudyConfig,
-        dir: &Path,
-        rounds: u64,
-        shared_caches: Option<Arc<ScanCaches>>,
-    ) -> Result<Option<Study>, CheckpointError> {
-        let resume = !CheckpointStore::open(dir)?.list()?.is_empty();
-        let mode =
-            CrawlMode::Checkpointed {
-                dir,
-                resume,
-                kill_after_round: Some(rounds),
-                fallback_fresh: true,
-            };
-        Study::run_pipeline(config, mode, shared_caches)
-    }
-
-    fn run_pipeline(
-        config: &StudyConfig,
-        mode: CrawlMode<'_>,
-        shared_caches: Option<Arc<ScanCaches>>,
-    ) -> Result<Option<Study>, CheckpointError> {
-        let obs = Registry::new();
-        record_config(&obs, config);
-
-        // 1. Build the configured substrate: its web population plus
-        //    the traffic sources, boxed behind the `TrafficSource`
-        //    contract. Each source gets its *own* planned crawl span so
-        //    time-boxed campaigns (manual-surf bursts, malvertising
-        //    flights) land inside the crawl window rather than after it
-        //    ends.
-        let BuiltSubstrate { web, sources: mut traffic, meta, filter, steps } = {
-            let _span = obs.span("phase.build");
-            build_substrate(config)
-        };
-        let planned: u64 = steps.values().sum();
-
-        // 2. Crawl every source in parallel; each crawl returns its
-        //    per-worker counter buffer, merged here at phase end.
-        //    Every mode funnels through the same segment driver, so the
-        //    records are bit-identical across modes, checkpoint cadence
-        //    and resume points.
-        let step_fn = |x: &Box<dyn TrafficSource + Send>| {
-            *steps.get(x.name()).expect("known source")
-        };
-
-        // Overlapped (streaming) pipeline: only on the direct path —
-        // checkpointing needs the per-exchange stores the stream never
-        // materializes — and only with an inert scan-fault profile,
-        // because a fault plan is compiled from the *complete* corpus.
-        // Ineligible overlap requests fall through to the barrier path
-        // below and are counted as `scan.pipeline.fault_fallback`.
-        if config.overlap_scan
-            && matches!(mode, CrawlMode::Direct)
-            && config.fault_profile.is_inert()
-        {
-            let (store, outcomes, referrals, health) = run_overlapped(
-                config,
-                &obs,
-                &web,
-                &mut traffic,
-                &step_fn,
-                &filter,
-                planned,
-                shared_caches,
-            );
-            record_substrate_tallies(&obs, config.substrate, meta.len(), store.len() as u64);
-            return Ok(Some(Study {
-                web,
-                store,
-                outcomes,
-                referrals,
-                health,
-                sources: meta,
-                config: config.clone(),
-                obs,
-            }));
-        }
-
-        let (store, health) = {
-            let _span = obs.span("phase.crawl");
-            let (store, stats, health, resume_stats) = match mode {
-                CrawlMode::Direct => {
-                    let (store, stats, health) = crawl_all_resilient(
-                        &web,
-                        &mut traffic,
-                        config.seed,
-                        &config.crawl_fault_profile,
-                        step_fn,
-                    );
-                    (store, stats, health, ResumeStats::default())
-                }
-                CrawlMode::Checkpointed { dir, resume, kill_after_round, fallback_fresh } => {
-                    let ckpt = CheckpointStore::open(dir)?
-                        .with_disk_faults(config.disk_fault_profile.clone(), config.seed);
-                    let (resume_state, resume_stats) = if resume {
-                        match ckpt.load_latest() {
-                            Ok((header, state)) => {
-                                header.verify(config)?;
-                                // The web above was rebuilt from seed;
-                                // replay the restored records' browser
-                                // loads so the crawl-phase web mutations
-                                // (shortener hits) survive the simulated
-                                // crash.
-                                let loads_replayed =
-                                    replay_restored_loads(&web, &traffic, &state);
-                                let stats = ResumeStats {
-                                    segments_restored: state.round,
-                                    records_restored: state.records_total(),
-                                    loads_replayed,
-                                };
-                                (Some(state), stats)
-                            }
-                            Err(CheckpointError::Quarantined { .. }) if fallback_fresh => {
-                                // Every generation was corrupt and is
-                                // now quarantined: restart the crawl
-                                // from scratch. Deterministic re-crawl
-                                // makes this cost progress, not
-                                // correctness.
-                                (None, ResumeStats::default())
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    } else {
-                        (None, ResumeStats::default())
-                    };
-                    let header = CheckpointHeader::for_config(config);
-                    let outcome = crawl_all_segmented(
-                        &web,
-                        &mut traffic,
-                        config.seed,
-                        &config.crawl_fault_profile,
-                        step_fn,
-                        config.checkpoint_every.unwrap_or(u64::MAX),
-                        resume_state,
-                        kill_after_round,
-                        // An injected ENOSPC is a skipped checkpoint (a
-                        // cadence hole the next round's save closes),
-                        // never a crawl abort.
-                        &mut |_round, state| match ckpt.save(&header, state) {
-                            Ok(_) | Err(CheckpointError::DiskFull { .. }) => Ok(()),
-                            Err(e) => Err(e),
-                        },
-                    )?;
-                    record_ckpt_tallies(&obs, ckpt.stats());
-                    if !outcome.finished {
-                        // Simulated crash: the checkpoints are on disk,
-                        // the study is abandoned here.
-                        return Ok(None);
-                    }
-                    let (store, stats, health) = outcome.state.finish();
-                    (store, stats, health, resume_stats)
-                }
-            };
-            for (_, s) in &stats {
-                obs.merge_local(&s.metrics);
-            }
-            record_crawl_fault_tallies(&obs, &health, &resume_stats);
-            (store, health)
-        };
-        record_substrate_tallies(&obs, config.substrate, meta.len(), store.len() as u64);
-
-        // 3. Classify referrals, then scan every *regular* record
-        //    across the configured worker count.
-        let (outcomes, referrals) = {
-            let _span = obs.span("phase.scan");
-            let referrals: Vec<ReferralClass> =
-                store.records().iter().map(|r| filter.classify(r)).collect();
-            record_filter_counts(&obs, &referrals);
-
-            let mut pipeline = ScanPipeline::new(&web).with_js_engine(config.js_engine);
-            if let Some(caches) = shared_caches {
-                pipeline = pipeline.with_shared_caches(caches);
-            }
-            if !config.fault_profile.is_inert() {
-                // Compile the fault schedule from the *corpus* (regular
-                // records in virtual-arrival order), never from scan
-                // scheduling — the determinism contract across worker
-                // counts hangs on this.
-                let requests: Vec<(String, u64)> = store
-                    .records()
-                    .iter()
-                    .zip(&referrals)
-                    .filter(|(_, class)| **class == ReferralClass::Regular)
-                    .map(|(record, _)| (scan_key(record), record.at))
-                    .collect();
-                let plan = FaultPlan::compile(&config.fault_profile, config.seed, &requests);
-                pipeline = pipeline.with_fault_plan(plan);
-            }
-            let (outcomes, scan_workers) =
-                scan_phase(&pipeline, store.records(), &referrals, config, &obs);
-            obs.gauge("scan.workers").set(scan_workers as i64);
-            record_cache_stats(&obs, &pipeline);
-            record_js_vm_stats(&obs, &pipeline);
-            record_outcome_tallies(&obs, &outcomes, &referrals);
-            record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan());
-            record_pipeline_tallies(
-                &obs,
-                &PipelineTally {
-                    chunks: 0,
-                    records_streamed: 0,
-                    // An overlap request that reached the barrier path
-                    // was forced here (checkpointing or a fault plan).
-                    fault_fallback: u64::from(config.overlap_scan),
-                    overlapped: false,
-                },
-            );
-            (outcomes, referrals)
-        };
-
-        Ok(Some(Study {
-            web,
-            store,
-            outcomes,
-            referrals,
-            health,
-            sources: meta,
-            config: config.clone(),
-            obs,
-        }))
+        let session = CrawlSession::open(config, dir, Restore::Required)?.advance(u64::MAX)?;
+        Ok(session.finish(None))
     }
 
     /// Runs the full pipeline, reporting per-phase wall-clock timings
@@ -940,6 +729,170 @@ impl Study {
     }
 }
 
+/// How [`CrawlSession::open`] treats the checkpoints already in its
+/// directory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Restore {
+    /// Ignore them and crawl from scratch ([`Study::run_checkpointed`]).
+    Never,
+    /// Restore the newest intact generation, or fail
+    /// ([`Study::resume_from`]).
+    Required,
+    /// Restore the newest intact generation when one survives, and
+    /// start fresh when the directory is empty or every generation was
+    /// corrupt and got quarantined — a wiped checkpoint directory costs
+    /// progress, never the study (the slum-serve scheduler's attach).
+    IfPresent,
+}
+
+/// A checkpointed crawl kept resident between scheduling slices: it
+/// owns the built substrate (web and traffic sources), the crawl state
+/// and the [`CheckpointStore`] it saves to. Every checkpointed path runs
+/// through its three steps:
+///
+/// 1. [`CrawlSession::open`] builds the substrate, then restores the
+///    newest intact generation — replaying its browser loads once — or
+///    starts fresh, as [`Restore`] says;
+/// 2. [`CrawlSession::advance`] crawls further rounds, saving a
+///    checkpoint after every round;
+/// 3. [`CrawlSession::finish`] runs the scan phase over the completed
+///    crawl.
+///
+/// Checkpoints stay the durability mechanism, but only `open` reads
+/// them: a caller that keeps the session between slices (the slum-serve
+/// scheduler) pays the restore once per attach, not once per slice. The
+/// finished study is bit-identical to [`Study::run`] however its rounds
+/// are split across `advance` calls and however often the session is
+/// dropped and reopened.
+pub struct CrawlSession {
+    config: StudyConfig,
+    obs: Registry,
+    built: BuiltSubstrate,
+    ckpt: CheckpointStore,
+    header: CheckpointHeader,
+    /// `None` until the first round of a fresh crawl.
+    state: Option<CrawlCheckpointState>,
+    resume: ResumeStats,
+    /// Restore and crawl wall-clock so far: the `phase.crawl` span.
+    crawl_time: Duration,
+}
+
+impl CrawlSession {
+    /// Builds the substrate and positions the crawl per `restore`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates checkpoint I/O failures, a missing or wholly corrupt
+    /// checkpoint chain under [`Restore::Required`], and a restored
+    /// checkpoint written under a different configuration.
+    pub fn open(
+        config: &StudyConfig,
+        dir: &Path,
+        restore: Restore,
+    ) -> Result<CrawlSession, CheckpointError> {
+        let obs = Registry::new();
+        record_config(&obs, config);
+        let built = {
+            let _span = obs.span("phase.build");
+            build_substrate(config)
+        };
+        let started = Instant::now();
+        let ckpt = CheckpointStore::open(dir)?
+            .with_disk_faults(config.disk_fault_profile.clone(), config.seed);
+        let restored = match restore {
+            Restore::Never => None,
+            Restore::Required => Some(ckpt.load_latest()?),
+            Restore::IfPresent => match ckpt.load_latest() {
+                Ok(loaded) => Some(loaded),
+                Err(CheckpointError::NoCheckpoint { .. } | CheckpointError::Quarantined { .. }) => {
+                    None
+                }
+                Err(e) => return Err(e),
+            },
+        };
+        let (state, resume) = match restored {
+            Some((header, state)) => {
+                header.verify(config)?;
+                // The web above was rebuilt from seed; replay the restored
+                // records' browser loads so the crawl-phase web mutations
+                // (shortener hits) survive the restart.
+                let resume = ResumeStats {
+                    segments_restored: state.round,
+                    records_restored: state.records_total(),
+                    loads_replayed: replay_restored_loads(&built.web, &built.sources, &state),
+                };
+                (Some(state), resume)
+            }
+            None => (None, ResumeStats::default()),
+        };
+        Ok(CrawlSession {
+            config: config.clone(),
+            obs,
+            built,
+            ckpt,
+            header: CheckpointHeader::for_config(config),
+            state,
+            resume,
+            crawl_time: started.elapsed(),
+        })
+    }
+
+    /// Crawls at most `rounds` further checkpoint rounds (`u64::MAX`:
+    /// to the end), saving a checkpoint after each. An injected `ENOSPC`
+    /// is a skipped checkpoint — a cadence hole the next round's save
+    /// closes — never a crawl abort.
+    ///
+    /// # Errors
+    ///
+    /// Propagates checkpoint I/O and serialization failures. The session
+    /// is consumed either way: after a failure its crawl state is gone,
+    /// so the next [`CrawlSession::open`] restores from disk.
+    pub fn advance(mut self, rounds: u64) -> Result<CrawlSession, CheckpointError> {
+        let started = Instant::now();
+        let mut plan = CrawlPlan::new(self.config.seed)
+            .fault_profile(self.config.crawl_fault_profile.clone())
+            .segment_budget(self.config.checkpoint_every.unwrap_or(u64::MAX))
+            .stop_after_round(rounds);
+        if let Some(state) = self.state.take() {
+            plan = plan.resume(state);
+        }
+        let (ckpt, header, steps) = (&self.ckpt, &self.header, &self.built.steps);
+        let outcome = plan.run_segmented(
+            &self.built.web,
+            &mut self.built.sources,
+            |x| steps[x.name()],
+            &mut |_round, state| match ckpt.save(header, state) {
+                Ok(_) | Err(CheckpointError::DiskFull { .. }) => Ok(()),
+                Err(e) => Err(e),
+            },
+        )?;
+        self.state = Some(outcome.state);
+        self.crawl_time += started.elapsed();
+        Ok(self)
+    }
+
+    /// True once every source has crawled its whole slot budget.
+    pub fn crawl_done(&self) -> bool {
+        self.state.as_ref().is_some_and(CrawlCheckpointState::all_done)
+    }
+
+    /// Completes the study: the scan phase over the finished crawl,
+    /// through `shared_caches` when given (see [`ScanCaches`] for when
+    /// sharing is sound).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the crawl is not done ([`CrawlSession::crawl_done`]).
+    pub fn finish(self, shared_caches: Option<Arc<ScanCaches>>) -> Study {
+        assert!(self.crawl_done(), "finish needs a completed crawl");
+        let CrawlSession { config, obs, built, ckpt, state, resume, crawl_time, .. } = self;
+        obs.record_span("phase.crawl", crawl_time);
+        record_ckpt_tallies(&obs, ckpt.stats());
+        let crawled = state.expect("a completed crawl has a state").finish();
+        scan_crawl(&config, obs, built, crawled, &resume, shared_caches)
+    }
+}
+
 /// Per-exchange crawl steps at a given scale (minimum 40 so small-scale
 /// runs still populate every row).
 pub fn steps_for(profile: &slum_exchange::ExchangeProfile, scale: f64) -> u64 {
@@ -1013,9 +966,10 @@ fn record_crawl_fault_tallies(obs: &Registry, health: &[CrawlHealth], resume: &R
 /// explicit zeros (which CI asserts) rather than absent keys.
 /// `ckpt.quarantined` is cumulative over the checkpoint directory's
 /// whole history (the store seeds it from `quarantine/` at open, so it
-/// survives kill/restart cycles); the remaining counters cover this pipeline
-/// invocation. Direct (non-checkpointed) runs record nothing here, the
-/// same way they record no `crawl.resume.*` activity.
+/// survives kill/restart cycles); the remaining counters cover one
+/// [`CrawlSession`], from open to finish. Direct (non-checkpointed) runs
+/// record nothing here, the same way they record no `crawl.resume.*`
+/// activity.
 fn record_ckpt_tallies(obs: &Registry, stats: &CkptStats) {
     obs.counter("ckpt.saves").add(CkptStats::get(&stats.saves));
     obs.counter("ckpt.save.torn").add(CkptStats::get(&stats.torn_writes));
@@ -1155,6 +1109,83 @@ fn record_fault_tallies(
         };
         obs.counter(&format!("scan.breaker.{name}.opens")).add(opens);
         obs.gauge(&format!("scan.breaker.{name}.state")).set(state);
+    }
+}
+
+/// The barrier scan phase every non-overlapped run ends with, direct or
+/// checkpointed: books the crawl's counters, classifies referrals, scans
+/// every regular record and assembles the study.
+fn scan_crawl(
+    config: &StudyConfig,
+    obs: Registry,
+    built: BuiltSubstrate,
+    (store, stats, health): (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>),
+    resume: &ResumeStats,
+    shared_caches: Option<Arc<ScanCaches>>,
+) -> Study {
+    for (_, s) in &stats {
+        obs.merge_local(&s.metrics);
+    }
+    record_crawl_fault_tallies(&obs, &health, resume);
+    record_substrate_tallies(&obs, config.substrate, built.meta.len(), store.len() as u64);
+
+    // 3. Classify referrals, then scan every *regular* record across the
+    //    configured worker count.
+    let (outcomes, referrals) = {
+        let _span = obs.span("phase.scan");
+        let referrals: Vec<ReferralClass> =
+            store.records().iter().map(|r| built.filter.classify(r)).collect();
+        record_filter_counts(&obs, &referrals);
+
+        let mut pipeline = ScanPipeline::new(&built.web).with_js_engine(config.js_engine);
+        if let Some(caches) = shared_caches {
+            pipeline = pipeline.with_shared_caches(caches);
+        }
+        if !config.fault_profile.is_inert() {
+            // Compile the fault schedule from the *corpus* (regular
+            // records in virtual-arrival order), never from scan
+            // scheduling — the determinism contract across worker counts
+            // hangs on this.
+            let requests: Vec<(String, u64)> = store
+                .records()
+                .iter()
+                .zip(&referrals)
+                .filter(|(_, class)| **class == ReferralClass::Regular)
+                .map(|(record, _)| (scan_key(record), record.at))
+                .collect();
+            let plan = FaultPlan::compile(&config.fault_profile, config.seed, &requests);
+            pipeline = pipeline.with_fault_plan(plan);
+        }
+        let (outcomes, scan_workers) =
+            scan_phase(&pipeline, store.records(), &referrals, config, &obs);
+        obs.gauge("scan.workers").set(scan_workers as i64);
+        record_cache_stats(&obs, &pipeline);
+        record_js_vm_stats(&obs, &pipeline);
+        record_outcome_tallies(&obs, &outcomes, &referrals);
+        record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan());
+        record_pipeline_tallies(
+            &obs,
+            &PipelineTally {
+                chunks: 0,
+                records_streamed: 0,
+                // An overlap request that reached the barrier path was
+                // forced here (checkpointing or a fault plan).
+                fault_fallback: u64::from(config.overlap_scan),
+                overlapped: false,
+            },
+        );
+        (outcomes, referrals)
+    };
+
+    Study {
+        web: built.web,
+        store,
+        outcomes,
+        referrals,
+        health,
+        sources: built.meta,
+        config: config.clone(),
+        obs,
     }
 }
 
@@ -1323,36 +1354,26 @@ struct ScannedChunk {
 /// The `phase.crawl` span covers the producer and `phase.scan` the
 /// whole overlapped region, so their wall-clock now overlaps — the
 /// saving the streaming restructure exists to win.
-fn run_overlapped<S, F>(
+fn run_overlapped(
     config: &StudyConfig,
     obs: &Registry,
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    step_fn: &F,
-    filter: &ReferralFilter,
-    planned: u64,
-    shared_caches: Option<Arc<ScanCaches>>,
-) -> (RecordStore, Vec<ScanOutcome>, Vec<ReferralClass>, Vec<CrawlHealth>)
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    let mut pipeline = ScanPipeline::new(web).with_js_engine(config.js_engine);
-    if let Some(caches) = shared_caches {
-        pipeline = pipeline.with_shared_caches(caches);
-    }
+    built: &mut BuiltSubstrate,
+) -> (RecordStore, Vec<ScanOutcome>, Vec<ReferralClass>, Vec<CrawlHealth>) {
+    let pipeline = ScanPipeline::new(&built.web).with_js_engine(config.js_engine);
     let latency = obs.histogram("scan.record_nanos");
     // Worker selection needs a corpus size before the corpus exists;
     // the planned surf slots are an exact upper bound on records (and
     // equal to them under an inert crawl-fault profile).
     let scan_workers = effective_scan_workers(
-        planned as usize,
+        built.planned_steps() as usize,
         config.scan_workers,
         config.serial_scan_threshold,
     );
     let (tx, rx) = crossbeam::channel::bounded::<RecordChunk>(PIPELINE_CHANNEL_CAP);
     let results: Mutex<Vec<ScannedChunk>> = Mutex::new(Vec::new());
 
+    let (web, filter, steps) = (&built.web, &built.filter, &built.steps);
+    let sources = &mut built.sources;
     let (stats, health) = crossbeam::thread::scope(|scope| {
         let _scan_span = obs.span("phase.scan");
         let producer = scope.spawn(move |_| {
@@ -1362,7 +1383,7 @@ where
                 sources,
                 config.seed,
                 &config.crawl_fault_profile,
-                step_fn,
+                |x| steps[x.name()],
                 config.scan_chunk as u64,
                 tx,
             )
@@ -1372,7 +1393,6 @@ where
                 let rx = rx.clone();
                 let results = &results;
                 let pipeline = &pipeline;
-                let filter = &filter;
                 let latency = &latency;
                 scope.spawn(move |_| {
                     let mut local = LocalMetrics::new();

@@ -6,7 +6,7 @@
 //! state, CAPTCHA nonce, stats and health counters. [`crawl_exchange`]
 //! is a thin wrapper that runs one unbounded segment with an inert
 //! lifecycle, so the historical fail-fast behaviour is bit-identical by
-//! construction, while the resilience layer (`run::crawl_all_segmented`)
+//! construction, while the resilience layer (`run::CrawlPlan::run_segmented`)
 //! drives the same loop in bounded segments with a fault schedule and
 //! checkpoints the cursor between them.
 

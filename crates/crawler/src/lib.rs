@@ -37,8 +37,8 @@ pub use drive::{crawl_exchange, CrawlConfig, CrawlCursor};
 pub use fault::{CrawlFaultProfile, CrawlHealth};
 pub use record::CrawlRecord;
 pub use run::{
-    crawl_all, crawl_all_resilient, crawl_all_segmented, crawl_all_streaming,
-    replay_restored_loads, CrawlCheckpointState, CrawlPlan, RecordChunk,
+    crawl_all, crawl_all_resilient, crawl_all_streaming, replay_restored_loads,
+    CrawlCheckpointState, CrawlPlan, RecordChunk,
 };
 pub use slum_exchange::TrafficSource;
 pub use store::{JsonlError, RecordStore};

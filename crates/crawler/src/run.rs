@@ -13,8 +13,7 @@
 //!   through a channel as they are produced (the producer half of the
 //!   overlapped crawl→scan pipeline).
 //!
-//! The four historical entry points ([`crawl_all`],
-//! [`crawl_all_resilient`], [`crawl_all_segmented`],
+//! The historical entry points ([`crawl_all`], [`crawl_all_resilient`],
 //! [`crawl_all_streaming`]) are thin delegating wrappers over the plan,
 //! kept so existing callers compile unchanged.
 //!
@@ -504,13 +503,14 @@ impl CrawlCheckpointState {
     }
 
     /// Consumes the state into the merged store, per-source stats and
-    /// health logs — in source input order, same as [`crawl_all`].
+    /// health logs — in source input order, same as [`crawl_all`]. The
+    /// records move into the merged store; none is cloned.
     pub fn finish(self) -> (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>) {
         let mut merged = RecordStore::new();
         let mut stats = Vec::with_capacity(self.cursors.len());
         let mut health = Vec::with_capacity(self.cursors.len());
-        for (cursor, store) in self.cursors.iter().zip(&self.stores) {
-            merged.extend(store.records().iter().cloned());
+        for (cursor, store) in self.cursors.iter().zip(self.stores) {
+            merged.extend(store.into_records());
             stats.push((cursor.exchange.clone(), cursor.stats()));
             health.push(cursor.health());
         }
@@ -528,43 +528,6 @@ pub struct SegmentedCrawl {
     pub finished: bool,
     /// Rounds executed by this call (excludes resumed-from rounds).
     pub rounds_run: u64,
-}
-
-/// Crawls every source in bounded segment rounds, invoking `on_round`
-/// with the full crawl state after each round — the checkpoint hook.
-///
-/// Thin wrapper over [`CrawlPlan::run_segmented`].
-///
-/// # Errors
-///
-/// Propagates the first `on_round` error; the crawl stops there.
-#[allow(clippy::too_many_arguments)] // legacy facade: every knob is an explicit argument
-pub fn crawl_all_segmented<S, F, E>(
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    base_seed: u64,
-    profile: &CrawlFaultProfile,
-    step_fn: F,
-    segment_budget: u64,
-    resume: Option<CrawlCheckpointState>,
-    stop_after_round: Option<u64>,
-    on_round: &mut dyn FnMut(u64, &CrawlCheckpointState) -> Result<(), E>,
-) -> Result<SegmentedCrawl, E>
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    assert!(segment_budget > 0, "segment budget must be positive");
-    let mut plan = CrawlPlan::new(base_seed)
-        .fault_profile(profile.clone())
-        .segment_budget(segment_budget);
-    if let Some(state) = resume {
-        plan = plan.resume(state);
-    }
-    if let Some(rounds) = stop_after_round {
-        plan = plan.stop_after_round(rounds);
-    }
-    plan.run_segmented(web, sources, step_fn, on_round)
 }
 
 /// Replays the browser side effects of every checkpoint-restored record
@@ -736,16 +699,10 @@ mod tests {
             let mut b = WebBuilder::new(135);
             let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
             let web = b.finish();
-            let outcome = crawl_all_segmented::<_, _, String>(
-                &web,
-                &mut exchanges,
-                11,
-                &profile,
-                |_| 30,
-                7,
-                None,
-                None,
-                &mut |round, state| {
+            let outcome = CrawlPlan::new(11)
+                .fault_profile(profile.clone())
+                .segment_budget(7)
+                .run_segmented::<_, _, String>(&web, &mut exchanges, |_| 30, &mut |round, state| {
                     // Round-trip the full state through the body format,
                     // as a checkpoint save + resume would.
                     let body = state.to_body().map_err(|e| e.to_string())?;
@@ -753,9 +710,8 @@ mod tests {
                         .map_err(|(l, d)| format!("line {l}: {d}"))?;
                     assert_eq!(*state, back);
                     Ok(())
-                },
-            )
-            .expect("round-trip must parse");
+                })
+                .expect("round-trip must parse");
             assert!(outcome.finished);
             let (store, stats, health) = outcome.state.finish();
             assert_eq!(store.to_jsonl().unwrap(), one_shot.0, "profile {}", profile.name);
@@ -918,25 +874,15 @@ mod tests {
                 .expect("registered code")
                 .hits
         };
+        let plan = || CrawlPlan::new(7).segment_budget(4);
         let run = |web: &SyntheticWeb,
                    sources: &mut [ShortLoop],
-                   resume: Option<CrawlCheckpointState>,
-                   stop: Option<u64>,
+                   plan: CrawlPlan,
                    saved: &mut Option<CrawlCheckpointState>| {
-            crawl_all_segmented::<_, _, String>(
-                web,
-                sources,
-                7,
-                &CrawlFaultProfile::none(),
-                |_| 8,
-                4,
-                resume,
-                stop,
-                &mut |_, state| {
-                    *saved = Some(state.clone());
-                    Ok(())
-                },
-            )
+            plan.run_segmented::<_, _, String>(web, sources, |_| 8, &mut |_, state| {
+                *saved = Some(state.clone());
+                Ok(())
+            })
             .expect("crawl runs")
         };
 
@@ -944,7 +890,7 @@ mod tests {
         let (web, short) = build();
         let mut sources = [ShortLoop { url: short.clone() }];
         let mut sink = None;
-        let one_shot = run(&web, &mut sources, None, None, &mut sink);
+        let one_shot = run(&web, &mut sources, plan(), &mut sink);
         assert!(one_shot.finished);
         let want = hits_of(&web, &short);
 
@@ -952,7 +898,7 @@ mod tests {
         let (web1, short) = build();
         let mut sources = [ShortLoop { url: short.clone() }];
         let mut saved = None;
-        let killed = run(&web1, &mut sources, None, Some(1), &mut saved);
+        let killed = run(&web1, &mut sources, plan().stop_after_round(1), &mut saved);
         assert!(!killed.finished);
         drop(web1);
 
@@ -964,7 +910,7 @@ mod tests {
         let mut sources = [ShortLoop { url: short.clone() }];
         let replayed = replay_restored_loads(&web2, &sources, &state);
         assert_eq!(replayed, restored);
-        let resumed = run(&web2, &mut sources, Some(state), None, &mut sink);
+        let resumed = run(&web2, &mut sources, plan().resume(state), &mut sink);
         assert!(resumed.finished);
         assert_eq!(
             hits_of(&web2, &short),

@@ -20,8 +20,9 @@
 
 use std::path::{Path, PathBuf};
 
+use malware_slums::checkpoint::CkptStats;
 use malware_slums::study::StudyConfig;
-use malware_slums::DiskFaultProfile;
+use malware_slums::{CheckpointStore, DiskFaultProfile};
 
 use crate::Service;
 
@@ -43,8 +44,6 @@ pub struct StormConfig {
     pub domain_scale: f64,
     /// Surf slots per checkpoint segment.
     pub checkpoint_every: u64,
-    /// Checkpoint rounds per scheduling slice.
-    pub rounds_per_slice: u64,
     /// Storage-fault profile armed for the storm *and* the drain — the
     /// disks stay bad even after the scheduling chaos stops.
     pub disk_fault_profile: DiskFaultProfile,
@@ -60,7 +59,6 @@ impl Default for StormConfig {
             crawl_scale: 0.0002,
             domain_scale: 0.03,
             checkpoint_every: 7,
-            rounds_per_slice: 1,
             disk_fault_profile: DiskFaultProfile::harsh(),
         }
     }
@@ -130,7 +128,6 @@ impl Chaos {
 fn open_service(root: &Path, config: &StormConfig) -> Service {
     Service::open(root)
         .expect("storm service root opens")
-        .with_rounds_per_slice(config.rounds_per_slice)
         .with_disk_fault_profile(config.disk_fault_profile.clone())
 }
 
@@ -167,6 +164,13 @@ fn newest_ckpt(root: &Path, tenant: usize) -> Option<PathBuf> {
     }
     candidates.sort();
     candidates.pop()
+}
+
+/// A study dir's cumulative `ckpt.quarantined`: the count a checkpoint
+/// store seeds from the dir's `quarantine/` at open.
+fn quarantined(dir: &Path) -> u64 {
+    let store = CheckpointStore::open(dir).expect("study checkpoint dir opens");
+    CkptStats::get(&store.stats().quarantined)
 }
 
 /// Flips a mid-file byte — breaks the checkpoint CRC whatever it hits.
@@ -228,19 +232,25 @@ pub fn run_storm(root: &Path, config: &StormConfig) -> StormReport {
                 ids = submit_all(&service, config);
                 kills += 1;
             }
-            // Corrupt the newest checkpoint, then force the reload
-            // that must quarantine it and roll back a generation.
+            // Corrupt the newest checkpoint, then restart the service: a
+            // live service never re-reads its tenants' checkpoints, so
+            // only the next attach can meet the damage — and it must
+            // quarantine it and roll back a generation, never read it.
             2 => {
                 let t = rng.pick(config.tenants);
                 if let Some(path) = newest_ckpt(root, t) {
+                    let dir = path.parent().expect("a checkpoint sits in its study dir");
+                    let before = quarantined(dir);
                     corrupt(&path);
                     corruptions += 1;
-                    if service.status(ids[t]).expect("status").state != "running" {
-                        ids[t] = service
-                            .submit(&format!("t{t}"), config.study_config(t))
-                            .expect("resubmit");
-                    }
+                    drop(service);
+                    service = open_service(root, config);
+                    ids = submit_all(&service, config);
                     service.advance(ids[t]).expect("advance over corruption");
+                    assert!(
+                        quarantined(dir) > before,
+                        "t{t}: the attach must quarantine the corrupt generation"
+                    );
                 }
             }
             // Panic a tenant's next slice; supervision must contain it

@@ -13,10 +13,10 @@
 //! This crate provides that in two layers:
 //!
 //! - [`Service`] — the in-process API: submit studies, advance them
-//!   cooperatively (each scheduling slice runs a bounded number of
-//!   checkpoint rounds through `Study::advance_checkpointed`), query
-//!   verdicts against the shared cross-tenant index, and stream a
-//!   namespaced per-tenant metrics rollup.
+//!   cooperatively (each scheduling slice runs one checkpoint round of
+//!   the study's resident `CrawlSession`), query verdicts against the
+//!   shared cross-tenant index, and stream a namespaced per-tenant
+//!   metrics rollup.
 //! - [`Daemon`] — a thin TCP front end speaking newline-delimited JSON
 //!   ([`Request`] in, [`Response`] out), with a background scheduler
 //!   thread driving the service.
@@ -55,8 +55,9 @@
 //! floods shed with `overloaded` + `retry_after_ms` (per-tenant
 //! in-flight caps, a daemon-wide connection cap), and checkpoint
 //! storage faults (injectable via [`malware_slums::DiskFaultProfile`])
-//! cost at most one slice of recrawl thanks to checkpoint generations
-//! with quarantine/rollback. The seeded storm harness lives in
+//! are detected when a study attaches and cost recrawled rounds, never
+//! the study, thanks to checkpoint generations with quarantine/rollback.
+//! The seeded storm harness lives in
 //! [`chaos`]; `tests/serve_chaos.rs` and `repro chaos` both drive it
 //! to pin the headline guarantee: under a storm of kills, corruptions,
 //! disk faults and tenant panics, every surviving tenant's export is
@@ -74,4 +75,4 @@ pub use daemon::{Daemon, DaemonOptions};
 pub use proto::{
     parse_request, ProtoError, Request, Response, DEFAULT_CHECKPOINT_EVERY, MAX_REQUEST_LINE,
 };
-pub use service::{ServeError, Service, StudyStatus, DEFAULT_ROUNDS_PER_SLICE};
+pub use service::{ServeError, Service, StudyStatus};

@@ -15,6 +15,9 @@
 //! {"op":"shutdown"}
 //! ```
 
+use malware_slums::study::{
+    DEFAULT_CRAWL_SCALE, DEFAULT_DOMAIN_SCALE, DEFAULT_JS_ENGINE, DEFAULT_SEED, DEFAULT_SUBSTRATE,
+};
 use malware_slums::{DiskFaultProfile, StudyConfig};
 use serde::{Deserialize, Serialize};
 use slum_crawler::CrawlFaultProfile;
@@ -80,24 +83,27 @@ fn default_tenant() -> String {
     "default".to_string()
 }
 
+// The study defaults come from core's constants, never from a whole
+// `StudyConfig::default()`: that queries the host's parallelism, and
+// these run on every parsed request line.
 fn default_seed() -> u64 {
-    StudyConfig::default().seed
+    DEFAULT_SEED
 }
 
 fn default_crawl_scale() -> f64 {
-    StudyConfig::default().crawl_scale
+    DEFAULT_CRAWL_SCALE
 }
 
 fn default_domain_scale() -> f64 {
-    StudyConfig::default().domain_scale
+    DEFAULT_DOMAIN_SCALE
 }
 
 fn default_substrate() -> String {
-    StudyConfig::default().substrate.name().to_string()
+    DEFAULT_SUBSTRATE.name().to_string()
 }
 
 fn default_js_engine() -> String {
-    StudyConfig::default().js_engine.name().to_string()
+    DEFAULT_JS_ENGINE.name().to_string()
 }
 
 fn default_checkpoint_every() -> u64 {
@@ -293,6 +299,18 @@ mod tests {
         assert!(!req.include_export);
         let config = req.study_config().expect("valid config");
         assert_eq!(config.checkpoint_every, Some(DEFAULT_CHECKPOINT_EVERY));
+    }
+
+    #[test]
+    fn skeleton_submit_builds_the_builder_defaults() {
+        let got = Request::new("submit-study").study_config().expect("valid config");
+        let want = StudyConfig::builder()
+            .checkpoint_every(DEFAULT_CHECKPOINT_EVERY)
+            .build()
+            .expect("valid config");
+        // StudyConfig has no PartialEq; its Debug rendering covers every
+        // field.
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]

@@ -28,17 +28,14 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use malware_slums::export;
-use malware_slums::{CheckpointError, DiskFaultProfile, ScanCaches, Study, StudyConfig};
+use malware_slums::{
+    CheckpointError, CrawlSession, DiskFaultProfile, Restore, ScanCaches, Study, StudyConfig,
+};
 use slum_detect::hash::fnv1a;
 use slum_detect::{CacheStats, ShardedCache};
 use slum_obs::{MetricsSnapshot, Registry, TenantRegistries};
 
 use crate::proto::{Request, Response};
-
-/// Checkpoint rounds one scheduling slice advances a study by. One
-/// round is the finest interleaving (maximal tenant fairness); the
-/// daemon uses a few rounds per slice to amortize web re-construction.
-pub const DEFAULT_ROUNDS_PER_SLICE: u64 = 1;
 
 /// Default per-tenant cap on concurrently handled protocol requests.
 pub const DEFAULT_MAX_INFLIGHT_PER_TENANT: usize = 8;
@@ -115,6 +112,15 @@ struct FinishedStudy {
     sample_url: Option<String>,
 }
 
+/// What one supervised slice left behind.
+enum Slice {
+    /// The crawl goes on; the session stays resident for the next
+    /// slice.
+    Crawling(Box<CrawlSession>),
+    /// The study completed and was published.
+    Done(FinishedStudy),
+}
+
 /// The per-study lifecycle. `Poisoned` and `Stalled` are supervision
 /// quarantine states: the scheduler skips such jobs, their checkpoints
 /// stay on disk, and resubmitting the same (tenant, config) resumes
@@ -141,6 +147,11 @@ struct Job {
     /// region (see [`Service::chaos_panic_next_slice`]).
     panic_next_slice: bool,
     state: JobState,
+    /// The crawl kept resident between slices. `None` before the first
+    /// slice (which attaches from the checkpoints on disk), while a
+    /// slice runs, and once the job stops running — a panicked, stalled
+    /// or failed slice drops its session.
+    session: Option<CrawlSession>,
 }
 
 /// A study's externally visible status.
@@ -170,9 +181,11 @@ pub struct StudyStatus {
 /// The resident multi-tenant study service.
 ///
 /// Studies are advanced cooperatively: each [`Service::advance`] call
-/// runs one bounded slice of one study's crawl through
-/// [`Study::advance_checkpointed`], so many tenants' studies interleave
-/// on one thread (or a few) without preemption. All studies with the
+/// runs one slice — one checkpoint round — of one study's resident
+/// [`CrawlSession`], so many tenants' studies interleave on one thread
+/// (or a few) without preemption. A study's checkpoints are written
+/// every round but read only when it attaches: on its first slice after
+/// a submit or resubmit. All studies with the
 /// same web fingerprint scan through one shared [`ScanCaches`], and
 /// every completed study publishes its per-URL verdicts into a shared
 /// index — a URL scanned for one tenant answers instantly for another.
@@ -182,7 +195,6 @@ pub struct StudyStatus {
 /// interleave with other tenants' (see `tests/serve_determinism.rs`).
 pub struct Service {
     root: PathBuf,
-    rounds_per_slice: u64,
     max_slices: Option<u64>,
     max_inflight_per_tenant: usize,
     retry_after_ms: u64,
@@ -239,7 +251,6 @@ impl Service {
         }
         Ok(Service {
             root,
-            rounds_per_slice: DEFAULT_ROUNDS_PER_SLICE,
             max_slices: None,
             max_inflight_per_tenant: DEFAULT_MAX_INFLIGHT_PER_TENANT,
             retry_after_ms: DEFAULT_RETRY_AFTER_MS,
@@ -251,12 +262,6 @@ impl Service {
             tenants: TenantRegistries::new(),
             obs,
         })
-    }
-
-    /// Sets the checkpoint rounds per scheduling slice (min 1).
-    pub fn with_rounds_per_slice(mut self, rounds: u64) -> Service {
-        self.rounds_per_slice = rounds.max(1);
-        self
     }
 
     /// Caps the scheduling slices any one study may consume; a study
@@ -371,6 +376,7 @@ impl Service {
             in_flight: false,
             panic_next_slice: false,
             state: JobState::Running,
+            session: None,
         });
         self.obs.counter("serve.studies.submitted").inc();
         self.obs.gauge("serve.studies.running").set(running_count(&jobs) as i64);
@@ -408,35 +414,47 @@ impl Service {
     /// Unknown ids error; scheduler failures are recorded in the
     /// study's state (and reported there), not returned.
     pub fn advance(&self, id: u64) -> Result<StudyStatus, ServeError> {
-        // Claim the slice under the lock, run it outside (a slice does
-        // real crawl/scan work — status queries must not block on it).
-        let (config, dir, fingerprint, tenant, panic_requested) = {
+        // Claim the slice and the job's resident session under the lock,
+        // run it outside (a slice does real crawl/scan work — status
+        // queries must not block on it).
+        let (config, dir, fingerprint, tenant, session, panic_requested) = {
             let mut jobs = lock_recover(&self.jobs);
             let job = job_mut(&mut jobs, id)?;
             if !matches!(job.state, JobState::Running) || job.in_flight {
                 return status_of(job);
             }
             job.in_flight = true;
-            let panic_requested = job.panic_next_slice;
-            job.panic_next_slice = false;
             (
                 job.config.clone(),
                 job.dir.clone(),
                 job.fingerprint.clone(),
                 job.tenant.clone(),
-                panic_requested,
+                job.session.take(),
+                std::mem::take(&mut job.panic_next_slice),
             )
         };
 
         let caches = self.cache_group(&fingerprint);
         // The supervised region: no service lock is held here, so a
-        // panic can only lose this slice's work, never wedge the job
-        // table or the shared caches' cohabitants.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        // panic can only lose this slice's work and the session it
+        // owns — the next attach restores from disk — never wedge the
+        // job table or the shared caches' cohabitants.
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Slice, String> {
             if panic_requested {
                 panic!("chaos: injected tenant panic");
             }
-            Study::advance_checkpointed(&config, &dir, self.rounds_per_slice, Some(caches))
+            let session = match session {
+                Some(session) => session,
+                None => CrawlSession::open(&config, &dir, Restore::IfPresent)
+                    .map_err(|e| e.to_string())?,
+            };
+            let session = session.advance(1).map_err(|e| e.to_string())?;
+            if !session.crawl_done() {
+                return Ok(Slice::Crawling(Box::new(session)));
+            }
+            let study = session.finish(Some(caches));
+            let finished = self.publish(&tenant, &fingerprint, &study);
+            finished.map(Slice::Done).map_err(|e| e.to_string())
         }));
         self.obs.counter("serve.slices.total").inc();
 
@@ -449,7 +467,7 @@ impl Service {
                 job.state = JobState::Poisoned(panic_message(payload));
                 self.obs.counter("serve.tenants.poisoned").inc();
             }
-            Ok(Ok(None)) => {
+            Ok(Ok(Slice::Crawling(session))) => {
                 // Crawl still in progress; next slice continues —
                 // unless this study has exhausted its slice budget.
                 if self.max_slices.is_some_and(|max| job.slices >= max) {
@@ -458,16 +476,15 @@ impl Service {
                         job.slices
                     ));
                     self.obs.counter("serve.tenants.stalled").inc();
+                } else {
+                    job.session = Some(*session);
                 }
             }
-            Ok(Ok(Some(study))) => {
-                match self.finish(&tenant, &fingerprint, &study) {
-                    Ok(finished) => job.state = JobState::Done(finished),
-                    Err(e) => job.state = JobState::Failed(e.to_string()),
-                }
+            Ok(Ok(Slice::Done(finished))) => {
+                job.state = JobState::Done(finished);
                 self.obs.counter("serve.studies.completed").inc();
             }
-            Ok(Err(e)) => job.state = JobState::Failed(e.to_string()),
+            Ok(Err(e)) => job.state = JobState::Failed(e),
         }
         self.obs.gauge("serve.studies.running").set(running_count(&jobs) as i64);
         status_of(job_mut(&mut jobs, id)?)
@@ -475,8 +492,9 @@ impl Service {
 
     /// Publishes a completed study: verdicts into the shared index,
     /// metrics into the tenant's registry, artifacts distilled for the
-    /// protocol.
-    fn finish(
+    /// protocol. Runs without the jobs lock, so status queries never
+    /// wait on it.
+    fn publish(
         &self,
         tenant: &str,
         fingerprint: &str,
@@ -844,10 +862,79 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// The export a batch run of `config` produces — what every service
+    /// run of it must reproduce byte for byte.
+    fn batch_export(config: &StudyConfig) -> String {
+        let mut config = config.clone();
+        config.checkpoint_every = None;
+        export::to_json(&Study::run(&config)).expect("batch export")
+    }
+
+    fn session_resident(service: &Service, id: u64) -> bool {
+        lock_recover(&service.jobs).iter().any(|j| j.id == id && j.session.is_some())
+    }
+
+    #[test]
+    fn resident_study_reads_no_checkpoint_and_saves_every_round() {
+        let (service, root) = scratch_service("resident");
+        let id = service.submit("solo", tiny_config()).expect("submit");
+        service.run_to_completion().expect("scheduler");
+        let status = service.status(id).expect("status");
+        assert_eq!(status.state, "done");
+        assert!(status.slices > 1, "the study must span several slices");
+        let m = service.metrics();
+        assert_eq!(m.counter("tenant.solo.crawl.resume.segments_restored"), 0);
+        assert_eq!(m.counter("tenant.solo.crawl.resume.replayed_loads"), 0);
+        // One slice is one checkpoint round, and every round saves.
+        assert_eq!(m.counter("tenant.solo.ckpt.saves"), status.slices);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn reattached_study_restores_and_replays_from_disk() {
+        let (service, root) = scratch_service("reattach");
+        let id = service.submit("phoenix", tiny_config()).expect("submit");
+        for _ in 0..2 {
+            assert_eq!(service.advance(id).expect("advance").state, "running");
+        }
+        drop(service);
+
+        let service = Service::open(&root).expect("service root");
+        let id = service.submit("phoenix", tiny_config()).expect("resubmit");
+        service.run_to_completion().expect("scheduler");
+        let m = service.metrics();
+        assert_eq!(m.counter("tenant.phoenix.crawl.resume.segments_restored"), 2);
+        assert!(m.counter("tenant.phoenix.crawl.resume.replayed_loads") > 0);
+        assert_eq!(service.export(id).expect("known study"), Some(batch_export(&tiny_config())));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn panicked_slice_drops_its_session_and_the_retry_restores_from_disk() {
+        let (service, root) = scratch_service("panic-resident");
+        let id = service.submit("victim", tiny_config()).expect("submit");
+        assert_eq!(service.advance(id).expect("first slice").state, "running");
+        assert!(session_resident(&service, id), "a running study keeps its session");
+
+        service.chaos_panic_next_slice(id).expect("arm chaos hook");
+        assert_eq!(service.advance(id).expect("supervised advance").state, "poisoned");
+        assert!(!session_resident(&service, id), "a panicked slice must drop its session");
+
+        let retry = service.submit("victim", tiny_config()).expect("resubmit");
+        service.run_to_completion().expect("scheduler");
+        let m = service.metrics();
+        assert_eq!(m.counter("tenant.victim.crawl.resume.segments_restored"), 1);
+        assert_eq!(
+            service.export(retry).expect("known study"),
+            Some(batch_export(&tiny_config()))
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn slice_budget_stalls_runaway_studies() {
         let (service, root) = scratch_service("stall");
-        let service = service.with_rounds_per_slice(1).with_max_slices(Some(2));
+        let service = service.with_max_slices(Some(2));
         let id = service.submit("greedy", tiny_config()).expect("submit");
         service.run_to_completion().expect("scheduler");
         let status = service.status(id).expect("status");
