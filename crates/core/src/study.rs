@@ -840,7 +840,8 @@ impl CrawlSession {
     /// Crawls at most `rounds` further checkpoint rounds (`u64::MAX`:
     /// to the end), saving a checkpoint after each. An injected `ENOSPC`
     /// is a skipped checkpoint — a cadence hole the next round's save
-    /// closes — never a crawl abort.
+    /// closes — never a crawl abort. Every save attempt's wall time goes
+    /// to the `ckpt.save_nanos` histogram.
     ///
     /// # Errors
     ///
@@ -857,13 +858,19 @@ impl CrawlSession {
             plan = plan.resume(state);
         }
         let (ckpt, header, steps) = (&self.ckpt, &self.header, &self.built.steps);
+        let save_nanos = self.obs.histogram("ckpt.save_nanos");
         let outcome = plan.run_segmented(
             &self.built.web,
             &mut self.built.sources,
             |x| steps[x.name()],
-            &mut |_round, state| match ckpt.save(header, state) {
-                Ok(_) | Err(CheckpointError::DiskFull { .. }) => Ok(()),
-                Err(e) => Err(e),
+            &mut |_round, state| {
+                let t0 = Instant::now();
+                let saved = ckpt.save(header, state);
+                save_nanos.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                match saved {
+                    Ok(_) | Err(CheckpointError::DiskFull { .. }) => Ok(()),
+                    Err(e) => Err(e),
+                }
             },
         )?;
         self.state = Some(outcome.state);

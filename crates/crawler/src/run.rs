@@ -446,9 +446,9 @@ impl CrawlCheckpointState {
         let mut out = String::new();
         for (cursor, store) in self.cursors.iter().zip(&self.stores) {
             out.push_str(CURSOR_PREFIX);
-            out.push_str(&serde_json::to_string(cursor)?);
+            serde_json::append_to_string(&mut out, cursor)?;
             out.push('\n');
-            out.push_str(&store.to_jsonl()?);
+            store.append_jsonl(&mut out)?;
         }
         Ok(out)
     }

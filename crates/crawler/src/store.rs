@@ -115,11 +115,22 @@ impl RecordStore {
     /// Propagates serde failures.
     pub fn to_jsonl(&self) -> Result<String, serde_json::Error> {
         let mut out = String::new();
+        self.append_jsonl(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the JSON-lines of [`Self::to_jsonl`] to `out`, writing
+    /// every record straight into it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates serde failures.
+    pub fn append_jsonl(&self, out: &mut String) -> Result<(), serde_json::Error> {
         for r in &self.records {
-            out.push_str(&serde_json::to_string(r)?);
+            serde_json::append_to_string(out, r)?;
             out.push('\n');
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Parses a store from JSON-lines. Blank lines between records are

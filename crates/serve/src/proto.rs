@@ -347,6 +347,18 @@ mod tests {
     }
 
     #[test]
+    fn escaped_surrogate_pairs_decode_to_one_character() {
+        // Python's json.dumps escapes non-BMP characters as UTF-16
+        // surrogate pairs by default.
+        let req =
+            parse_request(r#"{"op":"submit-study","tenant":"t\ud83d\ude00"}"#).expect("parses");
+        assert_eq!(req.tenant, "t\u{1f600}");
+        let lone =
+            parse_request(r#"{"op":"submit-study","tenant":"t\ud83d-\ude00"}"#).expect("parses");
+        assert_eq!(lone.tenant, "t\u{fffd}-\u{fffd}");
+    }
+
+    #[test]
     fn disk_fault_profile_flows_into_the_config() {
         let req: Request = serde_json::from_str(
             r#"{"op":"submit-study","crawl_scale":0.0002,"disk_fault_profile":"harsh"}"#,

@@ -887,6 +887,11 @@ mod tests {
         assert_eq!(m.counter("tenant.solo.crawl.resume.replayed_loads"), 0);
         // One slice is one checkpoint round, and every round saves.
         assert_eq!(m.counter("tenant.solo.ckpt.saves"), status.slices);
+        // Every save attempt is timed.
+        assert_eq!(
+            m.histograms["tenant.solo.ckpt.save_nanos"].count,
+            m.counter("tenant.solo.ckpt.saves")
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# slumbench is a workspace of its own, so the root `cargo test` skips
+# its unit tests and its toy smoke of every workload.
+cargo test -q --offline --manifest-path crates/bench/src/bin/slumbench/Cargo.toml
 
 metrics_file="$(mktemp -t METRICS.XXXXXX.json)"
 trap 'rm -f "$metrics_file"' EXIT
