@@ -4,8 +4,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use slum_exchange::rotation::{Rotation, RotationBoost, RotationEntry};
 use slum_exchange::{ExchangeKind, SurfStep, TrafficSource};
-use slum_websim::rng::{path_token, pick_weighted};
+use slum_websim::rng::path_token;
 use slum_websim::Url;
 
 /// One creative in the network's rotation: an ad whose click-through
@@ -21,6 +22,16 @@ pub struct Creative {
     /// malicious (used by calibration and the oracle, never by
     /// rotation).
     pub malicious: bool,
+}
+
+impl RotationEntry for Creative {
+    fn url(&self) -> &Url {
+        &self.url
+    }
+
+    fn weight(&self) -> f64 {
+        self.weight
+    }
 }
 
 /// A time-boxed malvertising flight: a paid buy that boosts one
@@ -45,6 +56,20 @@ impl Flight {
     }
 }
 
+impl RotationBoost for Flight {
+    fn target(&self) -> &Url {
+        &self.target
+    }
+
+    fn window(&self) -> std::ops::Range<u64> {
+        self.start..self.end
+    }
+
+    fn boost(&self) -> f64 {
+        self.boost
+    }
+}
+
 /// A configured ad network: a deterministic impression stream behind
 /// the [`TrafficSource`] contract.
 #[derive(Debug, Clone)]
@@ -56,6 +81,8 @@ pub struct AdNetwork {
     premium: Vec<Url>,
     creatives: Vec<Creative>,
     flights: Vec<Flight>,
+    /// Effective creative weights under the serving flights.
+    rotation: Rotation,
     self_fraction: f64,
     premium_fraction: f64,
     min_surf_secs: u32,
@@ -88,6 +115,7 @@ impl AdNetwork {
             premium,
             creatives,
             flights: Vec::new(),
+            rotation: Rotation::default(),
             self_fraction,
             premium_fraction,
             min_surf_secs,
@@ -122,18 +150,6 @@ impl AdNetwork {
         }
         self.flights.push(flight);
     }
-
-    /// Effective rotation weight of creative `i` at time `t`.
-    fn effective_weight(&self, i: usize, t: u64) -> f64 {
-        let creative = &self.creatives[i];
-        let boost: f64 = self
-            .flights
-            .iter()
-            .filter(|f| f.active_at(t) && f.target == creative.url)
-            .map(|f| f.boost)
-            .sum();
-        creative.weight + boost
-    }
 }
 
 impl TrafficSource for AdNetwork {
@@ -167,19 +183,9 @@ impl TrafficSource for AdNetwork {
         } else if roll < self.self_fraction + self.premium_fraction && !self.premium.is_empty() {
             self.premium[rng.gen_range(0..self.premium.len())].clone()
         } else {
-            let weights: Vec<f64> =
-                (0..self.creatives.len()).map(|i| self.effective_weight(i, t)).collect();
-            let total: f64 = weights.iter().sum();
-            let idx = if total <= 0.0 {
-                rng.gen_range(0..self.creatives.len())
-            } else {
-                pick_weighted(rng, &weights)
-            };
+            let (idx, boosted) = self.rotation.pick(t, rng, &self.creatives, &self.flights);
+            campaign_boosted = boosted;
             let base = &self.creatives[idx].url;
-            campaign_boosted = self
-                .flights
-                .iter()
-                .any(|f| f.active_at(t) && f.target == self.creatives[idx].url);
             if rng.gen_bool(0.7) {
                 let token = path_token(rng, 8);
                 let path = format!("{}?imp={}", base.path(), token);
@@ -294,6 +300,69 @@ mod tests {
         for i in 0..300 {
             let step = net.next_step(500 + i, &mut rng);
             assert_eq!(step.campaign_boosted, step.url.host() == "sketchy.example.com");
+        }
+    }
+
+    /// Flight windows through the shared rotation table pick exactly as
+    /// the per-step weight rebuild this network used to run, including
+    /// flights on creatives uploaded after serving began.
+    #[test]
+    fn flight_rotation_matches_a_per_step_rebuild() {
+        use slum_websim::rng::pick_weighted;
+
+        fn rebuilt(t: u64, rng: &mut StdRng, net: &AdNetwork) -> (usize, bool) {
+            let serving = |f: &Flight, url: &Url| f.active_at(t) && f.target == *url;
+            let weights: Vec<f64> = net
+                .creatives()
+                .iter()
+                .map(|c| {
+                    let boost: f64 =
+                        net.flights().iter().filter(|f| serving(f, &c.url)).map(|f| f.boost).sum();
+                    c.weight + boost
+                })
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let idx = if total <= 0.0 {
+                rng.gen_range(0..weights.len())
+            } else {
+                pick_weighted(rng, &weights)
+            };
+            (idx, net.flights().iter().any(|f| serving(f, &net.creatives()[idx].url)))
+        }
+
+        for seed in 0..200 {
+            let mut gen = seeded(seed);
+            let creatives = (0..gen.gen_range(1..5))
+                .map(|i| {
+                    let weight = [0.0, 1.0, gen.gen_range(0.0..3.0)][gen.gen_range(0..3)];
+                    creative(&format!("c{i}.example.com"), weight, false)
+                })
+                .collect();
+            let home = Url::http("n.adnet.example", "/");
+            let mut net = AdNetwork::new("N", home, vec![], creatives, 0.0, 0.0, 5);
+            let mut rotation = Rotation::default();
+            let (mut cached, mut reference) = (seeded(seed + 1_000), seeded(seed + 1_000));
+            let mut t = 0;
+            for _ in 0..gen.gen_range(1..120) {
+                t += gen.gen_range(0..20);
+                if gen.gen_bool(0.06) {
+                    // Sometimes a creative nobody has listed yet.
+                    let host = format!("c{}.example.com", gen.gen_range(0..6));
+                    let start = gen.gen_range(0..t + 200);
+                    net.schedule_flight(Flight {
+                        target: Url::http(&host, "/"),
+                        start,
+                        end: start + gen.gen_range(0..300),
+                        boost: [0.0, gen.gen_range(0.0..50.0)][gen.gen_range(0..2)],
+                    });
+                }
+                assert_eq!(
+                    rotation.pick(t, &mut cached, net.creatives(), net.flights()),
+                    rebuilt(t, &mut reference, &net),
+                    "seed {seed}, t {t}"
+                );
+            }
+            assert_eq!(cached.state(), reference.state(), "seed {seed}");
         }
     }
 

@@ -4,11 +4,18 @@
 //! substrate, reproducing the measurement client of *Malware Slums*
 //! (DSN 2016): Firefox + Firebug + NetExport. Loading a URL follows
 //! HTTP 302 chains, meta refreshes and JavaScript `location`
-//! navigations; parses the final page into a DOM; executes inline and
-//! external scripts in the [`slum_js`] sandbox; simulates a user click
-//! (exposing click-hijacking Flash movies and deceptive download
-//! prompts); and records everything — including an HTTP Archive (HAR)
-//! log, the format the paper's NetExport extension emitted.
+//! navigations; reads the final page's outline (meta refresh, scripts,
+//! plugin movies); executes inline and external scripts in the
+//! [`slum_js`] sandbox; simulates a user click (exposing
+//! click-hijacking Flash movies and deceptive download prompts); and
+//! records everything — including an HTTP Archive (HAR) log, the format
+//! the paper's NetExport extension emitted.
+//!
+//! A [`Browser`] holds settings only; the state a load touches lives in
+//! the web it is bound to. Page bodies come through the web's
+//! parsed-page cache ([`slum_websim::SyntheticWeb::parsed`]), so each
+//! distinct body is parsed once per web rather than once per visit, and
+//! a load's [`LoadResult::html`] shares that body's one allocation.
 //!
 //! ## Example
 //!
@@ -23,7 +30,7 @@
 //! let browser = Browser::new(&web);
 //! let load = browser.load(&site.url);
 //! assert_eq!(load.final_url, site.url);
-//! assert!(load.dom.is_some());
+//! assert!(load.outline.is_some());
 //! ```
 
 #![forbid(unsafe_code)]

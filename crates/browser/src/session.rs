@@ -1,8 +1,8 @@
-//! The page-load pipeline: redirects → DOM → scripts → clicks.
+//! The page-load pipeline: redirects → outline → scripts → clicks.
 
 use std::sync::Arc;
 
-use slum_html::Document;
+use slum_html::Outline;
 use slum_js::flash::SwfMovie;
 use slum_js::sandbox::{Effect, JsEngine, Sandbox, SandboxReport};
 use slum_js::ModuleStore;
@@ -53,14 +53,16 @@ pub struct LoadResult {
     /// Redirect chain traversed, in order.
     pub chain: Vec<RedirectHop>,
     /// Final page HTML (what the browser saw — cloaking already applied
-    /// by the server according to the request context).
-    pub html: Option<String>,
-    /// Parsed DOM of the final page.
-    pub dom: Option<Document>,
-    /// Aggregated sandbox report over every executed script.
+    /// by the server according to the request context), shared with
+    /// every other load of the same text.
+    pub html: Option<Arc<str>>,
+    /// Outline of the final page: its meta refresh, scripts and plugin
+    /// movies, parsed once per distinct body by
+    /// [`SyntheticWeb::parsed`].
+    pub outline: Option<Arc<Outline>>,
+    /// Aggregated sandbox report over every executed script; markup the
+    /// scripts wrote via `document.write` is in `js.written_html`.
     pub js: SandboxReport,
-    /// Markup injected at runtime via `document.write`, parsed.
-    pub injected_dom: Option<Document>,
     /// Downloads triggered (navigations to executables, direct fetches).
     pub downloads: Vec<Download>,
     /// Pop-up windows opened by scripts or Flash.
@@ -90,8 +92,12 @@ impl LoadResult {
 
 /// A headless browser bound to a synthetic web.
 ///
-/// The browser is stateless across loads; construct once and call
-/// [`Browser::load`] repeatedly.
+/// A browser carries only its settings, never per-load state, so one
+/// can be constructed once and [`Browser::load`] called repeatedly. A
+/// load reads page bodies through the web's parsed-page cache
+/// ([`SyntheticWeb::parsed`]): each distinct body is parsed once per
+/// web, however many loads land on it, and the result of a load is the
+/// same either way.
 #[derive(Debug, Clone)]
 pub struct Browser<'w> {
     web: &'w SyntheticWeb,
@@ -171,9 +177,8 @@ impl<'w> Browser<'w> {
             final_url: url.clone(),
             chain: Vec::new(),
             html: None,
-            dom: None,
+            outline: None,
             js: SandboxReport::default(),
-            injected_dom: None,
             downloads: Vec::new(),
             popups: Vec::new(),
             swf_movies: Vec::new(),
@@ -211,9 +216,9 @@ impl<'w> Browser<'w> {
                 }
                 FetchOutcome::Html { body } => {
                     self.log(&mut result.har, &current, 200, "text/html", &referrer, None);
-                    let dom = Document::parse(&body);
-                    if let Some(target_str) = dom.meta_refresh_target() {
-                        if let Ok(target) = Url::parse(&target_str) {
+                    let page = self.web.parsed(&body);
+                    if let Some(target_str) = &page.outline.meta_refresh {
+                        if let Ok(target) = Url::parse(target_str) {
                             result.chain.push(RedirectHop {
                                 from: current.clone(),
                                 to: target.clone(),
@@ -225,8 +230,8 @@ impl<'w> Browser<'w> {
                         }
                     }
                     result.final_url = current.clone();
-                    result.html = Some(body);
-                    result.dom = Some(dom);
+                    result.html = Some(page.body);
+                    result.outline = Some(page.outline);
                     break;
                 }
                 FetchOutcome::Download { filename } => {
@@ -271,14 +276,14 @@ impl<'w> Browser<'w> {
     /// Executes inline scripts, external scripts and Flash movies of the
     /// final page; aggregates effects into `result.js`.
     fn run_page_scripts(&self, result: &mut LoadResult) {
-        let Some(dom) = result.dom.clone() else { return };
+        let Some(outline) = result.outline.clone() else { return };
         let page_url = result.final_url.clone();
         let mut merged = SandboxReport::default();
 
-        let mut sources: Vec<String> = Vec::new();
+        let mut external_sources: Vec<String> = Vec::new();
         // External scripts first (as they define globals pages rely on).
-        for src in dom.external_script_srcs() {
-            let Ok(script_url) = resolve_href(&page_url, &src) else { continue };
+        for src in &outline.external_scripts {
+            let Ok(script_url) = resolve_href(&page_url, src) else { continue };
             match self.web.fetch(&script_url, &self.ctx) {
                 FetchOutcome::Script { body } => {
                     self.log(
@@ -290,7 +295,7 @@ impl<'w> Browser<'w> {
                         None,
                     );
                     result.external_scripts.push(script_url);
-                    sources.push(body);
+                    external_sources.push(body);
                 }
                 FetchOutcome::Redirect { target, status } => {
                     // A script src that redirects (the rotating
@@ -304,14 +309,16 @@ impl<'w> Browser<'w> {
                 }
             }
         }
-        sources.extend(dom.inline_scripts());
+        let sources: Vec<&str> = external_sources
+            .iter()
+            .chain(&outline.inline_scripts)
+            .map(String::as_str)
+            .collect();
 
         // Flash movies: parse descriptors; their ExternalInterface calls
         // become synthesized invocations appended to the glue scripts.
         let mut flash_calls: Vec<String> = Vec::new();
-        for obj in dom.elements_by_tag("object").into_iter().chain(dom.elements_by_tag("embed")) {
-            let Some(el) = dom.element(obj) else { continue };
-            let Some(data) = el.attr("data").or_else(|| el.attr("src")) else { continue };
+        for data in &outline.plugin_srcs {
             let Ok(swf_url) = resolve_href(&page_url, data) else { continue };
             if let FetchOutcome::Swf { descriptor } = self.web.fetch(&swf_url, &self.ctx) {
                 self.log(
@@ -363,11 +370,7 @@ impl<'w> Browser<'w> {
 
         // A simulated user click fires the page's registered click
         // handlers; the sandbox already force-executes listeners, so no
-        // extra pass is needed — but `document.write` output must be
-        // parsed for injected markup.
-        if !merged.written_html.is_empty() {
-            result.injected_dom = Some(Document::parse(&merged.written_html));
-        }
+        // extra pass is needed.
         for url in merged.effects.iter().filter_map(|e| match e {
             Effect::Popup { url } => Url::parse(url).ok(),
             _ => None,
@@ -557,7 +560,8 @@ mod tests {
         let web = b.finish();
         let load = Browser::new(&web).load(&spec.url);
         assert!(load.js.errors.is_empty(), "{:?}", load.js.errors);
-        let injected = load.injected_dom.expect("document.write output");
+        assert!(!load.js.written_html.is_empty(), "document.write output");
+        let injected = slum_html::Document::parse(&load.js.written_html);
         let iframes = injected.iframes();
         assert_eq!(iframes.len(), 1);
         assert!(injected.is_pixel_iframe(iframes[0]));

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use slum_browser::Browser;
+use slum_browser::{Browser, LoadResult};
 use slum_crawler::CrawlRecord;
 use slum_detect::blacklist::BlacklistDb;
 use slum_detect::fault::{FaultPlan, ScanService, ServiceDecision};
@@ -26,7 +26,7 @@ use slum_detect::virustotal::{VirusTotal, VtReport};
 use slum_detect::{Features, Interner, JsModuleCache, ShardedCache};
 use slum_js::sandbox::{JsEngine, SandboxReport};
 use slum_js::ModuleStore;
-use slum_websim::{RequestContext, SyntheticWeb, Url};
+use slum_websim::{BodyCache, RequestContext, SyntheticWeb, Url};
 
 /// Which services contributed to a verdict — the provenance record the
 /// related mal-activity-measurement literature argues must accompany
@@ -194,6 +194,12 @@ impl ScanOutcome {
 /// change under sharing — only the `scan.cache.*` / `js.vm.*` hit
 /// counters observe it.
 pub struct ScanCaches {
+    /// Static-pass features ([`Features::from_page`]) per distinct page
+    /// body. Bodies repeat far more than URLs or captures do, so URL
+    /// scans and content uploads each run only their per-sample dynamic
+    /// pass on top of this. Keyed by the body text, held as the shared
+    /// `Arc<str>` the web interned.
+    page_features: BodyCache<Features>,
     /// URL-scan features: one scanner fetch per distinct canonical URL.
     url_features: ShardedCache<Features>,
     /// Content-upload features, keyed `canonical#content-hash`: the VT
@@ -228,6 +234,7 @@ impl ScanCaches {
     /// Fresh, cold caches.
     pub fn new() -> Self {
         ScanCaches {
+            page_features: BodyCache::new(),
             url_features: ShardedCache::new(),
             content_features: ShardedCache::new(),
             host_domains: ShardedCache::new(),
@@ -241,6 +248,7 @@ impl ScanCaches {
     /// Drops all memoized state except the compiled-module cache (see
     /// [`ScanPipeline::clear_caches`] for the rationale).
     pub fn clear(&self) {
+        self.page_features.clear();
         self.url_features.clear();
         self.content_features.clear();
         self.host_domains.clear();
@@ -525,12 +533,7 @@ impl<'w> ScanPipeline<'w> {
                     let content_key = format!("{canon}#{:x}", fnv1a(content.as_bytes()));
                     let features =
                         self.caches.content_features.get_or_insert_with(&content_key, || {
-                            let (features, report) = Features::from_content_with_engine(
-                                &record.url,
-                                content,
-                                self.js_engine,
-                                self.module_store(),
-                            );
+                            let (features, report) = self.content_features(&record.url, content);
                             self.caches.js_stats.get_or_insert_with(&content_key, || {
                                 JsRunStats::from_report(&report)
                             });
@@ -676,12 +679,38 @@ impl<'w> ScanPipeline<'w> {
             }
             let load = browser.load(url);
             self.caches.js_stats.get_or_insert_with(canon, || JsRunStats::from_report(&load.js));
-            let mut features = Features::from_load(&load);
+            let mut features = self.load_features(&load);
             if load.was_redirected() {
                 features.js_redirect = true;
             }
             features
         })
+    }
+
+    /// [`Features::from_load`], with the static pass over the load's
+    /// final page taken from the per-body cache.
+    pub fn load_features(&self, load: &LoadResult) -> Features {
+        load.html.as_ref().map(|body| self.page_features(body)).unwrap_or_default().with_load(load)
+    }
+
+    /// [`Features::from_content_with_engine`] under this pipeline's JS
+    /// engine and module cache, with the static pass and the outline
+    /// (hence the inline scripts) taken from the per-body caches: only
+    /// the sandbox run is per call.
+    pub fn content_features(&self, url: &Url, content: &str) -> (Features, SandboxReport) {
+        let page = self.web.parsed(content);
+        self.page_features(&page.body).with_script_run(
+            url,
+            &page.outline.inline_scripts,
+            self.js_engine,
+            self.module_store(),
+        )
+    }
+
+    /// Static-pass features of `body`, computed once per distinct body
+    /// text.
+    fn page_features(&self, body: &Arc<str>) -> Features {
+        self.caches.page_features.get_or_insert_with(Arc::clone(body), Features::from_page).1
     }
 
     /// The shared module store, when the engine can use one.

@@ -43,7 +43,9 @@ pub struct CrawlConfig {
     /// Scripted operator's CAPTCHA success rate (manual-surf only).
     pub captcha_skill: f64,
     /// Whether to capture page content into records (needed for the
-    /// cloaking-defeating upload scans; costs memory).
+    /// cloaking-defeating upload scans). A captured body is the shared
+    /// `Arc<str>` the browser loaded, so records of the same page cost
+    /// one pointer each, not one copy.
     pub capture_content: bool,
 }
 

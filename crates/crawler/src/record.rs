@@ -1,5 +1,7 @@
 //! The per-visit crawl record.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use slum_browser::har::HarLog;
@@ -30,8 +32,11 @@ pub struct CrawlRecord {
     /// Whether the chain included a JS-driven hop.
     pub via_js_redirect: bool,
     /// Captured page content (the *browser's* view — what the paper
-    /// downloaded "to our local storage" to upload to scanners).
-    pub content: Option<String>,
+    /// downloaded "to our local storage" to upload to scanners). Records
+    /// of the same page share one allocation: the body the crawl's
+    /// browser loaded through the web's page cache. Serialized as a
+    /// plain JSON string either way.
+    pub content: Option<Arc<str>>,
     /// Executable downloads triggered during the load.
     pub download_filenames: Vec<String>,
     /// HAR capture of the load.

@@ -1,11 +1,19 @@
 //! Shared feature extraction: the structural and behavioural signals
 //! every detection engine keys on.
 //!
-//! Extraction has a static pass (DOM inspection + static deobfuscation)
-//! and a dynamic pass (sandboxed execution of inline scripts). When a
-//! full [`slum_browser::LoadResult`] is available — i.e. the scanner
-//! fetched the URL itself, subresources included — the dynamic signals
-//! from the real load are folded in too.
+//! Extraction is a static pass composed with a dynamic one:
+//!
+//! - the static pass ([`Features::from_page`]: DOM inspection + static
+//!   deobfuscation) is a pure function of the page body, so the scan
+//!   pipeline computes it once per distinct body;
+//! - the dynamic pass depends on how the sample was obtained. A full
+//!   [`slum_browser::LoadResult`] (the scanner fetched the URL itself,
+//!   subresources included) folds in the real load's signals
+//!   ([`Features::with_load`]); uploaded content runs its inline scripts
+//!   in the sandbox ([`Features::with_script_run`]).
+//!
+//! [`Features::from_load`] and [`Features::from_content_with_engine`]
+//! are exactly these compositions.
 
 use std::sync::Arc;
 
@@ -76,57 +84,87 @@ impl Features {
         store: Option<Arc<dyn ModuleStore>>,
     ) -> (Features, SandboxReport) {
         let dom = Document::parse(html);
-        let mut f = Features::default();
-        f.static_pass(&dom, html);
-        // Dynamic pass over inline scripts only.
-        let mut report = SandboxReport::default();
-        let program = dom.inline_scripts().join("\n;\n");
-        if !program.trim().is_empty() {
-            let mut sandbox =
-                Sandbox::new().with_location(url.to_string()).with_engine(engine);
-            if let Some(store) = store {
-                sandbox = sandbox.with_module_store(store);
-            }
-            report = sandbox.run(&program);
-            f.fold_effects(&report.effects, url);
-            f.eval_layers = f.eval_layers.max(report.max_eval_depth);
-            if !report.written_html.is_empty() {
-                let injected = Document::parse(&report.written_html);
-                f.fold_injected_dom(&injected);
-            }
-        }
-        (f, report)
+        let inline_scripts = dom.inline_scripts();
+        Features::from_document(&dom, html).with_script_run(url, &inline_scripts, engine, store)
     }
 
     /// Extracts features from a full browser load (the URL-scan path —
     /// includes external scripts, Flash, and the redirect chain).
     pub fn from_load(load: &LoadResult) -> Features {
+        load.html.as_deref().map(Features::from_page).unwrap_or_default().with_load(load)
+    }
+
+    /// The static pass over one page body: DOM inspection plus static
+    /// analysis of its inline scripts. A pure function of `html`.
+    pub fn from_page(html: &str) -> Features {
+        Features::from_document(&Document::parse(html), html)
+    }
+
+    /// [`Features::from_page`] over an already parsed body.
+    fn from_document(dom: &Document, html: &str) -> Features {
         let mut f = Features::default();
-        if let (Some(dom), Some(html)) = (&load.dom, &load.html) {
-            f.static_pass(dom, html);
+        f.static_pass(dom, html);
+        f
+    }
+
+    /// Runs a page's inline scripts (in document order, joined into one
+    /// program) in the sandbox at `url` and folds what they did into
+    /// these features — the dynamic pass of a content upload. The
+    /// report is [`SandboxReport::default`] when there is nothing to
+    /// run.
+    pub fn with_script_run(
+        mut self,
+        url: &Url,
+        inline_scripts: &[String],
+        engine: JsEngine,
+        store: Option<Arc<dyn ModuleStore>>,
+    ) -> (Features, SandboxReport) {
+        let program = inline_scripts.join("\n;\n");
+        if program.trim().is_empty() {
+            return (self, SandboxReport::default());
         }
-        f.fold_effects(&load.js.effects, &load.final_url);
-        f.eval_layers = f.eval_layers.max(load.js.max_eval_depth);
-        if let Some(injected) = &load.injected_dom {
-            f.fold_injected_dom(injected);
+        let mut sandbox = Sandbox::new().with_location(url.to_string()).with_engine(engine);
+        if let Some(store) = store {
+            sandbox = sandbox.with_module_store(store);
         }
+        let report = sandbox.run(&program);
+        self.fold_run(&report, url);
+        (self, report)
+    }
+
+    /// Folds the dynamic signals of a full browser load — script
+    /// effects, injected markup, Flash movies, pop-ups, downloads and
+    /// the redirect chain — into the static features of its final page:
+    /// the dynamic pass of a URL scan.
+    pub fn with_load(mut self, load: &LoadResult) -> Features {
+        self.fold_run(&load.js, &load.final_url);
         for movie in &load.swf_movies {
             if movie.is_clickjack() {
-                f.flash_clickjack = true;
+                self.flash_clickjack = true;
             }
         }
-        f.popups += load.popups.len() as u32;
+        self.popups += load.popups.len() as u32;
         if load
             .downloads
             .iter()
             .any(|d| d.filename.to_ascii_lowercase().contains("flash") || d.filename.ends_with(".exe"))
         {
-            f.deceptive_download = true;
+            self.deceptive_download = true;
         }
         if load.chain.iter().any(|h| h.kind == slum_browser::RedirectKind::JsLocation) {
-            f.js_redirect = true;
+            self.js_redirect = true;
         }
-        f
+        self
+    }
+
+    /// Folds one sandbox run: its effects, its deepest eval layer and
+    /// the markup it wrote with `document.write`.
+    fn fold_run(&mut self, report: &SandboxReport, page_url: &Url) {
+        self.fold_effects(&report.effects, page_url);
+        self.eval_layers = self.eval_layers.max(report.max_eval_depth);
+        if !report.written_html.is_empty() {
+            self.fold_injected_dom(&Document::parse(&report.written_html));
+        }
     }
 
     /// Static DOM + script-text analysis.

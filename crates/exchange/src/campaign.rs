@@ -19,6 +19,8 @@ use slum_websim::params::VISITOR_COUNTRIES;
 use slum_websim::rng::pick_weighted;
 use slum_websim::Url;
 
+use crate::rotation::RotationBoost;
+
 /// A purchased traffic campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Campaign {
@@ -45,6 +47,20 @@ impl Campaign {
     /// Duration in seconds.
     pub fn duration(&self) -> u64 {
         self.end - self.start
+    }
+}
+
+impl RotationBoost for Campaign {
+    fn target(&self) -> &Url {
+        &self.target
+    }
+
+    fn window(&self) -> std::ops::Range<u64> {
+        self.start..self.end
+    }
+
+    fn boost(&self) -> f64 {
+        self.boost
     }
 }
 

@@ -4,11 +4,12 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use slum_websim::rng::{path_token, pick_weighted};
+use slum_websim::rng::path_token;
 use slum_websim::Url;
 
 use crate::campaign::Campaign;
 use crate::captcha::Captcha;
+use crate::rotation::{Rotation, RotationEntry};
 
 /// Auto-surf or manual-surf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -39,6 +40,16 @@ pub struct Listing {
     /// Whether the listed site is malicious (ground truth; used only by
     /// the oracle and calibration, never by rotation itself).
     pub malicious: bool,
+}
+
+impl RotationEntry for Listing {
+    fn url(&self) -> &Url {
+        &self.url
+    }
+
+    fn weight(&self) -> f64 {
+        self.weight
+    }
 }
 
 /// One step of a surf session: the URL to open plus the gate conditions.
@@ -83,6 +94,8 @@ pub struct Exchange {
     popular: Vec<Url>,
     listings: Vec<Listing>,
     campaigns: Vec<Campaign>,
+    /// Effective listing weights under the open campaigns.
+    rotation: Rotation,
     self_fraction: f64,
     popular_fraction: f64,
     min_surf_secs: u32,
@@ -118,6 +131,7 @@ impl Exchange {
             popular,
             listings,
             campaigns: Vec::new(),
+            rotation: Rotation::default(),
             self_fraction,
             popular_fraction,
             min_surf_secs,
@@ -183,18 +197,6 @@ impl Exchange {
         self.campaigns.push(campaign);
     }
 
-    /// Effective rotation weight of listing `i` at time `t`.
-    fn effective_weight(&self, i: usize, t: u64) -> f64 {
-        let listing = &self.listings[i];
-        let boost: f64 = self
-            .campaigns
-            .iter()
-            .filter(|c| c.active_at(t) && c.target == listing.url)
-            .map(|c| c.boost)
-            .sum();
-        listing.weight + boost
-    }
-
     /// Produces the next surf step at virtual time `t`.
     ///
     /// Rotation: with probability `self_fraction` the exchange opens its
@@ -209,19 +211,9 @@ impl Exchange {
         } else if roll < self.self_fraction + self.popular_fraction && !self.popular.is_empty() {
             self.popular[rng.gen_range(0..self.popular.len())].clone()
         } else {
-            let weights: Vec<f64> =
-                (0..self.listings.len()).map(|i| self.effective_weight(i, t)).collect();
-            let total: f64 = weights.iter().sum();
-            let idx = if total <= 0.0 {
-                rng.gen_range(0..self.listings.len())
-            } else {
-                pick_weighted(rng, &weights)
-            };
+            let (idx, boosted) = self.rotation.pick(t, rng, &self.listings, &self.campaigns);
+            campaign_boosted = boosted;
             let base = &self.listings[idx].url;
-            campaign_boosted = self
-                .campaigns
-                .iter()
-                .any(|c| c.active_at(t) && c.target == self.listings[idx].url);
             // Exchanges append tracking parameters, which is why the
             // corpus has ~18 distinct URLs per domain.
             if rng.gen_bool(0.7) {

@@ -21,6 +21,8 @@
 //! - **paid campaigns**: fixed-duration weight boosts that produce the
 //!   bursty malicious-URL arrivals of Figure 3(b), and the
 //!   $5-for-2500-visits burst-validation experiment ([`campaign`]);
+//! - **rotation**: the weighted pick with time-boxed boosts that every
+//!   traffic source shares ([`rotation`]);
 //! - **calibration profiles** for all nine exchanges, carrying the
 //!   Table I/II marginals ([`params`]).
 //!
@@ -40,6 +42,7 @@ pub mod exchange;
 pub mod lifecycle;
 pub mod monetize;
 pub mod params;
+pub mod rotation;
 pub mod setup;
 pub mod source;
 

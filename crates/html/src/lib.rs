@@ -35,9 +35,11 @@
 pub mod attr;
 pub mod dom;
 pub mod escape;
+pub mod outline;
 pub mod parser;
 pub mod query;
 pub mod tokenizer;
 
 pub use dom::{Document, Element, Node, NodeId, NodeKind};
+pub use outline::Outline;
 pub use tokenizer::{tokenize, Token};

@@ -14,9 +14,11 @@
 //! Downstream crates treat [`SyntheticWeb`] exactly like an HTTP
 //! substrate: [`SyntheticWeb::fetch`] takes a URL plus a
 //! [`RequestContext`] (who is asking: a real browser or a scanner API)
-//! and returns a [`FetchOutcome`]. Every generated page carries a
-//! [`GroundTruth`] label, which is what lets the reproduction *vet*
-//! detection tooling the way the paper did.
+//! and returns a [`FetchOutcome`]; browsers then read an HTML body
+//! through [`SyntheticWeb::parsed`], a content-addressed cache that
+//! parses each distinct body once ([`page_cache`]). Every generated
+//! page carries a [`GroundTruth`] label, which is what lets the
+//! reproduction *vet* detection tooling the way the paper did.
 //!
 //! ## Example
 //!
@@ -38,6 +40,7 @@ pub mod content;
 pub mod domain;
 pub mod hash;
 pub mod page;
+pub mod page_cache;
 pub mod params;
 pub mod payload;
 pub mod rng;
@@ -48,5 +51,6 @@ pub mod url;
 pub use content::ContentCategory;
 pub use domain::Tld;
 pub use page::{FalsePositiveKind, GroundTruth, JsAttack, MaliceKind, Page};
+pub use page_cache::{BodyCache, ParsedPage};
 pub use server::{ClientKind, FetchOutcome, RequestContext, Resource, SyntheticWeb};
 pub use url::Url;

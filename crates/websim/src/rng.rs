@@ -16,7 +16,17 @@ pub fn seeded(seed: u64) -> StdRng {
 /// Panics if `weights` is empty or sums to zero.
 pub fn pick_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
     assert!(!weights.is_empty(), "weights must be non-empty");
-    let total: f64 = weights.iter().sum();
+    pick_weighted_with_total(rng, weights, weights.iter().sum())
+}
+
+/// [`pick_weighted`] for callers that keep the weights' sequential sum
+/// (`weights.iter().sum()`) beside them: the same draw and the same
+/// pick, without summing again.
+///
+/// # Panics
+///
+/// Panics if `total` is not positive.
+pub fn pick_weighted_with_total(rng: &mut StdRng, weights: &[f64], total: f64) -> usize {
     assert!(total > 0.0, "weights must sum to a positive value");
     let mut needle = rng.gen_range(0.0..total);
     for (i, w) in weights.iter().enumerate() {

@@ -1,10 +1,14 @@
 //! The synthetic web server: URL → resource resolution with
 //! client-sensitive behaviour (cloaking, rotating redirects, shortener
-//! hit accounting).
+//! hit accounting), plus the parsed-page cache browsers load through.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use slum_html::{Document, Outline};
 
 use crate::page::Page;
+use crate::page_cache::{BodyCache, ParsedPage};
 use crate::shortener::ShortenerRegistry;
 use crate::url::Url;
 
@@ -181,20 +185,25 @@ impl FetchOutcome {
     }
 }
 
-/// The whole synthetic web: a routing table plus the shortener registry.
+/// The whole synthetic web: a routing table, the shortener registry and
+/// a content-addressed page cache.
 ///
 /// Built once by [`crate::build::WebBuilder`], then shared immutably
-/// across crawler threads (interior mutability covers rotation cursors
-/// and shortener statistics).
+/// across crawler and scanner threads. Interior mutability covers two
+/// things: the shortener statistics, which organic resolutions update,
+/// and the page cache behind [`SyntheticWeb::parsed`], which holds each
+/// distinct page body once as a shared `Arc<str>` beside its
+/// [`Outline`]. The cache never changes what a fetch or a load returns.
 #[derive(Debug)]
 pub struct SyntheticWeb {
     routes: HashMap<String, Resource>,
     shorteners: ShortenerRegistry,
+    pages: BodyCache<Arc<Outline>>,
 }
 
 impl SyntheticWeb {
     pub(crate) fn new(routes: HashMap<String, Resource>, shorteners: ShortenerRegistry) -> Self {
-        SyntheticWeb { routes, shorteners }
+        SyntheticWeb { routes, shorteners, pages: BodyCache::new() }
     }
 
     /// Number of installed resources.
@@ -276,6 +285,16 @@ impl SyntheticWeb {
                 FetchOutcome::Download { filename: filename.clone() }
             }
         }
+    }
+
+    /// `body` as browsers load it: interned once as a shared `Arc<str>`
+    /// and parsed once into its [`Outline`]. Any later call with equal
+    /// text, from any thread, returns the same two `Arc`s without
+    /// parsing again.
+    pub fn parsed(&self, body: &str) -> ParsedPage {
+        let (body, outline) =
+            self.pages.get_or_insert_with(body, |b| Arc::new(Document::parse(b).outline()));
+        ParsedPage { body, outline }
     }
 }
 

@@ -5,7 +5,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
+cargo build --release --all-targets
 cargo test -q
 # slumbench is a workspace of its own, so the root `cargo test` skips
 # its unit tests and its toy smoke of every workload.

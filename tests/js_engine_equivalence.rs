@@ -164,7 +164,7 @@ fn pipeline_reports_identical_under_both_engines() {
     let payload = payload::js_injected_iframe_page("Campaign", &sink, 2);
     let mut records = store.records().to_vec();
     for record in records.iter_mut().filter(|r| !r.failed && r.content.is_some()) {
-        record.content = Some(payload.clone());
+        record.content = Some(payload.as_str().into());
     }
 
     let interp = ScanPipeline::new(&web).with_js_engine(JsEngine::TreeWalk);

@@ -1,0 +1,84 @@
+//! Mid-scale pins: the artifact digest and the corpus hash of three
+//! studies at seed 2016, crawl scale 0.01 and domain scale 0.25, one per
+//! substrate, recorded before the crawl and scan learned to share
+//! parsed pages and rotation weights.
+//!
+//! The 0.0005-scale goldens see few repeat visits. Here each page is
+//! visited 3–12 times, in browser and scanner context, and manual-surf
+//! campaigns and ad flights open and close mid-crawl, so every cache in
+//! the page-load, scan and rotation paths is hit while it matters. A
+//! killed-and-resumed run must reach the same digest: its restored
+//! records carry bodies that no load in the resumed process produced,
+//! and its replayed loads go through the page cache.
+
+use std::path::PathBuf;
+
+use malware_slums::export;
+use malware_slums::study::{Study, StudyConfig, StudyConfigBuilder};
+use malware_slums::Substrate;
+use slum_crawler::CrawlFaultProfile;
+use slum_detect::fault::FaultProfile;
+
+/// FNV-1a, 64-bit, inline so the pin depends on nothing under test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+fn builder(substrate: Substrate) -> StudyConfigBuilder {
+    StudyConfig::builder().seed(2016).crawl_scale(0.01).domain_scale(0.25).substrate(substrate)
+}
+
+fn assert_pinned(study: &Study, digest: &str, corpus_fnv: u64, tag: &str) {
+    assert_eq!(
+        export::artifact_digest(study).expect("serializable export"),
+        digest,
+        "{tag}: artifact digest drifted"
+    );
+    let corpus = fnv1a(study.store.to_jsonl().expect("serializable corpus").as_bytes());
+    assert_eq!(corpus, corpus_fnv, "{tag}: corpus drifted: fnv1a = {corpus:#018x}");
+}
+
+const EXCHANGE_DIGEST: &str = "672666e997826d58";
+const EXCHANGE_CORPUS: u64 = 0xabf7_5529_e6c0_b9ff;
+
+#[test]
+fn exchange_study_matches_its_pins() {
+    let study = Study::run(&builder(Substrate::Exchange).build().expect("valid config"));
+    assert_eq!(study.store.len(), 10_037);
+    assert_pinned(&study, EXCHANGE_DIGEST, EXCHANGE_CORPUS, "exchange");
+}
+
+#[test]
+fn adnet_study_under_harsh_faults_matches_its_pins() {
+    let config = builder(Substrate::AdNet)
+        .fault_profile(FaultProfile::harsh())
+        .crawl_fault_profile(CrawlFaultProfile::harsh())
+        .build()
+        .expect("valid config");
+    assert_pinned(&Study::run(&config), "8088044aeaaf1d3d", 0xf66c_e456_3232_73ea, "adnet");
+}
+
+#[test]
+fn torrent_study_matches_its_pins() {
+    let study = Study::run(&builder(Substrate::Torrent).build().expect("valid config"));
+    assert_pinned(&study, "da268f9735e4c4d4", 0xd367_586b_b8fa_47fe, "torrent");
+}
+
+#[test]
+fn killed_and_resumed_exchange_study_matches_its_pins() {
+    let config =
+        builder(Substrate::Exchange).checkpoint_every(256).build().expect("valid config");
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("slum-midscale-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let killed = Study::run_to_checkpoint(&config, &dir, 2).expect("killed run checkpoints");
+    assert!(killed.is_none(), "round 2 must stop the crawl part-way");
+    let resumed = Study::resume_from(&config, &dir).expect("resume");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_pinned(&resumed, EXCHANGE_DIGEST, EXCHANGE_CORPUS, "exchange, killed after round 2");
+}
