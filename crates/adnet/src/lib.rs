@@ -29,7 +29,7 @@
 //! All rotation randomness is drawn from the crawler's cursor RNG in an
 //! order that is a pure function of network state and virtual time, so
 //! every determinism guarantee of the crawl layer (worker fan-out,
-//! streaming overlap, kill+resume) holds for this substrate too.
+//! segment boundaries, kill+resume) holds for this substrate too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use malware_slums::scanpipe::ScanPipeline;
+use malware_slums::scanpipe::{ScanPipeline, DEFAULT_SCAN_CHUNK};
 use malware_slums::study::{Study, StudyConfig};
 
 fn bench_scanpipe(c: &mut Criterion) {
@@ -29,7 +29,11 @@ fn bench_scanpipe(c: &mut Criterion) {
         group.bench_function(format!("parallel_{workers}"), |b| {
             b.iter(|| {
                 pipeline.clear_caches();
-                std::hint::black_box(pipeline.scan_all_parallel(records, workers))
+                std::hint::black_box(pipeline.scan_all_parallel_chunked(
+                    records,
+                    workers,
+                    DEFAULT_SCAN_CHUNK,
+                ))
             })
         });
     }
@@ -37,7 +41,9 @@ fn bench_scanpipe(c: &mut Criterion) {
     // hosts and URLs (no clear between iterations).
     pipeline.clear_caches();
     group.bench_function("parallel_4_warm", |b| {
-        b.iter(|| std::hint::black_box(pipeline.scan_all_parallel(records, 4)))
+        b.iter(|| {
+            std::hint::black_box(pipeline.scan_all_parallel_chunked(records, 4, DEFAULT_SCAN_CHUNK))
+        })
     });
     group.finish();
 }

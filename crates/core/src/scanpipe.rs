@@ -9,9 +9,11 @@
 //!
 //! The pipeline is data-parallel: [`ScanPipeline::scan`] takes `&self`,
 //! all memoization lives in sharded concurrent caches
-//! ([`slum_detect::ShardedCache`]), and [`ScanPipeline::scan_all_parallel`]
-//! fans a batch out over scoped worker threads while keeping the output
-//! order — and the verdicts themselves — identical to the serial path.
+//! ([`slum_detect::ShardedCache`]), and
+//! [`ScanPipeline::scan_all_parallel_chunked`] fans a batch out over
+//! scoped worker threads while keeping the output order — and the
+//! verdicts themselves — identical to the serial path. The study's scan
+//! phase runs through the same chunked loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,9 +112,8 @@ pub fn scan_key(record: &CrawlRecord) -> String {
 }
 
 /// Default scan work-unit size: records per chunk pulled by a parallel
-/// scan worker, and the surf-slot budget per streamed crawl chunk in
-/// the overlapped pipeline. Small enough to load-balance, large enough
-/// that the atomic pull and channel hop amortize to noise.
+/// scan worker. Small enough to load-balance, large enough that the
+/// atomic pull amortizes to noise.
 pub const DEFAULT_SCAN_CHUNK: usize = 256;
 
 /// Default corpus size below which the scan phase runs serially.
@@ -145,6 +146,64 @@ pub fn effective_scan_workers(
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(usize::MAX);
     requested.max(1).min(cores).min(record_count.max(1))
+}
+
+/// Maps `scan_one` over the indices `0..len` across `workers` scoped
+/// threads and returns the outcomes in index order — the one chunked
+/// scan loop behind [`ScanPipeline::scan_all_parallel_chunked`] and the
+/// study's scan phase.
+///
+/// Workers pull `chunk`-sized runs of indices from a shared atomic
+/// counter instead of taking one contiguous stretch each, so a worker
+/// that drew cache-cold records keeps pulling small chunks while its
+/// peers do the same and no thread idles behind one unlucky stretch.
+/// Each run is tagged with its chunk number and the runs are
+/// reassembled in order, so the result equals the serial
+/// `(0..len).map(scan_one)` for every worker count and chunk size. One
+/// worker (or at most one index) takes that serial path directly.
+pub(crate) fn scan_chunked<F>(
+    len: usize,
+    workers: usize,
+    chunk: usize,
+    scan_one: F,
+) -> Vec<ScanOutcome>
+where
+    F: Fn(usize) -> ScanOutcome + Sync,
+{
+    let workers = workers.max(1).min(len.max(1));
+    if workers == 1 {
+        return (0..len).map(scan_one).collect();
+    }
+    let chunk = chunk.max(1);
+    let n_chunks = len.div_ceil(chunk);
+    let next = AtomicUsize::new(0);
+    let mut parts: Vec<(usize, Vec<ScanOutcome>)> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (next, scan_one) = (&next, &scan_one);
+                scope.spawn(move |_| {
+                    let mut parts = Vec::new();
+                    loop {
+                        let c = next.fetch_add(1, Ordering::Relaxed);
+                        if c >= n_chunks {
+                            break;
+                        }
+                        let lo = c * chunk;
+                        parts.push((c, (lo..(lo + chunk).min(len)).map(scan_one).collect()));
+                    }
+                    parts
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("scan worker panicked")).collect()
+    })
+    .expect("scan scope panicked");
+    parts.sort_unstable_by_key(|&(c, _)| c);
+    let mut outcomes = Vec::with_capacity(len);
+    for (_, part) in parts {
+        outcomes.extend(part);
+    }
+    outcomes
 }
 
 /// Verdict and evidence for one scanned record.
@@ -578,70 +637,20 @@ impl<'w> ScanPipeline<'w> {
         records.iter().map(|r| self.scan(r)).collect()
     }
 
-    /// Scans a batch across `workers` scoped threads with the default
-    /// work-unit size ([`DEFAULT_SCAN_CHUNK`]); see
-    /// [`ScanPipeline::scan_all_parallel_chunked`].
-    pub fn scan_all_parallel(&self, records: &[CrawlRecord], workers: usize) -> Vec<ScanOutcome> {
-        self.scan_all_parallel_chunked(records, workers, DEFAULT_SCAN_CHUNK)
-    }
-
     /// Scans a batch across `workers` scoped threads, distributing the
-    /// records as fixed-size chunks pulled from a shared atomic index.
-    ///
-    /// Unlike one contiguous mega-chunk per worker, chunk-sized work
-    /// units load-balance: a worker that drew cache-cold records keeps
-    /// pulling small chunks while its peers do the same, so no thread
-    /// idles behind one unlucky stretch of the corpus. Each worker tags
-    /// its results with the chunk index and the chunks are reassembled
-    /// in order — so the output is index-aligned with `records` and
-    /// identical to [`ScanPipeline::scan_all`] for every worker count
-    /// and chunk size (verdicts are pure functions of the record;
-    /// caches only change *when* work happens, never its result).
+    /// records as `chunk`-sized work units pulled from a shared atomic
+    /// index — the same loop the study's scan phase runs. The output is
+    /// index-aligned with `records` and identical to
+    /// [`ScanPipeline::scan_all`] for every worker count and chunk size
+    /// (verdicts are pure functions of the record; caches only change
+    /// *when* work happens, never its result).
     pub fn scan_all_parallel_chunked(
         &self,
         records: &[CrawlRecord],
         workers: usize,
         chunk: usize,
     ) -> Vec<ScanOutcome> {
-        let workers = workers.max(1).min(records.len().max(1));
-        if workers == 1 {
-            return self.scan_all(records);
-        }
-        let chunk = chunk.max(1);
-        let n_chunks = records.len().div_ceil(chunk);
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move |_| {
-                        let mut parts: Vec<(usize, Vec<ScanOutcome>)> = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let lo = c * chunk;
-                            let hi = (lo + chunk).min(records.len());
-                            parts.push((c, self.scan_all(&records[lo..hi])));
-                        }
-                        parts
-                    })
-                })
-                .collect();
-            let mut by_chunk: Vec<Option<Vec<ScanOutcome>>> = vec![None; n_chunks];
-            for handle in handles {
-                for (c, outcomes) in handle.join().expect("scan worker panicked") {
-                    by_chunk[c] = Some(outcomes);
-                }
-            }
-            let mut merged = Vec::with_capacity(records.len());
-            for outcomes in by_chunk {
-                merged.extend(outcomes.expect("every chunk scanned exactly once"));
-            }
-            merged
-        })
-        .expect("scan scope panicked")
+        scan_chunked(records.len(), workers, chunk, |i| self.scan(&records[i]))
     }
 
     /// Chain-wide blacklist check: first registered domain on the
@@ -992,7 +1001,11 @@ mod tests {
         let serial = pipe.scan_all(&records);
         for workers in [2, 3, 16] {
             pipe.clear_caches();
-            assert_eq!(pipe.scan_all_parallel(&records, workers), serial, "workers={workers}");
+            assert_eq!(
+                pipe.scan_all_parallel_chunked(&records, workers, DEFAULT_SCAN_CHUNK),
+                serial,
+                "workers={workers}"
+            );
         }
     }
 }

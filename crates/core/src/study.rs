@@ -10,14 +10,13 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use slum_crawler::drive::CrawlStats;
 use slum_crawler::{
-    crawl_all_resilient, crawl_all_streaming, replay_restored_loads, CrawlCheckpointState,
-    CrawlFaultProfile, CrawlHealth, CrawlPlan, CrawlRecord, RecordChunk, RecordStore,
+    crawl_all_resilient, replay_restored_loads, CrawlCheckpointState, CrawlFaultProfile,
+    CrawlHealth, CrawlPlan, CrawlRecord, RecordStore,
 };
 use slum_exchange::TrafficSource;
 use slum_obs::{LocalMetrics, MetricsSnapshot, Registry};
@@ -37,8 +36,8 @@ use crate::report::{Fig2Bar, Table1};
 use slum_js::sandbox::JsEngine;
 
 use crate::scanpipe::{
-    effective_scan_workers, scan_key, FaultLog, ScanCaches, ScanOutcome, ScanPipeline,
-    VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
+    effective_scan_workers, scan_chunked, scan_key, FaultLog, ScanCaches, ScanOutcome,
+    ScanPipeline, VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
 };
 use crate::shortened::ShortenedRow;
 use crate::substrate::{build_substrate, BuiltSubstrate, SourceMeta, Substrate};
@@ -86,23 +85,14 @@ pub struct StudyConfig {
     /// never affect results — only checkpoint file cadence.
     pub checkpoint_every: Option<u64>,
     /// Scan work-unit size: records per chunk pulled by each parallel
-    /// scan worker on the barrier path, and surf slots per streamed
-    /// record chunk on the overlapped path. Chunk size never affects
-    /// results — only scheduling granularity.
+    /// scan worker. Chunk size never affects results — only scheduling
+    /// granularity.
     pub scan_chunk: usize,
     /// Corpus size (regular records) below which the scan phase runs
     /// serially regardless of `scan_workers` — thread spawn overhead
     /// and cold shared caches make small parallel scans *slower* than
     /// serial. Set to 0 to always honor `scan_workers`.
     pub serial_scan_threshold: usize,
-    /// Overlap the crawl and scan phases: crawl workers stream
-    /// sequence-numbered record chunks through a bounded channel and
-    /// scan workers consume them while the crawl is still running.
-    /// Results are bit-identical to the phase-barrier path. Mutually
-    /// exclusive with `checkpoint_every`; a non-inert `fault_profile`
-    /// forces the barrier path (the fault plan needs the full corpus)
-    /// and counts `scan.pipeline.fault_fallback`.
-    pub overlap_scan: bool,
     /// JavaScript engine for the scan phase's sandboxed execution: the
     /// bytecode VM (default, with the shared compiled-module cache) or
     /// the tree-walking interpreter (the differential oracle). Scan
@@ -144,7 +134,6 @@ impl Default for StudyConfig {
             checkpoint_every: None,
             scan_chunk: DEFAULT_SCAN_CHUNK,
             serial_scan_threshold: DEFAULT_SERIAL_SCAN_THRESHOLD,
-            overlap_scan: false,
             js_engine: DEFAULT_JS_ENGINE,
             substrate: DEFAULT_SUBSTRATE,
         }
@@ -249,8 +238,8 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Sets the scan work-unit / streamed-chunk size (validated at
-    /// [`Self::build`]; must be at least 1).
+    /// Sets the scan work-unit size (validated at [`Self::build`]; must
+    /// be at least 1).
     pub fn scan_chunk(mut self, records: usize) -> Self {
         self.config.scan_chunk = records;
         self
@@ -260,14 +249,6 @@ impl StudyConfigBuilder {
     /// (0 always honors `scan_workers`).
     pub fn serial_scan_threshold(mut self, records: usize) -> Self {
         self.config.serial_scan_threshold = records;
-        self
-    }
-
-    /// Enables or disables the overlapped (streaming) crawl→scan
-    /// pipeline (validated at [`Self::build`]; incompatible with
-    /// checkpointing).
-    pub fn overlap_scan(mut self, overlap: bool) -> Self {
-        self.config.overlap_scan = overlap;
         self
     }
 
@@ -343,9 +324,6 @@ impl StudyConfigBuilder {
         if self.config.scan_chunk == 0 {
             return Err(ConfigError::ZeroScanChunk);
         }
-        if self.config.overlap_scan && self.config.checkpoint_every.is_some() {
-            return Err(ConfigError::OverlapWithCheckpoint);
-        }
         Ok(self.config)
     }
 }
@@ -386,10 +364,6 @@ pub enum ConfigError {
     /// `scan_chunk` was zero — a work unit must hold at least one
     /// record.
     ZeroScanChunk,
-    /// `overlap_scan` was combined with `checkpoint_every` — the
-    /// streaming pipeline never materializes the per-exchange stores a
-    /// crawl checkpoint persists.
-    OverlapWithCheckpoint,
     /// The JS engine name did not parse (see
     /// [`slum_js::sandbox::JsEngine::parse`]).
     UnknownJsEngine {
@@ -427,9 +401,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroScanChunk => {
                 write!(f, "scan_chunk must be at least 1 record")
             }
-            ConfigError::OverlapWithCheckpoint => {
-                write!(f, "overlap_scan cannot be combined with crawl checkpointing")
-            }
             ConfigError::UnknownJsEngine { name } => {
                 write!(f, "unknown JS engine {name:?} (expected vm or interp)")
             }
@@ -446,23 +417,6 @@ impl std::error::Error for ConfigError {}
 /// count), falling back to 4 where it cannot be queried.
 pub fn default_scan_workers() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
-}
-
-/// Wall-clock spent in each phase of [`Study::run_timed`].
-///
-/// Superseded by the `phase.*` spans in [`Study::metrics`] — this
-/// struct is now derived from those spans and kept for callers that
-/// predate the observability layer.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseTimings {
-    /// Web population + exchange construction.
-    pub build: std::time::Duration,
-    /// Parallel crawl of the nine exchanges.
-    pub crawl: std::time::Duration,
-    /// Referral classification + the (possibly parallel) scan phase.
-    pub scan: std::time::Duration,
-    /// Scan workers actually used.
-    pub scan_workers: usize,
 }
 
 /// A completed study: the corpus, verdicts, and every derived artifact.
@@ -515,26 +469,6 @@ impl Study {
             let _span = obs.span("phase.build");
             build_substrate(config)
         };
-
-        // Overlapped (streaming) pipeline: only with an inert scan-fault
-        // profile, because a fault plan is compiled from the *complete*
-        // corpus. Ineligible overlap requests fall through to the
-        // barrier path below and are counted as
-        // `scan.pipeline.fault_fallback`.
-        if config.overlap_scan && config.fault_profile.is_inert() {
-            let (store, outcomes, referrals, health) = run_overlapped(config, &obs, &mut built);
-            record_substrate_tallies(&obs, config.substrate, built.meta.len(), store.len() as u64);
-            return Study {
-                web: built.web,
-                store,
-                outcomes,
-                referrals,
-                health,
-                sources: built.meta,
-                config: config.clone(),
-                obs,
-            };
-        }
 
         // 2. Crawl every source in parallel; each crawl returns its
         //    per-worker counter buffer, merged at phase end. Every path
@@ -600,20 +534,6 @@ impl Study {
     pub fn resume_from(config: &StudyConfig, dir: &Path) -> Result<Study, CheckpointError> {
         let session = CrawlSession::open(config, dir, Restore::Required)?.advance(u64::MAX)?;
         Ok(session.finish(None))
-    }
-
-    /// Runs the full pipeline, reporting per-phase wall-clock timings
-    /// (derived from the `phase.*` spans in [`Study::metrics`]).
-    pub fn run_timed(config: &StudyConfig) -> (Study, PhaseTimings) {
-        let study = Study::run(config);
-        let snapshot = study.metrics();
-        let timings = PhaseTimings {
-            build: snapshot.span_duration("phase.build"),
-            crawl: snapshot.span_duration("phase.crawl"),
-            scan: snapshot.span_duration("phase.scan"),
-            scan_workers: snapshot.gauge("scan.workers").max(1) as usize,
-        };
-        (study, timings)
     }
 
     /// The configuration the study ran with.
@@ -916,7 +836,6 @@ fn record_config(obs: &Registry, config: &StudyConfig) {
     obs.gauge("config.checkpoint_every").set(config.checkpoint_every.unwrap_or(0) as i64);
     obs.gauge("config.scan_chunk").set(config.scan_chunk as i64);
     obs.gauge("config.serial_scan_threshold").set(config.serial_scan_threshold as i64);
-    obs.gauge("config.overlap").set(i64::from(config.overlap_scan));
     obs.gauge("config.js_engine_vm").set(i64::from(config.js_engine == JsEngine::Vm));
     obs.gauge("config.substrate")
         .set(Substrate::ALL.iter().position(|s| *s == config.substrate).unwrap_or(0) as i64);
@@ -924,7 +843,7 @@ fn record_config(obs: &Registry, config: &StudyConfig) {
 
 /// Records the `crawl.substrate.*` counters. Always registered for
 /// every substrate name — inactive substrates report explicit zeros
-/// (the convention the fault and pipeline counters follow) so CI can
+/// (the convention the fault counters follow) so CI can
 /// grep the snapshot for the full key set regardless of which
 /// substrate ran.
 fn record_substrate_tallies(obs: &Registry, substrate: Substrate, n_sources: usize, pages: u64) {
@@ -1020,7 +939,7 @@ fn record_cache_stats(obs: &Registry, pipeline: &ScanPipeline<'_>) {
 /// Records the `js.vm.*` counters from the pipeline's aggregated JS
 /// stats. Always registered — a tree-walk run (or a corpus with no
 /// scripts) reports explicit zeros rather than absent keys, the same
-/// convention the fault and pipeline counters follow. Every counter
+/// convention the fault counters follow. Every counter
 /// except `js.vm.compile_nanos` (wall-clock) is deterministic across
 /// worker counts: the execution tallies are memoized per distinct
 /// sample and the compile count is the module cache's entry set.
@@ -1119,9 +1038,9 @@ fn record_fault_tallies(
     }
 }
 
-/// The barrier scan phase every non-overlapped run ends with, direct or
-/// checkpointed: books the crawl's counters, classifies referrals, scans
-/// every regular record and assembles the study.
+/// The scan phase every run ends with, direct or checkpointed: books
+/// the crawl's counters, classifies referrals, scans every regular
+/// record and assembles the study.
 fn scan_crawl(
     config: &StudyConfig,
     obs: Registry,
@@ -1170,17 +1089,6 @@ fn scan_crawl(
         record_js_vm_stats(&obs, &pipeline);
         record_outcome_tallies(&obs, &outcomes, &referrals);
         record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan());
-        record_pipeline_tallies(
-            &obs,
-            &PipelineTally {
-                chunks: 0,
-                records_streamed: 0,
-                // An overlap request that reached the barrier path was
-                // forced here (checkpointing or a fault plan).
-                fault_fallback: u64::from(config.overlap_scan),
-                overlapped: false,
-            },
-        );
         (outcomes, referrals)
     };
 
@@ -1200,17 +1108,15 @@ fn scan_crawl(
 /// splices the results back into record order; Self/Popular referrals
 /// get an inert clean outcome so indices stay aligned.
 ///
-/// Worker selection goes through
-/// [`effective_scan_workers`] — small corpora run serially (below
-/// `config.serial_scan_threshold`) and the count is clamped to the
-/// host's parallelism. Parallel work is distributed as
-/// `config.scan_chunk`-sized chunks pulled from a shared atomic index,
-/// so no worker idles behind one unlucky contiguous stretch; chunks are
-/// reassembled in index order, keeping the output bit-identical to the
-/// serial path. Each worker buffers its counters in a [`LocalMetrics`]
-/// and records per-record latencies into the shared `scan.record_nanos`
-/// histogram; the buffers merge into `obs` once the phase ends. Returns
-/// the outcomes and the worker count actually used.
+/// Worker selection goes through [`effective_scan_workers`] — small
+/// corpora run serially (below `config.serial_scan_threshold`) and the
+/// count is clamped to the host's parallelism. The records then go
+/// through the chunked scan loop ([`scan_chunked`]) in
+/// `config.scan_chunk`-sized work units, which keeps the output
+/// bit-identical to the serial path. Every scan records its latency
+/// into the shared `scan.record_nanos` histogram, and `scan.scans`
+/// counts the regular records once the phase ends. Returns the outcomes
+/// and the worker count actually used.
 fn scan_phase(
     pipeline: &ScanPipeline<'_>,
     records: &[CrawlRecord],
@@ -1230,70 +1136,13 @@ fn scan_phase(
         config.serial_scan_threshold,
     );
     let latency = obs.histogram("scan.record_nanos");
-
-    let scan_slice = |chunk: &[usize]| -> (Vec<ScanOutcome>, LocalMetrics) {
-        let mut local = LocalMetrics::new();
-        let outcomes = chunk
-            .iter()
-            .map(|&i| {
-                let t0 = Instant::now();
-                let outcome = pipeline.scan(&records[i]);
-                latency.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                local.inc("scan.scans");
-                outcome
-            })
-            .collect();
-        (outcomes, local)
-    };
-
-    let scanned: Vec<ScanOutcome> = if workers == 1 {
-        let (outcomes, local) = scan_slice(&regular_idx);
-        obs.merge_local(&local);
-        outcomes
-    } else {
-        let chunk = config.scan_chunk.max(1);
-        let n_chunks = regular_idx.len().div_ceil(chunk);
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let scan_slice = &scan_slice;
-                    let regular_idx = &regular_idx;
-                    scope.spawn(move |_| {
-                        let mut parts: Vec<(usize, Vec<ScanOutcome>)> = Vec::new();
-                        let mut local = LocalMetrics::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let lo = c * chunk;
-                            let hi = (lo + chunk).min(regular_idx.len());
-                            let (outcomes, chunk_local) = scan_slice(&regular_idx[lo..hi]);
-                            local.merge(&chunk_local);
-                            parts.push((c, outcomes));
-                        }
-                        (parts, local)
-                    })
-                })
-                .collect();
-            let mut by_chunk: Vec<Option<Vec<ScanOutcome>>> = vec![None; n_chunks];
-            for handle in handles {
-                let (parts, local) = handle.join().expect("scan worker panicked");
-                obs.merge_local(&local);
-                for (c, outcomes) in parts {
-                    by_chunk[c] = Some(outcomes);
-                }
-            }
-            let mut merged = Vec::with_capacity(regular_idx.len());
-            for outcomes in by_chunk {
-                merged.extend(outcomes.expect("every chunk scanned exactly once"));
-            }
-            merged
-        })
-        .expect("scan scope panicked")
-    };
+    let scanned = scan_chunked(regular_idx.len(), workers, config.scan_chunk, |k| {
+        let t0 = Instant::now();
+        let outcome = pipeline.scan(&records[regular_idx[k]]);
+        latency.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        outcome
+    });
+    obs.counter("scan.scans").add(regular_idx.len() as u64);
 
     let mut scanned = scanned.into_iter();
     let outcomes = records
@@ -1307,179 +1156,6 @@ fn scan_phase(
         })
         .collect();
     (outcomes, workers)
-}
-
-/// Capacity of the crawl→scan chunk channel in the overlapped
-/// pipeline. Bounds the records in flight between the two sides — at
-/// most this many chunks (each at most `scan_chunk` surf slots' worth)
-/// plus what each worker holds; a full channel back-pressures the crawl
-/// threads instead of buffering the whole corpus.
-const PIPELINE_CHANNEL_CAP: usize = 32;
-
-/// What the streaming pipeline did this run — all-zero on the barrier
-/// path, so the `scan.pipeline.*` counters stay always-present and
-/// deterministic whether or not overlap ran (the same convention the
-/// fault and resume counters follow).
-struct PipelineTally {
-    /// Record chunks streamed crawl→scan.
-    chunks: u64,
-    /// Records carried by those chunks.
-    records_streamed: u64,
-    /// 1 when overlap was requested but the barrier path ran instead
-    /// (checkpointing or a non-inert scan-fault profile).
-    fault_fallback: u64,
-    /// Whether the overlapped path actually ran (gauge).
-    overlapped: bool,
-}
-
-fn record_pipeline_tallies(obs: &Registry, tally: &PipelineTally) {
-    obs.counter("scan.pipeline.chunks").add(tally.chunks);
-    obs.counter("scan.pipeline.records_streamed").add(tally.records_streamed);
-    obs.counter("scan.pipeline.fault_fallback").add(tally.fault_fallback);
-    obs.gauge("scan.pipeline.overlap").set(i64::from(tally.overlapped));
-}
-
-/// One streamed chunk after scanning, awaiting reassembly.
-struct ScannedChunk {
-    exchange_index: usize,
-    chunk_seq: u64,
-    records: Vec<CrawlRecord>,
-    referrals: Vec<ReferralClass>,
-    outcomes: Vec<ScanOutcome>,
-}
-
-/// The overlapped crawl→scan pipeline: one crawl producer (fanning out
-/// to one thread per exchange) streams sequence-numbered record chunks
-/// through a bounded channel while scan workers consume them, so
-/// scanning starts on the first chunk instead of after the last crawl
-/// step. Scanned chunks are reassembled in `(exchange_index,
-/// chunk_seq)` order, which reproduces the barrier path's merged store
-/// exactly — records, referral classes, outcomes and every
-/// deterministic counter are bit-identical for all worker counts and
-/// chunk sizes.
-///
-/// The `phase.crawl` span covers the producer and `phase.scan` the
-/// whole overlapped region, so their wall-clock now overlaps — the
-/// saving the streaming restructure exists to win.
-fn run_overlapped(
-    config: &StudyConfig,
-    obs: &Registry,
-    built: &mut BuiltSubstrate,
-) -> (RecordStore, Vec<ScanOutcome>, Vec<ReferralClass>, Vec<CrawlHealth>) {
-    let pipeline = ScanPipeline::new(&built.web).with_js_engine(config.js_engine);
-    let latency = obs.histogram("scan.record_nanos");
-    // Worker selection needs a corpus size before the corpus exists;
-    // the planned surf slots are an exact upper bound on records (and
-    // equal to them under an inert crawl-fault profile).
-    let scan_workers = effective_scan_workers(
-        built.planned_steps() as usize,
-        config.scan_workers,
-        config.serial_scan_threshold,
-    );
-    let (tx, rx) = crossbeam::channel::bounded::<RecordChunk>(PIPELINE_CHANNEL_CAP);
-    let results: Mutex<Vec<ScannedChunk>> = Mutex::new(Vec::new());
-
-    let (web, filter, steps) = (&built.web, &built.filter, &built.steps);
-    let sources = &mut built.sources;
-    let (stats, health) = crossbeam::thread::scope(|scope| {
-        let _scan_span = obs.span("phase.scan");
-        let producer = scope.spawn(move |_| {
-            let _span = obs.span("phase.crawl");
-            crawl_all_streaming(
-                web,
-                sources,
-                config.seed,
-                &config.crawl_fault_profile,
-                |x| steps[x.name()],
-                config.scan_chunk as u64,
-                tx,
-            )
-        });
-        let consumers: Vec<_> = (0..scan_workers)
-            .map(|_| {
-                let rx = rx.clone();
-                let results = &results;
-                let pipeline = &pipeline;
-                let latency = &latency;
-                scope.spawn(move |_| {
-                    let mut local = LocalMetrics::new();
-                    while let Ok(chunk) = rx.recv() {
-                        let referrals: Vec<ReferralClass> =
-                            chunk.records.iter().map(|r| filter.classify(r)).collect();
-                        let outcomes: Vec<ScanOutcome> = chunk
-                            .records
-                            .iter()
-                            .zip(&referrals)
-                            .map(|(record, class)| {
-                                if *class == ReferralClass::Regular {
-                                    let t0 = Instant::now();
-                                    let outcome = pipeline.scan(record);
-                                    latency.record(
-                                        u64::try_from(t0.elapsed().as_nanos())
-                                            .unwrap_or(u64::MAX),
-                                    );
-                                    local.inc("scan.scans");
-                                    outcome
-                                } else {
-                                    clean_outcome(record)
-                                }
-                            })
-                            .collect();
-                        results.lock().expect("chunk results poisoned").push(ScannedChunk {
-                            exchange_index: chunk.exchange_index,
-                            chunk_seq: chunk.chunk_seq,
-                            records: chunk.records,
-                            referrals,
-                            outcomes,
-                        });
-                    }
-                    local
-                })
-            })
-            .collect();
-        drop(rx);
-        let (stats, health) = producer.join().expect("crawl producer panicked");
-        for consumer in consumers {
-            let local = consumer.join().expect("scan consumer panicked");
-            obs.merge_local(&local);
-        }
-        (stats, health)
-    })
-    .expect("pipeline scope panicked");
-
-    for (_, s) in &stats {
-        obs.merge_local(&s.metrics);
-    }
-    record_crawl_fault_tallies(obs, &health, &ResumeStats::default());
-
-    let mut chunks = results.into_inner().expect("chunk results poisoned");
-    chunks.sort_unstable_by_key(|c| (c.exchange_index, c.chunk_seq));
-    let n_chunks = chunks.len() as u64;
-    let mut store = RecordStore::new();
-    let mut outcomes = Vec::new();
-    let mut referrals = Vec::new();
-    for chunk in chunks {
-        store.extend(chunk.records);
-        referrals.extend(chunk.referrals);
-        outcomes.extend(chunk.outcomes);
-    }
-
-    record_filter_counts(obs, &referrals);
-    obs.gauge("scan.workers").set(scan_workers as i64);
-    record_cache_stats(obs, &pipeline);
-    record_js_vm_stats(obs, &pipeline);
-    record_outcome_tallies(obs, &outcomes, &referrals);
-    record_fault_tallies(obs, &outcomes, &referrals, None);
-    record_pipeline_tallies(
-        obs,
-        &PipelineTally {
-            chunks: n_chunks,
-            records_streamed: store.len() as u64,
-            fault_fallback: 0,
-            overlapped: true,
-        },
-    );
-    (store, outcomes, referrals, health)
 }
 
 fn clean_outcome(record: &CrawlRecord) -> ScanOutcome {

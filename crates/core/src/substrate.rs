@@ -99,14 +99,6 @@ pub struct BuiltSubstrate {
     pub steps: BTreeMap<String, u64>,
 }
 
-impl BuiltSubstrate {
-    /// Total planned surf slots across all sources — an exact upper
-    /// bound on records (equal under an inert crawl-fault profile).
-    pub fn planned_steps(&self) -> u64 {
-        self.steps.values().sum()
-    }
-}
-
 /// Scaled crawl steps for a non-exchange source (same formula as
 /// [`steps_for`]: paper-scale volume times the crawl scale, floored at
 /// 40 so tiny runs still populate every row).
@@ -370,7 +362,7 @@ mod tests {
             assert_eq!(built.sources.len(), n, "{substrate:?}");
             assert_eq!(built.meta.len(), n);
             assert_eq!(built.steps.len(), n);
-            assert!(built.planned_steps() >= 40 * n as u64);
+            assert!(built.steps.values().all(|&steps| steps >= 40), "{substrate:?}");
             assert!(built.web.len() > 20, "{substrate:?} population");
             for (source, m) in built.sources.iter().zip(&built.meta) {
                 assert_eq!(source.name(), m.name);

@@ -6,9 +6,10 @@
 //! state, CAPTCHA nonce, stats and health counters. [`crawl_exchange`]
 //! is a thin wrapper that runs one unbounded segment with an inert
 //! lifecycle, so the historical fail-fast behaviour is bit-identical by
-//! construction, while the resilience layer (`run::CrawlPlan::run_segmented`)
-//! drives the same loop in bounded segments with a fault schedule and
-//! checkpoints the cursor between them.
+//! construction. Every study crawls through the one multi-source driver,
+//! `run::CrawlPlan::run_segmented`, which drives the same loop with a
+//! fault schedule: in bounded segments with the cursor checkpointed
+//! between them, or in one unbounded segment for a direct run.
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -14,9 +14,9 @@
 //!   chain, captured content, HAR) and their store;
 //! - [`drive`] — the auto-surf and manual-surf crawl drivers, including
 //!   the scripted CAPTCHA operator;
-//! - [`run`] — multi-exchange orchestration (one worker per exchange,
-//!   crossbeam-scoped), including the resilient and checkpoint-segmented
-//!   variants;
+//! - [`run`] — multi-exchange orchestration: one segmented crawl
+//!   driver (one worker per exchange, crossbeam-scoped) that checkpoints
+//!   between rounds, or runs to completion in one segment;
 //! - [`fault`] — named crawl-fault profiles (exchange outages, bans,
 //!   CAPTCHA lockouts, permanent shutdowns, session drops) and the
 //!   per-exchange crawl-health log;
@@ -36,9 +36,6 @@ pub mod store;
 pub use drive::{crawl_exchange, CrawlConfig, CrawlCursor};
 pub use fault::{CrawlFaultProfile, CrawlHealth};
 pub use record::CrawlRecord;
-pub use run::{
-    crawl_all, crawl_all_resilient, crawl_all_streaming, replay_restored_loads,
-    CrawlCheckpointState, CrawlPlan, RecordChunk,
-};
+pub use run::{crawl_all_resilient, replay_restored_loads, CrawlCheckpointState, CrawlPlan};
 pub use slum_exchange::TrafficSource;
 pub use store::{JsonlError, RecordStore};

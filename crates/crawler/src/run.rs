@@ -1,24 +1,15 @@
 //! Multi-source crawl orchestration.
 //!
-//! One builder, [`CrawlPlan`], configures every crawl mode over any
+//! One builder, [`CrawlPlan`], configures a crawl over any
 //! [`TrafficSource`] substrate (exchanges, ad networks, torrent
-//! indexes), and all modes share one loop implementation
-//! (`drive::crawl_exchange_segment`):
+//! indexes), and one driver runs it: [`CrawlPlan::run_segmented`]
+//! crawls bounded rounds with a checkpoint sink between them, resumable
+//! from a [`CrawlCheckpointState`], over the one loop implementation
+//! (`drive::crawl_exchange_segment`). [`crawl_all_resilient`] is that
+//! driver run to completion in one unbounded segment with a no-op sink.
 //!
-//! - [`CrawlPlan::collect`] — run to completion and return the merged
-//!   store (the historical barrier crawl);
-//! - [`CrawlPlan::run_segmented`] — bounded rounds with a checkpoint
-//!   sink between them, resumable from a [`CrawlCheckpointState`];
-//! - [`CrawlPlan::stream`] — emit sequence-numbered [`RecordChunk`]s
-//!   through a channel as they are produced (the producer half of the
-//!   overlapped crawl→scan pipeline).
-//!
-//! The historical entry points ([`crawl_all`], [`crawl_all_resilient`],
-//! [`crawl_all_streaming`]) are thin delegating wrappers over the plan,
-//! kept so existing callers compile unchanged.
-//!
-//! All modes merge per-source stores in source input order, so the
-//! merged record stream is independent of thread scheduling.
+//! Per-source stores merge in source input order, so the merged record
+//! stream is independent of thread scheduling.
 
 use crossbeam::thread;
 
@@ -30,7 +21,6 @@ use crate::drive::{
     crawl_exchange_segment, estimated_exchange_span_secs, CrawlConfig, CrawlCursor, CrawlStats,
 };
 use crate::fault::{CrawlFaultProfile, CrawlHealth};
-use crate::record::CrawlRecord;
 use crate::store::RecordStore;
 
 /// The RNG seed for the `index`-th source's crawl stream, derived
@@ -40,8 +30,7 @@ pub fn exchange_crawl_seed(base_seed: u64, index: usize) -> u64 {
 }
 
 /// Per-source crawl plan: the loop configuration plus the compiled
-/// lifecycle-fault schedule. Shared by the segmented and streaming
-/// drivers so every mode crawls from identical plans.
+/// lifecycle-fault schedule.
 fn crawl_plans<S, F>(
     sources: &[S],
     base_seed: u64,
@@ -69,30 +58,10 @@ where
         .collect()
 }
 
-/// One sequence-numbered batch of records emitted by
-/// [`CrawlPlan::stream`]: which source produced it (input index),
-/// where it sits in that source's stream, and the records themselves.
-///
-/// Sorting chunks by `(exchange_index, chunk_seq)` and concatenating
-/// their records reproduces the merged [`RecordStore`] of
-/// [`CrawlPlan::collect`] exactly — the reassembly contract the
-/// overlapped crawl→scan pipeline relies on.
-#[derive(Debug)]
-pub struct RecordChunk {
-    /// Index of the producing source in the input slice.
-    pub exchange_index: usize,
-    /// 0-based position of this chunk in the source's stream.
-    pub chunk_seq: u64,
-    /// The records crawled in this segment, in crawl order.
-    pub records: Vec<CrawlRecord>,
-}
-
-/// Builder configuring one multi-source crawl: fault profile, segment /
-/// chunk budget, resume state and kill point. Terminal methods pick the
-/// mode ([`collect`](Self::collect), [`run_segmented`](Self::run_segmented),
-/// [`stream`](Self::stream)); all are generic over [`TrafficSource`]
-/// and crawl from identical per-source plans, so the merged record
-/// stream is bit-identical across modes for a given configuration.
+/// Builder configuring one multi-source crawl: fault profile, segment
+/// budget, resume state and kill point. [`run_segmented`](Self::run_segmented)
+/// runs it over any [`TrafficSource`]; the merged record stream is
+/// bit-identical for every segment budget, resume point and kill.
 #[derive(Debug, Clone, Default)]
 pub struct CrawlPlan {
     base_seed: u64,
@@ -116,8 +85,8 @@ impl CrawlPlan {
         self
     }
 
-    /// Bound each segment round / stream chunk to `budget` surf slots
-    /// (default: unbounded). Must be positive.
+    /// Bound each segment round to `budget` surf slots (default:
+    /// unbounded). Must be positive.
     #[must_use]
     pub fn segment_budget(mut self, budget: u64) -> Self {
         assert!(budget > 0, "segment budget must be positive");
@@ -139,31 +108,6 @@ impl CrawlPlan {
     pub fn stop_after_round(mut self, rounds: u64) -> Self {
         self.stop_after_round = Some(rounds);
         self
-    }
-
-    fn budget(&self) -> u64 {
-        self.segment_budget.unwrap_or(u64::MAX)
-    }
-
-    /// Runs the crawl to completion and returns the merged store,
-    /// per-source stats and health logs — the barrier mode.
-    pub fn collect<S, F>(
-        self,
-        web: &SyntheticWeb,
-        sources: &mut [S],
-        step_fn: F,
-    ) -> (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>)
-    where
-        S: TrafficSource + Send,
-        F: Fn(&S) -> u64 + Sync,
-    {
-        let outcome = self
-            .run_segmented::<S, F, std::convert::Infallible>(web, sources, step_fn, &mut |_, _| {
-                Ok(())
-            })
-            .expect("infallible checkpoint sink");
-        debug_assert!(outcome.finished);
-        outcome.state.finish()
     }
 
     /// Crawls every source in bounded segment rounds, invoking
@@ -190,7 +134,7 @@ impl CrawlPlan {
         S: TrafficSource + Send,
         F: Fn(&S) -> u64 + Sync,
     {
-        let segment_budget = self.budget();
+        let segment_budget = self.segment_budget.unwrap_or(u64::MAX);
         let plans = crawl_plans(sources, self.base_seed, &self.profile, &step_fn);
 
         let mut state = self.resume.unwrap_or_else(|| CrawlCheckpointState {
@@ -247,152 +191,19 @@ impl CrawlPlan {
         }
         Ok(SegmentedCrawl { state, finished: true, rounds_run })
     }
-
-    /// Crawls every source concurrently, emitting records through
-    /// `sink` in bounded, sequence-numbered chunks as they are produced
-    /// — the producer half of the overlapped crawl→scan pipeline.
-    ///
-    /// Each source thread repeatedly advances its cursor by up to the
-    /// segment budget (the same resumable segment driver the
-    /// checkpointed crawl uses) and sends the segment's records as one
-    /// [`RecordChunk`]; empty segments (every slot lost to faults) are
-    /// skipped. Records travel *only* through the channel — the caller
-    /// reassembles the store — so nothing is held twice. Sends block
-    /// when the channel is full (bounded memory) and chunk production
-    /// stops if every receiver is gone.
-    ///
-    /// Because every fault and RNG decision is keyed to cursor
-    /// position, never to segment boundaries, the reassembled record
-    /// stream is bit-identical to [`collect`](Self::collect) for every
-    /// budget. Returns the same per-source stats and health logs.
-    pub fn stream<S, F>(
-        self,
-        web: &SyntheticWeb,
-        sources: &mut [S],
-        step_fn: F,
-        sink: crossbeam::channel::Sender<RecordChunk>,
-    ) -> (Vec<(String, CrawlStats)>, Vec<CrawlHealth>)
-    where
-        S: TrafficSource + Send,
-        F: Fn(&S) -> u64 + Sync,
-    {
-        let chunk_budget = self.budget();
-        let profile = &self.profile;
-        let plans = crawl_plans(sources, self.base_seed, profile, &step_fn);
-        let cursors: Vec<(String, CrawlStats, CrawlHealth)> = thread::scope(|scope| {
-            let handles: Vec<_> = sources
-                .iter_mut()
-                .enumerate()
-                .zip(plans.iter())
-                .map(|((exchange_index, source), (config, lifecycle))| {
-                    let sink = sink.clone();
-                    scope.spawn(move |_| {
-                        let mut cursor = CrawlCursor::start(source, config);
-                        let mut chunk_seq = 0u64;
-                        while !cursor.done {
-                            let mut segment = RecordStore::new();
-                            crawl_exchange_segment(
-                                web,
-                                source,
-                                config,
-                                lifecycle,
-                                &profile.retry,
-                                &mut cursor,
-                                &mut segment,
-                                chunk_budget,
-                            );
-                            let records = segment.into_records();
-                            if !records.is_empty()
-                                && sink
-                                    .send(RecordChunk { exchange_index, chunk_seq, records })
-                                    .is_err()
-                            {
-                                // Every receiver is gone; keep crawling so
-                                // stats/health stay complete, drop records.
-                                while !cursor.done {
-                                    let mut rest = RecordStore::new();
-                                    crawl_exchange_segment(
-                                        web,
-                                        source,
-                                        config,
-                                        lifecycle,
-                                        &profile.retry,
-                                        &mut cursor,
-                                        &mut rest,
-                                        u64::MAX,
-                                    );
-                                }
-                                break;
-                            }
-                            chunk_seq += 1;
-                        }
-                        (cursor.exchange.clone(), cursor.stats(), cursor.health())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("crawl worker panicked")).collect()
-        })
-        .expect("crawl scope panicked");
-        drop(sink);
-
-        let mut stats = Vec::with_capacity(cursors.len());
-        let mut health = Vec::with_capacity(cursors.len());
-        for (name, s, h) in cursors {
-            stats.push((name, s));
-            health.push(h);
-        }
-        (stats, health)
-    }
 }
 
-/// Crawls every source concurrently, emitting records through `sink`
-/// in bounded, sequence-numbered chunks as they are produced.
-///
-/// Thin wrapper over [`CrawlPlan::stream`].
-pub fn crawl_all_streaming<S, F>(
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    base_seed: u64,
-    profile: &CrawlFaultProfile,
-    step_fn: F,
-    chunk_budget: u64,
-    sink: crossbeam::channel::Sender<RecordChunk>,
-) -> (Vec<(String, CrawlStats)>, Vec<CrawlHealth>)
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    CrawlPlan::new(base_seed)
-        .fault_profile(profile.clone())
-        .segment_budget(chunk_budget)
-        .stream(web, sources, step_fn, sink)
-}
-
-/// Crawls every source concurrently — one worker thread per source,
-/// matching how the study ran independent sessions per service — and
-/// merges the per-source stores into one.
+/// Crawls every source to completion — one worker thread per source,
+/// matching how the study ran independent sessions per service — under
+/// a crawl-fault profile, and merges the per-source stores into one.
 ///
 /// `step_fn` decides how many pages to log on each source (Table I's
 /// volumes differ by two orders of magnitude between auto and manual).
-/// Thin wrapper over [`CrawlPlan::collect`] with the inert profile.
-pub fn crawl_all<S, F>(
-    web: &SyntheticWeb,
-    sources: &mut [S],
-    base_seed: u64,
-    step_fn: F,
-) -> (RecordStore, Vec<(String, CrawlStats)>)
-where
-    S: TrafficSource + Send,
-    F: Fn(&S) -> u64 + Sync,
-{
-    let (store, stats, _health) = CrawlPlan::new(base_seed).collect(web, sources, step_fn);
-    (store, stats)
-}
-
-/// [`crawl_all`] under a crawl-fault profile: every source gets a
-/// compiled lifecycle schedule and the crawl degrades (skip / retry /
-/// backoff) instead of aborting when a source goes dark. Also returns
-/// the per-source health logs. Thin wrapper over [`CrawlPlan::collect`].
+/// Every source gets a compiled lifecycle schedule and the crawl
+/// degrades (skip / retry / backoff) instead of aborting when a source
+/// goes dark; the per-source health logs say what that cost. This is
+/// [`CrawlPlan::run_segmented`] in one unbounded segment with a no-op
+/// round sink.
 pub fn crawl_all_resilient<S, F>(
     web: &SyntheticWeb,
     sources: &mut [S],
@@ -404,7 +215,14 @@ where
     S: TrafficSource + Send,
     F: Fn(&S) -> u64 + Sync,
 {
-    CrawlPlan::new(base_seed).fault_profile(profile.clone()).collect(web, sources, step_fn)
+    let outcome = CrawlPlan::new(base_seed)
+        .fault_profile(profile.clone())
+        .run_segmented::<S, F, std::convert::Infallible>(web, sources, step_fn, &mut |_, _| {
+            Ok(())
+        })
+        .unwrap_or_else(|never| match never {});
+    debug_assert!(outcome.finished);
+    outcome.state.finish()
 }
 
 /// The complete resumable state of a multi-source crawl: one cursor
@@ -503,8 +321,9 @@ impl CrawlCheckpointState {
     }
 
     /// Consumes the state into the merged store, per-source stats and
-    /// health logs — in source input order, same as [`crawl_all`]. The
-    /// records move into the merged store; none is cloned.
+    /// health logs — in source input order, same as
+    /// [`crawl_all_resilient`]. The records move into the merged store;
+    /// none is cloned.
     pub fn finish(self) -> (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>) {
         let mut merged = RecordStore::new();
         let mut stats = Vec::with_capacity(self.cursors.len());
@@ -590,12 +409,13 @@ mod tests {
         let mut b = WebBuilder::new(130);
         let mut exchanges = build_all_exchanges(&mut b, 0.02, 20_000);
         let web = b.finish();
-        let (store, stats) = crawl_all(&web, &mut exchanges, 42, |x| {
-            match x.kind() {
-                ExchangeKind::AutoSurf => 60,
-                ExchangeKind::ManualSurf => 15,
-            }
-        });
+        let (store, stats, _) =
+            crawl_all_resilient(&web, &mut exchanges, 42, &CrawlFaultProfile::none(), |x| {
+                match x.kind() {
+                    ExchangeKind::AutoSurf => 60,
+                    ExchangeKind::ManualSurf => 15,
+                }
+            });
         assert_eq!(stats.len(), 9);
         assert_eq!(store.len(), 5 * 60 + 4 * 15);
         assert_eq!(store.exchanges().len(), 9);
@@ -619,7 +439,8 @@ mod tests {
         let mut b = WebBuilder::new(132);
         let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
         let web = b.finish();
-        let (_, stats) = crawl_all(&web, &mut exchanges, 7, |_| 20);
+        let (_, stats, _) =
+            crawl_all_resilient(&web, &mut exchanges, 7, &CrawlFaultProfile::none(), |_| 20);
         let mut merged = slum_obs::LocalMetrics::new();
         for (_, s) in &stats {
             merged.merge(&s.metrics);
@@ -639,7 +460,8 @@ mod tests {
             let mut b = WebBuilder::new(131);
             let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
             let web = b.finish();
-            let (store, _) = crawl_all(&web, &mut exchanges, 99, |_| 25);
+            let (store, _, _) =
+                crawl_all_resilient(&web, &mut exchanges, 99, &CrawlFaultProfile::none(), |_| 25);
             let mut urls: Vec<String> =
                 store.records().iter().map(|r| format!("{}|{}", r.exchange, r.url)).collect();
             urls.sort();
@@ -682,8 +504,9 @@ mod tests {
     }
 
     /// Checkpoint rounds with a JSON round-trip between every round
-    /// reproduce the one-shot crawl bit-for-bit, under both inert and
-    /// active profiles.
+    /// reproduce the one-shot crawl bit-for-bit — for every segment
+    /// budget, from one slot per round to one round for the whole
+    /// crawl, under both inert and active profiles.
     #[test]
     fn segmented_rounds_with_serialization_match_one_shot() {
         for profile in [CrawlFaultProfile::none(), CrawlFaultProfile::default_profile()] {
@@ -696,110 +519,36 @@ mod tests {
                 (store.to_jsonl().unwrap(), stats, health)
             };
 
-            let mut b = WebBuilder::new(135);
-            let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-            let web = b.finish();
-            let outcome = CrawlPlan::new(11)
-                .fault_profile(profile.clone())
-                .segment_budget(7)
-                .run_segmented::<_, _, String>(&web, &mut exchanges, |_| 30, &mut |round, state| {
-                    // Round-trip the full state through the body format,
-                    // as a checkpoint save + resume would.
-                    let body = state.to_body().map_err(|e| e.to_string())?;
-                    let back = CrawlCheckpointState::from_body(round, &body)
-                        .map_err(|(l, d)| format!("line {l}: {d}"))?;
-                    assert_eq!(*state, back);
-                    Ok(())
-                })
-                .expect("round-trip must parse");
-            assert!(outcome.finished);
-            let (store, stats, health) = outcome.state.finish();
-            assert_eq!(store.to_jsonl().unwrap(), one_shot.0, "profile {}", profile.name);
-            assert_eq!(stats, one_shot.1, "profile {}", profile.name);
-            assert_eq!(health, one_shot.2, "profile {}", profile.name);
-        }
-    }
-
-    /// Streaming chunks, reassembled by (exchange_index, chunk_seq),
-    /// reproduce the one-shot merged store bit-for-bit — for every
-    /// chunk budget, under both inert and active fault profiles.
-    #[test]
-    fn streaming_chunks_reassemble_to_one_shot_store() {
-        for profile in [CrawlFaultProfile::none(), CrawlFaultProfile::default_profile()] {
-            let one_shot = {
-                let mut b = WebBuilder::new(136);
+            for budget in [1u64, 7, 64, 10_000] {
+                let mut b = WebBuilder::new(135);
                 let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
                 let web = b.finish();
-                let (store, stats, health) =
-                    crawl_all_resilient(&web, &mut exchanges, 13, &profile, |_| 30);
-                (store.to_jsonl().unwrap(), stats, health)
-            };
-
-            for chunk_budget in [1u64, 7, 64, 10_000] {
-                let mut b = WebBuilder::new(136);
-                let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-                let web = b.finish();
-                let (tx, rx) = crossbeam::channel::bounded::<RecordChunk>(4);
-                let (chunks, stats, health) = thread::scope(|scope| {
-                    let consumer = scope.spawn(move |_| {
-                        let mut chunks = Vec::new();
-                        while let Ok(chunk) = rx.recv() {
-                            assert!(!chunk.records.is_empty(), "empty chunks are skipped");
-                            chunks.push(chunk);
-                        }
-                        chunks
-                    });
-                    let (stats, health) = crawl_all_streaming(
+                let outcome = CrawlPlan::new(11)
+                    .fault_profile(profile.clone())
+                    .segment_budget(budget)
+                    .run_segmented::<_, _, String>(
                         &web,
                         &mut exchanges,
-                        13,
-                        &profile,
                         |_| 30,
-                        chunk_budget,
-                        tx,
-                    );
-                    let chunks = consumer.join().expect("consumer panicked");
-                    (chunks, stats, health)
-                })
-                .expect("stream scope panicked");
-
-                let mut chunks = chunks;
-                chunks.sort_by_key(|c| (c.exchange_index, c.chunk_seq));
-                let mut merged = RecordStore::new();
-                for chunk in chunks {
-                    merged.extend(chunk.records);
-                }
-                let label = format!("profile {} budget {chunk_budget}", profile.name);
-                assert_eq!(merged.to_jsonl().unwrap(), one_shot.0, "{label}");
+                        &mut |round, state| {
+                            // Round-trip the full state through the body
+                            // format, as a checkpoint save + resume would.
+                            let body = state.to_body().map_err(|e| e.to_string())?;
+                            let back = CrawlCheckpointState::from_body(round, &body)
+                                .map_err(|(l, d)| format!("line {l}: {d}"))?;
+                            assert_eq!(*state, back);
+                            Ok(())
+                        },
+                    )
+                    .expect("round-trip must parse");
+                assert!(outcome.finished);
+                let (store, stats, health) = outcome.state.finish();
+                let label = format!("profile {} budget {budget}", profile.name);
+                assert_eq!(store.to_jsonl().unwrap(), one_shot.0, "{label}");
                 assert_eq!(stats, one_shot.1, "{label}");
                 assert_eq!(health, one_shot.2, "{label}");
             }
         }
-    }
-
-    /// The builder and the legacy wrappers must produce identical
-    /// output for the same configuration.
-    #[test]
-    fn plan_collect_matches_legacy_wrappers() {
-        let profile = CrawlFaultProfile::default_profile();
-        let legacy = {
-            let mut b = WebBuilder::new(137);
-            let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-            let web = b.finish();
-            let (store, stats, health) =
-                crawl_all_resilient(&web, &mut exchanges, 17, &profile, |_| 25);
-            (store.to_jsonl().unwrap(), stats, health)
-        };
-        let mut b = WebBuilder::new(137);
-        let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-        let web = b.finish();
-        let (store, stats, health) = CrawlPlan::new(17)
-            .fault_profile(profile)
-            .segment_budget(9)
-            .collect(&web, &mut exchanges, |_| 25);
-        assert_eq!(store.to_jsonl().unwrap(), legacy.0);
-        assert_eq!(stats, legacy.1);
-        assert_eq!(health, legacy.2);
     }
 
     /// Boxed trait-object sources crawl bit-identically to the concrete
@@ -810,7 +559,8 @@ mod tests {
             let mut b = WebBuilder::new(138);
             let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
             let web = b.finish();
-            let (store, _, _) = CrawlPlan::new(23).collect(&web, &mut exchanges, |_| 20);
+            let (store, _, _) =
+                crawl_all_resilient(&web, &mut exchanges, 23, &CrawlFaultProfile::none(), |_| 20);
             store.to_jsonl().unwrap()
         };
         let mut b = WebBuilder::new(138);
@@ -819,7 +569,8 @@ mod tests {
             .map(|x| Box::new(x) as Box<dyn TrafficSource + Send>)
             .collect();
         let web = b.finish();
-        let (store, _, _) = CrawlPlan::new(23).collect(&web, &mut boxed, |_| 20);
+        let (store, _, _) =
+            crawl_all_resilient(&web, &mut boxed, 23, &CrawlFaultProfile::none(), |_| 20);
         assert_eq!(store.to_jsonl().unwrap(), concrete);
     }
 

@@ -66,8 +66,8 @@ impl RecordStore {
         &self.records
     }
 
-    /// Consumes the store into its records (no cloning) — how the
-    /// streaming crawl hands a segment's records to the scan side.
+    /// Consumes the store into its records (no cloning) — how a
+    /// finished crawl merges its per-source stores.
     pub fn into_records(self) -> Vec<CrawlRecord> {
         self.records
     }

@@ -37,7 +37,7 @@
 //!   side-channel state (the CAPTCHA nonce, restored via
 //!   [`restore_captcha_nonce`](TrafficSource::restore_captcha_nonce)
 //!   on checkpoint resume) this is what makes kill+resume, worker
-//!   fan-out and streaming overlap bit-identical: the crawler can
+//!   fan-out and segment boundaries bit-identical: the crawler can
 //!   snapshot *its* cursor and reconstruct *your* stream.
 //!
 //! Sources are rebuilt from the study seed on resume, so everything a

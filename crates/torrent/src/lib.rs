@@ -26,7 +26,7 @@
 //!
 //! All rotation randomness comes from the crawler's cursor RNG in an
 //! order that is a pure function of index state and virtual time, so
-//! worker fan-out, streaming overlap and kill+resume stay
+//! worker fan-out, segment boundaries and kill+resume stay
 //! bit-identical on this substrate too.
 
 #![forbid(unsafe_code)]

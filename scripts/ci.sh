@@ -46,19 +46,6 @@ for key in ("scan.faults.injected", "scan.retries", "scan.degraded_verdicts",
         sys.exit(f"METRICS smoke test: fault-free run has {key!r} = "
                  f"{counters[key]}, expected 0")
 
-# Same convention for the streaming-pipeline bookkeeping: a barrier run
-# must register the scan.pipeline.* counters at zero with the overlap
-# gauge off.
-for key in ("scan.pipeline.chunks", "scan.pipeline.records_streamed",
-            "scan.pipeline.fault_fallback"):
-    if key not in counters:
-        sys.exit(f"METRICS smoke test: pipeline counter {key!r} missing")
-    if counters[key] != 0:
-        sys.exit(f"METRICS smoke test: barrier run has {key!r} = "
-                 f"{counters[key]}, expected 0")
-if snapshot["gauges"].get("scan.pipeline.overlap") != 0:
-    sys.exit("METRICS smoke test: barrier run reports scan.pipeline.overlap != 0")
-
 # The JS-VM counters are always registered (the default engine is the
 # bytecode VM, so they are live here; a tree-walk run reports zeros —
 # checked by the ENGINE smoke test below).
@@ -151,108 +138,17 @@ print("RESUME smoke test OK: table1 identical after kill+resume, "
       f"{counters['crawl.faults.lost_steps']} slots lost to faults")
 EOF
 
-# Streaming-pipeline smoke test: the overlapped crawl→scan pipeline
-# (scan workers consuming record chunks while the crawl runs) must
-# export the exact same study as the phase-barrier path — byte for
-# byte, including metrics-derived figures.
-barrier_json="$(mktemp -t REPRO_BARRIER.XXXXXX.json)"
-overlap_json="$(mktemp -t REPRO_OVERLAP.XXXXXX.json)"
-overlap_metrics_file="$(mktemp -t METRICS_OVERLAP.XXXXXX.json)"
-bench_dir="$(mktemp -d -t SLUMBENCH.XXXXXX)"
-trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
-    "$straight_out" "$resumed_out" "$resumed_metrics_file" \
-    "$barrier_json" "$overlap_json" "$overlap_metrics_file" "$bench_dir"' EXIT
-
-cargo run --release -p slum-bench --bin repro -- json \
-    --scale 0.001 --seed 2016 > "$barrier_json" 2>/dev/null
-
-cargo run --release -p slum-bench --bin repro -- json \
-    --scale 0.001 --seed 2016 --overlap --workers 8 \
-    --metrics "$overlap_metrics_file" > "$overlap_json" 2>/dev/null
-
-cmp "$barrier_json" "$overlap_json" \
-    || { echo "OVERLAP smoke test: overlapped export diverged from barrier run"; exit 1; }
-
-python3 - "$overlap_metrics_file" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    snapshot = json.load(f)
-
-counters = snapshot["counters"]
-if snapshot["gauges"].get("scan.pipeline.overlap") != 1:
-    sys.exit("OVERLAP smoke test: --overlap run did not take the streaming path")
-if counters.get("scan.pipeline.chunks", 0) <= 0:
-    sys.exit("OVERLAP smoke test: no record chunks streamed")
-if counters.get("scan.pipeline.records_streamed", 0) != counters.get("crawl.pages"):
-    sys.exit("OVERLAP smoke test: streamed records != crawled pages")
-
-print("OVERLAP smoke test OK: export byte-identical to barrier, "
-      f"{counters['scan.pipeline.records_streamed']} records in "
-      f"{counters['scan.pipeline.chunks']} chunks")
-EOF
-
-# Benchmark smoke test: bench-scan --quick (smallest scale only) must
-# produce a BENCH_scanpipe.json carrying both the legacy flat schema
-# and the per-scale scaling sections. Run from a scratch dir so the
-# committed BENCH_scanpipe.json is untouched.
+# CLI smoke test: repro must reject what it does not know — an unknown
+# option (such as the removed --overlap) or a misspelt artifact name —
+# with a non-zero exit instead of silently running something else.
 repro_bin="$(pwd)/target/release/repro"
-(cd "$bench_dir" && "$repro_bin" bench-scan --quick --seed 2016 >/dev/null 2>&1)
-
-python3 - "$bench_dir/BENCH_scanpipe.json" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-for key in ("benchmark", "seed", "crawl_scale", "records", "runs",
-            "host", "scan_chunk", "serial_scan_threshold", "scales"):
-    if key not in doc:
-        sys.exit(f"BENCH smoke test: key {key!r} missing from BENCH_scanpipe.json")
-if doc["benchmark"] != "scanpipe" or doc["host"].get("cpus", 0) < 1:
-    sys.exit("BENCH smoke test: malformed benchmark/host fields")
-if [r["workers"] for r in doc["runs"]] != [1, 2, 4, 8]:
-    sys.exit("BENCH smoke test: legacy runs must cover workers 1/2/4/8")
-for run in doc["runs"]:
-    # Legacy rows must disclose what actually executed: on a host where
-    # the serial-fallback clamp collapses multi-worker requests, four
-    # byte-identical timings are honest only if flagged as such.
-    for key in ("executed_workers", "serial_fallback"):
-        if key not in run:
-            sys.exit(f"BENCH smoke test: legacy run lacks {key!r}")
-    if run["executed_workers"] > doc["host"]["cpus"]:
-        sys.exit("BENCH smoke test: legacy executed_workers exceed host cpus")
-    if run["workers"] > 1 and run["executed_workers"] == 1 \
-            and not run["serial_fallback"]:
-        sys.exit("BENCH smoke test: collapsed legacy row not flagged serial_fallback")
-scale = doc["scales"][0]
-for key in ("crawl_seconds", "scan_seconds", "overlap_total_seconds",
-            "overlap_savings_seconds", "regular_records"):
-    if key not in scale:
-        sys.exit(f"BENCH smoke test: per-scale key {key!r} missing")
-covered = set()
-for run in scale["runs"]:
-    if run["effective_workers"] > doc["host"]["cpus"]:
-        sys.exit("BENCH smoke test: effective workers exceed host cpus")
-    if run["seconds"] <= 0 or run["records_per_sec"] <= 0:
-        sys.exit("BENCH smoke test: non-positive timing fields")
-    covered.add(run["workers"])
-    covered.update(run.get("covers_workers") or [])
-    # A row may only repeat the serial timing when it says so.
-    if run.get("duplicates_of") is not None and not run["serial_fallback"]:
-        sys.exit("BENCH smoke test: duplicates_of set on a measured row")
-if covered != {1, 2, 4, 8}:
-    sys.exit(f"BENCH smoke test: per-scale rows cover workers {sorted(covered)}, "
-             "expected 1/2/4/8")
-dupes = [r for r in scale["runs"] if r.get("duplicates_of") is not None]
-if len(dupes) > 1:
-    sys.exit("BENCH smoke test: collapsed serial-fallback rows must fold into one")
-
-print(f"BENCH smoke test OK: {doc['records']} records, "
-      f"{len(doc['scales'])} scale(s), host cpus {doc['host']['cpus']}")
-EOF
+if "$repro_bin" table1 --overlap >/dev/null 2>&1; then
+    echo "CLI smoke test: 'repro table1 --overlap' exited 0, expected a usage error"; exit 1
+fi
+if "$repro_bin" tabel1 >/dev/null 2>&1; then
+    echo "CLI smoke test: 'repro tabel1' exited 0, expected a usage error"; exit 1
+fi
+echo "CLI smoke test OK: unknown options and artifact names are rejected"
 
 # Engine smoke test: the same seeded study under the bytecode VM and
 # under the tree-walk interpreter must export byte-identical artifacts;
@@ -263,7 +159,6 @@ interp_json="$(mktemp -t REPRO_INTERP.XXXXXX.json)"
 interp_metrics_file="$(mktemp -t METRICS_INTERP.XXXXXX.json)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
     "$straight_out" "$resumed_out" "$resumed_metrics_file" \
-    "$barrier_json" "$overlap_json" "$overlap_metrics_file" "$bench_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file"' EXIT
 
 cargo run --release -p slum-bench --bin repro -- json \
@@ -299,48 +194,6 @@ print("ENGINE smoke test OK: vm export byte-identical to the interpreter, "
       "js.vm.* registered at zero")
 EOF
 
-# JS-VM benchmark smoke test: bench-jsvm --quick must produce a
-# BENCH_jsvm.json whose microbench rows cover all three engine
-# configurations with sane timings, and whose warm cache actually
-# out-runs the per-run-compile configurations.
-(cd "$bench_dir" && "$repro_bin" bench-jsvm --quick --seed 2016 >/dev/null 2>&1)
-
-python3 - "$bench_dir/BENCH_jsvm.json" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-for key in ("benchmark", "seed", "host", "microbench", "scales"):
-    if key not in doc:
-        sys.exit(f"JSVM smoke test: key {key!r} missing from BENCH_jsvm.json")
-if doc["benchmark"] != "jsvm":
-    sys.exit("JSVM smoke test: wrong benchmark tag")
-micro = doc["microbench"]
-engines = {run["engine"]: run for run in micro["engines"]}
-if set(engines) != {"tree-walk", "vm-cold", "vm-warm"}:
-    sys.exit(f"JSVM smoke test: engine rows {sorted(engines)} incomplete")
-for run in engines.values():
-    if run["seconds"] <= 0 or run["runs_per_sec"] <= 0:
-        sys.exit("JSVM smoke test: non-positive timing fields")
-warm = engines["vm-warm"]
-if warm.get("compiles", 0) <= 0 or warm.get("module_hits", 0) <= warm["compiles"]:
-    sys.exit("JSVM smoke test: warm cache did not serve repeated payloads")
-if micro["warm_speedup_vs_treewalk"] <= 1.0:
-    sys.exit(f"JSVM smoke test: warm cache slower than the tree-walker "
-             f"({micro['warm_speedup_vs_treewalk']:.2f}x)")
-for scale in doc["scales"]:
-    if scale["treewalk_scan_seconds"] <= 0 or scale["vm_scan_seconds"] <= 0:
-        sys.exit("JSVM smoke test: non-positive scan timings")
-    if scale["js_vm"]["compiles"] <= 0:
-        sys.exit("JSVM smoke test: scan phase compiled nothing under the VM")
-
-print(f"JSVM smoke test OK: {micro['executions']} executions/engine, "
-      f"warm cache {micro['warm_speedup_vs_treewalk']:.2f}x tree-walk, "
-      f"{len(doc['scales'])} scan scale(s)")
-EOF
-
 # Substrate smoke test: the pluggable-substrate dispatch must run the
 # same pipeline end to end over all three ecosystems, each reporting
 # its own sources in the SubstrateComparison artifact, with the
@@ -351,7 +204,6 @@ substrate_metrics_file="$(mktemp -t METRICS_SUBSTRATE.XXXXXX.json)"
 golden_out="$(mktemp -t REPRO_GOLDEN.XXXXXX.txt)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
     "$straight_out" "$resumed_out" "$resumed_metrics_file" \
-    "$barrier_json" "$overlap_json" "$overlap_metrics_file" "$bench_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file" \
     "$substrate_out" "$substrate_metrics_file" "$golden_out"' EXIT
 
@@ -432,7 +284,6 @@ chaos_log="$(mktemp -t CHAOS_LOG.XXXXXX.txt)"
 chaos_export="$(mktemp -t CHAOS_EXPORT.XXXXXX.json)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
     "$straight_out" "$resumed_out" "$resumed_metrics_file" \
-    "$barrier_json" "$overlap_json" "$overlap_metrics_file" "$bench_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file" \
     "$substrate_out" "$substrate_metrics_file" "$golden_out" \
     "$serve_root" "$serve_log" "$serve_export" "$serve_batch" \

@@ -10,8 +10,11 @@
 //! Also pins the opt-in contract (the explicit `none` profile is
 //! indistinguishable from never mentioning crawl faults at all) and the
 //! slot-conservation invariant `pages + lost_steps == planned steps`.
+//! The serial threshold is off, so every multi-worker study scans in
+//! parallel.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 use malware_slums::study::{steps_for, Study, StudyConfig};
 use slum_crawler::CrawlFaultProfile;
@@ -26,10 +29,18 @@ fn study_with(workers: usize, profile: CrawlFaultProfile) -> Study {
         .crawl_scale(CRAWL_SCALE)
         .domain_scale(0.03)
         .scan_workers(workers)
+        .serial_scan_threshold(0)
         .crawl_fault_profile(profile)
         .build()
         .expect("valid config");
     Study::run(&config)
+}
+
+/// The worker count a parallel study runs with when `requested` were
+/// asked for: the request, clamped to the host.
+fn expected_workers(requested: usize) -> i64 {
+    let cores = std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
+    requested.min(cores) as i64
 }
 
 /// Deterministic counters/gauges minus the two values that legitimately
@@ -50,6 +61,11 @@ fn corpus_and_counters_identical_across_workers_for_every_profile() {
         let base_metrics = stripped_metrics(&serial);
         for workers in [2usize, 4] {
             let parallel = study_with(workers, profile.clone());
+            assert_eq!(
+                parallel.metrics().gauge("scan.workers"),
+                expected_workers(workers),
+                "profile '{name}'"
+            );
             assert_eq!(
                 parallel.store.to_jsonl(),
                 base_records,
@@ -114,6 +130,7 @@ fn inert_profile_is_indistinguishable_from_no_profile() {
         .crawl_scale(CRAWL_SCALE)
         .domain_scale(0.03)
         .scan_workers(2)
+        .serial_scan_threshold(0)
         .build()
         .expect("valid config");
     let implicit = Study::run(&config);

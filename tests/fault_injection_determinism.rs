@@ -7,9 +7,12 @@
 //!
 //! Also pins the opt-in contract (an inert profile is indistinguishable
 //! from no profile at all) and the `RetryPolicy` properties the plan
-//! compiler relies on (bounded termination, monotone backoff).
+//! compiler relies on (bounded termination, monotone backoff). The
+//! serial threshold is off, so every multi-worker study scans in
+//! parallel.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 use proptest::prelude::*;
 
@@ -24,10 +27,18 @@ fn faulted_study(workers: usize, profile: FaultProfile) -> Study {
         .crawl_scale(0.0003)
         .domain_scale(0.03)
         .scan_workers(workers)
+        .serial_scan_threshold(0)
         .fault_profile(profile)
         .build()
         .expect("valid config");
     Study::run(&config)
+}
+
+/// The worker count a parallel study runs with when `requested` were
+/// asked for: the request, clamped to the host.
+fn expected_workers(requested: usize) -> i64 {
+    let cores = std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
+    requested.min(cores) as i64
 }
 
 /// Deterministic counters/gauges minus the two values that legitimately
@@ -45,6 +56,7 @@ fn verdicts_and_fault_counters_identical_across_workers() {
     let baseline_metrics = stripped_metrics(&serial);
     for workers in [2usize, 4] {
         let parallel = faulted_study(workers, FaultProfile::default_profile());
+        assert_eq!(parallel.metrics().gauge("scan.workers"), expected_workers(workers));
         // Bit-identical ScanOutcomes — verdict, reports, VerdictSource
         // and the per-record FaultLog all participate in PartialEq.
         assert_eq!(
@@ -79,6 +91,7 @@ fn inert_profile_is_indistinguishable_from_no_profile() {
         .crawl_scale(0.0003)
         .domain_scale(0.03)
         .scan_workers(2)
+        .serial_scan_threshold(0)
         .build()
         .expect("valid config");
     let implicit = Study::run(&config);

@@ -10,11 +10,14 @@
 //! This is the regression net under the interpreter's new role as
 //! differential-testing oracle: if the VM ever drifts semantically,
 //! these studies diverge before any proptest shrinks a counterexample.
+//! The serial threshold is off, so every multi-worker study scans in
+//! parallel.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 use malware_slums::export;
-use malware_slums::scanpipe::ScanPipeline;
+use malware_slums::scanpipe::{ScanPipeline, DEFAULT_SCAN_CHUNK};
 use malware_slums::study::{Study, StudyConfig};
 use slum_crawler::drive::{crawl_exchange, CrawlConfig};
 use slum_crawler::RecordStore;
@@ -33,11 +36,19 @@ fn study_with(engine: JsEngine, workers: usize, profile: FaultProfile) -> Study 
         .crawl_scale(0.0003)
         .domain_scale(0.03)
         .scan_workers(workers)
+        .serial_scan_threshold(0)
         .fault_profile(profile)
         .js_engine(engine)
         .build()
         .expect("valid config");
     Study::run(&config)
+}
+
+/// The worker count a parallel study runs with when `requested` were
+/// asked for: the request, clamped to the host.
+fn expected_workers(requested: usize) -> i64 {
+    let cores = std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
+    requested.min(cores) as i64
 }
 
 /// Deterministic counters minus the engine-identifying instrumentation
@@ -53,6 +64,8 @@ fn engine_neutral_metrics(study: &Study) -> BTreeMap<String, i128> {
 }
 
 fn assert_studies_agree(vm: &Study, interp: &Study, tag: &str) {
+    let workers = vm.config().scan_workers;
+    assert_eq!(vm.metrics().gauge("scan.workers"), expected_workers(workers), "{tag}");
     assert_eq!(
         vm.store.to_jsonl(),
         interp.store.to_jsonl(),
@@ -133,6 +146,7 @@ fn vm_metrics_always_registered_and_deterministic() {
     assert!(serial["js.vm.instructions"] > 0);
     for workers in [2usize, 4, 8] {
         let parallel = study_with(JsEngine::Vm, workers, FaultProfile::none());
+        assert_eq!(parallel.metrics().gauge("scan.workers"), expected_workers(workers));
         assert_eq!(
             vm_counters(&parallel),
             serial,
@@ -172,11 +186,11 @@ fn pipeline_reports_identical_under_both_engines() {
     let vm = ScanPipeline::new(&web).with_js_engine(JsEngine::Vm);
     for workers in [1usize, 2, 4, 8] {
         vm.clear_caches();
-        let got = vm.scan_all_parallel(&records, workers);
+        let got = vm.scan_all_parallel_chunked(&records, workers, DEFAULT_SCAN_CHUNK);
         assert_eq!(got, baseline, "vm pipeline diverged at {workers} workers");
     }
     // Warm module cache (clear_caches keeps compiled modules): still equal.
-    let warm = vm.scan_all_parallel(&records, 4);
+    let warm = vm.scan_all_parallel_chunked(&records, 4, DEFAULT_SCAN_CHUNK);
     assert_eq!(warm, baseline, "warm module cache changed outcomes");
     let stats = vm.js_vm_stats();
     assert!(stats.compiles > 0, "the campaign payload must compile");

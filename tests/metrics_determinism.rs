@@ -1,9 +1,11 @@
 //! Observability determinism: the `MetricsSnapshot` counters and gauges
 //! must be bit-identical for a fixed seed no matter how many scan
 //! workers run, and the JSON form must round-trip losslessly (the
-//! contract `repro --metrics` relies on).
+//! contract `repro --metrics` relies on). The serial threshold is off,
+//! so every multi-worker snapshot comes from a parallel scan.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 use malware_slums::study::{Study, StudyConfig};
 use slum_obs::MetricsSnapshot;
@@ -14,16 +16,26 @@ fn snapshot_for(workers: usize) -> MetricsSnapshot {
         .crawl_scale(0.0003)
         .domain_scale(0.03)
         .scan_workers(workers)
+        .serial_scan_threshold(0)
         .build()
         .expect("valid config");
     Study::run(&config).metrics()
+}
+
+/// The worker count a parallel study runs with when `requested` were
+/// asked for: the request, clamped to the host.
+fn expected_workers(requested: usize) -> i64 {
+    let cores = std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
+    requested.min(cores) as i64
 }
 
 #[test]
 fn counters_identical_serial_vs_parallel() {
     let serial = snapshot_for(1).deterministic_counters();
     for workers in [2usize, 4] {
-        let parallel = snapshot_for(workers).deterministic_counters();
+        let snapshot = snapshot_for(workers);
+        assert_eq!(snapshot.gauge("scan.workers"), expected_workers(workers));
+        let parallel = snapshot.deterministic_counters();
         // The worker-count gauge is the one value that legitimately
         // differs between runs; everything else must match exactly.
         let strip = |mut m: BTreeMap<String, i128>| {
@@ -55,8 +67,11 @@ fn key_counters_are_nonzero_and_cross_consistent() {
     );
     assert_eq!(m.counter("filter.records_in"), pages);
 
-    // One scan (and one URL-feature lookup) per regular record.
+    // One scan (and one URL-feature lookup and one latency sample) per
+    // regular record, on the parallel path too.
+    assert_eq!(m.gauge("scan.workers"), expected_workers(2));
     assert_eq!(m.counter("scan.scans"), regular);
+    assert_eq!(m.histograms["scan.record_nanos"].count, regular);
     assert_eq!(m.counter("scan.cache.url_features.lookups"), regular);
     for group in ["url_features", "content_features", "host_domains", "domain_blacklisted"] {
         let lookups = m.counter(&format!("scan.cache.{group}.lookups"));

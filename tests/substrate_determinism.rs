@@ -2,15 +2,15 @@
 //! substrate (`exchange`, `adnet`, `torrent`) the seeded study must be
 //! a pure function of its configuration — identical corpus JSONL, scan
 //! outcomes and export JSON across scan-worker counts {1, 2, 4, 8},
-//! with the streaming (overlap) pipeline bit-identical to the
-//! phase-barrier one, and a crawl killed between checkpoint rounds and
-//! resumed from disk bit-identical to one that never stopped.
+//! and a crawl killed between checkpoint rounds and resumed from disk
+//! bit-identical to one that never stopped.
 //!
 //! The exchange substrate additionally carries a byte-level golden pin
 //! in `exchange_golden_regression.rs`; this suite holds the invariants
-//! the goldens cannot: cross-worker, cross-pipeline and kill/resume
-//! equality for the substrates that have no published table to pin.
+//! the goldens cannot: cross-worker and kill/resume equality for the
+//! substrates that have no published table to pin.
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use malware_slums::export;
@@ -19,13 +19,15 @@ use malware_slums::substrate::Substrate;
 
 const SEED: u64 = 2016;
 
-fn config_for(substrate: Substrate, workers: usize, overlap: bool) -> StudyConfig {
+/// The serial threshold is off, so every multi-worker request really
+/// runs in parallel.
+fn config_for(substrate: Substrate, workers: usize) -> StudyConfig {
     StudyConfig::builder()
         .seed(SEED)
         .crawl_scale(0.0005)
         .domain_scale(0.03)
         .scan_workers(workers)
-        .overlap_scan(overlap)
+        .serial_scan_threshold(0)
         .substrate(substrate)
         .build()
         .expect("valid config")
@@ -42,11 +44,18 @@ fn fingerprint(study: &Study) -> (String, String) {
 #[test]
 fn every_substrate_is_identical_across_worker_counts() {
     for substrate in Substrate::ALL {
-        let baseline = Study::run(&config_for(substrate, 1, false));
+        let baseline = Study::run(&config_for(substrate, 1));
         let (base_jsonl, base_export) = fingerprint(&baseline);
         assert!(baseline.store.len() > 0, "{}: empty corpus", substrate.name());
+        let cores = std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
         for workers in [2usize, 4, 8] {
-            let study = Study::run(&config_for(substrate, workers, false));
+            let study = Study::run(&config_for(substrate, workers));
+            assert_eq!(
+                study.metrics().gauge("scan.workers"),
+                workers.min(cores) as i64,
+                "{}: {workers} workers requested",
+                substrate.name()
+            );
             assert_eq!(
                 study.outcomes,
                 baseline.outcomes,
@@ -69,26 +78,6 @@ fn every_substrate_is_identical_across_worker_counts() {
                 substrate.name()
             );
         }
-    }
-}
-
-#[test]
-fn every_substrate_streams_bit_identical_to_the_barrier_pipeline() {
-    for substrate in Substrate::ALL {
-        let barrier = Study::run(&config_for(substrate, 4, false));
-        let overlap = Study::run(&config_for(substrate, 4, true));
-        assert_eq!(
-            overlap.outcomes,
-            barrier.outcomes,
-            "{}: overlap outcomes diverged",
-            substrate.name()
-        );
-        assert_eq!(
-            fingerprint(&overlap),
-            fingerprint(&barrier),
-            "{}: overlap corpus/export diverged",
-            substrate.name()
-        );
     }
 }
 
