@@ -7,22 +7,19 @@
 //! cargo run --release -p slum-bench --bin repro -- vetting burst cloaking cases
 //! ```
 //!
-//! Artifacts: `table1`..`table4`, `fig2`..`fig7` (all served through
-//! the unified [`ArtifactKind`] API), the auxiliary experiments
-//! `vetting` (§III-B), `burst` (§IV), `cloaking` (§III fn. 1) and
-//! `cases` (§V), `faultloss` (the detection-loss-under-faults
+//! Artifacts: `table1`..`table4`, `fig2`..`fig7` and `substrates`
+//! (printed by one loop over [`ArtifactKind::ALL`]), the auxiliary
+//! experiments `vetting` (§III-B), `burst` (§IV), `cloaking` (§III
+//! fn. 1) and `cases` (§V), `faultloss` (the detection-loss-under-faults
 //! experiment), `crawlloss` (the corpus-loss-under-exchange-faults
 //! experiment), plus `json` (the full study as one JSON document),
-//! `bench-serve` (the multi-tenant service harness: two tenants running
-//! the same study through one resident service, cross-tenant cache hit
-//! rate and verdict-query throughput, written to `BENCH_serve.json`),
 //! `chaos` (the seeded chaos storm: daemon kills, checkpoint
 //! corruption, harsh storage faults and tenant panics over a
-//! multi-tenant service, every survivor's export asserted bit-identical
-//! to a fault-free batch run, results merged as a `faults` section into
-//! `BENCH_serve.json`) and `serve` (run the resident study daemon:
-//! newline-delimited JSON over TCP, `--port 0` picks an ephemeral port
-//! printed as `SERVE_ADDR`, `--root DIR` holds per-tenant checkpoints).
+//! multi-tenant service under two chaos seeds, one line per storm,
+//! every survivor's export asserted bit-identical to a fault-free batch
+//! run) and `serve` (run the resident study daemon: newline-delimited
+//! JSON over TCP, `--port 0` picks an ephemeral port printed as
+//! `SERVE_ADDR`, `--root DIR` holds per-tenant checkpoints).
 //! Options: `--scale <f64>` (crawl scale, default 0.002), `--seed
 //! <u64>` (default 2016), `--workers <N>` (scan-phase worker threads,
 //! default = available parallelism; `1` forces the serial path),
@@ -33,23 +30,24 @@
 //! torn/short writes, bit flips, ENOSPC — on checkpointed runs and in
 //! the `serve` daemon: `none`, `default`, `harsh`; artifacts stay
 //! bit-identical, only durability work changes),
-//! `--checkpoint <dir>` (write crawl checkpoints into `<dir>`),
-//! `--checkpoint-every <N>` (surf slots per checkpoint segment,
-//! default 256), `--resume <dir>` (resume the crawl from the latest
-//! checkpoint in `<dir>`), `--kill-after-round <N>` (abandon a
-//! `--checkpoint` run after N checkpoint rounds — a deterministic
-//! stand-in for a crash), `--metrics <path>` (dump the study's
-//! observability snapshot — `Study::metrics()` — as JSON),
-//! `--js-engine <name>` (`vm`, the default compiled-bytecode engine,
-//! or `interp`, the tree-walking oracle — scan output is bit-identical
-//! either way), `--substrate <name>` (traffic substrate to crawl:
-//! `exchange`, the paper's nine traffic exchanges and the default;
-//! `adnet`, the low-tier ad-network ecosystem; or `torrent`, the
-//! torrent-index ecosystem) and `--quick` (restrict `bench-serve` and
-//! `chaos` to their smallest scale, for CI smoke runs). An unknown
-//! option or artifact name exits with status 2 and the usage line.
+//! `--checkpoint <dir>` (crawl from scratch through a
+//! [`CrawlSession`], writing checkpoints into `<dir>`),
+//! `--resume <dir>` (continue the crawl from the latest checkpoint in
+//! `<dir>`; fails when there is none), `--checkpoint-every <N>` (surf
+//! slots per checkpoint segment, default 256; needs `--checkpoint` or
+//! `--resume`), `--kill-after-round <N>` (abandon a `--checkpoint` run
+//! after N checkpoint rounds — a deterministic stand-in for a crash),
+//! `--metrics <path>` (dump the study's observability snapshot —
+//! `Study::metrics()` — as JSON), `--js-engine <name>` (`vm`, the
+//! default compiled-bytecode engine, or `interp`, the tree-walking
+//! oracle — scan output is bit-identical either way) and `--substrate
+//! <name>` (traffic substrate to crawl: `exchange`, the paper's nine
+//! traffic exchanges and the default; `adnet`, the low-tier ad-network
+//! ecosystem; or `torrent`, the torrent-index ecosystem). An unknown
+//! option or artifact name exits with status 2 and the usage line, as
+//! does an option used without the one it needs.
 //!
-//! Study-pipeline timing lives in the separate `slumbench` package
+//! Timing lives in the separate `slumbench` package
 //! (`crates/bench/src/bin/slumbench`).
 
 use std::path::Path;
@@ -57,7 +55,7 @@ use std::sync::OnceLock;
 
 use malware_slums::artifact::{Artifact, ArtifactKind};
 use malware_slums::report::Render;
-use malware_slums::study::{Study, StudyConfig};
+use malware_slums::study::{CrawlSession, Restore, Study, StudyConfig};
 use malware_slums::substrate::Substrate;
 use malware_slums::DiskFaultProfile;
 use slum_crawler::CrawlFaultProfile;
@@ -68,14 +66,18 @@ use slum_js::sandbox::JsEngine;
 const USAGE: &str = "usage: repro [artifacts..] [--scale F] [--seed N] [--workers W] \
                      [--fault-profile NAME] [--crawl-fault-profile NAME] \
                      [--disk-fault-profile NAME] [--checkpoint DIR] [--checkpoint-every N] \
-                     [--resume DIR] [--kill-after-round N] [--metrics PATH] [--quick] \
+                     [--resume DIR] [--kill-after-round N] [--metrics PATH] \
                      [--js-engine NAME] [--substrate NAME] [--port N] [--root DIR]";
 
 /// Artifact names beyond the [`ArtifactKind`] ones.
-const EXTRA_ARTIFACTS: [&str; 12] = [
+const EXTRA_ARTIFACTS: [&str; 11] = [
     "all", "vetting", "burst", "cloaking", "staleness", "faultloss", "crawlloss", "cases", "json",
-    "bench-serve", "chaos", "serve",
+    "chaos", "serve",
 ];
+
+/// Surf slots per checkpoint segment when `--checkpoint-every` is not
+/// given.
+const DEFAULT_CHECKPOINT_EVERY: u64 = 256;
 
 struct Args {
     artifacts: Vec<String>,
@@ -86,11 +88,10 @@ struct Args {
     crawl_fault_profile: CrawlFaultProfile,
     disk_fault_profile: DiskFaultProfile,
     checkpoint: Option<String>,
-    checkpoint_every: u64,
+    checkpoint_every: Option<u64>,
     resume: Option<String>,
     kill_after_round: Option<u64>,
     metrics: Option<String>,
-    quick: bool,
     js_engine: JsEngine,
     substrate: Substrate,
     port: u16,
@@ -106,11 +107,10 @@ fn parse_args() -> Args {
     let mut crawl_fault_profile = CrawlFaultProfile::none();
     let mut disk_fault_profile = DiskFaultProfile::none();
     let mut checkpoint = None;
-    let mut checkpoint_every = 256;
+    let mut checkpoint_every = None;
     let mut resume = None;
     let mut kill_after_round = None;
     let mut metrics = None;
-    let mut quick = false;
     let mut js_engine = JsEngine::default();
     let mut substrate = Substrate::default();
     let mut port = 0u16;
@@ -170,11 +170,12 @@ fn parse_args() -> Args {
                 checkpoint = Some(iter.next().unwrap_or_else(|| die("--checkpoint needs a dir")));
             }
             "--checkpoint-every" => {
-                checkpoint_every = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| die("--checkpoint-every needs a positive integer"));
+                checkpoint_every = Some(
+                    iter.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|n| *n >= 1)
+                        .unwrap_or_else(|| die("--checkpoint-every needs a positive integer")),
+                );
             }
             "--resume" => {
                 resume = Some(iter.next().unwrap_or_else(|| die("--resume needs a dir")));
@@ -190,7 +191,6 @@ fn parse_args() -> Args {
             "--metrics" => {
                 metrics = Some(iter.next().unwrap_or_else(|| die("--metrics needs a path")));
             }
-            "--quick" => quick = true,
             "--js-engine" => {
                 let name = iter.next().unwrap_or_else(|| die("--js-engine needs a name"));
                 js_engine = JsEngine::parse(&name).unwrap_or_else(|| {
@@ -220,7 +220,7 @@ fn parse_args() -> Args {
                     "{USAGE}\n\
                      artifacts: all table1 table2 table3 table4 fig2 fig3 fig4 fig5 fig6 fig7 \
                      substrates vetting burst cloaking staleness faultloss crawlloss cases json \
-                     bench-serve chaos serve\n\
+                     chaos serve\n\
                      fault profiles: none default harsh (scan, crawl and disk alike; \
                      --disk-fault-profile injects torn/short writes, bit flips and ENOSPC \
                      into checkpoint storage — artifacts stay bit-identical)\n\
@@ -228,10 +228,13 @@ fn parse_args() -> Args {
                      — scan output is bit-identical either way\n\
                      substrates: exchange (default; the paper's nine traffic exchanges) \
                      adnet (low-tier ad networks) torrent (torrent indexes)\n\
-                     --quick restricts bench-serve/chaos to their smallest scale\n\
+                     checkpoints: --checkpoint DIR crawls from scratch writing checkpoints \
+                     into DIR, --resume DIR continues from its latest one (and fails when \
+                     there is none); --checkpoint-every and --kill-after-round need one of \
+                     them\n\
                      chaos: seeded storm of daemon kills, checkpoint corruption, disk \
-                     faults and tenant panics; merges a faults section into \
-                     BENCH_serve.json\n\
+                     faults and tenant panics under two chaos seeds; asserts every \
+                     export bit-identical to batch\n\
                      serve: run the resident multi-tenant study daemon (newline-delimited \
                      JSON over TCP; --port 0 picks an ephemeral port, printed as \
                      SERVE_ADDR; --root DIR holds per-tenant checkpoints)"
@@ -258,6 +261,9 @@ fn parse_args() -> Args {
     if resume.is_some() && checkpoint.is_some() {
         die("--resume continues writing into its own dir; drop --checkpoint");
     }
+    if checkpoint_every.is_some() && checkpoint.is_none() && resume.is_none() {
+        die("--checkpoint-every requires --checkpoint DIR or --resume DIR");
+    }
     Args {
         artifacts,
         scale,
@@ -271,7 +277,6 @@ fn parse_args() -> Args {
         resume,
         kill_after_round,
         metrics,
-        quick,
         js_engine,
         substrate,
         port,
@@ -316,36 +321,40 @@ fn main() {
                 .fault_profile(args.fault_profile.clone())
                 .crawl_fault_profile(args.crawl_fault_profile.clone())
                 .disk_fault_profile(args.disk_fault_profile.clone());
-            if args.checkpoint.is_some() || args.resume.is_some() {
-                builder = builder.checkpoint_every(args.checkpoint_every);
+            // `--checkpoint` crawls from scratch and `--resume` restores
+            // the newest intact generation (failing on an empty dir);
+            // both run the crawl through one `CrawlSession`.
+            let checkpointed = match (&args.checkpoint, &args.resume) {
+                (Some(dir), _) => Some((dir, Restore::Never)),
+                (None, Some(dir)) => Some((dir, Restore::Required)),
+                (None, None) => None,
+            };
+            if checkpointed.is_some() {
+                builder = builder
+                    .checkpoint_every(args.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY));
             }
             let config = builder
                 .build()
                 .unwrap_or_else(|e| die(&format!("invalid configuration: {e}")));
-            let study = if let Some(dir) = &args.resume {
-                eprintln!("[repro] resuming crawl from latest checkpoint in {dir}");
-                Study::resume_from(&config, Path::new(dir))
-                    .unwrap_or_else(|e| die(&format!("resume failed: {e}")))
-            } else if let Some(dir) = &args.checkpoint {
-                match args.kill_after_round {
-                    Some(rounds) => {
-                        match Study::run_to_checkpoint(&config, Path::new(dir), rounds) {
-                            Ok(Some(study)) => study,
-                            Ok(None) => {
-                                eprintln!(
-                                    "[repro] crawl killed after {rounds} checkpoint round(s); \
-                                     state saved in {dir} (continue with --resume {dir})"
-                                );
-                                std::process::exit(0);
-                            }
-                            Err(e) => die(&format!("checkpointed run failed: {e}")),
-                        }
+            let study = match checkpointed {
+                None => Study::run(&config),
+                Some((dir, restore)) => {
+                    if restore == Restore::Required {
+                        eprintln!("[repro] resuming crawl from latest checkpoint in {dir}");
                     }
-                    None => Study::run_checkpointed(&config, Path::new(dir))
-                        .unwrap_or_else(|e| die(&format!("checkpointed run failed: {e}"))),
+                    let rounds = args.kill_after_round.unwrap_or(u64::MAX);
+                    let session = CrawlSession::open(&config, Path::new(dir), restore)
+                        .and_then(|session| session.advance(rounds))
+                        .unwrap_or_else(|e| die(&format!("checkpointed run failed: {e}")));
+                    if !session.crawl_done() {
+                        eprintln!(
+                            "[repro] crawl killed after {rounds} checkpoint round(s); \
+                             state saved in {dir} (continue with --resume {dir})"
+                        );
+                        std::process::exit(0);
+                    }
+                    session.finish(None)
                 }
-            } else {
-                Study::run(&config)
             };
             eprintln!(
                 "[repro] study done: {} visits in {:?}",
@@ -575,15 +584,11 @@ fn main() {
         }
         println!();
     }
-    // Explicitly requested only — timing output is machine-dependent,
-    // so it must not pollute the deterministic `all` artifacts.
-    if args.artifacts.iter().any(|a| a == "bench-serve") {
-        println!("=== Multi-tenant study service benchmark ===");
-        bench_serve(args.seed, args.quick);
-    }
+    // Explicitly requested only — the storm runs its own studies, so it
+    // stays out of `all`.
     if args.artifacts.iter().any(|a| a == "chaos") {
         println!("=== Seeded chaos storm over the study service ===");
-        bench_chaos(args.seed, args.quick);
+        run_chaos(args.seed);
     }
     if let Some(path) = &args.metrics {
         let json = study().metrics().to_json();
@@ -620,176 +625,17 @@ fn run_serve(args: &Args) {
     eprintln!("[repro] study service stopped");
 }
 
-/// The multi-tenant service harness behind `repro bench-serve`, written
-/// to `BENCH_serve.json`.
-///
-/// Two tenants submit the *same* study config to one in-process
-/// [`slum_serve::Service`]: tenant `alpha` runs against cold shared
-/// caches, tenant `beta` runs after them. The cross-tenant section
-/// reports how much of beta's scan was answered by entries alpha
-/// inserted (lookups minus inserts over the shared cache group) and the
-/// wall-clock speedup that bought. Both tenants' exports are asserted
-/// bit-identical to a batch `Study::run` of the same config before any
-/// timing is trusted, and the verdict-query section times the shared
-/// verdict index over every regular URL of the study.
-fn bench_serve(seed: u64, quick: bool) {
-    use std::time::Instant;
-
-    use slum_serve::Service;
-
-    let scale = if quick { 0.0005 } else { 0.002 };
-    let checkpoint_every = 64u64;
-    let cpus = malware_slums::study::default_scan_workers();
-    let root = std::env::temp_dir().join(format!("slum-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-
-    let config = StudyConfig::builder()
-        .seed(seed)
-        .crawl_scale(scale)
-        .domain_scale((scale * 25.0).clamp(0.03, 1.0))
-        .checkpoint_every(checkpoint_every)
-        .build()
-        .expect("bench config");
-    let fingerprint = config.cache_fingerprint();
-    println!("host: {cpus} cpu(s); crawl_scale {scale}; two tenants, shared caches");
-
-    // The batch reference the daemon must reproduce bit-for-bit.
-    let mut batch_config = config.clone();
-    batch_config.checkpoint_every = None;
-    eprintln!("[bench] batch reference study ...");
-    let batch = Study::run(&batch_config);
-    let batch_export = malware_slums::export::to_json(&batch).expect("batch export");
-
-    let service =
-        Service::open(&root).unwrap_or_else(|e| die(&format!("serve root: {e}")));
-    let group_totals = |svc: &Service| -> (u64, u64) {
-        svc.cache_group_stats(&fingerprint)
-            .expect("cache group exists")
-            .iter()
-            .fold((0, 0), |(l, e), (_, s)| (l + s.lookups, e + s.entries))
-    };
-
-    let mut tenants = Vec::new();
-    let mut run_tenant = |svc: &Service, tenant: &str| -> u64 {
-        let id = svc.submit(tenant, config.clone()).expect("submit");
-        let t0 = Instant::now();
-        svc.run_to_completion().expect("scheduler");
-        let seconds = t0.elapsed().as_secs_f64();
-        let export = svc.export(id).expect("known study").expect("done study");
-        assert_eq!(
-            export, batch_export,
-            "{tenant}: daemon artifacts must be bit-identical to batch"
-        );
-        let status = svc.status(id).expect("status");
-        println!(
-            "  tenant {tenant}: {seconds:.3}s, {} records, digest {}",
-            status.records.unwrap_or(0),
-            status.digest.clone().unwrap_or_default()
-        );
-        tenants.push(ServeTenantRun {
-            tenant: tenant.to_string(),
-            seconds,
-            records: status.records.unwrap_or(0),
-            digest: status.digest.unwrap_or_default(),
-        });
-        id
-    };
-
-    eprintln!("[bench] tenant alpha (cold caches) ...");
-    let _a = run_tenant(&service, "alpha");
-    let (warm_lookups, warm_entries) = group_totals(&service);
-
-    eprintln!("[bench] tenant beta (warmed caches) ...");
-    let b = run_tenant(&service, "beta");
-    let (all_lookups, all_entries) = group_totals(&service);
-
-    let beta_lookups = all_lookups - warm_lookups;
-    let beta_inserts = all_entries - warm_entries;
-    let beta_hits = beta_lookups.saturating_sub(beta_inserts);
-    let hit_rate = beta_hits as f64 / beta_lookups.max(1) as f64;
-    let speedup = tenants[0].seconds / tenants[1].seconds.max(1e-9);
-    println!(
-        "  cross-tenant: {beta_hits}/{beta_lookups} of beta's cache lookups hit \
-         alpha's entries ({:.1}% hit rate, {speedup:.2}x speedup)",
-        hit_rate * 100.0
-    );
-
-    // Verdict-query throughput: the shared index already knows every
-    // regular URL of the study from both tenants' completions.
-    let urls: Vec<String> =
-        batch.regular_pairs().iter().map(|(r, _)| r.url.canonical()).collect();
-    let rounds = if quick { 20usize } else { 100 };
-    let mut known = 0u64;
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        for url in &urls {
-            known += u64::from(
-                service.query_verdict(b, url).expect("known study").is_some(),
-            );
-        }
-    }
-    let verdict_seconds = t0.elapsed().as_secs_f64();
-    let queries = (urls.len() * rounds) as u64;
-    assert_eq!(known, queries, "every regular URL must have a shared verdict");
-    let per_sec = queries as f64 / verdict_seconds.max(1e-9);
-    println!(
-        "  verdict queries: {queries} in {verdict_seconds:.3}s ({per_sec:.0}/s, all known)"
-    );
-
-    // A previous `repro chaos` run may have left a faults section in
-    // the document; re-timing must not erase it (and vice versa), so
-    // the two commands compose in either order.
-    let faults = std::fs::read_to_string("BENCH_serve.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .and_then(|v| v.get("faults").cloned());
-    let doc = ServeDoc {
-        benchmark: "serve".to_string(),
-        seed,
-        crawl_scale: scale,
-        checkpoint_every,
-        host: BenchHost { cpus },
-        tenants,
-        cross_tenant: ServeCrossTenant {
-            lookups: beta_lookups,
-            inserts: beta_inserts,
-            hits: beta_hits,
-            hit_rate,
-            second_tenant_speedup: speedup,
-        },
-        verdict_queries: ServeVerdictBench { queries, known, seconds: verdict_seconds, per_sec },
-        faults,
-    };
-    let json = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&doc).expect("serve document serializes")
-    );
-    match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => println!("wrote BENCH_serve.json"),
-        Err(e) => eprintln!("repro: could not write BENCH_serve.json: {e}"),
-    }
-    let _ = std::fs::remove_dir_all(&root);
-}
-
 /// The seeded chaos harness behind `repro chaos`: runs the
 /// [`slum_serve::chaos`] storm (daemon kills, checkpoint corruption,
-/// harsh storage faults, tenant panics) over a multi-tenant service,
+/// harsh storage faults, tenant panics) over a multi-tenant service and
 /// asserts every survivor's export is bit-identical to a fault-free
-/// batch run, and merges a `faults` section into `BENCH_serve.json`
-/// (alongside the timing sections `bench-serve` writes, when present).
+/// batch run, printing one line per storm.
 ///
-/// `--quick` keeps one chaos seed; the full run storms under two seeds
-/// — two completely different fault/scheduling orders — to document
-/// that the order of faults never leaks into artifacts.
-fn bench_chaos(seed: u64, quick: bool) {
-    use serde_json::Value;
+/// It storms under two chaos seeds — two completely different
+/// fault/scheduling orders — to show that the order of faults never
+/// leaks into artifacts.
+fn run_chaos(seed: u64) {
     use slum_serve::chaos::{run_storm, StormConfig};
-
-    // The vendored `Value` is a plain content tree; this is its
-    // object literal.
-    fn vmap(entries: Vec<(&str, Value)>) -> Value {
-        Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
 
     let base = StormConfig { study_seed: seed, ..StormConfig::default() };
     eprintln!(
@@ -806,7 +652,7 @@ fn bench_chaos(seed: u64, quick: bool) {
     // The storm injects tenant panics that the service's slice
     // supervision catches; without this filter every one of them would
     // spray a backtrace over the report. Real (invariant) panics still
-    // reach the default hook. The filter stays installed — bench_chaos
+    // reach the default hook. The filter stays installed — run_chaos
     // runs last and the process exits right after.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -823,12 +669,9 @@ fn bench_chaos(seed: u64, quick: bool) {
         }
     }));
 
-    let chaos_seeds: &[u64] =
-        if quick { &[0xbad5_eed0] } else { &[0xbad5_eed0, 0x5ca1_ab1e] };
-    let mut storms = Vec::new();
-    for &chaos_seed in chaos_seeds {
+    for chaos_seed in [0xbad5_eed0, 0x5ca1_ab1e] {
         let root = std::env::temp_dir()
-            .join(format!("slum-chaos-bench-{chaos_seed:08x}-{}", std::process::id()));
+            .join(format!("slum-chaos-{chaos_seed:08x}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         eprintln!(
             "[chaos] storm {chaos_seed:#010x}: {} actions, profile '{}' ...",
@@ -851,100 +694,6 @@ fn bench_chaos(seed: u64, quick: bool) {
             report.quarantined,
             report.rollbacks
         );
-        storms.push(vmap(vec![
-            ("chaos_seed", Value::Str(format!("{chaos_seed:#010x}"))),
-            ("kills", Value::U64(u64::from(report.kills))),
-            ("corruptions", Value::U64(u64::from(report.corruptions))),
-            ("panics", Value::U64(u64::from(report.panics))),
-            ("quarantined", Value::U64(report.quarantined)),
-            ("rollbacks", Value::U64(report.rollbacks)),
-        ]));
         let _ = std::fs::remove_dir_all(&root);
     }
-
-    let faults = vmap(vec![
-        ("harness", Value::Str("chaos-storm".to_string())),
-        ("disk_fault_profile", Value::Str(base.disk_fault_profile.name.clone())),
-        ("tenants", Value::U64(base.tenants as u64)),
-        ("storm_actions", Value::U64(u64::from(base.actions))),
-        ("crawl_scale", Value::F64(base.crawl_scale)),
-        ("checkpoint_every", Value::U64(base.checkpoint_every)),
-        ("storms", Value::Seq(storms)),
-        ("exports_bit_identical_to_batch", Value::Bool(true)),
-    ]);
-    // Merge (never clobber) the timing document bench-serve writes:
-    // the faults section documents resilience, not throughput.
-    let path = "BENCH_serve.json";
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<Value>(&s).ok())
-        .filter(|v| v.as_map().is_some())
-        .unwrap_or_else(|| {
-            vmap(vec![
-                ("benchmark", Value::Str("serve".to_string())),
-                ("seed", Value::U64(seed)),
-            ])
-        });
-    if let Value::Map(entries) = &mut doc {
-        entries.retain(|(k, _)| k != "faults");
-        entries.push(("faults".to_string(), faults));
-    }
-    let json = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&doc).expect("serve document serializes")
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote the faults section into {path}"),
-        Err(e) => eprintln!("repro: could not write {path}: {e}"),
-    }
-}
-
-/// One tenant's timed run inside `BENCH_serve.json`.
-#[derive(serde::Serialize)]
-struct ServeTenantRun {
-    tenant: String,
-    seconds: f64,
-    records: u64,
-    digest: String,
-}
-
-/// Shared-cache economics of the second tenant's run.
-#[derive(serde::Serialize)]
-struct ServeCrossTenant {
-    lookups: u64,
-    inserts: u64,
-    hits: u64,
-    hit_rate: f64,
-    second_tenant_speedup: f64,
-}
-
-/// Verdict-index throughput section of `BENCH_serve.json`.
-#[derive(serde::Serialize)]
-struct ServeVerdictBench {
-    queries: u64,
-    known: u64,
-    seconds: f64,
-    per_sec: f64,
-}
-
-/// Top-level `BENCH_serve.json` document. The `faults` section is
-/// owned by `repro chaos` and carried through re-timing runs verbatim.
-#[derive(serde::Serialize)]
-struct ServeDoc {
-    benchmark: String,
-    seed: u64,
-    crawl_scale: f64,
-    checkpoint_every: u64,
-    host: BenchHost,
-    tenants: Vec<ServeTenantRun>,
-    cross_tenant: ServeCrossTenant,
-    verdict_queries: ServeVerdictBench,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    faults: Option<serde_json::Value>,
-}
-
-/// Host facts needed to interpret the speedup columns.
-#[derive(serde::Serialize)]
-struct BenchHost {
-    cpus: usize,
 }

@@ -1,12 +1,12 @@
-//! The unified artifact API: every table and figure the paper's
-//! evaluation publishes, behind one enum.
+//! The artifact layer: every table and figure the paper's evaluation
+//! publishes, one typed builder each.
 //!
-//! Callers that used to reach for twelve ad-hoc `Study::table1()` /
-//! `Study::fig7()` methods can now iterate [`ArtifactKind::ALL`], build
-//! any artifact with [`Study::artifact`], and print it generically via
-//! [`crate::report::Render`]. The historical per-artifact methods
-//! survive as thin delegating wrappers (see `study.rs`) so existing
-//! code keeps compiling; new code should go through this module.
+//! Each artifact has a typed method on [`Study`] (`table1()` through
+//! `fig7()`, plus `substrate_comparison()`) that holds its builder, so
+//! callers that want one artifact get its payload type checked by the
+//! compiler. Generic tooling iterates [`ArtifactKind::ALL`], builds each
+//! one with [`Study::artifact`] (a dispatcher over the typed builders)
+//! and prints it through [`crate::report::Render`].
 
 use crate::breakdown::{domain_rows, ContentBreakdown, DomainRow, TldBreakdown};
 use crate::categorize::{tally, CategoryCounts};
@@ -132,182 +132,149 @@ pub enum Artifact {
     SubstrateComparison(SubstrateComparison),
 }
 
-macro_rules! artifact_accessor {
-    ($(#[$doc:meta])* $fn_name:ident, $variant:ident, $payload:ty) => {
-        $(#[$doc])*
-        pub fn $fn_name(self) -> Option<$payload> {
-            match self {
-                Artifact::$variant(payload) => Some(payload),
-                _ => None,
-            }
-        }
-    };
-}
-
-impl Artifact {
-    /// The kind this artifact was built for.
-    pub fn kind(&self) -> ArtifactKind {
-        match self {
-            Artifact::Table1(_) => ArtifactKind::Table1,
-            Artifact::Table2(_) => ArtifactKind::Table2,
-            Artifact::Table3(_) => ArtifactKind::Table3,
-            Artifact::Table4(_) => ArtifactKind::Table4,
-            Artifact::Fig2(_) => ArtifactKind::Fig2,
-            Artifact::Fig3(_) => ArtifactKind::Fig3,
-            Artifact::Fig4(_) => ArtifactKind::Fig4,
-            Artifact::Fig5(_) => ArtifactKind::Fig5,
-            Artifact::Fig6(_) => ArtifactKind::Fig6,
-            Artifact::Fig7(_) => ArtifactKind::Fig7,
-            Artifact::SubstrateComparison(_) => ArtifactKind::SubstrateComparison,
-        }
-    }
-
-    artifact_accessor!(
-        /// The Table I payload, if this is a [`Artifact::Table1`].
-        into_table1, Table1, Table1);
-    artifact_accessor!(
-        /// The Table II payload, if this is a [`Artifact::Table2`].
-        into_table2, Table2, Vec<DomainRow>);
-    artifact_accessor!(
-        /// The Table III payload, if this is a [`Artifact::Table3`].
-        into_table3, Table3, CategoryCounts);
-    artifact_accessor!(
-        /// The Table IV payload, if this is a [`Artifact::Table4`].
-        into_table4, Table4, Vec<ShortenedRow>);
-    artifact_accessor!(
-        /// The Figure 2 payload, if this is a [`Artifact::Fig2`].
-        into_fig2, Fig2, Vec<Fig2Bar>);
-    artifact_accessor!(
-        /// The Figure 3 payload, if this is a [`Artifact::Fig3`].
-        into_fig3, Fig3, Vec<CumulativeSeries>);
-    artifact_accessor!(
-        /// The Figure 4 payload, if this is a [`Artifact::Fig4`].
-        into_fig4, Fig4, Option<ChainExhibit>);
-    artifact_accessor!(
-        /// The Figure 5 payload, if this is a [`Artifact::Fig5`].
-        into_fig5, Fig5, RedirectHistogram);
-    artifact_accessor!(
-        /// The Figure 6 payload, if this is a [`Artifact::Fig6`].
-        into_fig6, Fig6, TldBreakdown);
-    artifact_accessor!(
-        /// The Figure 7 payload, if this is a [`Artifact::Fig7`].
-        into_fig7, Fig7, ContentBreakdown);
-    artifact_accessor!(
-        /// The comparison payload, if this is a
-        /// [`Artifact::SubstrateComparison`].
-        into_substrate_comparison, SubstrateComparison, SubstrateComparison);
-}
-
 impl Study {
-    /// Builds any published artifact from the completed study — the
-    /// single entry point `export` and `repro` route through.
+    /// Builds any published artifact from the completed study, for
+    /// loops over [`ArtifactKind::ALL`]. Each kind delegates to its
+    /// typed builder below.
     pub fn artifact(&self, kind: ArtifactKind) -> Artifact {
         match kind {
-            ArtifactKind::Table1 => Artifact::Table1(build_table1(self)),
-            ArtifactKind::Table2 => Artifact::Table2(domain_rows(
-                self.store.records(),
-                &self.outcomes,
-                &self.regular_mask(),
-            )),
-            ArtifactKind::Table3 => Artifact::Table3(tally(&self.regular_pairs())),
-            ArtifactKind::Table4 => {
-                Artifact::Table4(shortened_rows(&self.web, &self.regular_pairs()))
-            }
-            ArtifactKind::Fig2 => Artifact::Fig2(build_fig2(self)),
-            ArtifactKind::Fig3 => Artifact::Fig3(build_fig3(self)),
-            ArtifactKind::Fig4 => Artifact::Fig4(longest_chain(&self.regular_pairs())),
-            ArtifactKind::Fig5 => Artifact::Fig5(RedirectHistogram::build(&self.regular_pairs())),
-            ArtifactKind::Fig6 => Artifact::Fig6(TldBreakdown::build(&self.regular_pairs())),
-            ArtifactKind::Fig7 => {
-                Artifact::Fig7(ContentBreakdown::build(&self.web, &self.regular_pairs()))
-            }
+            ArtifactKind::Table1 => Artifact::Table1(self.table1()),
+            ArtifactKind::Table2 => Artifact::Table2(self.table2()),
+            ArtifactKind::Table3 => Artifact::Table3(self.table3()),
+            ArtifactKind::Table4 => Artifact::Table4(self.table4()),
+            ArtifactKind::Fig2 => Artifact::Fig2(self.fig2()),
+            ArtifactKind::Fig3 => Artifact::Fig3(self.fig3()),
+            ArtifactKind::Fig4 => Artifact::Fig4(self.fig4()),
+            ArtifactKind::Fig5 => Artifact::Fig5(self.fig5()),
+            ArtifactKind::Fig6 => Artifact::Fig6(self.fig6()),
+            ArtifactKind::Fig7 => Artifact::Fig7(self.fig7()),
             ArtifactKind::SubstrateComparison => {
-                Artifact::SubstrateComparison(SubstrateComparison::build(
-                    self.config().substrate,
-                    &self.sources,
-                    self.store.records(),
-                    &self.referrals,
-                    &self.outcomes,
-                ))
+                Artifact::SubstrateComparison(self.substrate_comparison())
             }
         }
     }
-}
 
-/// Table I: per-source crawl statistics (one row per traffic source of
-/// the substrate that ran; the nine exchanges under the default).
-fn build_table1(study: &Study) -> Table1 {
-    let rows = study
-        .sources
-        .iter()
-        .map(|meta| {
-            let mut row = Table1Row {
-                exchange: meta.name.clone(),
-                kind: meta.kind.label().to_string(),
-                crawled: 0,
-                self_referrals: 0,
-                popular_referrals: 0,
-                regular: 0,
-                malicious: 0,
-            };
-            for ((record, outcome), class) in
-                study.store.records().iter().zip(&study.outcomes).zip(&study.referrals)
-            {
-                if record.exchange != meta.name {
-                    continue;
-                }
-                row.crawled += 1;
-                match class {
-                    ReferralClass::SelfReferral => row.self_referrals += 1,
-                    ReferralClass::PopularReferral => row.popular_referrals += 1,
-                    ReferralClass::Regular => {
-                        row.regular += 1;
-                        if outcome.malicious {
-                            row.malicious += 1;
+    /// Table I: per-source crawl statistics (one row per traffic source
+    /// of the substrate that ran; the nine exchanges under the default).
+    pub fn table1(&self) -> Table1 {
+        let rows = self
+            .sources
+            .iter()
+            .map(|meta| {
+                let mut row = Table1Row {
+                    exchange: meta.name.clone(),
+                    kind: meta.kind.label().to_string(),
+                    crawled: 0,
+                    self_referrals: 0,
+                    popular_referrals: 0,
+                    regular: 0,
+                    malicious: 0,
+                };
+                for ((record, outcome), class) in
+                    self.store.records().iter().zip(&self.outcomes).zip(&self.referrals)
+                {
+                    if record.exchange != meta.name {
+                        continue;
+                    }
+                    row.crawled += 1;
+                    match class {
+                        ReferralClass::SelfReferral => row.self_referrals += 1,
+                        ReferralClass::PopularReferral => row.popular_referrals += 1,
+                        ReferralClass::Regular => {
+                            row.regular += 1;
+                            if outcome.malicious {
+                                row.malicious += 1;
+                            }
                         }
                     }
                 }
-            }
-            row
-        })
-        .collect();
-    Table1 { rows }
-}
+                row
+            })
+            .collect();
+        Table1 { rows }
+    }
 
-/// Figure 2 bars (per-exchange benign vs malware).
-fn build_fig2(study: &Study) -> Vec<Fig2Bar> {
-    build_table1(study)
-        .rows
-        .into_iter()
-        .map(|r| Fig2Bar {
-            exchange: r.exchange,
-            benign: r.regular - r.malicious,
-            malicious: r.malicious,
-        })
-        .collect()
-}
+    /// Table II: per-source domain statistics.
+    pub fn table2(&self) -> Vec<DomainRow> {
+        domain_rows(self.store.records(), &self.outcomes, &self.regular_mask())
+    }
 
-/// Figure 3: per-source cumulative malicious series (regular URLs,
-/// crawl order).
-fn build_fig3(study: &Study) -> Vec<CumulativeSeries> {
-    study
-        .sources
-        .iter()
-        .map(|meta| {
-            let flags: Vec<bool> = study
-                .store
-                .records()
-                .iter()
-                .zip(&study.outcomes)
-                .zip(&study.referrals)
-                .filter(|((record, _), class)| {
-                    record.exchange == meta.name && **class == ReferralClass::Regular
-                })
-                .map(|((_, outcome), _)| outcome.malicious)
-                .collect();
-            CumulativeSeries::from_flags(&meta.name, &flags)
-        })
-        .collect()
+    /// Table III: malware categorization counts.
+    pub fn table3(&self) -> CategoryCounts {
+        tally(&self.regular_pairs())
+    }
+
+    /// Table IV: malicious shortened-URL statistics.
+    pub fn table4(&self) -> Vec<ShortenedRow> {
+        shortened_rows(&self.web, &self.regular_pairs())
+    }
+
+    /// Figure 2 bars (per-source benign vs malware).
+    pub fn fig2(&self) -> Vec<Fig2Bar> {
+        self.table1()
+            .rows
+            .into_iter()
+            .map(|r| Fig2Bar {
+                exchange: r.exchange,
+                benign: r.regular - r.malicious,
+                malicious: r.malicious,
+            })
+            .collect()
+    }
+
+    /// Figure 3: per-source cumulative malicious series (regular URLs,
+    /// crawl order).
+    pub fn fig3(&self) -> Vec<CumulativeSeries> {
+        self.sources
+            .iter()
+            .map(|meta| {
+                let flags: Vec<bool> = self
+                    .store
+                    .records()
+                    .iter()
+                    .zip(&self.outcomes)
+                    .zip(&self.referrals)
+                    .filter(|((record, _), class)| {
+                        record.exchange == meta.name && **class == ReferralClass::Regular
+                    })
+                    .map(|((_, outcome), _)| outcome.malicious)
+                    .collect();
+                CumulativeSeries::from_flags(&meta.name, &flags)
+            })
+            .collect()
+    }
+
+    /// Figure 4 exhibit: the longest malicious redirect chain observed.
+    pub fn fig4(&self) -> Option<ChainExhibit> {
+        longest_chain(&self.regular_pairs())
+    }
+
+    /// Figure 5: redirect-count histogram.
+    pub fn fig5(&self) -> RedirectHistogram {
+        RedirectHistogram::build(&self.regular_pairs())
+    }
+
+    /// Figure 6: TLD breakdown of malicious URLs.
+    pub fn fig6(&self) -> TldBreakdown {
+        TldBreakdown::build(&self.regular_pairs())
+    }
+
+    /// Figure 7: content-category breakdown of malicious URLs.
+    pub fn fig7(&self) -> ContentBreakdown {
+        ContentBreakdown::build(&self.web, &self.regular_pairs())
+    }
+
+    /// Cross-substrate malice comparison: per-source statistics in a
+    /// substrate-agnostic shape.
+    pub fn substrate_comparison(&self) -> SubstrateComparison {
+        SubstrateComparison::build(
+            self.config().substrate,
+            &self.sources,
+            self.store.records(),
+            &self.referrals,
+            &self.outcomes,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -321,13 +288,5 @@ mod tests {
             assert!(!kind.title().is_empty());
         }
         assert_eq!(ArtifactKind::parse("table9"), None);
-    }
-
-    #[test]
-    fn accessors_reject_mismatched_variants() {
-        let artifact = Artifact::Table1(Table1 { rows: vec![] });
-        assert_eq!(artifact.kind(), ArtifactKind::Table1);
-        assert!(artifact.clone().into_table2().is_none());
-        assert!(artifact.into_table1().is_some());
     }
 }

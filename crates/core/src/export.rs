@@ -7,7 +7,6 @@ use serde::Serialize;
 
 use slum_detect::fault::ScanService;
 
-use crate::artifact::ArtifactKind;
 use crate::categorize::Category;
 use crate::study::Study;
 
@@ -233,13 +232,11 @@ pub struct Fig3Export {
     pub burstiness: f64,
 }
 
-/// Builds the export document from a completed study. Every artifact is
-/// fetched through the unified [`Study::artifact`] API.
+/// Builds the export document from a completed study through the
+/// study's typed artifact builders.
 pub fn export(study: &Study) -> StudyExport {
-    let table1 =
-        study.artifact(ArtifactKind::Table1).into_table1().expect("Table1 artifact");
-    let counts =
-        study.artifact(ArtifactKind::Table3).into_table3().expect("Table3 artifact");
+    let table1 = study.table1();
+    let counts = study.table3();
     StudyExport {
         seed: study.config().seed,
         crawl_scale: study.config().crawl_scale,
@@ -265,9 +262,7 @@ pub fn export(study: &Study) -> StudyExport {
             })
             .collect(),
         table2: study
-            .artifact(ArtifactKind::Table2)
-            .into_table2()
-            .expect("Table2 artifact")
+            .table2()
             .iter()
             .map(|r| Table2Export {
                 exchange: r.exchange.clone(),
@@ -285,9 +280,7 @@ pub fn export(study: &Study) -> StudyExport {
             })
             .collect(),
         table4: study
-            .artifact(ArtifactKind::Table4)
-            .into_table4()
-            .expect("Table4 artifact")
+            .table4()
             .iter()
             .map(|r| Table4Export {
                 short_url: r.short_url.to_string(),
@@ -298,9 +291,7 @@ pub fn export(study: &Study) -> StudyExport {
             })
             .collect(),
         fig3: study
-            .artifact(ArtifactKind::Fig3)
-            .into_fig3()
-            .expect("Fig3 artifact")
+            .fig3()
             .iter()
             .map(|s| Fig3Export {
                 exchange: s.exchange.clone(),
@@ -308,33 +299,13 @@ pub fn export(study: &Study) -> StudyExport {
                 burstiness: s.burstiness((s.len() / 20).max(5)),
             })
             .collect(),
-        fig5: study
-            .artifact(ArtifactKind::Fig5)
-            .into_fig5()
-            .expect("Fig5 artifact")
-            .counts
-            .into_iter()
-            .collect(),
-        fig6: study
-            .artifact(ArtifactKind::Fig6)
-            .into_fig6()
-            .expect("Fig6 artifact")
-            .counts
-            .into_iter()
-            .collect(),
-        fig7: study
-            .artifact(ArtifactKind::Fig7)
-            .into_fig7()
-            .expect("Fig7 artifact")
-            .counts
-            .into_iter()
-            .collect(),
+        fig5: study.fig5().counts.into_iter().collect(),
+        fig6: study.fig6().counts.into_iter().collect(),
+        fig7: study.fig7().counts.into_iter().collect(),
         faults: fault_summary(study),
         crawl_resilience: crawl_resilience_summary(study),
         substrate_comparison: study
-            .artifact(ArtifactKind::SubstrateComparison)
-            .into_substrate_comparison()
-            .expect("SubstrateComparison artifact")
+            .substrate_comparison()
             .rows
             .iter()
             .map(|r| SubstrateRowExport {

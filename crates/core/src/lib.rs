@@ -22,19 +22,23 @@
 //!    and the case studies of §V ([`temporal`], [`redirects`],
 //!    [`breakdown`], [`shortened`], [`case_studies`]).
 //!
-//! The one-call entry point is [`study::Study::run`]; every published
-//! table and figure is reachable through the unified
-//! [`study::Study::artifact`] API, and [`study::Study::metrics`]
-//! exposes the pipeline's observability counters:
+//! The one-call entry point is [`study::Study::run`];
+//! [`study::CrawlSession`] runs the same study with crawl checkpoints
+//! (open → advance → finish). Every published table and figure has a
+//! typed builder on [`study::Study`] (`table1()` .. `fig7()`, see
+//! [`artifact`]), [`study::Study::artifact`] dispatches to them by
+//! [`artifact::ArtifactKind`], and [`study::Study::metrics`] exposes
+//! the pipeline's observability counters:
 //!
 //! ```
 //! use malware_slums::artifact::ArtifactKind;
+//! use malware_slums::report::Render;
 //! use malware_slums::study::{Study, StudyConfig};
 //!
 //! let config = StudyConfig::builder().crawl_scale(0.0002).build().unwrap();
 //! let study = Study::run(&config);
-//! let table1 = study.artifact(ArtifactKind::Table1).into_table1().unwrap();
-//! assert_eq!(table1.rows.len(), 9);
+//! assert_eq!(study.table1().rows.len(), 9);
+//! assert_eq!(study.artifact(ArtifactKind::Table1).render(), study.table1().render());
 //! assert!(study.metrics().counter("scan.scans") > 0);
 //! ```
 

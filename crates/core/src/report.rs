@@ -1,10 +1,8 @@
 //! Table and figure structures plus text rendering — the artifacts the
 //! paper's evaluation section publishes.
 //!
-//! Every artifact payload implements [`Render`], so callers can print
-//! any of them — or a whole [`Artifact`] — through one interface
-//! instead of picking the right `render_*` free function. The free
-//! functions survive as thin wrappers over the trait.
+//! Every artifact payload implements [`Render`], so callers print any
+//! of them — or a whole [`Artifact`] — through one interface.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -188,11 +186,6 @@ impl Render for [DomainRow] {
     }
 }
 
-/// Table II render helper (wrapper over [`Render`]).
-pub fn render_table2(rows: &[DomainRow]) -> String {
-    rows.render()
-}
-
 impl Render for CategoryCounts {
     fn render(&self) -> String {
         let mut out = String::new();
@@ -222,12 +215,6 @@ impl Render for CategoryCounts {
     }
 }
 
-/// Table III render helper: measured vs paper shares (wrapper over
-/// [`Render`]).
-pub fn render_table3(counts: &CategoryCounts) -> String {
-    counts.render()
-}
-
 impl Render for [ShortenedRow] {
     fn render(&self) -> String {
         let mut out = String::new();
@@ -249,11 +236,6 @@ impl Render for [ShortenedRow] {
         }
         out
     }
-}
-
-/// Table IV render helper (wrapper over [`Render`]).
-pub fn render_table4(rows: &[ShortenedRow]) -> String {
-    rows.render()
 }
 
 /// Figure 2 data: per-exchange benign/malware counts (the stacked-bar
@@ -290,11 +272,6 @@ impl Render for [Fig2Bar] {
     }
 }
 
-/// Renders Figure 2 as a text bar chart (wrapper over [`Render`]).
-pub fn render_fig2(bars: &[Fig2Bar]) -> String {
-    bars.render()
-}
-
 impl Render for [CumulativeSeries] {
     fn render(&self) -> String {
         let mut out = String::new();
@@ -314,12 +291,6 @@ impl Render for [CumulativeSeries] {
         }
         out
     }
-}
-
-/// Renders a Figure 3 series bundle as downsampled text (wrapper over
-/// [`Render`]).
-pub fn render_fig3(series: &[CumulativeSeries]) -> String {
-    series.render()
 }
 
 impl Render for ChainExhibit {
@@ -343,12 +314,6 @@ impl Render for RedirectHistogram {
         }
         out
     }
-}
-
-/// Renders the Figure 5 histogram as text bars (wrapper over
-/// [`Render`]).
-pub fn render_fig5(hist: &RedirectHistogram) -> String {
-    hist.render()
 }
 
 impl Render for TldBreakdown {
@@ -378,11 +343,6 @@ impl Render for TldBreakdown {
     }
 }
 
-/// Renders Figure 6 with paper comparison (wrapper over [`Render`]).
-pub fn render_fig6(tld: &TldBreakdown) -> String {
-    tld.render()
-}
-
 impl Render for ContentBreakdown {
     fn render(&self) -> String {
         let paper: [(&str, f64); 5] = [
@@ -407,11 +367,6 @@ impl Render for ContentBreakdown {
         }
         out
     }
-}
-
-/// Renders Figure 7 with paper comparison (wrapper over [`Render`]).
-pub fn render_fig7(content: &ContentBreakdown) -> String {
-    content.render()
 }
 
 #[cfg(test)]
@@ -462,7 +417,7 @@ mod tests {
     #[test]
     fn fig2_bars_render_scaled() {
         let bars = vec![Fig2Bar { exchange: "X".into(), benign: 50, malicious: 50 }];
-        let text = render_fig2(&bars);
+        let text = bars.render();
         assert!(text.contains("50.0%"));
         assert!(text.contains("####################"));
     }
@@ -470,7 +425,7 @@ mod tests {
     #[test]
     fn fig5_render_handles_empty() {
         let hist = RedirectHistogram::default();
-        assert!(render_fig5(&hist).is_empty());
+        assert!(hist.render().is_empty());
     }
 
     #[test]

@@ -18,30 +18,21 @@ use slum_crawler::{
     crawl_all_resilient, replay_restored_loads, CrawlCheckpointState, CrawlFaultProfile,
     CrawlHealth, CrawlPlan, CrawlRecord, RecordStore,
 };
+use slum_detect::fault::{FaultPlan, FaultProfile, ScanService};
 use slum_exchange::TrafficSource;
+use slum_js::sandbox::JsEngine;
 use slum_obs::{LocalMetrics, MetricsSnapshot, Registry};
 use slum_websim::SyntheticWeb;
 
-use crate::artifact::ArtifactKind;
-use crate::breakdown::{ContentBreakdown, DomainRow, TldBreakdown};
-use crate::checkpoint::{CheckpointError, CheckpointHeader, CheckpointStore, CkptStats};
 use crate::case_studies;
+use crate::checkpoint::{CheckpointError, CheckpointHeader, CheckpointStore, CkptStats};
 use crate::diskfault::DiskFaultProfile;
-use crate::categorize::CategoryCounts;
 use crate::filter::ReferralClass;
-use slum_detect::fault::{FaultPlan, FaultProfile, ScanService};
-
-use crate::redirects::{ChainExhibit, RedirectHistogram};
-use crate::report::{Fig2Bar, Table1};
-use slum_js::sandbox::JsEngine;
-
 use crate::scanpipe::{
     effective_scan_workers, scan_chunked, scan_key, FaultLog, ScanCaches, ScanOutcome,
     ScanPipeline, VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
 };
-use crate::shortened::ShortenedRow;
 use crate::substrate::{build_substrate, BuiltSubstrate, SourceMeta, Substrate};
-use crate::temporal::CumulativeSeries;
 
 /// Study configuration.
 ///
@@ -73,14 +64,14 @@ pub struct StudyConfig {
     /// so default runs stay bit-identical to the pre-resilience crawler.
     pub crawl_fault_profile: CrawlFaultProfile,
     /// Storage-fault profile for checkpoint writes (torn/short writes,
-    /// bit-flips, simulated `ENOSPC`) on the checkpointed run paths.
+    /// bit-flips, simulated `ENOSPC`) in a [`CrawlSession`].
     /// The default is [`DiskFaultProfile::none`] — inert and RNG-free,
     /// and even armed profiles never change study results: corrupt
     /// generations are quarantined at resume and the lost rounds
     /// re-crawled deterministically.
     pub disk_fault_profile: DiskFaultProfile,
     /// Segment budget (surf slots per exchange) between crawl
-    /// checkpoints on the checkpointed run paths. `None` writes a
+    /// checkpoints in a [`CrawlSession`]. `None` writes a
     /// single checkpoint when the crawl completes. Segment boundaries
     /// never affect results — only checkpoint file cadence.
     pub checkpoint_every: Option<u64>,
@@ -489,53 +480,6 @@ impl Study {
         scan_crawl(config, obs, built, crawled, &ResumeStats::default(), None)
     }
 
-    /// Runs the full pipeline with crawl checkpointing: after every
-    /// `checkpoint_every` surf slots (per exchange), the complete crawl
-    /// state is written to `dir` as a checksummed checkpoint file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates checkpoint I/O and serialization failures.
-    pub fn run_checkpointed(config: &StudyConfig, dir: &Path) -> Result<Study, CheckpointError> {
-        let session = CrawlSession::open(config, dir, Restore::Never)?.advance(u64::MAX)?;
-        Ok(session.finish(None))
-    }
-
-    /// Like [`Study::run_checkpointed`], but abandons the run after
-    /// `kill_after_round` checkpoint rounds — a deterministic stand-in
-    /// for killing the process mid-crawl. Returns `None` when the kill
-    /// fired before the crawl finished (the checkpoints remain in
-    /// `dir`), or the completed study when the crawl finished first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates checkpoint I/O and serialization failures.
-    pub fn run_to_checkpoint(
-        config: &StudyConfig,
-        dir: &Path,
-        kill_after_round: u64,
-    ) -> Result<Option<Study>, CheckpointError> {
-        let session =
-            CrawlSession::open(config, dir, Restore::Never)?.advance(kill_after_round)?;
-        // A killed run leaves its checkpoints on disk and the study
-        // abandoned here.
-        Ok(session.crawl_done().then(|| session.finish(None)))
-    }
-
-    /// Resumes an interrupted run from the latest checkpoint in `dir`
-    /// and completes the study (continuing to write checkpoints). The
-    /// result is bit-identical to a run that was never interrupted;
-    /// only the `crawl.resume.*` bookkeeping counters differ.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing/corrupt checkpoints and on configuration
-    /// mismatches between the checkpoint and `config`.
-    pub fn resume_from(config: &StudyConfig, dir: &Path) -> Result<Study, CheckpointError> {
-        let session = CrawlSession::open(config, dir, Restore::Required)?.advance(u64::MAX)?;
-        Ok(session.finish(None))
-    }
-
     /// The configuration the study ran with.
     pub fn config(&self) -> &StudyConfig {
         &self.config
@@ -567,67 +511,6 @@ impl Study {
             .collect()
     }
 
-    /// Table I: per-exchange crawl statistics.
-    ///
-    /// Thin wrapper over [`Study::artifact`]; prefer
-    /// [`ArtifactKind::Table1`] in new code.
-    pub fn table1(&self) -> Table1 {
-        self.artifact(ArtifactKind::Table1).into_table1().expect("Table1 artifact")
-    }
-
-    /// Table II: per-exchange domain statistics (wrapper over
-    /// [`ArtifactKind::Table2`]).
-    pub fn table2(&self) -> Vec<DomainRow> {
-        self.artifact(ArtifactKind::Table2).into_table2().expect("Table2 artifact")
-    }
-
-    /// Table III: malware categorization counts (wrapper over
-    /// [`ArtifactKind::Table3`]).
-    pub fn table3(&self) -> CategoryCounts {
-        self.artifact(ArtifactKind::Table3).into_table3().expect("Table3 artifact")
-    }
-
-    /// Table IV: malicious shortened-URL statistics (wrapper over
-    /// [`ArtifactKind::Table4`]).
-    pub fn table4(&self) -> Vec<ShortenedRow> {
-        self.artifact(ArtifactKind::Table4).into_table4().expect("Table4 artifact")
-    }
-
-    /// Figure 2 bars (wrapper over [`ArtifactKind::Fig2`]).
-    pub fn fig2(&self) -> Vec<Fig2Bar> {
-        self.artifact(ArtifactKind::Fig2).into_fig2().expect("Fig2 artifact")
-    }
-
-    /// Figure 3: per-exchange cumulative malicious series (wrapper over
-    /// [`ArtifactKind::Fig3`]).
-    pub fn fig3(&self) -> Vec<CumulativeSeries> {
-        self.artifact(ArtifactKind::Fig3).into_fig3().expect("Fig3 artifact")
-    }
-
-    /// Figure 4 exhibit: the longest malicious redirect chain observed
-    /// (wrapper over [`ArtifactKind::Fig4`]).
-    pub fn fig4(&self) -> Option<ChainExhibit> {
-        self.artifact(ArtifactKind::Fig4).into_fig4().expect("Fig4 artifact")
-    }
-
-    /// Figure 5: redirect-count histogram (wrapper over
-    /// [`ArtifactKind::Fig5`]).
-    pub fn fig5(&self) -> RedirectHistogram {
-        self.artifact(ArtifactKind::Fig5).into_fig5().expect("Fig5 artifact")
-    }
-
-    /// Figure 6: TLD breakdown of malicious URLs (wrapper over
-    /// [`ArtifactKind::Fig6`]).
-    pub fn fig6(&self) -> TldBreakdown {
-        self.artifact(ArtifactKind::Fig6).into_fig6().expect("Fig6 artifact")
-    }
-
-    /// Figure 7: content-category breakdown of malicious URLs (wrapper
-    /// over [`ArtifactKind::Fig7`]).
-    pub fn fig7(&self) -> ContentBreakdown {
-        self.artifact(ArtifactKind::Fig7).into_fig7().expect("Fig7 artifact")
-    }
-
     /// §V-A case studies: iframe-injection exhibits.
     pub fn iframe_case_studies(&self) -> Vec<case_studies::IframeExhibit> {
         case_studies::iframe_injections(&self.regular_pairs())
@@ -653,10 +536,11 @@ impl Study {
 /// directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Restore {
-    /// Ignore them and crawl from scratch ([`Study::run_checkpointed`]).
+    /// Ignore them and crawl from scratch (`repro --checkpoint`).
     Never,
-    /// Restore the newest intact generation, or fail
-    /// ([`Study::resume_from`]).
+    /// Restore the newest intact generation, or fail: with
+    /// [`CheckpointError::NoCheckpoint`] when the directory holds none,
+    /// so a resume never quietly crawls from scratch (`repro --resume`).
     Required,
     /// Restore the newest intact generation when one survives, and
     /// start fresh when the directory is empty or every generation was
@@ -1422,7 +1306,10 @@ mod tests {
             .build()
             .expect("valid config");
         let direct = Study::run(&config);
-        let checkpointed = Study::run_checkpointed(&config, &dir).expect("checkpoint I/O");
+        let checkpointed = CrawlSession::open(&config, &dir, Restore::Never)
+            .and_then(|session| session.advance(u64::MAX))
+            .expect("checkpoint I/O")
+            .finish(None);
         assert_eq!(
             direct.store.to_jsonl().unwrap(),
             checkpointed.store.to_jsonl().unwrap(),

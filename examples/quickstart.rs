@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use malware_slums::report::{self, Render};
+use malware_slums::artifact::{Artifact, ArtifactKind};
+use malware_slums::report::Render;
 use malware_slums::study::{Study, StudyConfig};
 
 fn main() {
@@ -29,45 +30,17 @@ fn main() {
         study.store.distinct_domains()
     );
 
-    println!("== Table I: statistics of data from traffic exchanges ==");
-    println!("{}", study.table1().render());
-
-    println!("== Table II: statistics of domains on traffic exchanges ==");
-    println!("{}", report::render_table2(&study.table2()));
-
-    println!("== Table III: malware categorization ==");
-    println!("{}", report::render_table3(&study.table3()));
-
-    println!("== Table IV: malicious shortened URLs (top 10) ==");
-    let rows = study.table4();
-    println!("{}", report::render_table4(&rows[..rows.len().min(10)]));
-
-    println!("== Figure 2: malware ratio per exchange ==");
-    println!("{}", report::render_fig2(&study.fig2()));
-
-    println!("== Figure 3: cumulative malicious URLs (downsampled) ==");
-    println!("{}", report::render_fig3(&study.fig3()));
-
-    if let Some(chain) = study.fig4() {
-        println!(
-            "== Figure 4: example redirection chain ({} hops, on {}) ==",
-            chain.hops, chain.exchange
-        );
-        for (i, host) in chain.hosts.iter().enumerate() {
-            let arrow = if i == 0 { "   " } else { "-> " };
-            println!("  {arrow}{host}");
+    // Every published artifact, built and printed generically — the same
+    // loop `repro` runs.
+    for kind in ArtifactKind::ALL {
+        let mut artifact = study.artifact(kind);
+        // Table IV runs to hundreds of rows; show the top ten.
+        if let Artifact::Table4(rows) = &mut artifact {
+            rows.truncate(10);
         }
-        println!();
+        println!("== {} ==", kind.title());
+        println!("{}", artifact.render());
     }
-
-    println!("== Figure 5: distribution of URL redirection count ==");
-    println!("{}", report::render_fig5(&study.fig5()));
-
-    println!("== Figure 6: malicious URLs across top-level domains ==");
-    println!("{}", report::render_fig6(&study.fig6()));
-
-    println!("== Figure 7: malicious content across categories ==");
-    println!("{}", report::render_fig7(&study.fig7()));
 
     println!("== Headline ==");
     println!(

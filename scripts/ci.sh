@@ -148,6 +148,27 @@ fi
 if "$repro_bin" tabel1 >/dev/null 2>&1; then
     echo "CLI smoke test: 'repro tabel1' exited 0, expected a usage error"; exit 1
 fi
+# The removed bench-serve artifact and --quick flag are gone, a
+# --checkpoint-every with no checkpoint dir to apply it to is a usage
+# error, and --resume from a dir holding no checkpoint must fail rather
+# than quietly crawl from scratch.
+empty_dir="$(mktemp -d -t SLUMEMPTY.XXXXXX)"
+trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
+    "$straight_out" "$resumed_out" "$resumed_metrics_file" "$empty_dir"' EXIT
+if "$repro_bin" bench-serve >/dev/null 2>&1; then
+    echo "CLI smoke test: 'repro bench-serve' exited 0, expected a usage error"; exit 1
+fi
+if "$repro_bin" table1 --quick >/dev/null 2>&1; then
+    echo "CLI smoke test: 'repro table1 --quick' exited 0, expected a usage error"; exit 1
+fi
+if "$repro_bin" table1 --checkpoint-every 8 >/dev/null 2>&1; then
+    echo "CLI smoke test: 'repro table1 --checkpoint-every 8' exited 0, expected a usage error"
+    exit 1
+fi
+if "$repro_bin" table1 --resume "$empty_dir" >/dev/null 2>&1; then
+    echo "CLI smoke test: 'repro table1 --resume <empty dir>' exited 0, expected a failure"
+    exit 1
+fi
 echo "CLI smoke test OK: unknown options and artifact names are rejected"
 
 # Engine smoke test: the same seeded study under the bytecode VM and
@@ -158,7 +179,7 @@ vm_json="$(mktemp -t REPRO_VM.XXXXXX.json)"
 interp_json="$(mktemp -t REPRO_INTERP.XXXXXX.json)"
 interp_metrics_file="$(mktemp -t METRICS_INTERP.XXXXXX.json)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
-    "$straight_out" "$resumed_out" "$resumed_metrics_file" \
+    "$straight_out" "$resumed_out" "$resumed_metrics_file" "$empty_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file"' EXIT
 
 cargo run --release -p slum-bench --bin repro -- json \
@@ -203,7 +224,7 @@ substrate_out="$(mktemp -t REPRO_SUBSTRATE.XXXXXX.txt)"
 substrate_metrics_file="$(mktemp -t METRICS_SUBSTRATE.XXXXXX.json)"
 golden_out="$(mktemp -t REPRO_GOLDEN.XXXXXX.txt)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
-    "$straight_out" "$resumed_out" "$resumed_metrics_file" \
+    "$straight_out" "$resumed_out" "$resumed_metrics_file" "$empty_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file" \
     "$substrate_out" "$substrate_metrics_file" "$golden_out"' EXIT
 
@@ -283,7 +304,7 @@ chaos_root="$(mktemp -d -t SLUMCHAOS.XXXXXX)"
 chaos_log="$(mktemp -t CHAOS_LOG.XXXXXX.txt)"
 chaos_export="$(mktemp -t CHAOS_EXPORT.XXXXXX.json)"
 trap 'rm -rf "$metrics_file" "$fault_metrics_file" "$ckpt_dir" \
-    "$straight_out" "$resumed_out" "$resumed_metrics_file" \
+    "$straight_out" "$resumed_out" "$resumed_metrics_file" "$empty_dir" \
     "$vm_json" "$interp_json" "$interp_metrics_file" \
     "$substrate_out" "$substrate_metrics_file" "$golden_out" \
     "$serve_root" "$serve_log" "$serve_export" "$serve_batch" \

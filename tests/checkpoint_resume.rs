@@ -5,15 +5,18 @@
 //! deterministic counters (minus the `crawl.resume.*` bookkeeping that
 //! deliberately records the recovery itself).
 //!
-//! The kill is `Study::run_to_checkpoint`, a deterministic stand-in for
-//! `kill -9` between two checkpoint writes: the crawl abandons the
-//! process after N rounds with only the on-disk checkpoint surviving.
+//! The kill is a [`CrawlSession`] advanced N rounds and dropped, a
+//! deterministic stand-in for `kill -9` between two checkpoint writes:
+//! only the on-disk checkpoint survives, and a session opened with
+//! [`Restore::Required`] resumes from it.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use malware_slums::export;
-use malware_slums::study::{Study, StudyConfig};
+use malware_slums::study::{CrawlSession, Restore, Study, StudyConfig};
+use malware_slums::CheckpointError;
 use slum_crawler::CrawlFaultProfile;
 
 const SEED: u64 = 2016;
@@ -25,10 +28,18 @@ fn config_with(workers: usize, profile: CrawlFaultProfile) -> StudyConfig {
         .crawl_scale(0.0003)
         .domain_scale(0.03)
         .scan_workers(workers)
+        .serial_scan_threshold(0)
         .crawl_fault_profile(profile)
         .checkpoint_every(CHECKPOINT_EVERY)
         .build()
         .expect("valid config")
+}
+
+/// The worker count a parallel study runs with when `requested` were
+/// asked for: the request, clamped to the host.
+fn expected_workers(requested: usize) -> i64 {
+    let cores = std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
+    requested.min(cores) as i64
 }
 
 /// Deterministic counters/gauges minus the worker-count echoes and the
@@ -57,7 +68,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// checkpoint's header (its round number), not the surviving files.
 fn rounds_for(config: &StudyConfig, tag: &str) -> u64 {
     let dir = scratch_dir(tag);
-    Study::run_checkpointed(config, &dir).expect("checkpointed run");
+    let crawled = CrawlSession::open(config, &dir, Restore::Never)
+        .and_then(|session| session.advance(u64::MAX))
+        .expect("checkpointed run");
+    assert!(crawled.crawl_done());
     let store = malware_slums::CheckpointStore::open(&dir).expect("store");
     let (header, _) = store.load_latest().expect("latest checkpoint");
     std::fs::remove_dir_all(&dir).ok();
@@ -67,11 +81,22 @@ fn rounds_for(config: &StudyConfig, tag: &str) -> u64 {
 
 fn assert_resume_matches(straight: &Study, config: &StudyConfig, kill_after: u64, tag: &str) {
     let dir = scratch_dir(&format!("{tag}-k{kill_after}"));
-    let killed = Study::run_to_checkpoint(config, &dir, kill_after)
+    let killed = CrawlSession::open(config, &dir, Restore::Never)
+        .and_then(|session| session.advance(kill_after))
         .expect("killed run does checkpoint I/O");
-    assert!(killed.is_none(), "{tag}: kill at round {kill_after} must abandon the run");
-    let resumed = Study::resume_from(config, &dir).expect("resume");
+    assert!(!killed.crawl_done(), "{tag}: kill at round {kill_after} must abandon the run");
+    drop(killed);
+    let resumed = CrawlSession::open(config, &dir, Restore::Required)
+        .and_then(|session| session.advance(u64::MAX))
+        .expect("resume")
+        .finish(None);
     std::fs::remove_dir_all(&dir).ok();
+
+    // Both runs really scan in parallel: the worker gauges are the one
+    // thing `comparable_metrics` leaves out.
+    let workers = expected_workers(config.scan_workers);
+    assert_eq!(straight.metrics().gauge("scan.workers"), workers, "{tag}: straight workers");
+    assert_eq!(resumed.metrics().gauge("scan.workers"), workers, "{tag}: resumed workers");
 
     assert_eq!(
         resumed.store.to_jsonl(),
@@ -140,9 +165,11 @@ fn kill_past_the_last_round_just_completes() {
     // error: the run finishes first and returns the completed study.
     let config = config_with(1, CrawlFaultProfile::none());
     let dir = scratch_dir("overrun");
-    let study = Study::run_to_checkpoint(&config, &dir, u64::MAX)
-        .expect("checkpoint I/O")
-        .expect("run completes before the kill fires");
+    let session = CrawlSession::open(&config, &dir, Restore::Never)
+        .and_then(|session| session.advance(u64::MAX))
+        .expect("checkpoint I/O");
+    assert!(session.crawl_done(), "run completes before the kill fires");
+    let study = session.finish(None);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(study.store.to_jsonl(), Study::run(&config).store.to_jsonl());
 }
@@ -154,8 +181,11 @@ fn resume_rejects_a_mismatched_config() {
     // corrupt the corpus undetectably.
     let config = config_with(1, CrawlFaultProfile::none());
     let dir = scratch_dir("mismatch");
-    let killed = Study::run_to_checkpoint(&config, &dir, 1).expect("killed run");
-    assert!(killed.is_none());
+    let killed = CrawlSession::open(&config, &dir, Restore::Never)
+        .and_then(|session| session.advance(1))
+        .expect("killed run");
+    assert!(!killed.crawl_done());
+    drop(killed);
     let other = StudyConfig::builder()
         .seed(SEED + 1)
         .crawl_scale(0.0003)
@@ -164,13 +194,31 @@ fn resume_rejects_a_mismatched_config() {
         .checkpoint_every(CHECKPOINT_EVERY)
         .build()
         .expect("valid config");
-    let err = match Study::resume_from(&other, &dir) {
+    let err = match CrawlSession::open(&other, &dir, Restore::Required) {
         Ok(_) => panic!("seed mismatch must be rejected"),
         Err(e) => e,
     };
     std::fs::remove_dir_all(&dir).ok();
     assert!(
-        matches!(err, malware_slums::CheckpointError::ConfigMismatch { ref field, .. } if *field == "seed"),
+        matches!(err, CheckpointError::ConfigMismatch { field, .. } if field == "seed"),
         "unexpected error: {err}"
     );
+}
+
+#[test]
+fn required_restore_from_an_empty_dir_fails() {
+    // `repro --resume` opens its session this way: resuming from a
+    // directory with no checkpoint must fail, never quietly crawl from
+    // scratch.
+    let config = config_with(1, CrawlFaultProfile::none());
+    let dir = scratch_dir("empty");
+    std::fs::create_dir_all(&dir).expect("empty dir");
+    let err = match CrawlSession::open(&config, &dir, Restore::Required) {
+        Ok(_) => panic!("resume from an empty dir must fail"),
+        Err(e) => e,
+    };
+    let left = std::fs::read_dir(&dir).expect("dir").count();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(matches!(err, CheckpointError::NoCheckpoint { .. }), "unexpected error: {err}");
+    assert_eq!(left, 0, "a failed resume must write nothing");
 }

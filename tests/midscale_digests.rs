@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 
 use malware_slums::export;
-use malware_slums::study::{Study, StudyConfig, StudyConfigBuilder};
+use malware_slums::study::{CrawlSession, Restore, Study, StudyConfig, StudyConfigBuilder};
 use malware_slums::Substrate;
 use slum_crawler::CrawlFaultProfile;
 use slum_detect::fault::FaultProfile;
@@ -76,9 +76,15 @@ fn killed_and_resumed_exchange_study_matches_its_pins() {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("slum-midscale-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let killed = Study::run_to_checkpoint(&config, &dir, 2).expect("killed run checkpoints");
-    assert!(killed.is_none(), "round 2 must stop the crawl part-way");
-    let resumed = Study::resume_from(&config, &dir).expect("resume");
+    let killed = CrawlSession::open(&config, &dir, Restore::Never)
+        .and_then(|session| session.advance(2))
+        .expect("killed run checkpoints");
+    assert!(!killed.crawl_done(), "round 2 must stop the crawl part-way");
+    drop(killed);
+    let resumed = CrawlSession::open(&config, &dir, Restore::Required)
+        .and_then(|session| session.advance(u64::MAX))
+        .expect("resume")
+        .finish(None);
     std::fs::remove_dir_all(&dir).ok();
     assert_pinned(&resumed, EXCHANGE_DIGEST, EXCHANGE_CORPUS, "exchange, killed after round 2");
 }

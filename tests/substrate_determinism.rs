@@ -14,7 +14,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use malware_slums::export;
-use malware_slums::study::{Study, StudyConfig};
+use malware_slums::study::{CrawlSession, Restore, Study, StudyConfig};
 use malware_slums::substrate::Substrate;
 
 const SEED: u64 = 2016;
@@ -101,10 +101,15 @@ fn new_substrates_survive_kill_and_resume_bit_identical() {
             .expect("valid config");
         let straight = Study::run(&config);
         let dir = scratch_dir(substrate.name());
-        let killed = Study::run_to_checkpoint(&config, &dir, 1)
+        let killed = CrawlSession::open(&config, &dir, Restore::Never)
+            .and_then(|session| session.advance(1))
             .expect("killed run does checkpoint I/O");
-        assert!(killed.is_none(), "{}: kill must abandon the run", substrate.name());
-        let resumed = Study::resume_from(&config, &dir).expect("resume");
+        assert!(!killed.crawl_done(), "{}: kill must abandon the run", substrate.name());
+        drop(killed);
+        let resumed = CrawlSession::open(&config, &dir, Restore::Required)
+            .and_then(|session| session.advance(u64::MAX))
+            .expect("resume")
+            .finish(None);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             fingerprint(&resumed),
@@ -133,10 +138,13 @@ fn resume_rejects_a_checkpoint_from_another_substrate() {
             .expect("valid config")
     };
     let dir = scratch_dir("mismatch");
-    let killed = Study::run_to_checkpoint(&write_config(Substrate::AdNet), &dir, 1)
+    let killed = CrawlSession::open(&write_config(Substrate::AdNet), &dir, Restore::Never)
+        .and_then(|session| session.advance(1))
         .expect("killed run");
-    assert!(killed.is_none());
-    let err = match Study::resume_from(&write_config(Substrate::Torrent), &dir) {
+    assert!(!killed.crawl_done());
+    drop(killed);
+    let torrent = write_config(Substrate::Torrent);
+    let err = match CrawlSession::open(&torrent, &dir, Restore::Required) {
         Ok(_) => panic!("cross-substrate resume must be rejected"),
         Err(e) => e,
     };
