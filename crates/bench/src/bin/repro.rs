@@ -29,7 +29,8 @@
 //! `--disk-fault-profile <name>` (inject checkpoint-storage faults —
 //! torn/short writes, bit flips, ENOSPC — on checkpointed runs and in
 //! the `serve` daemon: `none`, `default`, `harsh`; artifacts stay
-//! bit-identical, only durability work changes),
+//! bit-identical, only durability work changes; needs `--checkpoint`,
+//! `--resume` or `serve`),
 //! `--checkpoint <dir>` (crawl from scratch through a
 //! [`CrawlSession`], writing checkpoints into `<dir>`),
 //! `--resume <dir>` (continue the crawl from the latest checkpoint in
@@ -43,9 +44,11 @@
 //! oracle — scan output is bit-identical either way) and `--substrate
 //! <name>` (traffic substrate to crawl: `exchange`, the paper's nine
 //! traffic exchanges and the default; `adnet`, the low-tier ad-network
-//! ecosystem; or `torrent`, the torrent-index ecosystem). An unknown
-//! option or artifact name exits with status 2 and the usage line, as
-//! does an option used without the one it needs.
+//! ecosystem; or `torrent`, the torrent-index ecosystem). `--port <N>`
+//! and `--root <dir>` configure the `serve` daemon and need the `serve`
+//! artifact. An unknown option or artifact name exits with status 2 and
+//! the usage line; an option used without the one it needs exits with
+//! status 2 and a `repro: ...` message saying what it needs.
 //!
 //! Timing lives in the separate `slumbench` package
 //! (`crates/bench/src/bin/slumbench`).
@@ -62,12 +65,13 @@ use slum_crawler::CrawlFaultProfile;
 use slum_detect::fault::FaultProfile;
 use slum_js::sandbox::JsEngine;
 
-/// The one-line synopsis `--help` leads with and argument errors end with.
+/// The synopsis `--help` leads with and argument errors end with.
 const USAGE: &str = "usage: repro [artifacts..] [--scale F] [--seed N] [--workers W] \
                      [--fault-profile NAME] [--crawl-fault-profile NAME] \
-                     [--disk-fault-profile NAME] [--checkpoint DIR] [--checkpoint-every N] \
-                     [--resume DIR] [--kill-after-round N] [--metrics PATH] \
-                     [--js-engine NAME] [--substrate NAME] [--port N] [--root DIR]";
+                     [--checkpoint DIR | --resume DIR] [--checkpoint-every N] \
+                     [--kill-after-round N] [--disk-fault-profile NAME] [--metrics PATH] \
+                     [--js-engine NAME] [--substrate NAME]\n       \
+                     repro serve [--port N] [--root DIR] [--disk-fault-profile NAME]";
 
 /// Artifact names beyond the [`ArtifactKind`] ones.
 const EXTRA_ARTIFACTS: [&str; 11] = [
@@ -86,7 +90,7 @@ struct Args {
     workers: usize,
     fault_profile: FaultProfile,
     crawl_fault_profile: CrawlFaultProfile,
-    disk_fault_profile: DiskFaultProfile,
+    disk_fault_profile: Option<DiskFaultProfile>,
     checkpoint: Option<String>,
     checkpoint_every: Option<u64>,
     resume: Option<String>,
@@ -94,7 +98,7 @@ struct Args {
     metrics: Option<String>,
     js_engine: JsEngine,
     substrate: Substrate,
-    port: u16,
+    port: Option<u16>,
     serve_root: Option<String>,
 }
 
@@ -105,7 +109,7 @@ fn parse_args() -> Args {
     let mut workers = malware_slums::study::default_scan_workers();
     let mut fault_profile = FaultProfile::none();
     let mut crawl_fault_profile = CrawlFaultProfile::none();
-    let mut disk_fault_profile = DiskFaultProfile::none();
+    let mut disk_fault_profile = None;
     let mut checkpoint = None;
     let mut checkpoint_every = None;
     let mut resume = None;
@@ -113,7 +117,7 @@ fn parse_args() -> Args {
     let mut metrics = None;
     let mut js_engine = JsEngine::default();
     let mut substrate = Substrate::default();
-    let mut port = 0u16;
+    let mut port = None;
     let mut serve_root = None;
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -159,12 +163,12 @@ fn parse_args() -> Args {
             "--disk-fault-profile" => {
                 let name =
                     iter.next().unwrap_or_else(|| die("--disk-fault-profile needs a name"));
-                disk_fault_profile = DiskFaultProfile::parse(&name).unwrap_or_else(|| {
+                disk_fault_profile = Some(DiskFaultProfile::parse(&name).unwrap_or_else(|| {
                     die(&format!(
                         "unknown disk fault profile '{name}' (known: {})",
                         DiskFaultProfile::NAMES.join(", ")
                     ))
-                });
+                }));
             }
             "--checkpoint" => {
                 checkpoint = Some(iter.next().unwrap_or_else(|| die("--checkpoint needs a dir")));
@@ -207,10 +211,11 @@ fn parse_args() -> Args {
                 });
             }
             "--port" => {
-                port = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--port needs an integer (0 = ephemeral)"));
+                port = Some(
+                    iter.next()
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| die("--port needs an integer (0 = ephemeral)")),
+                );
             }
             "--root" => {
                 serve_root = Some(iter.next().unwrap_or_else(|| die("--root needs a dir")));
@@ -223,7 +228,8 @@ fn parse_args() -> Args {
                      chaos serve\n\
                      fault profiles: none default harsh (scan, crawl and disk alike; \
                      --disk-fault-profile injects torn/short writes, bit flips and ENOSPC \
-                     into checkpoint storage — artifacts stay bit-identical)\n\
+                     into checkpoint storage — artifacts stay bit-identical — and needs \
+                     --checkpoint, --resume or serve)\n\
                      JS engines: vm (default; compiled bytecode) interp (tree-walking oracle) \
                      — scan output is bit-identical either way\n\
                      substrates: exchange (default; the paper's nine traffic exchanges) \
@@ -237,7 +243,8 @@ fn parse_args() -> Args {
                      export bit-identical to batch\n\
                      serve: run the resident multi-tenant study daemon (newline-delimited \
                      JSON over TCP; --port 0 picks an ephemeral port, printed as \
-                     SERVE_ADDR; --root DIR holds per-tenant checkpoints)"
+                     SERVE_ADDR; --root DIR holds per-tenant checkpoints; both options \
+                     need serve)"
                 );
                 std::process::exit(0);
             }
@@ -263,6 +270,16 @@ fn parse_args() -> Args {
     }
     if checkpoint_every.is_some() && checkpoint.is_none() && resume.is_none() {
         die("--checkpoint-every requires --checkpoint DIR or --resume DIR");
+    }
+    let serve = artifacts.iter().any(|a| a == "serve");
+    if port.is_some() && !serve {
+        die("--port requires the serve artifact");
+    }
+    if serve_root.is_some() && !serve {
+        die("--root requires the serve artifact");
+    }
+    if disk_fault_profile.is_some() && checkpoint.is_none() && resume.is_none() && !serve {
+        die("--disk-fault-profile requires --checkpoint DIR, --resume DIR or serve");
     }
     Args {
         artifacts,
@@ -319,8 +336,10 @@ fn main() {
                 .js_engine(args.js_engine)
                 .substrate(args.substrate)
                 .fault_profile(args.fault_profile.clone())
-                .crawl_fault_profile(args.crawl_fault_profile.clone())
-                .disk_fault_profile(args.disk_fault_profile.clone());
+                .crawl_fault_profile(args.crawl_fault_profile.clone());
+            if let Some(profile) = &args.disk_fault_profile {
+                builder = builder.disk_fault_profile(profile.clone());
+            }
             // `--checkpoint` crawls from scratch and `--resume` restores
             // the newest intact generation (failing on an empty dir);
             // both run the crawl through one `CrawlSession`.
@@ -610,8 +629,10 @@ fn run_serve(args: &Args) {
     let root = args.serve_root.clone().unwrap_or_else(|| "serve-root".to_string());
     let service = slum_serve::Service::open(&root)
         .unwrap_or_else(|e| die(&format!("could not open serve root {root}: {e}")))
-        .with_disk_fault_profile(args.disk_fault_profile.clone());
-    let bind = format!("127.0.0.1:{}", args.port);
+        .with_disk_fault_profile(
+            args.disk_fault_profile.clone().unwrap_or_else(DiskFaultProfile::none),
+        );
+    let bind = format!("127.0.0.1:{}", args.port.unwrap_or(0));
     let mut daemon = slum_serve::Daemon::start(service, &bind)
         .unwrap_or_else(|e| die(&format!("could not bind {bind}: {e}")));
     println!("SERVE_ADDR {}", daemon.addr());

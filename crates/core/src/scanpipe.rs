@@ -250,8 +250,8 @@ impl ScanOutcome {
 /// (same seed, scales, substrate and JS engine): every cached value is
 /// a pure function of `(web, key)`, so a shared entry is bit-identical
 /// to what a cold cache would recompute. Verdicts and artifacts cannot
-/// change under sharing — only the `scan.cache.*` / `js.vm.*` hit
-/// counters observe it.
+/// change under sharing — only the `scan.cache.*.lookups` and
+/// `scan.cache.*.hits` counters observe it.
 pub struct ScanCaches {
     /// Static-pass features ([`Features::from_page`]) per distinct page
     /// body. Bodies repeat far more than URLs or captures do, so URL

@@ -28,9 +28,9 @@
 //! fingerprint (seed, scales, substrate, JS engine — see
 //! `StudyConfig::cache_fingerprint`) share one `ScanCaches` set: a URL
 //! scanned for tenant A is a cache hit for tenant B. Sharing is
-//! artifact-invisible — only `scan.cache.*` / `js.vm.*` *metrics*
-//! observe it; export JSON is bit-identical with or without sharing,
-//! pinned by `tests/serve_determinism.rs`.
+//! artifact-invisible — only the `scan.cache.*.lookups` / `.hits`
+//! *metrics* observe it; export JSON is bit-identical with or without
+//! sharing, checked by `tests/invariance.rs`.
 //!
 //! ## Protocol
 //!

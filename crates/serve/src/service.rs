@@ -192,7 +192,7 @@ pub struct StudyStatus {
 ///
 /// Determinism: artifacts of a service-run study are bit-identical to
 /// the same config run through batch `repro`, no matter how its slices
-/// interleave with other tenants' (see `tests/serve_determinism.rs`).
+/// interleave with other tenants' (see `tests/invariance.rs`).
 pub struct Service {
     root: PathBuf,
     max_slices: Option<u64>,

@@ -5,9 +5,12 @@
 //! a single byte of the exchange substrate's corpus or rendered
 //! artifacts: the crawl loop performs the same RNG draws in the same
 //! order, the filter sees the same host sets, and the artifact builders
-//! walk the same per-source rows. The FNV-1a hashes below were captured
-//! on the pre-refactor tree at the same seed/scale; any drift here means
-//! the abstraction leaked into behaviour.
+//! walk the same per-source rows. The rendered artifacts must equal
+//! `scripts/golden/exchange_artifacts.golden.txt` byte for byte — the
+//! file `repro table1 .. fig7 --scale 0.0005 --seed 2016` printed on
+//! the pre-refactor tree — and the corpus must hash to the FNV-1a value
+//! captured there at the same seed and scale. Any drift here means the
+//! abstraction leaked into behaviour.
 
 use std::sync::OnceLock;
 
@@ -26,8 +29,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Same shape as the `scripts/ci.sh` golden run: default seed, tiny
-/// scale, default (serial-capable) worker count.
+/// Same shape as the golden file's run: default seed, tiny scale,
+/// default (serial-capable) worker count.
 fn study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
     STUDY.get_or_init(|| {
@@ -60,7 +63,7 @@ const PRE_REFACTOR_KINDS: [ArtifactKind; 10] = [
 /// Captured on pre-refactor `main` (commit 65b6b6f) at seed 2016,
 /// crawl_scale 0.0005, domain_scale 0.03.
 const GOLDEN_CORPUS_FNV: u64 = 0x9a5b_5812_015f_b382;
-const GOLDEN_ARTIFACTS_FNV: u64 = 0x048d_134a_82de_e248;
+const GOLDEN_ARTIFACTS: &str = include_str!("../scripts/golden/exchange_artifacts.golden.txt");
 
 #[test]
 fn corpus_matches_pre_refactor_golden() {
@@ -73,14 +76,10 @@ fn corpus_matches_pre_refactor_golden() {
 
 #[test]
 fn artifacts_match_pre_refactor_golden() {
-    let mut rendered = String::new();
-    for kind in PRE_REFACTOR_KINDS {
-        rendered.push_str(&study().artifact(kind).render());
-        rendered.push('\n');
-    }
-    let got = fnv1a(rendered.as_bytes());
-    assert_eq!(
-        got, GOLDEN_ARTIFACTS_FNV,
-        "exchange artifacts drifted from pre-refactor golden: fnv1a = {got:#018x}"
-    );
+    // The layout `repro` prints each artifact in.
+    let rendered: String = PRE_REFACTOR_KINDS
+        .into_iter()
+        .map(|kind| format!("=== {} ===\n{}\n", kind.title(), study().artifact(kind).render()))
+        .collect();
+    assert_eq!(rendered, GOLDEN_ARTIFACTS, "exchange artifacts drifted from the golden file");
 }

@@ -1,59 +1,36 @@
 //! Observability determinism: the `MetricsSnapshot` counters and gauges
-//! must be bit-identical for a fixed seed no matter how many scan
-//! workers run, and the JSON form must round-trip losslessly (the
-//! contract `repro --metrics` relies on). The serial threshold is off,
-//! so every multi-worker snapshot comes from a parallel scan.
+//! are identical for a fixed seed no matter how many scan workers run,
+//! and the JSON form round-trips losslessly (the contract `repro
+//! --metrics` relies on). The worker sweep runs through the invariance
+//! harness (`harness/mod.rs`).
 
-use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
+mod harness;
 
-use malware_slums::study::{Study, StudyConfig};
+use harness::{check, expected_workers, Plan, Reference, World};
+use malware_slums::study::Study;
+use malware_slums::substrate::Substrate;
 use slum_obs::MetricsSnapshot;
 
-fn snapshot_for(workers: usize) -> MetricsSnapshot {
-    let config = StudyConfig::builder()
-        .seed(9001)
-        .crawl_scale(0.0003)
-        .domain_scale(0.03)
-        .scan_workers(workers)
-        .serial_scan_threshold(0)
-        .build()
-        .expect("valid config");
-    Study::run(&config).metrics()
+const SEED: u64 = 9001;
+
+fn world() -> World {
+    World::fault_free(Substrate::Exchange, SEED)
 }
 
-/// The worker count a parallel study runs with when `requested` were
-/// asked for: the request, clamped to the host.
-fn expected_workers(requested: usize) -> i64 {
-    let cores = std::thread::available_parallelism().map_or(usize::MAX, NonZeroUsize::get);
-    requested.min(cores) as i64
+/// The metrics of a study scanned in parallel on two workers.
+fn parallel_snapshot() -> MetricsSnapshot {
+    Study::run(&Plan::batch(2).config(&world())).metrics()
 }
 
 #[test]
 fn counters_identical_serial_vs_parallel() {
-    let serial = snapshot_for(1).deterministic_counters();
-    for workers in [2usize, 4] {
-        let snapshot = snapshot_for(workers);
-        assert_eq!(snapshot.gauge("scan.workers"), expected_workers(workers));
-        let parallel = snapshot.deterministic_counters();
-        // The worker-count gauge is the one value that legitimately
-        // differs between runs; everything else must match exactly.
-        let strip = |mut m: BTreeMap<String, i128>| {
-            m.remove("gauge:config.scan_workers");
-            m.remove("gauge:scan.workers");
-            m
-        };
-        assert_eq!(
-            strip(serial.clone()),
-            strip(parallel),
-            "metrics diverged at {workers} workers"
-        );
-    }
+    let world = world();
+    check(&world, &Reference::of(&world), &[1, 2, 4].map(Plan::batch));
 }
 
 #[test]
 fn key_counters_are_nonzero_and_cross_consistent() {
-    let m = snapshot_for(2);
+    let m = parallel_snapshot();
 
     let pages = m.counter("crawl.pages");
     let regular = m.counter("filter.regular_out");
@@ -61,15 +38,13 @@ fn key_counters_are_nonzero_and_cross_consistent() {
     assert!(regular > 0);
     assert_eq!(
         m.counter("filter.records_in"),
-        m.counter("filter.self_referrals")
-            + m.counter("filter.popular_referrals")
-            + regular
+        m.counter("filter.self_referrals") + m.counter("filter.popular_referrals") + regular
     );
     assert_eq!(m.counter("filter.records_in"), pages);
 
     // One scan (and one URL-feature lookup and one latency sample) per
     // regular record, on the parallel path too.
-    assert_eq!(m.gauge("scan.workers"), expected_workers(2));
+    assert_eq!(i128::from(m.gauge("scan.workers")), expected_workers(2, i128::from(regular)));
     assert_eq!(m.counter("scan.scans"), regular);
     assert_eq!(m.histograms["scan.record_nanos"].count, regular);
     assert_eq!(m.counter("scan.cache.url_features.lookups"), regular);
@@ -94,19 +69,19 @@ fn key_counters_are_nonzero_and_cross_consistent() {
     assert_eq!(m.counters_with_prefix("crawl.steps.").count(), 9);
 
     // Config echoes land as gauges.
-    assert_eq!(m.gauge("config.seed"), 9001);
+    assert_eq!(m.gauge("config.seed"), SEED as i64);
     assert_eq!(m.gauge("config.scan_workers"), 2);
 }
 
 #[test]
 fn metrics_snapshot_round_trips_through_json() {
-    let snapshot = snapshot_for(2);
+    let snapshot = parallel_snapshot();
     let json = snapshot.to_json();
     let parsed = MetricsSnapshot::from_json(&json).expect("valid metrics JSON");
     assert_eq!(parsed, snapshot);
 
-    // The same document must also parse as plain JSON for external
-    // tooling (this is what the ci.sh smoke test consumes).
+    // The same document also parses as plain JSON for external tooling
+    // (this is what `repro --metrics` consumers read).
     let value: serde_json::Value = serde_json::from_str(&json).expect("parses as JSON");
     assert!(value["counters"]["scan.scans"].as_u64().unwrap() > 0);
     assert!(value["spans"].as_array().is_some());

@@ -1,216 +1,78 @@
 //! Determinism contract of the resident study service: a study
-//! submitted to `slum_serve::Service` must produce export JSON
-//! bit-identical to the same config run through the batch `Study`
-//! entry points, no matter
+//! submitted to `slum_serve::Service` exports the same JSON, and
+//! reports the same `tenant.<name>.` counters, as the same world run
+//! through the batch `Study::run`, no matter
 //!
 //! - how its scheduling slices interleave with other tenants' studies
 //!   (round-robin, reversed, run-to-completion one at a time),
 //! - whether the daemon was killed and a fresh service re-attached to
 //!   the same root mid-crawl (kill-and-resume), or
 //! - whether another tenant's identical study warmed the shared scan
-//!   caches first (cache sharing is artifact-invisible; only
-//!   `scan.cache.*` metrics observe it).
+//!   caches first (cache sharing is artifact-invisible; only the
+//!   `scan.cache.*` lookups and hits observe it).
 //!
-//! The contract holds for every traffic substrate.
+//! The contract holds for every traffic substrate. The cases run
+//! through the invariance harness (`harness/mod.rs`).
 
-use std::path::PathBuf;
+mod harness;
 
-use malware_slums::export;
-use malware_slums::study::{Study, StudyConfig};
+use harness::{assert_tenants_reproduce, check, scratch_dir, Order, Plan, Reference, Run, World};
 use malware_slums::substrate::Substrate;
 use slum_serve::Service;
 
 const SEED: u64 = 2016;
+const CHECKPOINT_EVERY: u64 = 7;
 
-fn config_for(substrate: Substrate) -> StudyConfig {
-    StudyConfig::builder()
-        .seed(SEED)
-        .crawl_scale(0.0002)
-        .domain_scale(0.03)
-        .checkpoint_every(7)
-        .substrate(substrate)
-        .build()
-        .expect("valid config")
-}
-
-fn scratch_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("slum-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The batch reference: same config through `Study::run` (no service,
-/// no checkpoints, no sharing).
-fn batch_study(substrate: Substrate) -> Study {
-    let mut config = config_for(substrate);
-    config.checkpoint_every = None;
-    Study::run(&config)
-}
-
-fn batch_export(substrate: Substrate) -> String {
-    export::to_json(&batch_study(substrate)).expect("batch export")
-}
-
-fn completed_export(service: &Service, id: u64) -> String {
-    let status = service.status(id).expect("known study");
-    assert_eq!(status.state, "done", "study {id} did not finish: {:?}", status.error);
-    service.export(id).expect("known study").expect("done study has export")
+fn service_plan(order: Order, daemon_kill: Option<u64>) -> Plan {
+    Plan { run: Run::Service { every: CHECKPOINT_EVERY, order, daemon_kill }, ..Plan::batch(2) }
 }
 
 #[test]
 fn interleaved_tenants_match_batch_for_every_substrate() {
-    let root = scratch_root("interleave");
+    // One tenant per substrate, round-robin to completion.
+    let worlds = Substrate::ALL.map(|substrate| World::fault_free(substrate, SEED));
+    let references: Vec<Reference> = worlds.iter().map(Reference::of).collect();
+    let plan = service_plan(Order::RoundRobin, None);
+    let root = scratch_dir("interleave");
     let service = Service::open(&root).expect("service root");
-    let mut ids = Vec::new();
-    for (i, substrate) in Substrate::ALL.into_iter().enumerate() {
-        let id = service
-            .submit(&format!("tenant-{i}"), config_for(substrate))
-            .expect("submit");
-        ids.push((id, substrate));
-    }
-    // Round-robin all three substrates' studies to completion.
+    let tenants: Vec<(&str, u64, &Reference)> = ["tenant-0", "tenant-1", "tenant-2"]
+        .into_iter()
+        .zip(worlds.iter().zip(&references))
+        .map(|(tenant, (world, reference))| {
+            (tenant, service.submit(tenant, plan.config(world)).expect("submit"), reference)
+        })
+        .collect();
     service.run_to_completion().expect("scheduler");
-    for (id, substrate) in &ids {
-        assert_eq!(
-            completed_export(&service, *id),
-            batch_export(*substrate),
-            "{}: interleaved service run diverged from batch",
-            substrate.name()
-        );
-    }
+    assert_tenants_reproduce(&service, tenants, &plan);
     std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn scheduling_order_never_affects_artifacts() {
-    let substrate = Substrate::ALL[0];
-    let batch = batch_export(substrate);
-
-    // Reversed round-robin: advance the later study first each pass.
-    let root = scratch_root("reversed");
-    let service = Service::open(&root).expect("service root");
-    let a = service.submit("alpha", config_for(substrate)).expect("submit");
-    let b = service.submit("beta", config_for(substrate)).expect("submit");
-    loop {
-        let mut progressed = false;
-        for id in [b, a] {
-            let status = service.advance(id).expect("advance");
-            progressed |= status.state == "running";
-        }
-        if !progressed {
-            break;
-        }
-    }
-    assert_eq!(completed_export(&service, a), batch, "reversed order diverged (alpha)");
-    assert_eq!(completed_export(&service, b), batch, "reversed order diverged (beta)");
-    std::fs::remove_dir_all(&root).ok();
-
-    // One at a time: drain study A fully before B starts.
-    let root = scratch_root("serial");
-    let service = Service::open(&root).expect("service root");
-    let a = service.submit("alpha", config_for(substrate)).expect("submit");
-    while service.status(a).expect("status").state == "running" {
-        service.advance(a).expect("advance");
-    }
-    let b = service.submit("beta", config_for(substrate)).expect("submit");
-    service.run_to_completion().expect("scheduler");
-    assert_eq!(completed_export(&service, a), batch, "serial order diverged (alpha)");
-    assert_eq!(completed_export(&service, b), batch, "serial order diverged (beta)");
-    std::fs::remove_dir_all(&root).ok();
+    let world = World::fault_free(Substrate::Exchange, SEED);
+    let plans = [Order::Reversed, Order::OneAfterAnother].map(|order| service_plan(order, None));
+    check(&world, &Reference::of(&world), &plans);
 }
 
 #[test]
 fn killed_daemon_resumes_bit_identically() {
     for substrate in Substrate::ALL {
-        let batch = batch_export(substrate);
-        let root = scratch_root(&format!("kill-{}", substrate.name()));
-
-        // First service incarnation: advance a few slices, then die.
-        {
-            let service = Service::open(&root).expect("service root");
-            let id = service.submit("phoenix", config_for(substrate)).expect("submit");
-            for _ in 0..3 {
-                let status = service.advance(id).expect("advance");
-                if status.state != "running" {
-                    break;
-                }
-            }
-        } // service dropped: the "daemon" is gone, checkpoints survive
-
-        // Second incarnation over the same root: same tenant + config
-        // resolves to the same checkpoint directory, so the study
-        // resumes where the dead daemon left it.
-        let service = Service::open(&root).expect("service root");
-        let id = service.submit("phoenix", config_for(substrate)).expect("resubmit");
-        service.run_to_completion().expect("scheduler");
-        assert_eq!(
-            completed_export(&service, id),
-            batch,
-            "{}: kill-and-resume diverged from batch",
-            substrate.name()
-        );
-        std::fs::remove_dir_all(&root).ok();
+        let world = World::fault_free(substrate, SEED);
+        let coverage =
+            check(&world, &Reference::of(&world), &[service_plan(Order::RoundRobin, Some(3))]);
+        assert_eq!(coverage.daemon_kill, 1, "{}: the kill must interrupt", substrate.name());
     }
 }
 
 #[test]
 fn cache_sharing_is_artifact_invisible_and_actually_shares() {
-    let substrate = Substrate::ALL[0];
-    let reference = batch_study(substrate);
-    let batch = export::to_json(&reference).expect("batch export");
-    let root = scratch_root("sharing");
-    let service = Service::open(&root).expect("service root");
-    let config = config_for(substrate);
-    let fingerprint = config.cache_fingerprint();
-
-    // Tenant alpha runs alone and warms the shared caches.
-    let a = service.submit("alpha", config.clone()).expect("submit");
-    service.run_to_completion().expect("scheduler");
-    let warm = service.cache_group_stats(&fingerprint).expect("cache group exists");
-    let (warm_lookups, warm_entries): (u64, u64) =
-        warm.iter().fold((0, 0), |(l, e), (_, s)| (l + s.lookups, e + s.entries));
-    assert!(warm_lookups > 0, "alpha's scan must populate the shared caches");
-
-    // Tenant beta scans the same web through the warmed caches.
-    let b = service.submit("beta", config).expect("submit");
-    service.run_to_completion().expect("scheduler");
-    let shared = service.cache_group_stats(&fingerprint).expect("cache group exists");
-    let (shared_lookups, shared_entries): (u64, u64) =
-        shared.iter().fold((0, 0), |(l, e), (_, s)| (l + s.lookups, e + s.entries));
-
-    let beta_lookups = shared_lookups - warm_lookups;
-    let beta_inserts = shared_entries - warm_entries;
-    assert!(beta_lookups > 0, "beta's scan must consult the shared caches");
-    assert!(
-        beta_inserts < beta_lookups,
-        "an identical second tenant must hit alpha's cached entries, \
-         not recompute everything ({beta_inserts} inserts / {beta_lookups} lookups)"
-    );
-
-    // Sharing never leaks into artifacts: both tenants equal batch.
-    assert_eq!(completed_export(&service, a), batch, "warming tenant diverged");
-    assert_eq!(completed_export(&service, b), batch, "warmed tenant diverged");
-
-    // The shared verdict index answers beta's queries from URLs only
-    // alpha-and-batch scanned: every regular URL of the study is known.
-    let mut hits = 0u64;
-    for (record, outcome) in reference.regular_pairs().into_iter().take(32) {
-        let verdict = service
-            .query_verdict(b, &record.url.canonical())
-            .expect("known study");
-        assert_eq!(
-            verdict,
-            Some(outcome.malicious),
-            "shared verdict index disagrees with batch for {}",
-            record.url.canonical()
-        );
-        hits += 1;
-    }
-    assert!(hits > 0, "study must yield regular records to query");
-    assert_eq!(
-        service.query_verdict(b, "http://never-crawled.example/").expect("known study"),
-        None,
-        "uncrawled URLs must be unknown"
-    );
-    std::fs::remove_dir_all(&root).ok();
+    // Tenant alpha runs alone and warms the shared caches; tenant beta
+    // then scans the same web through them. The harness checks that
+    // beta added no entries while doubling the lookups, that both
+    // tenants match batch, and that the shared verdict index answers
+    // beta's queries for the URLs alpha scanned.
+    let world = World::fault_free(Substrate::Exchange, SEED);
+    let coverage =
+        check(&world, &Reference::of(&world), &[service_plan(Order::OneAfterAnother, None)]);
+    assert_eq!(coverage.warm_service, 1, "the second tenant must scan warm");
 }
