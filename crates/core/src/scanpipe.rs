@@ -7,16 +7,33 @@
 //! comes back clean, the pipeline uploads the page content the crawler's
 //! *browser* captured, which defeats the cloak.
 //!
-//! The pipeline is data-parallel: [`ScanPipeline::scan`] takes `&self`,
-//! all memoization lives in sharded concurrent caches
-//! ([`slum_detect::ShardedCache`]), and
-//! [`ScanPipeline::scan_all_parallel_chunked`] fans a batch out over
-//! scoped worker threads while keeping the output order — and the
-//! verdicts themselves — identical to the serial path. The study's scan
-//! phase runs through the same chunked loop.
+//! A batch is scanned from a plan. Once the crawl ends, every key the
+//! scan looks up is known, so [`ScanPipeline::scan_all_parallel_chunked`]
+//! (and the study's scan phase, which calls the same code) runs five
+//! passes:
+//!
+//! 1. a serial pass gives each record its fault decisions, a dense URL
+//!    id and its chain-host ids;
+//! 2. parallel passes fill `Vec` slots with each distinct URL's sample
+//!    (scanner load, VirusTotal and Quttera reports, JS tally), each
+//!    distinct host's registered domain and each distinct domain's
+//!    blacklist consensus;
+//! 3. a serial pass walks each record's chain up to its first
+//!    blacklisted domain and gives a content id to every capture whose
+//!    reachable URL scans were all clean;
+//! 4. a parallel pass scans each distinct capture;
+//! 5. a parallel pass assembles each record's [`ScanOutcome`] from its
+//!    ids.
+//!
+//! Every parallel pass runs through one chunked loop over scoped
+//! threads that returns its results in index order, so the outcomes are
+//! identical for every worker count and chunk size. The `scan.cache.*`
+//! and `js.vm.*` counters are arithmetic on the plan.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Instant;
 
 use slum_browser::{Browser, LoadResult};
 use slum_crawler::CrawlRecord;
@@ -25,9 +42,10 @@ use slum_detect::fault::{FaultPlan, ScanService, ServiceDecision};
 use slum_detect::hash::fnv1a;
 use slum_detect::quttera::{Quttera, QutteraFinding, QutteraReport, QutteraVerdict};
 use slum_detect::virustotal::{VirusTotal, VtReport};
-use slum_detect::{Features, Interner, JsModuleCache, ShardedCache};
+use slum_detect::{CacheStats, Features, JsModuleCache};
 use slum_js::sandbox::{JsEngine, SandboxReport};
 use slum_js::ModuleStore;
+use slum_obs::Histogram;
 use slum_websim::{BodyCache, RequestContext, SyntheticWeb, Url};
 
 /// Which services contributed to a verdict — the provenance record the
@@ -111,17 +129,17 @@ pub fn scan_key(record: &CrawlRecord) -> String {
     format!("{}#{}", record.exchange, record.seq)
 }
 
-/// Default scan work-unit size: records per chunk pulled by a parallel
+/// Default scan work-unit size: items per chunk pulled by a parallel
 /// scan worker. Small enough to load-balance, large enough that the
 /// atomic pull amortizes to noise.
 pub const DEFAULT_SCAN_CHUNK: usize = 256;
 
 /// Default corpus size below which the scan phase runs serially.
 ///
-/// Thread spawn/join and cold shared caches cost more than they save on
-/// small corpora (the crawl_scale 0.001 CI runs measured parallel scans
-/// *slower* than serial), so below this many records the study ignores
-/// the configured worker count and takes the serial path.
+/// Thread spawn/join costs more than it saves on small corpora (the
+/// crawl_scale 0.001 CI runs measured parallel scans *slower* than
+/// serial), so below this many records the study ignores the configured
+/// worker count and takes the serial path.
 pub const DEFAULT_SERIAL_SCAN_THRESHOLD: usize = 4096;
 
 /// The worker count the scan phase actually uses for `record_count`
@@ -148,40 +166,35 @@ pub fn effective_scan_workers(
     requested.max(1).min(cores).min(record_count.max(1))
 }
 
-/// Maps `scan_one` over the indices `0..len` across `workers` scoped
-/// threads and returns the outcomes in index order — the one chunked
-/// scan loop behind [`ScanPipeline::scan_all_parallel_chunked`] and the
-/// study's scan phase.
+/// Maps `f` over the indices `0..len` across `workers` scoped threads
+/// and returns the results in index order — the one chunked loop every
+/// parallel pass of a scan runs through.
 ///
 /// Workers pull `chunk`-sized runs of indices from a shared atomic
 /// counter instead of taking one contiguous stretch each, so a worker
-/// that drew cache-cold records keeps pulling small chunks while its
-/// peers do the same and no thread idles behind one unlucky stretch.
-/// Each run is tagged with its chunk number and the runs are
-/// reassembled in order, so the result equals the serial
-/// `(0..len).map(scan_one)` for every worker count and chunk size. One
-/// worker (or at most one index) takes that serial path directly.
-pub(crate) fn scan_chunked<F>(
-    len: usize,
-    workers: usize,
-    chunk: usize,
-    scan_one: F,
-) -> Vec<ScanOutcome>
+/// that drew expensive items keeps pulling small chunks while its peers
+/// do the same and no thread idles behind one unlucky stretch. Each run
+/// is tagged with its chunk number and the runs are reassembled in
+/// order, so the result equals the serial `(0..len).map(f)` for every
+/// worker count and chunk size. One worker (or at most one index) takes
+/// that serial path directly.
+pub(crate) fn scan_chunked<T, F>(len: usize, workers: usize, chunk: usize, f: F) -> Vec<T>
 where
-    F: Fn(usize) -> ScanOutcome + Sync,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
     let workers = workers.max(1).min(len.max(1));
     if workers == 1 {
-        return (0..len).map(scan_one).collect();
+        return (0..len).map(f).collect();
     }
     let chunk = chunk.max(1);
     let n_chunks = len.div_ceil(chunk);
     let next = AtomicUsize::new(0);
-    let mut parts: Vec<(usize, Vec<ScanOutcome>)> = crossbeam::thread::scope(|scope| {
+    let mut parts: Vec<(usize, Vec<T>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (next, scan_one) = (&next, &scan_one);
-                scope.spawn(move |_| {
+                let (next, f) = (&next, &f);
+                scope.spawn(move || {
                     let mut parts = Vec::new();
                     loop {
                         let c = next.fetch_add(1, Ordering::Relaxed);
@@ -189,21 +202,20 @@ where
                             break;
                         }
                         let lo = c * chunk;
-                        parts.push((c, (lo..(lo + chunk).min(len)).map(scan_one).collect()));
+                        parts.push((c, (lo..(lo + chunk).min(len)).map(f).collect()));
                     }
                     parts
                 })
             })
             .collect();
         handles.into_iter().flat_map(|h| h.join().expect("scan worker panicked")).collect()
-    })
-    .expect("scan scope panicked");
+    });
     parts.sort_unstable_by_key(|&(c, _)| c);
-    let mut outcomes = Vec::with_capacity(len);
+    let mut out = Vec::with_capacity(len);
     for (_, part) in parts {
-        outcomes.extend(part);
+        out.extend(part);
     }
-    outcomes
+    out
 }
 
 /// Verdict and evidence for one scanned record.
@@ -216,8 +228,8 @@ pub struct ScanOutcome {
     pub vt: VtReport,
     /// Quttera report.
     pub quttera: QutteraReport,
-    /// Blacklist consensus hit on any chain domain (interned: every
-    /// record hitting the same domain shares one allocation).
+    /// Blacklist consensus hit on any chain domain (every record of a
+    /// scan hitting the same domain shares one allocation).
     pub blacklisted_domain: Option<Arc<str>>,
     /// Whether the verdict required the content-upload path (i.e. the
     /// URL scan was clean but the uploaded browser capture was not).
@@ -240,53 +252,111 @@ impl ScanOutcome {
     }
 }
 
-/// The complete memoization state of a [`ScanPipeline`], split out so
-/// several pipelines can share one warm set via `Arc` — the slum-serve
-/// daemon hands the same `ScanCaches` to every tenant studying the same
-/// synthetic web, so a URL scanned for one tenant answers from cache
-/// for the next.
+/// The `scan.cache.*` group names, in [`ScanCaches::stats`] order.
+const CACHE_GROUPS: [&str; 4] =
+    ["url_features", "content_features", "host_domains", "domain_blacklisted"];
+
+/// One scanned sample — a URL as the scanner fetches it, or an uploaded
+/// capture: both scanners' verdicts and the JS it ran.
+#[derive(Debug)]
+struct Sample {
+    vt: VtReport,
+    /// Quttera's findings and verdict; each outcome's report carries
+    /// its own record's URL.
+    findings: Vec<QutteraFinding>,
+    verdict: QutteraVerdict,
+    js: JsRunStats,
+}
+
+impl Sample {
+    fn new(vt: VtReport, quttera: QutteraReport, js: JsRunStats) -> Sample {
+        Sample { vt, findings: quttera.findings, verdict: quttera.verdict, js }
+    }
+
+    fn quttera_malicious(&self) -> bool {
+        self.verdict == QutteraVerdict::Malicious
+    }
+
+    fn quttera_for(&self, url: &Url) -> QutteraReport {
+        QutteraReport { url: url.clone(), findings: self.findings.clone(), verdict: self.verdict }
+    }
+}
+
+/// JS execution counters for one distinct scanned sample.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct JsRunStats {
+    /// Bytecode instructions the VM dispatched (0 under the tree-walk
+    /// engine).
+    instructions: u64,
+    /// Module-cache lookups the VM issued (one per script + eval layer).
+    module_lookups: u64,
+    /// Scripts that ran out of step budget.
+    budget_exhaustions: u64,
+}
+
+impl JsRunStats {
+    fn from_report(report: &SandboxReport) -> JsRunStats {
+        JsRunStats {
+            instructions: report.vm_instructions,
+            module_lookups: report.vm_module_lookups,
+            budget_exhaustions: report
+                .errors
+                .iter()
+                .filter(|e| e.contains("step budget exhausted"))
+                .count() as u64,
+        }
+    }
+
+    fn sum<'a>(samples: impl IntoIterator<Item = &'a Arc<Sample>>) -> JsRunStats {
+        samples.into_iter().fold(JsRunStats::default(), |acc, s| JsRunStats {
+            instructions: acc.instructions + s.js.instructions,
+            module_lookups: acc.module_lookups + s.js.module_lookups,
+            budget_exhaustions: acc.budget_exhaustions + s.js.budget_exhaustions,
+        })
+    }
+}
+
+/// Finished samples, shared by every scan through one [`ScanCaches`].
+/// A scan reads it once before it computes and extends it once after.
+#[derive(Default)]
+struct SampleTable {
+    /// Canonical URL → its URL-scan sample.
+    urls: HashMap<Arc<str>, Arc<Sample>>,
+    /// `canonical#content-hash` → its upload sample.
+    captures: HashMap<Arc<str>, Arc<Sample>>,
+    /// Chain host → registered domain.
+    hosts: HashMap<Arc<str>, Arc<str>>,
+    /// Registered domain → blacklist consensus.
+    domains: HashMap<Arc<str>, bool>,
+    /// Lookups summed over every scan, per [`CACHE_GROUPS`] entry.
+    lookups: [u64; 4],
+}
+
+/// The memoization state of a [`ScanPipeline`], split out so several
+/// pipelines can share it via `Arc` — the slum-serve daemon hands the
+/// same `ScanCaches` to every tenant studying the same synthetic web,
+/// so a URL scanned for one tenant is not scanned again for the next.
 ///
 /// Sharing is sound only between pipelines scanning the *same* web
 /// (same seed, scales, substrate and JS engine): every cached value is
 /// a pure function of `(web, key)`, so a shared entry is bit-identical
-/// to what a cold cache would recompute. Verdicts and artifacts cannot
-/// change under sharing — only the `scan.cache.*.lookups` and
-/// `scan.cache.*.hits` counters observe it.
+/// to what a cold cache would recompute. Neither verdicts nor a study's
+/// counters change under sharing: a study's `scan.cache.*` and `js.vm.*`
+/// counters are its own plan's. Only [`ScanCaches::stats`] — summed
+/// over every scan through the set — observes it.
 pub struct ScanCaches {
     /// Static-pass features ([`Features::from_page`]) per distinct page
-    /// body. Bodies repeat far more than URLs or captures do, so URL
-    /// scans and content uploads each run only their per-sample dynamic
-    /// pass on top of this. Keyed by the body text, held as the shared
-    /// `Arc<str>` the web interned.
+    /// body. Which body a scanner load ends on is known only after the
+    /// load, so this cache fills while the scan runs. Keyed by the body
+    /// text, held as the shared `Arc<str>` the web interned.
     page_features: BodyCache<Features>,
-    /// URL-scan features: one scanner fetch per distinct canonical URL.
-    url_features: ShardedCache<Features>,
-    /// Content-upload features, keyed `canonical#content-hash`: the VT
-    /// file scan and the Quttera content scan both need them, and the
-    /// same capture recurs across records, so extraction runs once per
-    /// distinct capture instead of twice per record.
-    content_features: ShardedCache<Features>,
-    /// Host → registered domain (interned), so chain hosts repeated
-    /// across records don't re-derive the suffix computation or
-    /// allocate a fresh domain string per hop.
-    host_domains: ShardedCache<Arc<str>>,
-    /// Registered domain → blacklist-consensus verdict. The consensus
-    /// walks all six lists; memoizing it per domain collapses that to
-    /// one walk per distinct domain across the whole corpus.
-    domain_blacklisted: ShardedCache<bool>,
-    /// Deduplicating pool behind `host_domains` values and
-    /// `blacklisted_domain` outcomes.
-    interner: Interner,
-    /// Compiled-module cache shared across scan workers: campaign pages
-    /// reusing the same packed payload compile it once. Only consulted
-    /// under [`JsEngine::Vm`].
+    /// Compiled-module cache: campaign pages reusing the same packed
+    /// payload compile it once. Only consulted under [`JsEngine::Vm`].
     js_modules: Arc<JsModuleCache>,
-    /// Per-sample JS execution stats, keyed like the feature caches
-    /// (canonical URL for URL scans, `canon#hash` for content uploads).
-    /// Memoizing per sample makes the `js.vm.*` execution counters
-    /// deterministic across worker counts: racing duplicate computes
-    /// collapse to one entry per distinct sample.
-    js_stats: ShardedCache<JsRunStats>,
+    /// Every URL, capture, host and domain a kept scan finished. Their
+    /// keys are known before a scan computes, so the table is locked
+    /// once before and once after a scan, never by its workers.
+    samples: RwLock<SampleTable>,
 }
 
 impl ScanCaches {
@@ -294,25 +364,26 @@ impl ScanCaches {
     pub fn new() -> Self {
         ScanCaches {
             page_features: BodyCache::new(),
-            url_features: ShardedCache::new(),
-            content_features: ShardedCache::new(),
-            host_domains: ShardedCache::new(),
-            domain_blacklisted: ShardedCache::new(),
-            interner: Interner::new(),
             js_modules: Arc::new(JsModuleCache::new()),
-            js_stats: ShardedCache::new(),
+            samples: RwLock::new(SampleTable::default()),
         }
+    }
+
+    /// The sample table, ignoring poison from a panicked holder: a scan
+    /// extends it only after its last pass, in one critical section.
+    fn table(&self) -> RwLockReadGuard<'_, SampleTable> {
+        self.samples.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn table_mut(&self) -> RwLockWriteGuard<'_, SampleTable> {
+        self.samples.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Drops all memoized state except the compiled-module cache (see
     /// [`ScanPipeline::clear_caches`] for the rationale).
     pub fn clear(&self) {
         self.page_features.clear();
-        self.url_features.clear();
-        self.content_features.clear();
-        self.host_domains.clear();
-        self.domain_blacklisted.clear();
-        self.js_stats.clear();
+        *self.table_mut() = SampleTable::default();
     }
 
     /// Drops the compiled-JS module cache too (fully cold scans).
@@ -320,39 +391,40 @@ impl ScanCaches {
         self.js_modules.clear();
     }
 
-    /// Number of distinct URLs whose scan features are currently cached.
+    /// Number of distinct URLs whose scan samples are cached.
     pub fn cached_urls(&self) -> usize {
-        self.url_features.len()
+        self.table().urls.len()
     }
 
-    /// Lookup/entry/hit statistics for each of the four memoization
-    /// caches, keyed by the metric group name used under
-    /// `scan.cache.*`. Hits are derived (`lookups - entries`), so the
-    /// numbers are deterministic for every worker count.
-    pub fn stats(&self) -> [(&'static str, slum_detect::CacheStats); 4] {
-        [
-            ("url_features", self.url_features.stats()),
-            ("content_features", self.content_features.stats()),
-            ("host_domains", self.host_domains.stats()),
-            ("domain_blacklisted", self.domain_blacklisted.stats()),
-        ]
+    /// Lookup/entry/hit statistics for each of the four memoized key
+    /// kinds, keyed by the metric group name used under `scan.cache.*`:
+    /// lookups summed over every scan through this set, entries the
+    /// distinct keys cached, hits derived as `lookups - entries`.
+    pub fn stats(&self) -> [(&'static str, CacheStats); 4] {
+        let table = self.table();
+        let entries =
+            [table.urls.len(), table.captures.len(), table.hosts.len(), table.domains.len()];
+        std::array::from_fn(|g| {
+            (CACHE_GROUPS[g], CacheStats::new(table.lookups[g], entries[g] as u64))
+        })
     }
 
-    /// Aggregated JS-engine statistics (see [`JsVmStats`]).
+    /// JS-engine statistics over every cached sample (see
+    /// [`JsVmStats`]).
     pub fn js_vm_stats(&self) -> JsVmStats {
-        let per_sample = self.js_stats.fold(JsRunStats::default(), |acc, _key, s| JsRunStats {
-            instructions: acc.instructions + s.instructions,
-            module_lookups: acc.module_lookups + s.module_lookups,
-            budget_exhaustions: acc.budget_exhaustions + s.budget_exhaustions,
-        });
+        let table = self.table();
+        self.vm_stats(JsRunStats::sum(table.urls.values().chain(table.captures.values())))
+    }
+
+    fn vm_stats(&self, run: JsRunStats) -> JsVmStats {
         let compiles = self.js_modules.len() as u64;
         JsVmStats {
             compiles,
             compile_nanos: self.js_modules.total_compile_nanos(),
-            module_lookups: per_sample.module_lookups,
-            module_hits: per_sample.module_lookups.saturating_sub(compiles),
-            instructions: per_sample.instructions,
-            budget_exhaustions: per_sample.budget_exhaustions,
+            module_lookups: run.module_lookups,
+            module_hits: run.module_lookups.saturating_sub(compiles),
+            instructions: run.instructions,
+            budget_exhaustions: run.budget_exhaustions,
         }
     }
 }
@@ -386,40 +458,14 @@ pub struct ScanPipeline<'w> {
     js_engine: JsEngine,
 }
 
-/// JS execution counters for one distinct scanned sample.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct JsRunStats {
-    /// Bytecode instructions the VM dispatched (0 under the tree-walk
-    /// engine).
-    instructions: u64,
-    /// Module-cache lookups the VM issued (one per script + eval layer).
-    module_lookups: u64,
-    /// Scripts that ran out of step budget.
-    budget_exhaustions: u64,
-}
-
-impl JsRunStats {
-    fn from_report(report: &SandboxReport) -> JsRunStats {
-        JsRunStats {
-            instructions: report.vm_instructions,
-            module_lookups: report.vm_module_lookups,
-            budget_exhaustions: report
-                .errors
-                .iter()
-                .filter(|e| e.contains("step budget exhausted"))
-                .count() as u64,
-        }
-    }
-}
-
-/// Aggregated `js.vm.*` statistics of one [`ScanPipeline`], read via
-/// [`ScanPipeline::js_vm_stats`].
+/// `js.vm.*` statistics: of one planned scan in a study, or of every
+/// sample a [`ScanCaches`] holds ([`ScanPipeline::js_vm_stats`]).
 ///
-/// Every field except `compile_nanos` is derived from per-sample
-/// memoized stats and the module cache's entry set, both of which are
-/// schedule-independent — so the numbers are identical for every worker
-/// count. `compile_nanos` is wall-clock and excluded from determinism
-/// contracts.
+/// Every field except `compile_nanos` sums per-sample tallies over
+/// distinct samples or counts the module cache's entries, both of which
+/// are schedule-independent — so the numbers are identical for every
+/// worker count. `compile_nanos` is wall-clock and excluded from
+/// determinism contracts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JsVmStats {
     /// Distinct modules compiled (== module-cache entries == the
@@ -437,6 +483,84 @@ pub struct JsVmStats {
     pub instructions: u64,
     /// Scripts that exhausted their step budget.
     pub budget_exhaustions: u64,
+}
+
+/// The `scan.cache.*` and `js.vm.*` counters of one planned scan.
+pub(crate) struct ScanTally {
+    pub(crate) caches: [(&'static str, CacheStats); 4],
+    pub(crate) js_vm: JsVmStats,
+}
+
+/// One record's part of a scan plan.
+#[derive(Debug)]
+struct Visit {
+    vt_up: bool,
+    quttera_up: bool,
+    blacklist_up: bool,
+    faults: FaultLog,
+    /// Index into the plan's distinct URLs, when a scanner is up.
+    url: Option<u32>,
+    /// End of this record's chain-host ids in the plan's `chain`.
+    chain_end: u32,
+    /// Index into the distinct captures, when the capture is uploaded.
+    capture: Option<u32>,
+    /// Index into the distinct domains of the first blacklisted one on
+    /// the chain.
+    blacklisted: Option<u32>,
+}
+
+impl Visit {
+    /// Whether a scanner that is up for this record flags `sample`.
+    fn flagged(&self, sample: &Sample) -> bool {
+        (self.vt_up && sample.vt.is_malicious()) || (self.quttera_up && sample.quttera_malicious())
+    }
+}
+
+/// The first pass of a scan: every record's visit, and the distinct
+/// URLs and chain hosts the records look up.
+struct Plan {
+    visits: Vec<Visit>,
+    urls: Ids,
+    hosts: Ids,
+    /// Every record's chain-host ids, back to back (see
+    /// [`Visit::chain_end`]).
+    chain: Vec<u32>,
+}
+
+/// Dense ids for distinct strings, in first-seen order.
+#[derive(Default)]
+struct Ids {
+    ids: HashMap<Arc<str>, u32>,
+    /// Each string with the first index that asked for it.
+    keys: Vec<(Arc<str>, usize)>,
+}
+
+impl Ids {
+    /// The id of `key`; a new key takes the next id and remembers
+    /// `first`.
+    fn id(&mut self, key: &str, first: usize) -> u32 {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        let id = u32::try_from(self.keys.len()).expect("fewer than 2^32 distinct keys");
+        let key: Arc<str> = key.into();
+        self.ids.insert(Arc::clone(&key), id);
+        self.keys.push((key, first));
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+}
+
+/// Runs `compute`, recording its wall time into `timing` when given.
+fn timed<T>(timing: Option<&Histogram>, compute: impl FnOnce() -> T) -> T {
+    let Some(histogram) = timing else { return compute() };
+    let t0 = Instant::now();
+    let value = compute();
+    histogram.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    value
 }
 
 impl<'w> ScanPipeline<'w> {
@@ -481,9 +605,9 @@ impl<'w> ScanPipeline<'w> {
         self.js_engine
     }
 
-    /// Attaches a compiled fault schedule: every subsequent
-    /// [`ScanPipeline::scan`] replays the plan's frozen per-request
-    /// decisions (so verdicts stay bit-identical across worker counts).
+    /// Attaches a compiled fault schedule: every subsequent scan replays
+    /// the plan's frozen per-request decisions (so verdicts stay
+    /// bit-identical across worker counts).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -499,15 +623,12 @@ impl<'w> ScanPipeline<'w> {
         &self.blacklists
     }
 
-    /// Drops all memoized state (URL features, domain derivations,
-    /// consensus verdicts, per-sample JS stats). Verdicts are
-    /// deterministic with or without warm caches; benchmarks use this
-    /// to measure cold scans without paying pipeline construction
-    /// again.
+    /// Drops all memoized state (page features and finished samples).
+    /// Verdicts are deterministic with or without warm caches; tests
+    /// use this to scan cold again without rebuilding the pipeline.
     ///
     /// The compiled-module cache survives: modules are keyed by content
-    /// hash and behaviourally inert, and warm-module/cold-feature is
-    /// exactly the configuration the JS-VM benchmark measures. Use
+    /// hash and behaviourally inert. Use
     /// [`ScanPipeline::clear_module_cache`] for a fully cold run.
     pub fn clear_caches(&self) {
         self.caches.clear();
@@ -518,182 +639,263 @@ impl<'w> ScanPipeline<'w> {
         self.caches.clear_modules();
     }
 
-    /// Number of distinct URLs whose scan features are currently cached.
+    /// Number of distinct URLs whose scan samples are cached.
     pub fn cached_urls(&self) -> usize {
         self.caches.cached_urls()
     }
 
-    /// Lookup/entry/hit statistics for each of the four memoization
-    /// caches, keyed by the metric group name used under
-    /// `scan.cache.*`. Hits are derived (`lookups - entries`), so the
-    /// numbers are deterministic for every worker count.
-    pub fn cache_stats(&self) -> [(&'static str, slum_detect::CacheStats); 4] {
+    /// Lookup/entry/hit statistics of the pipeline's cache set (see
+    /// [`ScanCaches::stats`]). For a pipeline with its own caches that
+    /// scanned one batch, these are that batch's `scan.cache.*`
+    /// counters.
+    pub fn cache_stats(&self) -> [(&'static str, CacheStats); 4] {
         self.caches.stats()
     }
 
-    /// Aggregated JS-engine statistics (see [`JsVmStats`]). All-zero
-    /// under [`JsEngine::TreeWalk`] and before any scan, so the
-    /// `js.vm.*` counters derived from this are always present.
+    /// JS-engine statistics over every sample the cache set holds (see
+    /// [`JsVmStats`]). All-zero under [`JsEngine::TreeWalk`] and before
+    /// any scan.
     pub fn js_vm_stats(&self) -> JsVmStats {
         self.caches.js_vm_stats()
     }
 
-    /// Scans one crawl record, degrading gracefully when the fault plan
-    /// says a service is unavailable for it: an unavailable service is
-    /// simply not consulted (its report stays empty), the verdict is
-    /// built from whatever answered, and [`VerdictSource`] records the
-    /// provenance. With no plan (or an all-Ok decision) the path is
-    /// byte-for-byte the historical one.
+    /// Scans one crawl record: a batch of one. A record's outcome does
+    /// not depend on the rest of its batch, so this equals the record's
+    /// slot in any batch scan.
     pub fn scan(&self, record: &CrawlRecord) -> ScanOutcome {
-        let decisions = match &self.fault_plan {
-            Some(plan) => plan.decisions_for(&record.exchange, record.seq),
-            None => [ServiceDecision::Ok; 3],
-        };
-        let vt_up = decisions[ScanService::VirusTotal.index()].available();
-        let quttera_up = decisions[ScanService::Quttera.index()].available();
-        let blacklist_up = decisions[ScanService::Blacklist.index()].available();
-
-        // 1. Blacklist consensus over every domain on the redirect chain
-        //    (the entry URL may be benign while the destination is not).
-        let blacklisted_domain =
-            if blacklist_up { self.chain_blacklist_hit(record) } else { None };
-
-        // Reports stay `None` for unreachable services until the end, so
-        // the degraded path constructs nothing it won't keep.
-        let mut vt: Option<VtReport> = None;
-        let mut quttera: Option<QutteraReport> = None;
-        let mut needed_content_upload = false;
-
-        if vt_up || quttera_up {
-            // 2. URL scans (scanner-side fetch; cloaking applies). The
-            //    feature extraction is shared, so it runs once even when
-            //    only one scanner is reachable; the canonical form is
-            //    computed once and reused as both cache and sample key.
-            let canon = record.url.canonical();
-            let url_features = self.url_features(&record.url, &canon);
-            if vt_up {
-                vt = Some(self.vt.aggregate(&canon, &url_features));
-            }
-            if quttera_up {
-                quttera = Some(self.quttera.report(&record.url, &url_features));
-            }
-
-            // 3. Content upload for URL-scan-clean pages with captured
-            //    content (the cloaking defeat) — only to reachable
-            //    services. Feature extraction over the capture is shared
-            //    between both scanners and memoized per distinct
-            //    (URL, content) pair; the sample key matches the one
-            //    `VirusTotal::scan_content` derives, so engine decisions
-            //    are unchanged.
-            let url_scan_clean = !vt.as_ref().is_some_and(VtReport::is_malicious)
-                && !quttera.as_ref().is_some_and(QutteraReport::is_malicious);
-            if url_scan_clean {
-                if let Some(content) = &record.content {
-                    let content_key = format!("{canon}#{:x}", fnv1a(content.as_bytes()));
-                    let features =
-                        self.caches.content_features.get_or_insert_with(&content_key, || {
-                            let (features, report) = self.content_features(&record.url, content);
-                            self.caches.js_stats.get_or_insert_with(&content_key, || {
-                                JsRunStats::from_report(&report)
-                            });
-                            features
-                        });
-                    let vt_content =
-                        vt_up.then(|| self.vt.aggregate(&content_key, &features));
-                    let quttera_content =
-                        quttera_up.then(|| self.quttera.report(&record.url, &features));
-                    if vt_content.as_ref().is_some_and(VtReport::is_malicious)
-                        || quttera_content.as_ref().is_some_and(QutteraReport::is_malicious)
-                    {
-                        needed_content_upload = true;
-                        if vt_up {
-                            vt = vt_content;
-                        }
-                        if quttera_up {
-                            quttera = quttera_content;
-                        }
-                    }
-                }
-            }
-        }
-
-        let vt = vt.unwrap_or_else(empty_vt_report);
-        let quttera = quttera.unwrap_or_else(|| empty_quttera_report(&record.url));
-        let malicious =
-            vt.is_malicious() || quttera.is_malicious() || blacklisted_domain.is_some();
-        ScanOutcome {
-            malicious,
-            vt,
-            quttera,
-            blacklisted_domain,
-            needed_content_upload,
-            source: VerdictSource::classify(vt_up, quttera_up, blacklist_up),
-            faults: FaultLog::from_decisions(&decisions),
-        }
+        let mut outcomes = self.scan_all(std::slice::from_ref(record));
+        outcomes.pop().expect("one outcome per record")
     }
 
-    /// Scans a batch serially, preserving order.
+    /// Scans a batch on the calling thread, preserving order.
     pub fn scan_all(&self, records: &[CrawlRecord]) -> Vec<ScanOutcome> {
-        records.iter().map(|r| self.scan(r)).collect()
+        self.scan_all_parallel_chunked(records, 1, DEFAULT_SCAN_CHUNK)
     }
 
-    /// Scans a batch across `workers` scoped threads, distributing the
-    /// records as `chunk`-sized work units pulled from a shared atomic
-    /// index — the same loop the study's scan phase runs. The output is
-    /// index-aligned with `records` and identical to
-    /// [`ScanPipeline::scan_all`] for every worker count and chunk size
-    /// (verdicts are pure functions of the record; caches only change
-    /// *when* work happens, never its result).
+    /// Scans a batch from a plan (see the module docs), running every
+    /// parallel pass across `workers` scoped threads that pull
+    /// `chunk`-sized work units. The output is index-aligned with
+    /// `records` and identical for every worker count and chunk size.
+    ///
+    /// A service that is unavailable for a record under the fault plan
+    /// is simply not consulted (its report stays empty), the verdict is
+    /// built from whatever answered, and [`VerdictSource`] records the
+    /// provenance.
     pub fn scan_all_parallel_chunked(
         &self,
         records: &[CrawlRecord],
         workers: usize,
         chunk: usize,
     ) -> Vec<ScanOutcome> {
-        scan_chunked(records.len(), workers, chunk, |i| self.scan(&records[i]))
+        let records: Vec<&CrawlRecord> = records.iter().collect();
+        self.scan_planned(&records, workers, chunk, None, true).0
     }
 
-    /// Chain-wide blacklist check: first registered domain on the
-    /// redirect chain that hits the list consensus. Domain derivation is
-    /// memoized per host and the consensus per domain, so repeated
-    /// chains cost two cache reads per hop.
-    fn chain_blacklist_hit(&self, record: &CrawlRecord) -> Option<Arc<str>> {
-        for host in &record.chain_hosts {
-            let domain = self.caches.host_domains.get_or_insert_with(host, || {
-                self.caches.interner.intern(&slum_websim::domain::registered_domain(host))
-            });
-            let hit = self
-                .caches
-                .domain_blacklisted
-                .get_or_insert_with(&domain, || self.blacklists.check(&domain).is_blacklisted());
-            if hit {
-                return Some(domain);
+    /// The planned scan behind every public scan method and the study's
+    /// scan phase. Each URL or capture the scan computes records its
+    /// wall time into `sample_nanos` when given. With `keep`, the
+    /// finished samples extend the cache set's table for later scans;
+    /// a study scanning through its own caches passes `false`, because
+    /// nothing reads them again.
+    pub(crate) fn scan_planned(
+        &self,
+        records: &[&CrawlRecord],
+        workers: usize,
+        chunk: usize,
+        sample_nanos: Option<&Histogram>,
+        keep: bool,
+    ) -> (Vec<ScanOutcome>, ScanTally) {
+        // 1. Fault decisions, URL ids and chain-host ids.
+        let Plan { mut visits, urls, hosts, chain } = self.plan(records);
+        let guard = self.caches.table();
+        let table = &*guard;
+        // 2. Each distinct URL's sample, host's domain and domain's
+        //    consensus.
+        let url_samples = scan_chunked(urls.len(), workers, chunk, |u| {
+            let (canon, i) = &urls.keys[u];
+            table.urls.get(canon).cloned().unwrap_or_else(|| {
+                timed(sample_nanos, || Arc::new(self.url_sample(&records[*i].url, canon)))
+            })
+        });
+        let host_domains = scan_chunked(hosts.len(), workers, chunk, |h| {
+            let host = &hosts.keys[h].0;
+            table
+                .hosts
+                .get(host)
+                .cloned()
+                .unwrap_or_else(|| slum_websim::domain::registered_domain(host).into())
+        });
+        let mut domains = Ids::default();
+        let host_domain: Vec<u32> =
+            host_domains.iter().enumerate().map(|(h, d)| domains.id(d, h)).collect();
+        let blacklisted = scan_chunked(domains.len(), workers, chunk, |d| {
+            let domain = &domains.keys[d].0;
+            table
+                .domains
+                .get(domain)
+                .copied()
+                .unwrap_or_else(|| self.blacklists.check(domain).is_blacklisted())
+        });
+
+        // 3. Each chain up to its first blacklisted domain, and a
+        //    content id for every capture the clean URL scans upload.
+        let mut host_reached = vec![false; hosts.len()];
+        let mut domain_reached = vec![false; domains.len()];
+        let mut chain_lookups = 0u64;
+        let mut captures = Ids::default();
+        let mut chain_start = 0;
+        for (i, (record, visit)) in records.iter().zip(&mut visits).enumerate() {
+            for &h in &chain[chain_start..visit.chain_end as usize] {
+                chain_lookups += 1;
+                host_reached[h as usize] = true;
+                let d = host_domain[h as usize];
+                domain_reached[d as usize] = true;
+                if blacklisted[d as usize] {
+                    visit.blacklisted = Some(d);
+                    break;
+                }
+            }
+            chain_start = visit.chain_end as usize;
+            let (Some(u), Some(content)) = (visit.url, &record.content) else { continue };
+            if !visit.flagged(&url_samples[u as usize]) {
+                let canon = &urls.keys[u as usize].0;
+                let key = format!("{canon}#{:x}", fnv1a(content.as_bytes()));
+                visit.capture = Some(captures.id(&key, i));
             }
         }
-        None
+
+        // 4. Each distinct capture's upload sample.
+        let capture_samples = scan_chunked(captures.len(), workers, chunk, |c| {
+            let (key, i) = &captures.keys[c];
+            table.captures.get(key).cloned().unwrap_or_else(|| {
+                let record = records[*i];
+                let content = record.content.as_deref().expect("planned captures exist");
+                timed(sample_nanos, || Arc::new(self.capture_sample(&record.url, content, key)))
+            })
+        });
+        drop(guard);
+
+        // 5. Every outcome from its ids.
+        let outcomes = scan_chunked(records.len(), workers, chunk, |i| {
+            let visit = &visits[i];
+            let url = visit.url.map(|u| &*url_samples[u as usize]);
+            let capture = visit.capture.map(|c| &*capture_samples[c as usize]);
+            let domain = visit.blacklisted.map(|d| Arc::clone(&domains.keys[d as usize].0));
+            assemble(records[i], visit, url, capture, domain)
+        });
+
+        let reached = |flags: &[bool]| flags.iter().filter(|&&r| r).count() as u64;
+        let lookups = [
+            visits.iter().filter(|v| v.url.is_some()).count() as u64,
+            visits.iter().filter(|v| v.capture.is_some()).count() as u64,
+            chain_lookups,
+            chain_lookups,
+        ];
+        let entries = [
+            urls.len() as u64,
+            captures.len() as u64,
+            reached(&host_reached),
+            reached(&domain_reached),
+        ];
+        let tally = ScanTally {
+            caches: std::array::from_fn(|g| {
+                (CACHE_GROUPS[g], CacheStats::new(lookups[g], entries[g]))
+            }),
+            js_vm: self
+                .caches
+                .vm_stats(JsRunStats::sum(url_samples.iter().chain(&capture_samples))),
+        };
+
+        if keep {
+            let mut table = self.caches.table_mut();
+            for (total, n) in table.lookups.iter_mut().zip(lookups) {
+                *total += n;
+            }
+            for ((canon, _), sample) in urls.keys.into_iter().zip(url_samples) {
+                table.urls.entry(canon).or_insert(sample);
+            }
+            for ((key, _), sample) in captures.keys.into_iter().zip(capture_samples) {
+                table.captures.entry(key).or_insert(sample);
+            }
+            let hosts = hosts.keys.into_iter().zip(host_domains).zip(host_reached);
+            for (((host, _), domain), _) in hosts.filter(|(_, reached)| *reached) {
+                table.hosts.entry(host).or_insert(domain);
+            }
+            let domains = domains.keys.into_iter().zip(blacklisted).zip(domain_reached);
+            for (((domain, _), hit), _) in domains.filter(|(_, reached)| *reached) {
+                table.domains.entry(domain).or_insert(hit);
+            }
+        }
+        (outcomes, tally)
     }
 
-    /// Cached feature extraction for the URL-scan path: one scanner
-    /// fetch per distinct URL, shared between VT and Quttera (and
-    /// between scan workers). `canon` is the URL's canonical form,
-    /// computed once by the caller. Redirected loads mark the redirect
+    /// Pass 1: each record's fault decisions, URL id and chain-host ids.
+    fn plan(&self, records: &[&CrawlRecord]) -> Plan {
+        let mut plan = Plan {
+            visits: Vec::with_capacity(records.len()),
+            urls: Ids::default(),
+            hosts: Ids::default(),
+            chain: Vec::new(),
+        };
+        for (i, record) in records.iter().enumerate() {
+            let decisions = match &self.fault_plan {
+                Some(faults) => faults.decisions_for(&record.exchange, record.seq),
+                None => [ServiceDecision::Ok; 3],
+            };
+            let up = |service: ScanService| decisions[service.index()].available();
+            let (vt_up, quttera_up) = (up(ScanService::VirusTotal), up(ScanService::Quttera));
+            let blacklist_up = up(ScanService::Blacklist);
+            let url = (vt_up || quttera_up).then(|| plan.urls.id(&record.url.canonical(), i));
+            if blacklist_up {
+                let hosts = &mut plan.hosts;
+                plan.chain.extend(record.chain_hosts.iter().map(|host| hosts.id(host, i)));
+            }
+            plan.visits.push(Visit {
+                vt_up,
+                quttera_up,
+                blacklist_up,
+                faults: FaultLog::from_decisions(&decisions),
+                url,
+                chain_end: u32::try_from(plan.chain.len()).expect("fewer than 2^32 chain hosts"),
+                capture: None,
+                blacklisted: None,
+            });
+        }
+        plan
+    }
+
+    /// The URL-scan sample of one distinct URL: one scanner fetch,
+    /// shared by VT and Quttera. Redirected loads mark the redirect
     /// feature the way the Quttera URL scan does.
-    fn url_features(&self, url: &Url, canon: &str) -> Features {
-        self.caches.url_features.get_or_insert_with(canon, || {
-            let mut browser = Browser::new(self.web)
-                .with_context(RequestContext::scanner("pipeline"))
-                .with_js_engine(self.js_engine);
-            if let Some(store) = self.module_store() {
-                browser = browser.with_module_store(store);
-            }
-            let load = browser.load(url);
-            self.caches.js_stats.get_or_insert_with(canon, || JsRunStats::from_report(&load.js));
-            let mut features = self.load_features(&load);
-            if load.was_redirected() {
-                features.js_redirect = true;
-            }
-            features
-        })
+    fn url_sample(&self, url: &Url, canon: &str) -> Sample {
+        let mut browser = Browser::new(self.web)
+            .with_context(RequestContext::scanner("pipeline"))
+            .with_js_engine(self.js_engine);
+        if let Some(store) = self.module_store() {
+            browser = browser.with_module_store(store);
+        }
+        let load = browser.load(url);
+        let mut features = self.load_features(&load);
+        if load.was_redirected() {
+            features.js_redirect = true;
+        }
+        Sample::new(
+            self.vt.aggregate(canon, &features),
+            self.quttera.report(url, &features),
+            JsRunStats::from_report(&load.js),
+        )
+    }
+
+    /// The upload sample of one distinct capture. `key` is
+    /// `canonical#content-hash`, the sample key `VirusTotal::scan_content`
+    /// derives, so engine decisions match a direct upload.
+    fn capture_sample(&self, url: &Url, content: &str, key: &str) -> Sample {
+        let (features, report) = self.content_features(url, content);
+        Sample::new(
+            self.vt.aggregate(key, &features),
+            self.quttera.report(url, &features),
+            JsRunStats::from_report(&report),
+        )
     }
 
     /// [`Features::from_load`], with the static pass over the load's
@@ -728,6 +930,33 @@ impl<'w> ScanPipeline<'w> {
             JsEngine::Vm => Some(self.caches.js_modules.clone()),
             JsEngine::TreeWalk => None,
         }
+    }
+}
+
+/// One record's outcome from its plan: the URL-scan sample, replaced by
+/// the upload sample when the upload convicts, plus the chain's
+/// blacklist hit. Only services that were up contribute a report.
+fn assemble(
+    record: &CrawlRecord,
+    visit: &Visit,
+    url: Option<&Sample>,
+    capture: Option<&Sample>,
+    blacklisted_domain: Option<Arc<str>>,
+) -> ScanOutcome {
+    let upload = capture.filter(|s| visit.flagged(s));
+    let deciding = upload.or(url);
+    let vt = deciding.filter(|_| visit.vt_up).map_or_else(empty_vt_report, |s| s.vt.clone());
+    let quttera = deciding
+        .filter(|_| visit.quttera_up)
+        .map_or_else(|| empty_quttera_report(&record.url), |s| s.quttera_for(&record.url));
+    ScanOutcome {
+        malicious: vt.is_malicious() || quttera.is_malicious() || blacklisted_domain.is_some(),
+        vt,
+        quttera,
+        blacklisted_domain,
+        needed_content_upload: upload.is_some(),
+        source: VerdictSource::classify(visit.vt_up, visit.quttera_up, visit.blacklist_up),
+        faults: visit.faults,
     }
 }
 

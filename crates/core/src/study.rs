@@ -29,8 +29,8 @@ use crate::checkpoint::{CheckpointError, CheckpointHeader, CheckpointStore, Ckpt
 use crate::diskfault::DiskFaultProfile;
 use crate::filter::ReferralClass;
 use crate::scanpipe::{
-    effective_scan_workers, scan_chunked, scan_key, FaultLog, ScanCaches, ScanOutcome,
-    ScanPipeline, VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
+    effective_scan_workers, scan_key, FaultLog, JsVmStats, ScanCaches, ScanOutcome, ScanPipeline,
+    ScanTally, VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
 };
 use crate::substrate::{build_substrate, BuiltSubstrate, SourceMeta, Substrate};
 
@@ -810,27 +810,25 @@ fn record_filter_counts(obs: &Registry, referrals: &[ReferralClass]) {
     obs.counter("filter.regular_out").add(regulars);
 }
 
-/// Records per-cache lookup/entry/hit counters for the pipeline's three
-/// sharded caches.
-fn record_cache_stats(obs: &Registry, pipeline: &ScanPipeline<'_>) {
-    for (group, stats) in pipeline.cache_stats() {
+/// Records the scan plan's lookup/entry/hit counters for each memoized
+/// key kind.
+fn record_cache_stats(obs: &Registry, caches: &[(&'static str, slum_detect::CacheStats); 4]) {
+    for &(group, stats) in caches {
         obs.counter(&format!("scan.cache.{group}.lookups")).add(stats.lookups);
         obs.counter(&format!("scan.cache.{group}.entries")).add(stats.entries);
         obs.counter(&format!("scan.cache.{group}.hits")).add(stats.hits);
     }
 }
 
-/// Records the `js.vm.*` counters from the pipeline's aggregated JS
-/// stats. Always registered — a tree-walk run (or a corpus with no
-/// scripts) reports explicit zeros rather than absent keys, the same
-/// convention the fault counters follow. Every counter
-/// except `js.vm.compile_nanos` (wall-clock) is deterministic across
-/// worker counts: the execution tallies are memoized per distinct
-/// sample and the compile count is the module cache's entry set.
-/// `compile_nanos` goes to a histogram, the home for wall-clock per the
-/// crate's determinism contract.
-fn record_js_vm_stats(obs: &Registry, pipeline: &ScanPipeline<'_>) {
-    let stats = pipeline.js_vm_stats();
+/// Records the scan plan's `js.vm.*` counters. Always registered — a
+/// tree-walk run (or a corpus with no scripts) reports explicit zeros
+/// rather than absent keys, the same convention the fault counters
+/// follow. Every counter except `js.vm.compile_nanos` (wall-clock) is
+/// deterministic across worker counts: the execution tallies sum over
+/// the plan's distinct samples and the compile count is the module
+/// cache's entry set. `compile_nanos` goes to a histogram, the home for
+/// wall-clock per the crate's determinism contract.
+fn record_js_vm_stats(obs: &Registry, stats: &JsVmStats) {
     obs.counter("js.vm.compiles").add(stats.compiles);
     obs.histogram("js.vm.compile_nanos").record(stats.compile_nanos);
     obs.counter("js.vm.module_cache.lookups").add(stats.module_lookups);
@@ -948,6 +946,7 @@ fn scan_crawl(
         record_filter_counts(&obs, &referrals);
 
         let mut pipeline = ScanPipeline::new(&built.web).with_js_engine(config.js_engine);
+        let shared = shared_caches.is_some();
         if let Some(caches) = shared_caches {
             pipeline = pipeline.with_shared_caches(caches);
         }
@@ -966,11 +965,11 @@ fn scan_crawl(
             let plan = FaultPlan::compile(&config.fault_profile, config.seed, &requests);
             pipeline = pipeline.with_fault_plan(plan);
         }
-        let (outcomes, scan_workers) =
-            scan_phase(&pipeline, store.records(), &referrals, config, &obs);
+        let (outcomes, scan_workers, tally) =
+            scan_phase(&pipeline, store.records(), &referrals, config, &obs, shared);
         obs.gauge("scan.workers").set(scan_workers as i64);
-        record_cache_stats(&obs, &pipeline);
-        record_js_vm_stats(&obs, &pipeline);
+        record_cache_stats(&obs, &tally.caches);
+        record_js_vm_stats(&obs, &tally.js_vm);
         record_outcome_tallies(&obs, &outcomes, &referrals);
         record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan());
         (outcomes, referrals)
@@ -995,38 +994,34 @@ fn scan_crawl(
 /// Worker selection goes through [`effective_scan_workers`] — small
 /// corpora run serially (below `config.serial_scan_threshold`) and the
 /// count is clamped to the host's parallelism. The records then go
-/// through the chunked scan loop ([`scan_chunked`]) in
-/// `config.scan_chunk`-sized work units, which keeps the output
-/// bit-identical to the serial path. Every scan records its latency
-/// into the shared `scan.record_nanos` histogram, and `scan.scans`
-/// counts the regular records once the phase ends. Returns the outcomes
-/// and the worker count actually used.
+/// through [`ScanPipeline::scan_planned`], whose parallel passes pull
+/// `config.scan_chunk`-sized work units and keep the output
+/// bit-identical to the serial path. Every URL or capture the scan
+/// computes records its latency into the `scan.sample_nanos`
+/// histogram, and `scan.scans` counts the regular records. Finished
+/// samples are kept only in `shared` caches: nothing reads a private
+/// set again. Returns the outcomes, the worker count actually used and
+/// the plan's counters.
 fn scan_phase(
     pipeline: &ScanPipeline<'_>,
     records: &[CrawlRecord],
     referrals: &[ReferralClass],
     config: &StudyConfig,
     obs: &Registry,
-) -> (Vec<ScanOutcome>, usize) {
-    let regular_idx: Vec<usize> = referrals
+    shared: bool,
+) -> (Vec<ScanOutcome>, usize, ScanTally) {
+    let regular: Vec<&CrawlRecord> = records
         .iter()
-        .enumerate()
+        .zip(referrals)
         .filter(|(_, class)| **class == ReferralClass::Regular)
-        .map(|(i, _)| i)
+        .map(|(record, _)| record)
         .collect();
-    let workers = effective_scan_workers(
-        regular_idx.len(),
-        config.scan_workers,
-        config.serial_scan_threshold,
-    );
-    let latency = obs.histogram("scan.record_nanos");
-    let scanned = scan_chunked(regular_idx.len(), workers, config.scan_chunk, |k| {
-        let t0 = Instant::now();
-        let outcome = pipeline.scan(&records[regular_idx[k]]);
-        latency.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        outcome
-    });
-    obs.counter("scan.scans").add(regular_idx.len() as u64);
+    let workers =
+        effective_scan_workers(regular.len(), config.scan_workers, config.serial_scan_threshold);
+    let sample_nanos = obs.histogram("scan.sample_nanos");
+    let (scanned, tally) =
+        pipeline.scan_planned(&regular, workers, config.scan_chunk, Some(&sample_nanos), shared);
+    obs.counter("scan.scans").add(regular.len() as u64);
 
     let mut scanned = scanned.into_iter();
     let outcomes = records
@@ -1039,7 +1034,7 @@ fn scan_phase(
             _ => clean_outcome(record),
         })
         .collect();
-    (outcomes, workers)
+    (outcomes, workers, tally)
 }
 
 fn clean_outcome(record: &CrawlRecord) -> ScanOutcome {
@@ -1179,9 +1174,12 @@ mod tests {
                 + m.counter("scan.cache.url_features.hits")
         );
 
-        // Phase spans exist and the scan histogram saw every record.
+        // Phase spans exist and the scan histogram saw every URL and
+        // capture the scan computed.
         assert_eq!(m.spans.iter().filter(|s| s.name.starts_with("phase.")).count(), 3);
-        assert_eq!(m.histograms["scan.record_nanos"].count, regular);
+        let computed = m.counter("scan.cache.url_features.entries")
+            + m.counter("scan.cache.content_features.entries");
+        assert_eq!(m.histograms["scan.sample_nanos"].count, computed);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! - [`drive`] — the auto-surf and manual-surf crawl drivers, including
 //!   the scripted CAPTCHA operator;
 //! - [`run`] — multi-exchange orchestration: one segmented crawl
-//!   driver (one worker per exchange, crossbeam-scoped) that checkpoints
+//!   driver (one scoped thread per exchange) that checkpoints
 //!   between rounds, or runs to completion in one segment;
 //! - [`fault`] — named crawl-fault profiles (exchange outages, bans,
 //!   CAPTCHA lockouts, permanent shutdowns, session drops) and the

@@ -11,8 +11,6 @@
 //! Per-source stores merge in source input order, so the merged record
 //! stream is independent of thread scheduling.
 
-use crossbeam::thread;
-
 use slum_exchange::lifecycle::ExchangeLifecycle;
 use slum_exchange::TrafficSource;
 use slum_websim::SyntheticWeb;
@@ -154,7 +152,7 @@ impl CrawlPlan {
         let profile = &self.profile;
         let mut rounds_run = 0u64;
         while !state.all_done() {
-            thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = sources
                     .iter_mut()
                     .zip(state.cursors.iter_mut())
@@ -162,7 +160,7 @@ impl CrawlPlan {
                     .zip(plans.iter())
                     .filter(|(((_, cursor), _), _)| !cursor.done)
                     .map(|(((source, cursor), store), (config, lifecycle))| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             crawl_exchange_segment(
                                 web,
                                 source,
@@ -179,8 +177,7 @@ impl CrawlPlan {
                 for h in handles {
                     h.join().expect("crawl worker panicked");
                 }
-            })
-            .expect("crawl scope panicked");
+            });
 
             state.round += 1;
             rounds_run += 1;

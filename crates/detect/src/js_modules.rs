@@ -9,90 +9,80 @@
 //! cached bytecode.
 //!
 //! [`JsModuleCache`] is the concrete [`ModuleStore`] the pipeline hands
-//! to each sandbox: a [`ShardedCache`] keyed by the zero-padded hex
-//! source hash, so the module cache inherits the scan cache's lock-free
-//! read path, first-insert-wins race semantics, and deterministic
-//! [`CacheStats`] across worker counts.
+//! to each sandbox: one `RwLock`ed map from source hash to module,
+//! shared by every scan worker. Modules appear while scripts run —
+//! `eval` layers included — so this is one of the two scan caches whose
+//! keys are not known before the scan starts.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use slum_js::{Module, ModuleStore};
 
-use crate::cache::{CacheStats, ShardedCache};
+use crate::CacheStats;
 
-/// A concurrent [`ModuleStore`] backed by a [`ShardedCache`].
-///
-/// Keys are the `slum_js::source_hash` of the script source, formatted
-/// as 16 hex digits so every key is the same length and shard selection
-/// stays uniform. Values are `Arc<Module>`, cheap to clone out on the
-/// hot path.
+/// A concurrent [`ModuleStore`] keyed by `slum_js::source_hash`.
 #[derive(Default)]
 pub struct JsModuleCache {
-    modules: ShardedCache<Arc<Module>>,
-    /// Warm hits served by [`ModuleStore::get`]. The VM probes `get`
-    /// first and only falls through to `get_or_compile` on a miss, so
-    /// one logical lookup is either a `get` hit (counted here) or a
-    /// `get_or_compile` call (counted by the inner cache) — never both.
-    /// The sum is therefore schedule-independent: a racing pair of
-    /// workers that both miss `get` produce two inner lookups and one
-    /// entry, exactly matching the serial lookup+hit totals.
-    get_hits: AtomicU64,
+    modules: RwLock<HashMap<u64, Arc<Module>>>,
+    /// Logical lookups: a [`ModuleStore::get`] hit or a
+    /// [`ModuleStore::get_or_compile`] call. The VM probes `get` first
+    /// and only falls through to `get_or_compile` on a miss, so each
+    /// script run counts once however workers race.
+    lookups: AtomicU64,
 }
 
 impl JsModuleCache {
     /// Creates an empty module cache.
     pub fn new() -> Self {
-        JsModuleCache { modules: ShardedCache::new(), get_hits: AtomicU64::new(0) }
+        JsModuleCache::default()
+    }
+
+    /// The module map, ignoring poison from a panicked holder: a module
+    /// is inserted whole or not at all.
+    fn modules(&self) -> RwLockReadGuard<'_, HashMap<u64, Arc<Module>>> {
+        self.modules.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of distinct compiled modules currently cached.
     pub fn len(&self) -> usize {
-        self.modules.len()
+        self.modules().len()
     }
 
     /// True when nothing has been compiled yet.
     pub fn is_empty(&self) -> bool {
-        self.modules.is_empty()
+        self.modules().is_empty()
     }
 
-    /// Lookup/entry/hit statistics. `entries` equals the number of
-    /// compilations a serial run would perform, so `hits` is
-    /// deterministic for every worker count (see [`CacheStats`]).
+    /// Lookup/entry/hit statistics. `entries` is the number of
+    /// distinct modules, so `hits` (lookups − entries) does not depend
+    /// on which worker compiled first.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.modules.stats();
-        let get_hits = self.get_hits.load(Ordering::Relaxed);
-        CacheStats {
-            lookups: inner.lookups + get_hits,
-            entries: inner.entries,
-            hits: inner.hits + get_hits,
-        }
+        CacheStats::new(self.lookups.load(Ordering::Relaxed), self.len() as u64)
     }
 
     /// Total wall-clock nanoseconds spent compiling every cached
     /// module. Wall-clock, so only suitable for throughput reporting —
     /// never for verdict-determining data.
     pub fn total_compile_nanos(&self) -> u64 {
-        self.modules.fold(0u64, |acc, _key, module| acc.saturating_add(module.compile_nanos))
+        self.modules().values().fold(0u64, |acc, module| acc.saturating_add(module.compile_nanos))
     }
 
     /// Total bytecode instructions across all cached modules (a size
     /// proxy for the cache footprint).
     pub fn total_instructions(&self) -> u64 {
-        self.modules.fold(0u64, |acc, _key, module| {
-            acc + module.chunks.iter().map(|c| c.code.len() as u64).sum::<u64>()
-        })
+        self.modules()
+            .values()
+            .map(|module| module.chunks.iter().map(|c| c.code.len() as u64).sum::<u64>())
+            .sum()
     }
 
     /// Drops every compiled module and resets lookup statistics (cold
     /// benchmark runs).
     pub fn clear(&self) {
-        self.modules.clear();
-        self.get_hits.store(0, Ordering::Relaxed);
-    }
-
-    fn key(hash: u64) -> String {
-        format!("{hash:016x}")
+        self.modules.write().unwrap_or_else(PoisonError::into_inner).clear();
+        self.lookups.store(0, Ordering::Relaxed);
     }
 }
 
@@ -108,19 +98,27 @@ impl std::fmt::Debug for JsModuleCache {
 
 impl ModuleStore for JsModuleCache {
     fn get(&self, key: u64) -> Option<Arc<Module>> {
-        let hit = self.modules.get(&Self::key(key));
+        let hit = self.modules().get(&key).cloned();
         if hit.is_some() {
-            self.get_hits.fetch_add(1, Ordering::Relaxed);
+            self.lookups.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
+    /// Compiles outside the lock; when two workers race on one source,
+    /// the first insert wins and both get that module.
     fn get_or_compile(
         &self,
         key: u64,
         compile: &mut dyn FnMut() -> Arc<Module>,
     ) -> Arc<Module> {
-        self.modules.get_or_insert_with(&Self::key(key), || compile())
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.modules().get(&key) {
+            return Arc::clone(hit);
+        }
+        let module = compile();
+        let mut modules = self.modules.write().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(modules.entry(key).or_insert(module))
     }
 }
 
@@ -180,17 +178,5 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn fold_sums_over_all_shards() {
-        let cache = ShardedCache::new();
-        for i in 0..100u64 {
-            cache.get_or_insert_with(&format!("k{i}"), || i);
-        }
-        let sum = cache.fold(0u64, |acc, _k, v| acc + v);
-        assert_eq!(sum, (0..100).sum::<u64>());
-        let count = cache.fold(0usize, |acc, _k, _v| acc + 1);
-        assert_eq!(count, 100);
     }
 }

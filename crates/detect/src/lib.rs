@@ -32,12 +32,10 @@
 #![warn(missing_docs)]
 
 pub mod blacklist;
-pub mod cache;
 pub mod engine;
 pub mod fault;
 pub mod features;
 pub mod hash;
-pub mod intern;
 pub mod js_modules;
 pub mod quttera;
 pub mod retry;
@@ -46,15 +44,35 @@ pub mod vetting;
 pub mod virustotal;
 
 pub use blacklist::{BlacklistDb, BlacklistVerdict};
-pub use cache::{CacheStats, ShardedCache};
 pub use engine::{EngineModel, FeatureClass};
 pub use fault::{
     FaultKind, FaultPlan, FaultProfile, ScanError, ScanService, ServiceDecision,
     ServiceFaultProfile,
 };
 pub use features::Features;
-pub use intern::{Interner, Sym};
 pub use js_modules::JsModuleCache;
 pub use quttera::{Quttera, QutteraFinding, QutteraReport};
 pub use retry::{BreakerState, CircuitBreaker, Resolution, RetryPolicy};
 pub use virustotal::{VirusTotal, VtReport};
+
+/// Usage statistics of one memoization cache.
+///
+/// `hits` is derived as `lookups - entries`: the lookups are fixed by
+/// the records scanned and the entries by the distinct keys among them,
+/// so the figure never depends on which worker computed a key first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Total memoized lookups issued.
+    pub lookups: u64,
+    /// Distinct keys cached (== computations a serial run performs).
+    pub entries: u64,
+    /// Lookups served without a fresh computation (derived).
+    pub hits: u64,
+}
+
+impl CacheStats {
+    /// Stats of `lookups` lookups over `entries` distinct keys.
+    pub fn new(lookups: u64, entries: u64) -> CacheStats {
+        CacheStats { lookups, entries, hits: lookups.saturating_sub(entries) }
+    }
+}

@@ -1,15 +1,14 @@
 //! Property tests for the detection substrate: total feature
-//! extraction, deterministic engines, monotone blacklist consensus,
-//! interner round-trips, RCU/RwLock cache agreement, and the
-//! `RetryPolicy` properties the fault plan compiler relies on (bounded
-//! termination, monotone backoff, replayable resolution).
+//! extraction, deterministic engines, monotone blacklist consensus, and
+//! the `RetryPolicy` properties the fault plan compiler relies on
+//! (bounded termination, monotone backoff, replayable resolution).
 
 use proptest::prelude::*;
 use slum_detect::blacklist::BlacklistDb;
 use slum_detect::engine::default_engines;
 use slum_detect::hash::{chance, fraction};
 use slum_detect::retry::RetryPolicy;
-use slum_detect::{Features, Interner, ShardedCache};
+use slum_detect::Features;
 use slum_websim::Url;
 
 proptest! {
@@ -68,70 +67,6 @@ proptest! {
         prop_assert_eq!(a, fraction(&key));
         prop_assert_eq!(chance(&key, 1.0), true);
         prop_assert_eq!(chance(&key, 0.0), false);
-    }
-
-    /// Interner ids round-trip: every interned string resolves back to
-    /// itself, duplicates share one id, and distinct strings get
-    /// distinct ids.
-    #[test]
-    fn interner_syms_round_trip(strings in proptest::collection::vec(".{0,24}", 1..40)) {
-        let pool = Interner::new();
-        let syms: Vec<_> = strings.iter().map(|s| pool.sym(s)).collect();
-        for (s, sym) in strings.iter().zip(&syms) {
-            // Round-trip: id → string → same id.
-            prop_assert_eq!(pool.resolve(*sym).as_deref(), Some(s.as_str()));
-            prop_assert_eq!(pool.sym(s), *sym);
-            // The Arc layer agrees with the id layer.
-            let arc = pool.intern(s);
-            prop_assert_eq!(&*arc, s.as_str());
-        }
-        for (i, a) in strings.iter().enumerate() {
-            for (j, b) in strings.iter().enumerate() {
-                prop_assert_eq!(syms[i] == syms[j], a == b);
-            }
-        }
-        let distinct: std::collections::HashSet<&str> =
-            strings.iter().map(String::as_str).collect();
-        prop_assert_eq!(pool.len(), distinct.len());
-    }
-
-    /// The lock-free RCU read path of `ShardedCache` agrees with the
-    /// `RwLock` write path under concurrent writers: readers never see
-    /// a value other than the first-inserted one, no matter how the
-    /// insert/republish schedule interleaves.
-    #[test]
-    fn sharded_cache_rcu_agrees_with_rwlock_under_writers(
-        keys in proptest::collection::vec("[a-z]{1,6}", 1..60),
-    ) {
-        let cache = ShardedCache::new();
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    for key in &keys {
-                        // Writer path: first insert wins.
-                        let inserted = cache.get_or_insert_with(key, || format!("v:{key}"));
-                        assert_eq!(inserted, format!("v:{key}"));
-                    }
-                });
-            }
-            scope.spawn(|| {
-                for key in &keys {
-                    // RCU `get` may race ahead of the writers (None),
-                    // but must never disagree once a value exists.
-                    if let Some(seen) = cache.get(key) {
-                        assert_eq!(seen, format!("v:{key}"));
-                    }
-                }
-            });
-        });
-        // After the barrier, the snapshot path and the live path agree
-        // on every key.
-        for key in &keys {
-            prop_assert_eq!(cache.get(key), Some(format!("v:{key}")));
-        }
-        let distinct: std::collections::HashSet<&str> =
-            keys.iter().map(String::as_str).collect();
-        prop_assert_eq!(cache.len(), distinct.len());
     }
 
     /// `resolve` always terminates within the retry budget: at most

@@ -48,7 +48,7 @@ pub fn source_hash(src: &str) -> u64 {
 /// Shared store of compiled modules keyed by source hash.
 ///
 /// `slum-js` defines only the interface; the concrete implementation
-/// (`slum_detect::JsModuleCache`, a `ShardedCache`) lives higher in
+/// (`slum_detect::JsModuleCache`, an `RwLock`ed map) lives higher in
 /// the crate DAG and is injected through the browser into the sandbox.
 pub trait ModuleStore: Send + Sync + std::fmt::Debug {
     /// The cached module for `key`, if present.

@@ -219,8 +219,8 @@ mod tests {
         r.counter("crawl.pages").add(12);
         r.counter("scan.labels.vt.Trojan:JS/Redirector").add(3);
         r.gauge("scan.workers").set(4);
-        r.histogram("scan.record_nanos").record(1500);
-        r.histogram("scan.record_nanos").record(90);
+        r.histogram("scan.sample_nanos").record(1500);
+        r.histogram("scan.sample_nanos").record(90);
         r.record_span("phase.build", Duration::from_nanos(1234));
         r.record_span("phase.scan", Duration::from_micros(42));
         r.snapshot()

@@ -27,10 +27,11 @@
 //! and the scan key, so studies whose configs agree on the web
 //! fingerprint (seed, scales, substrate, JS engine — see
 //! `StudyConfig::cache_fingerprint`) share one `ScanCaches` set: a URL
-//! scanned for tenant A is a cache hit for tenant B. Sharing is
-//! artifact-invisible — only the `scan.cache.*.lookups` / `.hits`
-//! *metrics* observe it; export JSON is bit-identical with or without
-//! sharing, checked by `tests/invariance.rs`.
+//! scanned for tenant A is not scanned again for tenant B. Sharing is
+//! invisible to every study — export JSON and every deterministic
+//! counter, `scan.cache.*` and `js.vm.*` included, are the same with or
+//! without it, checked by `tests/invariance.rs`; only the group's
+//! cumulative stats (`Service::cache_group_stats`) observe it.
 //!
 //! ## Protocol
 //!

@@ -22,17 +22,17 @@
 //! under `serve.shed.*` — always registered, so clean runs export
 //! explicit zeros.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use malware_slums::export;
 use malware_slums::{
     CheckpointError, CrawlSession, DiskFaultProfile, Restore, ScanCaches, Study, StudyConfig,
 };
 use slum_detect::hash::fnv1a;
-use slum_detect::{CacheStats, ShardedCache};
+use slum_detect::CacheStats;
 use slum_obs::{MetricsSnapshot, Registry, TenantRegistries};
 
 use crate::proto::{Request, Response};
@@ -49,7 +49,7 @@ pub const DEFAULT_RETRY_AFTER_MS: u64 = 25;
 /// guarded data are simple state tables kept consistent by
 /// single-field writes, so the recovered view is always usable.
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Renders a `catch_unwind` payload into the panic's message.
@@ -202,7 +202,8 @@ pub struct Service {
     jobs: Mutex<Vec<Job>>,
     inflight: Mutex<BTreeMap<String, usize>>,
     cache_groups: Mutex<BTreeMap<String, Arc<ScanCaches>>>,
-    verdicts: ShardedCache<bool>,
+    /// `fingerprint#canonical-url` → the first verdict published for it.
+    verdicts: RwLock<HashMap<String, bool>>,
     tenants: TenantRegistries,
     obs: Registry,
 }
@@ -258,7 +259,7 @@ impl Service {
             jobs: Mutex::new(Vec::new()),
             inflight: Mutex::new(BTreeMap::new()),
             cache_groups: Mutex::new(BTreeMap::new()),
-            verdicts: ShardedCache::new(),
+            verdicts: RwLock::new(HashMap::new()),
             tenants: TenantRegistries::new(),
             obs,
         })
@@ -392,8 +393,10 @@ impl Service {
         )
     }
 
-    /// Aggregate stats of the shared scan caches for `fingerprint`
-    /// (`None` when no study with that fingerprint was submitted).
+    /// Cumulative stats of the shared scan caches for `fingerprint`:
+    /// lookups summed over every study scanned through them, entries the
+    /// distinct keys they hold (`None` when no study with that
+    /// fingerprint was submitted).
     pub fn cache_group_stats(
         &self,
         fingerprint: &str,
@@ -502,13 +505,14 @@ impl Service {
     ) -> Result<FinishedStudy, serde_json::Error> {
         let mut malicious_regular = 0u64;
         let mut sample_url = None;
+        let mut verdicts = self.verdicts.write().unwrap_or_else(PoisonError::into_inner);
         for (record, outcome) in study.regular_pairs() {
             malicious_regular += u64::from(outcome.malicious);
             let url = record.url.canonical();
-            self.verdicts
-                .get_or_insert_with(&format!("{fingerprint}#{url}"), || outcome.malicious);
+            verdicts.entry(format!("{fingerprint}#{url}")).or_insert(outcome.malicious);
             sample_url.get_or_insert(url);
         }
+        drop(verdicts);
         self.tenants.absorb(tenant, &study.metrics());
         let export = export::to_json(study)?;
         let digest = format!("{:016x}", fnv1a(export.as_bytes()));
@@ -596,7 +600,12 @@ impl Service {
                 .clone()
         };
         self.obs.counter("serve.verdict.queries").inc();
-        let verdict = self.verdicts.get(&format!("{fingerprint}#{url}"));
+        let verdict = self
+            .verdicts
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&format!("{fingerprint}#{url}"))
+            .copied();
         match verdict {
             Some(_) => self.obs.counter("serve.verdict.hits").inc(),
             None => self.obs.counter("serve.verdict.misses").inc(),

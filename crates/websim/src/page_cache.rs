@@ -15,9 +15,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use slum_html::Outline;
 
 /// One page body as a browser loads it: the shared text and its
@@ -59,17 +58,27 @@ impl<V> BodyCache<V> {
 
     /// Number of distinct bodies cached.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.read().len()
     }
 
     /// True when no body is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Drops every cached body.
     pub fn clear(&self) {
-        self.map.write().clear();
+        self.write().clear();
+    }
+
+    /// The map, ignoring poison from a panicked holder: an entry is
+    /// inserted whole or not at all.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<Arc<str>, V>> {
+        self.map.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<Arc<str>, V>> {
+        self.map.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -84,11 +93,11 @@ impl<V: Clone> BodyCache<V> {
     where
         K: AsRef<str> + Into<Arc<str>>,
     {
-        if let Some((key, value)) = self.map.read().get_key_value(body.as_ref()) {
+        if let Some((key, value)) = self.read().get_key_value(body.as_ref()) {
             return (Arc::clone(key), value.clone());
         }
         let value = make(body.as_ref());
-        let mut map = self.map.write();
+        let mut map = self.write();
         if let Some((key, value)) = map.get_key_value(body.as_ref()) {
             return (Arc::clone(key), value.clone());
         }

@@ -9,8 +9,8 @@
 //! query API.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::url::Url;
@@ -76,10 +76,15 @@ impl ShortenerService {
         &self.host
     }
 
+    /// The code table, ignoring poison from a panicked holder.
+    fn entries(&self) -> MutexGuard<'_, HashMap<String, ShortEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers `target` under `code` and returns the short URL.
     /// Re-registering a code overwrites its target but keeps statistics.
     pub fn register(&self, code: &str, target: Url) -> Url {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries();
         entries
             .entry(code.to_string())
             .and_modify(|e| e.target = target.clone())
@@ -90,7 +95,7 @@ impl ShortenerService {
     /// Resolves `code`, recording a hit from `country` with `referrer`
     /// (empty referrer counts toward no referrer). Returns the target.
     pub fn resolve(&self, code: &str, country: &str, referrer: &str) -> Option<Url> {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries();
         let entry = entries.get_mut(code)?;
         entry.stats.hits += 1;
         *entry.stats.by_country.entry(country.to_string()).or_insert(0) += 1;
@@ -103,24 +108,19 @@ impl ShortenerService {
     /// Peeks at the target of a code without recording a hit (used by
     /// scanners following short links "offline").
     pub fn peek(&self, code: &str) -> Option<Url> {
-        self.entries.lock().get(code).map(|e| e.target.clone())
+        self.entries().get(code).map(|e| e.target.clone())
     }
 
     /// Public statistics page for a code.
     pub fn stats(&self, code: &str) -> Option<ShortStats> {
-        self.entries.lock().get(code).map(|e| e.stats.clone())
+        self.entries().get(code).map(|e| e.stats.clone())
     }
 
     /// Aggregate hit count across every code of *this service* whose
     /// target equals `long_url`. (Table IV: "a URL may have multiple
     /// shortened URLs pointing to itself".)
     pub fn long_url_hits(&self, long_url: &Url) -> u64 {
-        self.entries
-            .lock()
-            .values()
-            .filter(|e| &e.target == long_url)
-            .map(|e| e.stats.hits)
-            .sum()
+        self.entries().values().filter(|e| &e.target == long_url).map(|e| e.stats.hits).sum()
     }
 
     /// Seeds pre-existing organic traffic onto a code: `hits` visits from
@@ -128,7 +128,7 @@ impl ShortenerService {
     /// predate the study's crawl, so the generator installs them up
     /// front.
     pub fn seed_traffic(&self, code: &str, hits: u64, country: &str, referrer: &str) {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries();
         if let Some(entry) = entries.get_mut(code) {
             entry.stats.hits += hits;
             *entry.stats.by_country.entry(country.to_string()).or_insert(0) += hits;
@@ -140,7 +140,7 @@ impl ShortenerService {
 
     /// All registered codes (sorted, for deterministic iteration).
     pub fn codes(&self) -> Vec<String> {
-        let mut codes: Vec<String> = self.entries.lock().keys().cloned().collect();
+        let mut codes: Vec<String> = self.entries().keys().cloned().collect();
         codes.sort();
         codes
     }

@@ -60,22 +60,17 @@ pub enum Knob {
     Engine,
     /// Checkpoint cadence, kills and disk faults.
     Checkpointing,
-    /// Scan caches that an identical study warmed first.
-    WarmCaches,
 }
 
 /// The deterministic counters each knob may move: the only keys on
 /// which a plan may differ from its world's plain run. `*` matches any
 /// run of characters.
-pub const MODE_KEYS: [(Knob, &[&str]); 6] = [
+pub const MODE_KEYS: [(Knob, &[&str]); 5] = [
     (Knob::Workers, &["gauge:config.scan_workers", "gauge:scan.workers"]),
     (Knob::Chunk, &["gauge:config.scan_chunk"]),
     (Knob::SerialThreshold, &["gauge:config.serial_scan_threshold"]),
     (Knob::Engine, &["gauge:config.js_engine_vm", "js.vm.*"]),
     (Knob::Checkpointing, &["gauge:config.checkpoint_every", "ckpt.*", "crawl.resume.*"]),
-    // Only the lookups the warm entries answer: the entries themselves
-    // and the per-sample `js.vm.*` tallies must not move.
-    (Knob::WarmCaches, &["scan.cache.*.lookups", "scan.cache.*.hits"]),
 ];
 
 fn key_matches(pattern: &str, key: &str) -> bool {
@@ -322,16 +317,10 @@ impl Plan {
         if self.engine != "vm" {
             knobs.push(Knob::Engine);
         }
-        match &self.run {
-            Run::Batch => {}
-            Run::Session { warm, .. } => {
-                knobs.push(Knob::Checkpointing);
-                if *warm {
-                    knobs.push(Knob::WarmCaches);
-                }
-            }
-            // Whichever tenant scans second scans through warm caches.
-            Run::Service { .. } => knobs.extend([Knob::Checkpointing, Knob::WarmCaches]),
+        // Warm caches move no counter: a study's `scan.cache.*` and
+        // `js.vm.*` counters are its own scan plan's.
+        if !matches!(self.run, Run::Batch) {
+            knobs.push(Knob::Checkpointing);
         }
         knobs
     }

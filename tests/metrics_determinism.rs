@@ -42,11 +42,14 @@ fn key_counters_are_nonzero_and_cross_consistent() {
     );
     assert_eq!(m.counter("filter.records_in"), pages);
 
-    // One scan (and one URL-feature lookup and one latency sample) per
-    // regular record, on the parallel path too.
+    // One scan and one URL-feature lookup per regular record, and one
+    // latency sample per URL or capture scanned, on the parallel path
+    // too.
     assert_eq!(i128::from(m.gauge("scan.workers")), expected_workers(2, i128::from(regular)));
     assert_eq!(m.counter("scan.scans"), regular);
-    assert_eq!(m.histograms["scan.record_nanos"].count, regular);
+    let computed = m.counter("scan.cache.url_features.entries")
+        + m.counter("scan.cache.content_features.entries");
+    assert_eq!(m.histograms["scan.sample_nanos"].count, computed);
     assert_eq!(m.counter("scan.cache.url_features.lookups"), regular);
     for group in ["url_features", "content_features", "host_domains", "domain_blacklisted"] {
         let lookups = m.counter(&format!("scan.cache.{group}.lookups"));

@@ -3,10 +3,11 @@
 //! identical to the serial `scan_all` — same order, same verdicts, same
 //! reports — and a whole study exports the same artifacts and
 //! deterministic counters. The scan engines are pure hash-based
-//! functions of each record, and the shared caches only memoize those
-//! pure computations, so splitting the corpus across threads may never
-//! change a single bit of the result. The study cases run through the
-//! invariance harness (`harness/mod.rs`).
+//! functions of each record, and the scan plan only computes each
+//! distinct key once, so neither splitting the work across threads nor
+//! the rest of the batch may change a single bit of a record's result.
+//! The study cases run through the invariance harness
+//! (`harness/mod.rs`).
 
 mod harness;
 
@@ -30,6 +31,15 @@ fn parallel_scan_is_bit_identical_to_serial_for_all_worker_counts() {
     let pipeline = ScanPipeline::new(&study.web);
     let baseline = pipeline.scan_all(records);
     assert_eq!(baseline.len(), records.len());
+
+    // A record's outcome does not depend on the rest of its batch: the
+    // worker sweep below holds the batch plan to itself, so only a
+    // plan of one record alone can catch a wrong id or a slip in the
+    // chain walk's early exit.
+    for (i, record) in records.iter().enumerate() {
+        let alone = ScanPipeline::new(&study.web).scan(record);
+        assert_eq!(alone, baseline[i], "record {i} scanned alone diverged from its batch slot");
+    }
 
     // 7 does not divide the 90 records; 256 and 10,000 put all of them
     // in one chunk.

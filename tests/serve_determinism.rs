@@ -8,8 +8,10 @@
 //! - whether the daemon was killed and a fresh service re-attached to
 //!   the same root mid-crawl (kill-and-resume), or
 //! - whether another tenant's identical study warmed the shared scan
-//!   caches first (cache sharing is artifact-invisible; only the
-//!   `scan.cache.*` lookups and hits observe it).
+//!   caches first (cache sharing moves neither the artifacts nor any
+//!   tenant counter: a study's `scan.cache.*` and `js.vm.*` counters
+//!   are its own scan plan's; only the group's cumulative stats,
+//!   `Service::cache_group_stats`, observe it).
 //!
 //! The contract holds for every traffic substrate. The cases run
 //! through the invariance harness (`harness/mod.rs`).
@@ -68,9 +70,10 @@ fn killed_daemon_resumes_bit_identically() {
 fn cache_sharing_is_artifact_invisible_and_actually_shares() {
     // Tenant alpha runs alone and warms the shared caches; tenant beta
     // then scans the same web through them. The harness checks that
-    // beta added no entries while doubling the lookups, that both
-    // tenants match batch, and that the shared verdict index answers
-    // beta's queries for the URLs alpha scanned.
+    // beta added no entries to the group while doubling its lookups,
+    // that both tenants match batch on every deterministic counter, and
+    // that the shared verdict index answers beta's queries for the URLs
+    // alpha scanned.
     let world = World::fault_free(Substrate::Exchange, SEED);
     let coverage =
         check(&world, &Reference::of(&world), &[service_plan(Order::OneAfterAnother, None)]);
