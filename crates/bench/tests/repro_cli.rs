@@ -39,8 +39,17 @@ fn rejects_what_it_cannot_run() {
     let empty = scratch("empty");
     std::fs::create_dir_all(&empty).expect("empty dir");
     let empty = empty.to_str().expect("UTF-8 path");
+    let fixture = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../core/tests/fixtures/checkpoint-v1.slumckpt"
+    ))
+    .expect("version-1 fixture");
+    let v1 = scratch("v1");
+    std::fs::create_dir_all(&v1).expect("v1 dir");
+    std::fs::write(v1.join("ckpt-000001.slumckpt"), &fixture).expect("place the fixture");
+    let v1 = v1.to_str().expect("UTF-8 path");
     // (arguments, whether the error message comes with the usage line)
-    let cases: [(&[&str], bool); 14] = [
+    let cases: [(&[&str], bool); 15] = [
         // Unknown options, the removed ones included, and artifacts.
         (&["table1", "--sclae", "0.001"], true),
         (&["table1", "--overlap"], true),
@@ -57,8 +66,10 @@ fn rejects_what_it_cannot_run() {
         (&["table1", "--port", "5"], false),
         (&["table1", "--root", empty], false),
         (&["table1", "--disk-fault-profile", "harsh"], false),
-        // A resume from a directory holding no checkpoint.
+        // A resume from a directory holding no checkpoint, or only one
+        // of an older format version.
         (&["table1", "--scale", "0.0002", "--resume", empty], false),
+        (&["table1", "--scale", "0.0002", "--resume", v1], false),
     ];
     for (args, usage) in cases {
         let out = repro(args);
@@ -67,9 +78,21 @@ fn rejects_what_it_cannot_run() {
         assert!(stderr.lines().any(|l| l.starts_with("repro: ")), "repro {args:?}: {stderr}");
         assert_eq!(stderr.contains("usage: repro"), usage, "repro {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "repro {args:?} printed artifacts");
+        if args.contains(&v1) {
+            assert!(
+                stderr.lines().any(|l| l.starts_with("repro: ") && l.contains("format version 1")),
+                "repro {args:?}: {stderr}"
+            );
+        }
     }
     assert_eq!(std::fs::read_dir(empty).expect("dir").count(), 0, "a failed resume writes nothing");
+    // The version-1 file is neither quarantined nor touched.
+    let left: Vec<_> =
+        std::fs::read_dir(v1).expect("dir").map(|e| e.expect("entry").file_name()).collect();
+    assert_eq!(left, ["ckpt-000001.slumckpt"], "the version-1 dir must hold only its file");
+    assert_eq!(std::fs::read(Path::new(v1).join("ckpt-000001.slumckpt")).expect("file"), fixture);
     std::fs::remove_dir_all(empty).ok();
+    std::fs::remove_dir_all(v1).ok();
 }
 
 #[test]

@@ -2,22 +2,32 @@
 //!
 //! A checkpoint file captures the complete mid-crawl state of a study —
 //! every exchange's loop cursor (surf slot, virtual clock, raw RNG
-//! state, CAPTCHA nonce, stats and health counters) plus the records
+//! state, CAPTCHA nonce, stats and health counters) plus the visits
 //! logged so far — so an interrupted run can resume and produce output
 //! **bit-identical** to an uninterrupted one.
 //!
 //! # File format
 //!
 //! ```text
-//! SLUMCKPT 1\n          ← magic + format version
+//! SLUMCKPT 2\n          ← magic + format version
 //! <crc32 decimal>\n     ← IEEE CRC-32 over everything below
-//! <header json>\n       ← seed, scales, profile, round, body length
-//! <body>                ← per-exchange "#cursor {json}" + record JSONL
+//! <header json>\n       ← version, seed, scales, profile, round, body length
+//! <body>                ← per exchange: "#cursor {json}", then one
+//!                         {"seq":..,"at":..,"url":".."} line per visit
 //! ```
+//!
+//! A checkpoint stores visits, not records: a page load is a pure
+//! function of (web, time, URL, click mode), so a restore rebuilds
+//! every record by replaying its visit's load on the rebuilt web
+//! ([`slum_crawler::replay_restored_loads`]). Version 1 stored the full
+//! records; this build rejects such files as
+//! [`CheckpointError::VersionSkew`].
 //!
 //! The CRC covers the header line *and* the body, so flipping any
 //! single byte past the CRC line is detected; corruption of the magic
-//! or CRC lines themselves is caught structurally. It is computed eight
+//! or CRC lines themselves is caught structurally — a magic version
+//! that disagrees with the header's is corruption, not skew. It is
+//! computed eight
 //! bytes at a time (slicing-by-8 tables built at compile time), which
 //! gives the same value as the textbook bit-at-a-time loop. Files are
 //! written atomically (temp file + rename) as `ckpt-NNNNNN.slumckpt`,
@@ -34,7 +44,9 @@
 //! subdirectory, and restores the newest *intact* generation — so a
 //! torn write costs re-crawled rounds, never the study.
 //! Only when every generation is corrupt does it return the typed
-//! [`CheckpointError::Quarantined`].
+//! [`CheckpointError::Quarantined`]. A sound file of another format
+//! version is not corrupt: the walk stops there with
+//! [`CheckpointError::VersionSkew`] and leaves the file in place.
 //!
 //! # Storage-fault injection
 //!
@@ -61,7 +73,7 @@ use crate::study::StudyConfig;
 pub const MAGIC_PREFIX: &str = "SLUMCKPT ";
 
 /// Current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// File extension of checkpoint files.
 pub const EXTENSION: &str = "slumckpt";
@@ -256,7 +268,9 @@ pub enum CheckpointError {
         /// What the first line actually held (truncated).
         found: String,
     },
-    /// The file is a checkpoint, but of an unsupported format version.
+    /// The file is a sound checkpoint — its CRC checks out and its
+    /// header repeats the magic line's version — of an unsupported
+    /// format version.
     VersionSkew {
         /// The version the file declares.
         found: u32,
@@ -385,7 +399,9 @@ pub fn encode_checkpoint(
 /// # Errors
 ///
 /// Every corruption mode maps to a typed [`CheckpointError`]; this
-/// function never panics on arbitrary input.
+/// function never panics on arbitrary input. A file of another format
+/// version is [`CheckpointError::VersionSkew`] only when it is sound
+/// under its own version; otherwise it is corrupt like any other.
 pub fn decode_checkpoint(
     raw: &str,
 ) -> Result<(CheckpointHeader, CrawlCheckpointState), CheckpointError> {
@@ -398,9 +414,6 @@ pub fn decode_checkpoint(
     let version: u32 = version_text.trim().parse().map_err(|_| CheckpointError::BadMagic {
         found: magic_line.chars().take(32).collect(),
     })?;
-    if version != FORMAT_VERSION {
-        return Err(CheckpointError::VersionSkew { found: version });
-    }
     let (crc_line, payload) = rest
         .split_once('\n')
         .ok_or_else(|| CheckpointError::Truncated { detail: "no CRC line".to_string() })?;
@@ -416,8 +429,16 @@ pub fn decode_checkpoint(
         .split_once('\n')
         .ok_or_else(|| CheckpointError::Truncated { detail: "no header line".to_string() })?;
     let header = parse_header(header_line)?;
-    if header.version != FORMAT_VERSION {
-        return Err(CheckpointError::VersionSkew { found: header.version });
+    if header.version != version {
+        // The CRC does not cover the magic line: a flipped version
+        // digit shows up only as this disagreement.
+        return Err(CheckpointError::Malformed {
+            line: 1,
+            detail: format!("magic version {version} but header version {}", header.version),
+        });
+    }
+    if version != FORMAT_VERSION {
+        return Err(CheckpointError::VersionSkew { found: version });
     }
     if body.len() as u64 != header.body_len {
         return Err(CheckpointError::Truncated {
@@ -699,9 +720,12 @@ impl CheckpointStore {
     ///
     /// [`CheckpointError::NoCheckpoint`] when the directory holds none;
     /// [`CheckpointError::Quarantined`] when every generation was
-    /// corrupt (all moved to `quarantine/`); I/O failures propagate
-    /// unchanged (a transient read error must not quarantine a possibly
-    /// healthy file).
+    /// corrupt (all moved to `quarantine/`);
+    /// [`CheckpointError::VersionSkew`] when the walk reaches a sound
+    /// file of another format version, which stays where it is (it is
+    /// not corrupt, and quarantining it would silently restart the
+    /// study); I/O failures propagate unchanged (a transient read error
+    /// must not quarantine a possibly healthy file).
     pub fn load_latest(&self) -> Result<(CheckpointHeader, CrawlCheckpointState), CheckpointError> {
         let files = self.list()?;
         if files.is_empty() {
@@ -716,6 +740,7 @@ impl CheckpointStore {
                     }
                     return Ok(loaded);
                 }
+                Err(skew @ CheckpointError::VersionSkew { .. }) => return Err(skew),
                 Err(CheckpointError::Io { .. }) => {
                     // fs::read_to_string also fails on non-UTF-8 bytes,
                     // which *is* corruption (the format is pure text) —
@@ -740,25 +765,47 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_crawler::drive::{CrawlConfig, CrawlCursor};
-    use slum_crawler::RecordStore;
-    use slum_exchange::{build_exchange, params::profile};
+    use crate::substrate::{build_substrate, Substrate};
+    use proptest::prelude::{
+        prop_assert, prop_assert_eq, prop_oneof, proptest, Just, ProptestConfig,
+    };
+    use slum_crawler::{replay_restored_loads, CrawlFaultProfile, CrawlPlan};
+    use slum_exchange::{build_exchange, params::profile, Exchange};
     use slum_websim::build::WebBuilder;
+    use slum_websim::{SyntheticWeb, Url};
 
-    fn sample_state() -> CrawlCheckpointState {
+    /// The version-1 file the encoder wrote for the round-1 sample state
+    /// before checkpoints held visits.
+    const V1_FIXTURE: &str = include_str!("../tests/fixtures/checkpoint-v1.slumckpt");
+
+    /// The sample crawl's world: one Otohits exchange on a seed-5 web.
+    fn sample_world() -> (SyntheticWeb, Vec<Exchange>) {
         let mut b = WebBuilder::new(5);
-        let p = profile("Otohits").unwrap();
-        let mut x = build_exchange(&mut b, p, 0.05, 10_000);
-        let web = b.finish();
-        let config = CrawlConfig { steps: 12, seed: 5, ..Default::default() };
-        let mut cursor = CrawlCursor::start(&x, &config);
-        let mut store = RecordStore::new();
-        let lifecycle = slum_exchange::lifecycle::ExchangeLifecycle::inert(x.name());
-        let retry = slum_detect::retry::RetryPolicy::no_retries();
-        slum_crawler::drive::crawl_exchange_segment(
-            &web, &mut x, &config, &lifecycle, &retry, &mut cursor, &mut store, 7,
-        );
-        CrawlCheckpointState { round: 1, cursors: vec![cursor], stores: vec![store] }
+        let x = build_exchange(&mut b, profile("Otohits").unwrap(), 0.05, 10_000);
+        (b.finish(), vec![x])
+    }
+
+    /// The sample crawl's state after its first 7-slot round of 12.
+    fn sample_state() -> CrawlCheckpointState {
+        let (web, mut sources) = sample_world();
+        CrawlPlan::new(5)
+            .segment_budget(7)
+            .stop_after_round(1)
+            .run_segmented::<_, _, std::convert::Infallible>(
+                &web,
+                &mut sources,
+                |_| 12,
+                &mut |_, _| Ok(()),
+            )
+            .unwrap_or_else(|never| match never {})
+            .state
+    }
+
+    /// A decoded sample state with its records rebuilt on a fresh
+    /// sample web, as a restore does.
+    fn rebuilt(decoded: &CrawlCheckpointState) -> CrawlCheckpointState {
+        let (web, sources) = sample_world();
+        replay_restored_loads(&web, &sources, decoded)
     }
 
     fn sample_header() -> CheckpointHeader {
@@ -838,11 +885,11 @@ mod tests {
 
     #[test]
     fn encoder_output_is_pinned_to_recorded_bytes() {
-        // Length and CRC-32 of each whole file, recorded before the JSON
-        // writer and the CRC were rewritten: the bytes on disk must not
-        // move.
+        // Length and CRC-32 of each whole format-2 file: the bytes on
+        // disk must not move. (Format 1 wrote 6,944 bytes for round 1,
+        // kept as `V1_FIXTURE`.)
         let pinned: [(u64, usize, u32); 3] =
-            [(1, 6944, 0xe053_7558), (2, 6944, 0x6ded_2e9e), (3, 6942, 0x50a5_dd6b)];
+            [(1, 1104, 0x93d1_5969), (2, 1106, 0x55a2_9054), (3, 1106, 0x25b8_0666)];
         for (state, (round, len, crc)) in states(3).iter().zip(pinned) {
             assert_eq!(state.round, round);
             let raw = encode_checkpoint(&sample_header(), state).unwrap();
@@ -854,11 +901,27 @@ mod tests {
     fn encode_decode_round_trips() {
         let state = sample_state();
         let raw = encode_checkpoint(&sample_header(), &state).unwrap();
-        assert!(raw.starts_with("SLUMCKPT 1\n"));
+        assert!(raw.starts_with("SLUMCKPT 2\n"));
         let (header, back) = decode_checkpoint(&raw).unwrap();
         assert_eq!(header.round, 1);
         assert_eq!(header.seed, 5);
-        assert_eq!(back, state);
+        assert_eq!(back.records_total(), state.records_total());
+        // A decoded state holds visits: it re-encodes to the same file
+        // before its records are rebuilt, and equals the crawled state
+        // after.
+        assert_eq!(encode_checkpoint(&sample_header(), &back).unwrap(), raw);
+        assert_eq!(rebuilt(&back), state);
+    }
+
+    #[test]
+    fn format_2_bodies_stay_under_200_bytes_per_visit() {
+        // Record bodies took about 900 bytes each; a visit line is its
+        // sequence number, virtual time and URL.
+        let state = sample_state();
+        let visits = state.records_total() as usize;
+        assert!(visits > 0);
+        let body = state.to_body().unwrap();
+        assert!(body.len() < 200 * visits, "{} body bytes for {visits} visits", body.len());
     }
 
     #[test]
@@ -875,7 +938,7 @@ mod tests {
         assert_eq!(store.list().unwrap().len(), 2);
         let (loaded_header, loaded) = store.load_latest().unwrap();
         assert_eq!(loaded_header.round, 2);
-        assert_eq!(loaded, state);
+        assert_eq!(rebuilt(&loaded), state);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -888,6 +951,18 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A sound file of format `version`: the sample's header and body
+    /// under that version, with its CRC recomputed.
+    fn sound_file_of_version(version: u32) -> String {
+        let mut header = sample_header();
+        header.version = version;
+        let body = sample_state().to_body().unwrap();
+        header.round = 1;
+        header.body_len = body.len() as u64;
+        let payload = format!("{}\n{body}", serde_json::to_string(&header).unwrap());
+        format!("{MAGIC_PREFIX}{version}\n{}\n{payload}", crc32(payload.as_bytes()))
+    }
+
     #[test]
     fn bad_magic_and_version_skew_are_typed() {
         assert!(matches!(
@@ -895,10 +970,43 @@ mod tests {
             Err(CheckpointError::BadMagic { .. })
         ));
         assert!(matches!(
-            decode_checkpoint("SLUMCKPT 9\n0\nx\n"),
+            decode_checkpoint(&sound_file_of_version(9)),
             Err(CheckpointError::VersionSkew { found: 9 })
         ));
+        assert!(decode_checkpoint(&sound_file_of_version(FORMAT_VERSION)).is_ok());
+        // Another version is skew only in a sound file: a failing CRC or
+        // a header that disagrees with the magic line is corruption.
+        assert!(matches!(
+            decode_checkpoint("SLUMCKPT 9\n0\nx\n"),
+            Err(CheckpointError::CrcMismatch { .. })
+        ));
+        let disagreeing =
+            sound_file_of_version(FORMAT_VERSION).replacen("SLUMCKPT 2", "SLUMCKPT 9", 1);
+        assert!(matches!(
+            decode_checkpoint(&disagreeing),
+            Err(CheckpointError::Malformed { line: 1, .. })
+        ));
         assert!(matches!(decode_checkpoint(""), Err(CheckpointError::Truncated { .. })));
+    }
+
+    #[test]
+    fn version_1_file_is_skew_and_stays_in_place() {
+        assert_eq!((V1_FIXTURE.len(), crc32(V1_FIXTURE.as_bytes())), (6944, 0xe053_7558));
+        assert!(matches!(
+            decode_checkpoint(V1_FIXTURE),
+            Err(CheckpointError::VersionSkew { found: 1 })
+        ));
+        let dir = scratch("v1");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let path = dir.join(CheckpointStore::file_name(1));
+        fs::write(&path, V1_FIXTURE).unwrap();
+        let err = store.load_latest().unwrap_err();
+        assert_eq!(err, CheckpointError::VersionSkew { found: 1 });
+        assert!(err.to_string().contains("format version 1"), "{err}");
+        assert_eq!(fs::read_to_string(&path).unwrap(), V1_FIXTURE, "the file stays in place");
+        assert!(!store.quarantine_dir().exists(), "nothing is quarantined");
+        assert_eq!(CkptStats::get(&store.stats().quarantined), 0);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -923,10 +1031,14 @@ mod tests {
             let mut corrupt = bytes.to_vec();
             corrupt[i] ^= 0x01;
             let corrupt = String::from_utf8_lossy(&corrupt).into_owned();
+            let decoded = decode_checkpoint(&corrupt);
+            let flipped = bytes[i] as char;
+            assert!(decoded.is_err(), "flip at byte {i} ({flipped:?}) must not validate");
+            // Skew would leave the file unquarantined: a flipped version
+            // digit must read as corruption.
             assert!(
-                decode_checkpoint(&corrupt).is_err(),
-                "flip at byte {i} ({:?}) must not validate",
-                raw.as_bytes()[i] as char
+                !matches!(decoded, Err(CheckpointError::VersionSkew { .. })),
+                "flip at byte {i} ({flipped:?}) reads as version skew"
             );
         }
     }
@@ -1140,6 +1252,64 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The fact format 2 rests on: every record a crawl logged equals
+        /// the record its visit rebuilds on a freshly built web, as a
+        /// restore does — on every substrate, with and without harsh
+        /// crawl faults (lost slots advance `seq` without a visit), at a
+        /// drawn cadence and kill round. Exchange seeds 24 and 29 surf
+        /// through shorteners, whose loads mutate the web.
+        #[test]
+        fn visits_rebuild_the_crawled_records(
+            seed in prop_oneof![Just(24u64), Just(29u64), 1u64..5000],
+            every in 5u64..80,
+            kill in 1u64..4,
+        ) {
+            for substrate in Substrate::ALL {
+                for crawl_faults in [CrawlFaultProfile::none(), CrawlFaultProfile::harsh()] {
+                    let config = StudyConfig::builder()
+                        .seed(seed)
+                        .crawl_scale(0.0003)
+                        .domain_scale(0.03)
+                        .substrate(substrate)
+                        .crawl_fault_profile(crawl_faults)
+                        .checkpoint_every(every)
+                        .build()
+                        .unwrap();
+                    let label =
+                        format!("{} seed {seed} every {every} kill {kill}", substrate.name());
+                    let mut built = build_substrate(&config);
+                    let steps = &built.steps;
+                    let crawled = CrawlPlan::new(seed)
+                        .fault_profile(config.crawl_fault_profile.clone())
+                        .segment_budget(every)
+                        .stop_after_round(kill)
+                        .run_segmented::<_, _, std::convert::Infallible>(
+                            &built.web,
+                            &mut built.sources,
+                            |x| steps[x.name()],
+                            &mut |_, _| Ok(()),
+                        )
+                        .unwrap_or_else(|never| match never {})
+                        .state;
+                    prop_assert!(crawled.records_total() > 0, "{label}: nothing crawled");
+                    for record in crawled.stores.iter().flat_map(|s| s.records()) {
+                        let url = &record.url;
+                        prop_assert_eq!(Url::parse(&url.to_string()).as_ref(), Ok(url));
+                    }
+                    let raw = encode_checkpoint(&CheckpointHeader::for_config(&config), &crawled)
+                        .unwrap();
+                    let (_, decoded) = decode_checkpoint(&raw).unwrap();
+                    let fresh = build_substrate(&config);
+                    let rebuilt = replay_restored_loads(&fresh.web, &fresh.sources, &decoded);
+                    prop_assert!(rebuilt == crawled, "{label}: rebuilt records differ");
+                }
+            }
+        }
     }
 
     #[test]

@@ -545,7 +545,9 @@ pub enum Restore {
     /// Restore the newest intact generation when one survives, and
     /// start fresh when the directory is empty or every generation was
     /// corrupt and got quarantined — a wiped checkpoint directory costs
-    /// progress, never the study (the slum-serve scheduler's attach).
+    /// progress, never the study (the slum-serve scheduler's attach). A
+    /// checkpoint of another format version fails the open, as under
+    /// [`Restore::Required`]: starting over would silently discard it.
     IfPresent,
 }
 
@@ -555,8 +557,9 @@ pub enum Restore {
 /// through its three steps:
 ///
 /// 1. [`CrawlSession::open`] builds the substrate, then restores the
-///    newest intact generation — replaying its browser loads once — or
-///    starts fresh, as [`Restore`] says;
+///    newest intact generation — replaying its visits' browser loads
+///    once, which rebuilds their records — or starts fresh, as
+///    [`Restore`] says;
 /// 2. [`CrawlSession::advance`] crawls further rounds, saving a
 ///    checkpoint after every round;
 /// 3. [`CrawlSession::finish`] runs the scan phase over the completed
@@ -587,8 +590,10 @@ impl CrawlSession {
     /// # Errors
     ///
     /// Propagates checkpoint I/O failures, a missing or wholly corrupt
-    /// checkpoint chain under [`Restore::Required`], and a restored
-    /// checkpoint written under a different configuration.
+    /// checkpoint chain under [`Restore::Required`], a checkpoint of
+    /// another format version ([`CheckpointError::VersionSkew`]) under
+    /// either restoring mode, and a restored checkpoint written under a
+    /// different configuration.
     pub fn open(
         config: &StudyConfig,
         dir: &Path,
@@ -615,15 +620,17 @@ impl CrawlSession {
             },
         };
         let (state, resume) = match restored {
-            Some((header, state)) => {
+            Some((header, visits)) => {
                 header.verify(config)?;
                 // The web above was rebuilt from seed; replay the restored
-                // records' browser loads so the crawl-phase web mutations
-                // (shortener hits) survive the restart.
+                // visits' browser loads, which rebuilds their records and
+                // lets the crawl-phase web mutations (shortener hits)
+                // survive the restart.
+                let state = replay_restored_loads(&built.web, &built.sources, &visits);
                 let resume = ResumeStats {
                     segments_restored: state.round,
-                    records_restored: state.records_total(),
-                    loads_replayed: replay_restored_loads(&built.web, &built.sources, &state),
+                    records_restored: visits.records_total(),
+                    loads_replayed: state.records_total(),
                 };
                 (Some(state), resume)
             }

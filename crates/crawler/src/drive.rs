@@ -26,7 +26,7 @@ use slum_websim::rng::seeded;
 use slum_websim::SyntheticWeb;
 
 use crate::fault::CrawlHealth;
-use crate::record::CrawlRecord;
+use crate::record::{CrawlRecord, CrawlVisit};
 use crate::store::RecordStore;
 
 /// Virtual nanoseconds per virtual second.
@@ -304,7 +304,6 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
         unreachable!("fresh session must be admitted");
     };
 
-    let manual = source.kind() == ExchangeKind::ManualSurf;
     let mut used = 0u64;
 
     while !cursor.done && used < budget {
@@ -371,16 +370,9 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
             cursor.t += rng.gen_range(3..10);
         }
 
-        let browser = Browser::new(web).at_time(cursor.t);
-        let browser = if manual { browser } else { browser.without_click() };
-        let load = browser.load(&step.url);
-        if load.failed {
-            cursor.load_failures += 1;
-        }
-        let mut record = CrawlRecord::from_load(&cursor.exchange, cursor.seq, cursor.t, &load);
-        if !config.capture_content {
-            record.content = None;
-        }
+        let visit = CrawlVisit { seq: cursor.seq, at: cursor.t, url: step.url };
+        let record = record_visit(web, &*source, config, &visit);
+        cursor.load_failures += u64::from(record.failed);
         cursor.redirects += u64::from(record.redirect_hops);
         cursor.shortener_visits += u64::from(record.via_shortener);
         store.push(record);
@@ -410,6 +402,31 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
     cursor.save_rng(&rng);
     cursor.captcha_nonce = source.captcha_nonce();
     used
+}
+
+/// Surfs one visit and builds its record: loads `visit.url` at virtual
+/// time `visit.at` with the click mode of `source`'s kind (auto-surf
+/// loads never simulate a click), then drops the captured content when
+/// `config` says so. The crawl loop logs every page through this, and a
+/// checkpoint restore rebuilds every stored visit through it
+/// ([`replay_restored_loads`](crate::run::replay_restored_loads)), so a
+/// rebuilt record equals the crawled one and reapplies the load's side
+/// effects on the web.
+pub fn record_visit<S: TrafficSource + ?Sized>(
+    web: &SyntheticWeb,
+    source: &S,
+    config: &CrawlConfig,
+    visit: &CrawlVisit,
+) -> CrawlRecord {
+    let browser = Browser::new(web).at_time(visit.at);
+    let browser =
+        if source.kind() == ExchangeKind::ManualSurf { browser } else { browser.without_click() };
+    let load = browser.load(&visit.url);
+    let mut record = CrawlRecord::from_load(source.name(), visit.seq, visit.at, &load);
+    if !config.capture_content {
+        record.content = None;
+    }
+    record
 }
 
 /// Estimates the virtual duration a crawl of `steps` pages will span —

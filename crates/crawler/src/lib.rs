@@ -33,9 +33,9 @@ pub mod record;
 pub mod run;
 pub mod store;
 
-pub use drive::{crawl_exchange, CrawlConfig, CrawlCursor};
+pub use drive::{crawl_exchange, record_visit, CrawlConfig, CrawlCursor};
 pub use fault::{CrawlFaultProfile, CrawlHealth};
-pub use record::CrawlRecord;
+pub use record::{CrawlRecord, CrawlVisit};
 pub use run::{crawl_all_resilient, replay_restored_loads, CrawlCheckpointState, CrawlPlan};
 pub use slum_exchange::TrafficSource;
 pub use store::{JsonlError, RecordStore};

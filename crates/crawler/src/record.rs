@@ -8,6 +8,23 @@ use slum_browser::har::HarLog;
 use slum_browser::{LoadResult, RedirectKind};
 use slum_websim::Url;
 
+/// One surfed visit: which slot of the source's crawl, when, and what
+/// URL the surfbar opened. A page load is a pure function of the web,
+/// the virtual time, the URL and the source's click mode, so a visit
+/// determines its [`CrawlRecord`] — checkpoints store visits and
+/// restores rebuild the records from them
+/// ([`record_visit`](crate::drive::record_visit)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrawlVisit {
+    /// Visit sequence number within the source's crawl (lost slots
+    /// advance it without a visit, so it is not the visit's index).
+    pub seq: u64,
+    /// Virtual timestamp of the visit (seconds).
+    pub at: u64,
+    /// The URL the surfbar opened.
+    pub url: Url,
+}
+
 /// Everything the crawler logs for one surfed URL — the unit the
 /// analysis pipeline consumes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -11,20 +11,32 @@
 //! Per-source stores merge in source input order, so the merged record
 //! stream is independent of thread scheduling.
 
+use serde::{Deserialize, Serialize};
+
 use slum_exchange::lifecycle::ExchangeLifecycle;
 use slum_exchange::TrafficSource;
-use slum_websim::SyntheticWeb;
+use slum_websim::{SyntheticWeb, Url};
 
 use crate::drive::{
-    crawl_exchange_segment, estimated_exchange_span_secs, CrawlConfig, CrawlCursor, CrawlStats,
+    crawl_exchange_segment, estimated_exchange_span_secs, record_visit, CrawlConfig, CrawlCursor,
+    CrawlStats,
 };
 use crate::fault::{CrawlFaultProfile, CrawlHealth};
+use crate::record::CrawlVisit;
 use crate::store::RecordStore;
 
 /// The RNG seed for the `index`-th source's crawl stream, derived
 /// from the study seed exactly as the original per-thread crawl did.
 pub fn exchange_crawl_seed(base_seed: u64, index: usize) -> u64 {
     base_seed.wrapping_add(index as u64 * 7919)
+}
+
+/// The loop configuration of one source's crawl. Only the slot budget
+/// and the seed vary by source, and a [`CrawlCursor`] records both, so
+/// a restore rebuilds the exact configuration its records were crawled
+/// under.
+fn source_config(steps: u64, seed: u64) -> CrawlConfig {
+    CrawlConfig { steps, seed, ..Default::default() }
 }
 
 /// Per-source crawl plan: the loop configuration plus the compiled
@@ -44,11 +56,7 @@ where
         .enumerate()
         .map(|(i, x)| {
             let steps = step_fn(x);
-            let config = CrawlConfig {
-                steps,
-                seed: exchange_crawl_seed(base_seed, i),
-                ..Default::default()
-            };
+            let config = source_config(steps, exchange_crawl_seed(base_seed, i));
             let span = estimated_exchange_span_secs(x, steps);
             let lifecycle = profile.compile_for(x, base_seed, span);
             (config, lifecycle)
@@ -143,7 +151,12 @@ impl CrawlPlan {
                 .map(|(x, (config, _))| CrawlCursor::start(x, config))
                 .collect(),
             stores: sources.iter().map(|_| RecordStore::new()).collect(),
+            restored: Vec::new(),
         });
+        assert!(
+            state.restored.is_empty(),
+            "a decoded checkpoint resumes only after replay_restored_loads rebuilt its records"
+        );
         assert_eq!(state.cursors.len(), sources.len(), "checkpoint/source count mismatch");
         for (cursor, x) in state.cursors.iter().zip(sources.iter()) {
             assert_eq!(cursor.exchange, x.name(), "checkpoint/source order mismatch");
@@ -223,9 +236,16 @@ where
 }
 
 /// The complete resumable state of a multi-source crawl: one cursor
-/// and one record store per source, in source input order, plus the
-/// number of completed segment rounds. This is exactly what a crawl
-/// checkpoint persists.
+/// and the visits logged so far per source, in source input order,
+/// plus the number of completed segment rounds. A checkpoint persists
+/// the cursors and the visits; a record is a pure function of its visit
+/// (see [`CrawlVisit`]), so it stores no record.
+///
+/// A live crawl holds its visits as the records in `stores`. A state
+/// decoded from a checkpoint body ([`Self::from_body`]) holds them as
+/// bare visits and its stores are empty until
+/// [`replay_restored_loads`] rebuilds the records on the rebuilt web.
+/// Both kinds encode to the same body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrawlCheckpointState {
     /// Completed segment rounds (checkpoint files are numbered by it).
@@ -234,10 +254,23 @@ pub struct CrawlCheckpointState {
     pub cursors: Vec<CrawlCursor>,
     /// Per-source record stores, parallel to `cursors`.
     pub stores: Vec<RecordStore>,
+    /// Per-source visits decoded from a checkpoint body and not yet
+    /// rebuilt into records, parallel to `cursors`; empty for a live
+    /// crawl.
+    restored: Vec<Vec<CrawlVisit>>,
 }
 
 /// Line prefix marking a per-source cursor inside a checkpoint body.
 const CURSOR_PREFIX: &str = "#cursor ";
+
+/// A checkpoint body's line for one visit. The URL is written in its
+/// display form, which `Url::parse` reads back to the same URL.
+#[derive(Serialize, Deserialize)]
+struct VisitLine {
+    seq: u64,
+    at: u64,
+    url: String,
+}
 
 impl CrawlCheckpointState {
     /// True once every source has consumed its whole slot budget.
@@ -245,39 +278,58 @@ impl CrawlCheckpointState {
         self.cursors.iter().all(|c| c.done)
     }
 
-    /// Total records held across all per-source stores.
+    /// Total visits logged across all sources, rebuilt into records or
+    /// not.
     pub fn records_total(&self) -> u64 {
-        self.stores.iter().map(|s| s.len() as u64).sum()
+        let records: usize = self.stores.iter().map(RecordStore::len).sum();
+        let visits: usize = self.restored.iter().map(Vec::len).sum();
+        (records + visits) as u64
+    }
+
+    /// Source `i`'s logged visits, oldest first, as `(seq, at, url)`:
+    /// the decoded ones not yet rebuilt, then the ones its records were
+    /// logged for.
+    fn visits_of(&self, i: usize) -> impl Iterator<Item = (u64, u64, &Url)> {
+        let restored = self.restored.get(i).into_iter().flatten().map(|v| (v.seq, v.at, &v.url));
+        let logged = self.stores[i].records().iter().map(|r| (r.seq, r.at, &r.url));
+        restored.chain(logged)
     }
 
     /// Serializes the state to a checkpoint body: for each source, a
-    /// `#cursor {json}` line followed by that source's records as
-    /// JSON-lines.
+    /// `#cursor {json}` line followed by one `{"seq":..,"at":..,"url":..}`
+    /// line per logged visit.
     ///
     /// # Errors
     ///
     /// Propagates serde failures.
     pub fn to_body(&self) -> Result<String, serde_json::Error> {
         let mut out = String::new();
-        for (cursor, store) in self.cursors.iter().zip(&self.stores) {
+        for (i, cursor) in self.cursors.iter().enumerate() {
             out.push_str(CURSOR_PREFIX);
             serde_json::append_to_string(&mut out, cursor)?;
             out.push('\n');
-            store.append_jsonl(&mut out)?;
+            for (seq, at, url) in self.visits_of(i) {
+                let line = VisitLine { seq, at, url: url.to_string() };
+                debug_assert_eq!(Url::parse(&line.url).as_ref(), Ok(url), "URL must round-trip");
+                serde_json::append_to_string(&mut out, &line)?;
+                out.push('\n');
+            }
         }
         Ok(out)
     }
 
-    /// Parses a checkpoint body written by [`Self::to_body`].
+    /// Parses a checkpoint body written by [`Self::to_body`] into a
+    /// state holding visits and no records: pass it through
+    /// [`replay_restored_loads`] before resuming it.
     ///
     /// # Errors
     ///
     /// Returns `(line_number, detail)` for the first malformed line —
-    /// a record before any cursor header, unparseable JSON, or a
-    /// cursor/store page-count mismatch.
+    /// a visit before any cursor header, unparseable JSON or URL, or a
+    /// cursor/visit page-count mismatch.
     pub fn from_body(round: u64, body: &str) -> Result<Self, (usize, String)> {
         let mut cursors: Vec<CrawlCursor> = Vec::new();
-        let mut stores: Vec<RecordStore> = Vec::new();
+        let mut restored: Vec<Vec<CrawlVisit>> = Vec::new();
         for (idx, line) in body.lines().enumerate() {
             let lineno = idx + 1;
             if line.trim().is_empty() {
@@ -287,34 +339,35 @@ impl CrawlCheckpointState {
                 let cursor: CrawlCursor = serde_json::from_str(json)
                     .map_err(|e| (lineno, format!("bad cursor: {e}")))?;
                 cursors.push(cursor);
-                stores.push(RecordStore::new());
+                restored.push(Vec::new());
             } else {
-                let store = stores
+                let visits = restored
                     .last_mut()
-                    .ok_or_else(|| (lineno, "record before any #cursor header".to_string()))?;
-                store.push(
-                    serde_json::from_str(line)
-                        .map_err(|e| (lineno, format!("bad record: {e}")))?,
-                );
+                    .ok_or_else(|| (lineno, "visit before any #cursor header".to_string()))?;
+                let bad = |e: String| (lineno, format!("bad visit: {e}"));
+                let line: VisitLine = serde_json::from_str(line).map_err(|e| bad(e.to_string()))?;
+                let url = Url::parse(&line.url).map_err(|e| bad(e.to_string()))?;
+                visits.push(CrawlVisit { seq: line.seq, at: line.at, url });
             }
         }
         if cursors.is_empty() {
             return Err((0, "checkpoint body holds no cursors".to_string()));
         }
-        for (cursor, store) in cursors.iter().zip(&stores) {
-            if cursor.pages != store.len() as u64 {
+        for (cursor, visits) in cursors.iter().zip(&restored) {
+            if cursor.pages != visits.len() as u64 {
                 return Err((
                     0,
                     format!(
-                        "cursor for {} claims {} pages but body holds {} records",
+                        "cursor for {} claims {} pages but body holds {} visits",
                         cursor.exchange,
                         cursor.pages,
-                        store.len()
+                        visits.len()
                     ),
                 ));
             }
         }
-        Ok(CrawlCheckpointState { round, cursors, stores })
+        let stores = cursors.iter().map(|_| RecordStore::new()).collect();
+        Ok(CrawlCheckpointState { round, cursors, stores, restored })
     }
 
     /// Consumes the state into the merged store, per-source stats and
@@ -322,6 +375,7 @@ impl CrawlCheckpointState {
     /// [`crawl_all_resilient`]. The records move into the merged store;
     /// none is cloned.
     pub fn finish(self) -> (RecordStore, Vec<(String, CrawlStats)>, Vec<CrawlHealth>) {
+        assert!(self.restored.is_empty(), "a decoded checkpoint finishes only after its rebuild");
         let mut merged = RecordStore::new();
         let mut stats = Vec::with_capacity(self.cursors.len());
         let mut health = Vec::with_capacity(self.cursors.len());
@@ -346,8 +400,9 @@ pub struct SegmentedCrawl {
     pub rounds_run: u64,
 }
 
-/// Replays the browser side effects of every checkpoint-restored record
-/// onto a freshly rebuilt web.
+/// Replays every restored visit's page load onto a freshly rebuilt web
+/// and rebuilds its record from the load, returning the state with
+/// every visit held as a record — the state to resume from.
 ///
 /// Crawl-phase page loads mutate the synthetic web — most visibly the
 /// shortener services' public hit statistics, which Table IV reads at
@@ -355,43 +410,51 @@ pub struct SegmentedCrawl {
 /// which reconstructs only the *initial* state; the hits accumulated by
 /// the already-crawled (checkpointed) visits lived in the crashed
 /// process and would silently vanish, making a kill/resume run diverge
-/// from an uninterrupted one. Re-loading each restored record's surfed
-/// URL at its recorded virtual time — under the same click mode the
-/// original visit used — reapplies exactly those mutations: a
+/// from an uninterrupted one. Re-loading each visit's URL at its
+/// virtual time under its source's click mode reapplies exactly those
+/// mutations, and the load is the one the crawl made: a
 /// [`Browser`](slum_browser::Browser) load is a pure function of
-/// `(web, time, url, click-mode)`, and a record exists if and only if a
-/// load actually happened (lost slots and failed CAPTCHAs never touch
-/// the browser).
+/// `(web, time, url, click-mode)`. So [`record_visit`], the function
+/// the crawl loop logs every page with, rebuilds each record equal to
+/// the crawled one. A visit exists if and only if a load actually
+/// happened (lost slots and failed CAPTCHAs never touch the browser).
 ///
 /// Call this once per resume, after rebuilding the web and before
 /// continuing the crawl. Callers that keep one web alive across
 /// segments (in-process round loops) must NOT call it — their web
 /// already carries the side effects.
 ///
-/// Returns the number of loads replayed.
+/// # Panics
+///
+/// Panics when `sources` are not the sources `state` crawled, in order.
 pub fn replay_restored_loads<S: TrafficSource>(
     web: &SyntheticWeb,
     sources: &[S],
     state: &CrawlCheckpointState,
-) -> u64 {
-    use slum_browser::Browser;
-    use slum_exchange::ExchangeKind;
-
-    let mut replayed = 0u64;
-    for (cursor, store) in state.cursors.iter().zip(&state.stores) {
-        let manual = sources
-            .iter()
-            .find(|s| s.name() == cursor.exchange)
-            .map(|s| s.kind() == ExchangeKind::ManualSurf)
-            .unwrap_or(false);
-        for record in store.records() {
-            let browser = Browser::new(web).at_time(record.at);
-            let browser = if manual { browser } else { browser.without_click() };
-            let _ = browser.load(&record.url);
-            replayed += 1;
-        }
+) -> CrawlCheckpointState {
+    assert_eq!(state.cursors.len(), sources.len(), "checkpoint/source count mismatch");
+    let stores = state
+        .cursors
+        .iter()
+        .zip(sources)
+        .enumerate()
+        .map(|(i, (cursor, source))| {
+            assert_eq!(cursor.exchange, source.name(), "checkpoint/source order mismatch");
+            let config = source_config(cursor.steps, cursor.seed);
+            let mut store = RecordStore::new();
+            for (seq, at, url) in state.visits_of(i) {
+                let visit = CrawlVisit { seq, at, url: url.clone() };
+                store.push(record_visit(web, source, &config, &visit));
+            }
+            store
+        })
+        .collect();
+    CrawlCheckpointState {
+        round: state.round,
+        cursors: state.cursors.clone(),
+        stores,
+        restored: Vec::new(),
     }
-    replayed
 }
 
 #[cfg(test)]
@@ -503,23 +566,25 @@ mod tests {
     /// Checkpoint rounds with a JSON round-trip between every round
     /// reproduce the one-shot crawl bit-for-bit — for every segment
     /// budget, from one slot per round to one round for the whole
-    /// crawl, under both inert and active profiles.
+    /// crawl, under both inert and active profiles — and the final
+    /// state's visits rebuild its records on a fresh web.
     #[test]
     fn segmented_rounds_with_serialization_match_one_shot() {
+        let build = || {
+            let mut b = WebBuilder::new(135);
+            let exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
+            (b.finish(), exchanges)
+        };
         for profile in [CrawlFaultProfile::none(), CrawlFaultProfile::default_profile()] {
             let one_shot = {
-                let mut b = WebBuilder::new(135);
-                let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-                let web = b.finish();
+                let (web, mut exchanges) = build();
                 let (store, stats, health) =
                     crawl_all_resilient(&web, &mut exchanges, 11, &profile, |_| 30);
                 (store.to_jsonl().unwrap(), stats, health)
             };
 
             for budget in [1u64, 7, 64, 10_000] {
-                let mut b = WebBuilder::new(135);
-                let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
-                let web = b.finish();
+                let (web, mut exchanges) = build();
                 let outcome = CrawlPlan::new(11)
                     .fault_profile(profile.clone())
                     .segment_budget(budget)
@@ -529,16 +594,23 @@ mod tests {
                         |_| 30,
                         &mut |round, state| {
                             // Round-trip the full state through the body
-                            // format, as a checkpoint save + resume would.
+                            // format, as a checkpoint save + resume would:
+                            // the decoded visits encode to the same body.
                             let body = state.to_body().map_err(|e| e.to_string())?;
                             let back = CrawlCheckpointState::from_body(round, &body)
                                 .map_err(|(l, d)| format!("line {l}: {d}"))?;
-                            assert_eq!(*state, back);
+                            assert_eq!(back.to_body().map_err(|e| e.to_string())?, body);
+                            assert_eq!(back.records_total(), state.records_total());
                             Ok(())
                         },
                     )
                     .expect("round-trip must parse");
                 assert!(outcome.finished);
+                let body = outcome.state.to_body().unwrap();
+                let decoded = CrawlCheckpointState::from_body(outcome.state.round, &body).unwrap();
+                let (fresh_web, fresh_exchanges) = build();
+                let rebuilt = replay_restored_loads(&fresh_web, &fresh_exchanges, &decoded);
+                assert_eq!(rebuilt, outcome.state, "budget {budget}: rebuilt records differ");
                 let (store, stats, health) = outcome.state.finish();
                 let label = format!("profile {} budget {budget}", profile.name);
                 assert_eq!(store.to_jsonl().unwrap(), one_shot.0, "{label}");
@@ -650,14 +722,17 @@ mod tests {
         assert!(!killed.finished);
         drop(web1);
 
-        // Resume on a rebuilt web: replay reconstructs the lost hits.
+        // Resume on a rebuilt web from the saved body: replay rebuilds
+        // the records and reconstructs the lost hits.
         let (web2, _) = build();
-        let state = saved.expect("checkpoint saved");
+        let saved = saved.expect("checkpoint saved");
+        let state =
+            CrawlCheckpointState::from_body(saved.round, &saved.to_body().unwrap()).unwrap();
         let restored = state.records_total();
         assert!(restored > 0, "round 1 must have crawled something");
         let mut sources = [ShortLoop { url: short.clone() }];
-        let replayed = replay_restored_loads(&web2, &sources, &state);
-        assert_eq!(replayed, restored);
+        let state = replay_restored_loads(&web2, &sources, &state);
+        assert_eq!(state, saved, "the rebuilt records equal the crawled ones");
         let resumed = run(&web2, &mut sources, plan().resume(state), &mut sink);
         assert!(resumed.finished);
         assert_eq!(

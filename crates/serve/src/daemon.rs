@@ -17,9 +17,12 @@
 //!   [`DaemonOptions::drain_deadline`]; idle clients cannot wedge it
 //!   because every read wakes within [`READ_POLL`] to check the stop
 //!   flag.
+//! - **No idle polling**: the accept loop blocks in `accept` and the
+//!   scheduler sleeps while no study runs. A submit wakes the
+//!   scheduler; raising the stop flag wakes both (see [`Stop`]).
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,8 +30,11 @@ use std::time::{Duration, Instant};
 use crate::proto::{parse_request, Response, MAX_REQUEST_LINE};
 use crate::service::{ServeError, Service};
 
-/// How long the accept loop and the scheduler sleep when idle.
-const IDLE_POLL: Duration = Duration::from_millis(5);
+/// How often the shutdown drain re-checks its connection handlers.
+const DRAIN_POLL: Duration = Duration::from_millis(5);
+
+/// How long raising the stop flag waits for its wake-up connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Socket read timeout: the longest a connection handler sleeps before
 /// re-checking the stop flag. Bounds shutdown latency per handler.
@@ -54,17 +60,41 @@ impl Default for DaemonOptions {
 /// A running daemon: a [`Service`] behind a TCP listener.
 ///
 /// The daemon owns two kinds of threads: one scheduler thread that
-/// round-robins [`Service::step`] while any study is running, and one
-/// short-lived thread per accepted connection. `shutdown` requests (or
-/// [`Daemon::shutdown`]) stop the accept loop; the scheduler drains the
-/// in-flight studies before joining so no tenant's study is abandoned
-/// mid-slice.
+/// round-robins [`Service::step`] while any study is running and sleeps
+/// otherwise, and one short-lived thread per accepted connection.
+/// `shutdown` requests (or [`Daemon::shutdown`]) stop the accept loop;
+/// the scheduler drains the in-flight studies before joining so no
+/// tenant's study is abandoned mid-slice.
 pub struct Daemon {
     service: Arc<Service>,
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    addr: SocketAddr,
+    stop: Arc<Stop>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     scheduler_thread: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The daemon's stop flag, and how raising it wakes the threads that
+/// block: the scheduler through [`Service::wake_scheduler`], the accept
+/// loop through one connection to the bound address, which the loop
+/// drops before it exits.
+struct Stop {
+    raised: AtomicBool,
+    addr: SocketAddr,
+}
+
+impl Stop {
+    fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+
+    /// Raises the flag and wakes the scheduler and the accept loop.
+    /// Raising it again is harmless: once the accept loop is gone the
+    /// wake-up connection is refused.
+    fn raise(&self, service: &Service) {
+        self.raised.store(true, Ordering::SeqCst);
+        service.wake_scheduler();
+        let _ = TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT);
+    }
 }
 
 impl Daemon {
@@ -90,9 +120,8 @@ impl Daemon {
     ) -> Result<Daemon, ServeError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let service = Arc::new(service);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop { raised: AtomicBool::new(false), addr });
 
         let accept_service = Arc::clone(&service);
         let accept_stop = Arc::clone(&stop);
@@ -117,7 +146,7 @@ impl Daemon {
     }
 
     /// The bound socket address (resolves port 0).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -137,7 +166,10 @@ impl Daemon {
     /// an idle or wedged client cannot stall shutdown. Calling it
     /// again (including via [`Drop`]) is a no-op.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if self.accept_thread.is_none() && self.scheduler_thread.is_none() {
+            return;
+        }
+        self.stop.raise(&self.service);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -146,11 +178,12 @@ impl Daemon {
         }
     }
 
-    /// Blocks until a `shutdown` request (or [`Daemon::shutdown`] from
-    /// another thread) stops the daemon.
+    /// Blocks until a `shutdown` request stops the daemon: joins the
+    /// accept loop, which exits once the stop flag is raised (or when
+    /// `accept` itself fails), then shuts down the rest.
     pub fn wait(&mut self) {
-        while !self.stop.load(Ordering::SeqCst) {
-            std::thread::sleep(IDLE_POLL);
+        if let Some(t) = self.accept_thread.take() {
+            let _ = t.join();
         }
         self.shutdown();
     }
@@ -175,13 +208,19 @@ impl Drop for ConnectionSlot {
 fn accept_loop(
     listener: &TcpListener,
     service: &Arc<Service>,
-    stop: &Arc<AtomicBool>,
+    stop: &Arc<Stop>,
     options: &DaemonOptions,
 ) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let live = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.is_raised() {
+            // The stop's wake-up connection (or a client racing it):
+            // dropped unanswered.
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if live.load(Ordering::SeqCst) >= options.max_connections {
                     shed_connection(stream, service);
@@ -196,9 +235,6 @@ fn accept_loop(
                     serve_connection(stream, &service, &stop);
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(IDLE_POLL);
-            }
             Err(_) => break,
         }
         handlers.retain(|h| !h.is_finished());
@@ -212,7 +248,7 @@ fn accept_loop(
         if handlers.is_empty() || Instant::now() >= deadline {
             break;
         }
-        std::thread::sleep(IDLE_POLL);
+        std::thread::sleep(DRAIN_POLL);
     }
 }
 
@@ -227,17 +263,18 @@ fn shed_connection(mut stream: TcpStream, service: &Arc<Service>) {
     }
 }
 
-fn scheduler_loop(service: &Arc<Service>, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match service.step() {
-            Ok(0) => std::thread::sleep(IDLE_POLL),
-            Ok(_) => {}
-            Err(_) => std::thread::sleep(IDLE_POLL),
-        }
+/// Advances every running study a slice per pass, and sleeps in
+/// [`Service::wait_for_work`] while none runs.
+fn scheduler_loop(service: &Arc<Service>, stop: &Arc<Stop>) {
+    while !stop.is_raised() {
+        // Only unknown study ids fail a pass, and the pass takes its ids
+        // from the job table itself.
+        let _ = service.step();
+        service.wait_for_work(&stop.raised);
     }
 }
 
-fn serve_connection(stream: TcpStream, service: &Arc<Service>, stop: &Arc<AtomicBool>) {
+fn serve_connection(stream: TcpStream, service: &Arc<Service>, stop: &Arc<Stop>) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -254,7 +291,7 @@ fn serve_connection(stream: TcpStream, service: &Arc<Service>, stop: &Arc<Atomic
     let mut discarding = false;
     let mut discarded: usize = 0;
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if stop.is_raised() {
             return;
         }
         match reader.read_until(b'\n', &mut buf) {
@@ -315,7 +352,7 @@ fn serve_connection(stream: TcpStream, service: &Arc<Service>, stop: &Arc<Atomic
             Ok(req) => {
                 let response = service.handle(&req);
                 if req.op == "shutdown" {
-                    stop.store(true, Ordering::SeqCst);
+                    stop.raise(service);
                 }
                 response
             }
@@ -324,7 +361,7 @@ fn serve_connection(stream: TcpStream, service: &Arc<Service>, stop: &Arc<Atomic
         if !write_response(&mut writer, &response) {
             return;
         }
-        if stop.load(Ordering::SeqCst) {
+        if stop.is_raised() {
             return;
         }
     }
@@ -405,6 +442,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let service = Service::open(&root).expect("service root");
         (service, root)
+    }
+
+    #[test]
+    fn in_process_submit_wakes_the_idle_scheduler() {
+        let (service, root) = scratch_service("wake");
+        let mut daemon = Daemon::start(service, "127.0.0.1:0").expect("daemon");
+        // The scheduler sleeps as soon as it finds nothing to run; give
+        // it time to get there, so that the submit below must wake it.
+        std::thread::sleep(Duration::from_millis(50));
+        let config = malware_slums::StudyConfig::builder()
+            .crawl_scale(0.0002)
+            .domain_scale(0.03)
+            .checkpoint_every(7)
+            .build()
+            .expect("valid config");
+        let id = daemon.service().submit("direct", config).expect("submit");
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            let status = daemon.service().status(id).expect("status");
+            match status.state.as_str() {
+                "done" => break,
+                "running" => {
+                    assert!(Instant::now() < deadline, "the submit never woke the scheduler");
+                }
+                other => panic!("study {other}: {:?}", status.error),
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        daemon.shutdown();
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -25,7 +25,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 use malware_slums::export;
 use malware_slums::{
@@ -200,6 +201,10 @@ pub struct Service {
     retry_after_ms: u64,
     disk_fault_override: Option<DiskFaultProfile>,
     jobs: Mutex<Vec<Job>>,
+    /// Notified under the `jobs` lock on every submit and by
+    /// [`Service::wake_scheduler`]: a daemon's scheduler waits on it
+    /// while no study runs.
+    work: Condvar,
     inflight: Mutex<BTreeMap<String, usize>>,
     cache_groups: Mutex<BTreeMap<String, Arc<ScanCaches>>>,
     /// `fingerprint#canonical-url` → the first verdict published for it.
@@ -257,6 +262,7 @@ impl Service {
             retry_after_ms: DEFAULT_RETRY_AFTER_MS,
             disk_fault_override: None,
             jobs: Mutex::new(Vec::new()),
+            work: Condvar::new(),
             inflight: Mutex::new(BTreeMap::new()),
             cache_groups: Mutex::new(BTreeMap::new()),
             verdicts: RwLock::new(HashMap::new()),
@@ -381,7 +387,26 @@ impl Service {
         });
         self.obs.counter("serve.studies.submitted").inc();
         self.obs.gauge("serve.studies.running").set(running_count(&jobs) as i64);
+        self.work.notify_all();
         Ok(id)
+    }
+
+    /// Blocks the calling scheduler thread until a study is running or
+    /// `stop` is raised.
+    pub(crate) fn wait_for_work(&self, stop: &AtomicBool) {
+        let mut jobs = lock_recover(&self.jobs);
+        while running_count(&jobs) == 0 && !stop.load(Ordering::SeqCst) {
+            jobs = self.work.wait(jobs).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Wakes a scheduler blocked in [`Service::wait_for_work`] to
+    /// re-check its stop flag; raise the flag first. Taking the lock
+    /// the waiter checks under means the wake cannot slip in between
+    /// its check and its wait.
+    pub(crate) fn wake_scheduler(&self) {
+        let _jobs = lock_recover(&self.jobs);
+        self.work.notify_all();
     }
 
     /// The shared cache set for a web fingerprint, created on first
@@ -942,6 +967,34 @@ mod tests {
             service.export(retry).expect("known study"),
             Some(batch_export(&tiny_config()))
         );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_fails_the_study_and_stays_on_disk() {
+        let v1 = std::fs::read(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../core/tests/fixtures/checkpoint-v1.slumckpt"
+        ))
+        .expect("version-1 fixture");
+        let (service, root) = scratch_service("v1");
+        let id = service.submit("legacy", tiny_config()).expect("submit");
+        let dir = lock_recover(&service.jobs)[0].dir.clone();
+        let file = dir.join("ckpt-000001.slumckpt");
+        std::fs::write(&file, &v1).expect("place the version-1 file");
+        // The study's first slice attaches and fails on the version-1
+        // file; a resubmission attaches again and fails the same way.
+        service.run_to_completion().expect("scheduler");
+        let resubmitted = service.submit("legacy", tiny_config()).expect("resubmit");
+        service.run_to_completion().expect("scheduler");
+        for id in [id, resubmitted] {
+            let status = service.status(id).expect("status");
+            assert_eq!(status.state, "failed");
+            let error = status.error.unwrap_or_default();
+            assert!(error.contains("format version 1"), "{error}");
+        }
+        assert_eq!(std::fs::read(&file).expect("still in place"), v1);
+        assert!(!dir.join("quarantine").exists(), "nothing is quarantined");
         std::fs::remove_dir_all(&root).ok();
     }
 

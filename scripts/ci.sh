@@ -140,6 +140,16 @@ kill -9 "$daemon_pid" 2>/dev/null || true
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 
+# The checkpoints on disk are format 2: cursor and visit lines, no
+# record bodies. Harsh disk faults may tear or flip any single file, so
+# one file must begin with the magic line and none may hold a record's
+# `"har":` key.
+magic_lines="$(find "$root" -name 'ckpt-*.slumckpt' -exec head -n 1 {} \;)"
+printf '%s\n' "$magic_lines" | grep -qx 'SLUMCKPT 2' \
+    || fail "no checkpoint on disk begins with SLUMCKPT 2"
+with_records="$(find "$root" -name 'ckpt-*.slumckpt' -exec grep -l '"har":' {} + || true)"
+[ -z "$with_records" ] || fail "checkpoints hold record bodies: $with_records"
+
 # Flip a byte in the middle of the newest generation on disk.
 newest="$(find "$root" -name 'ckpt-*.slumckpt' | sort | tail -n 1)"
 python3 - "$newest" <<'EOF'
