@@ -194,3 +194,20 @@ fn interp_engine_prints_the_same_json() {
     assert_eq!(interp_metrics["gauges"]["config.js_engine_vm"].as_i64(), Some(0));
     assert!(interp == vm, "the interp export differs from the vm export");
 }
+
+#[test]
+fn json_export_is_a_span_in_the_metrics() {
+    let metrics_path = scratch("export.json");
+    let json =
+        stdout_of(&["json", "--scale", "0.0005", "--metrics", metrics_path.to_str().unwrap()]);
+    let snapshot = metrics(&metrics_path);
+    std::fs::remove_file(&metrics_path).ok();
+    assert!(json.contains("\"table1\""), "the export is printed");
+    let spans = snapshot["spans"].as_array().expect("spans listed");
+    let named = |name: &str| spans.iter().filter(|s| s["name"].as_str() == Some(name)).count();
+    assert_eq!(named("export.to_json"), 1, "{spans:?}");
+    assert!(spans.iter().all(|s| s["nanos"].as_u64().is_some()), "{spans:?}");
+    let phases =
+        spans.iter().filter(|s| s["name"].as_str().is_some_and(|n| n.starts_with("phase.")));
+    assert_eq!(phases.count(), 3, "the export is not a phase");
+}

@@ -7,10 +7,15 @@
 //! compiler. Generic tooling iterates [`ArtifactKind::ALL`], builds each
 //! one with [`Study::artifact`] (a dispatcher over the typed builders)
 //! and prints it through [`crate::report::Render`].
+//!
+//! Table I, Table II, Figure 3 and the substrate comparison are one
+//! group-by over the study's record-aligned facts table, built once
+//! after the scan phase; the other builders read the regular records
+//! and their outcomes.
 
-use crate::breakdown::{domain_rows, ContentBreakdown, DomainRow, TldBreakdown};
+use crate::breakdown::{ContentBreakdown, DomainRow, TldBreakdown};
 use crate::categorize::{tally, CategoryCounts};
-use crate::filter::ReferralClass;
+use crate::facts::SourceGroup;
 use crate::redirects::{longest_chain, ChainExhibit, RedirectHistogram};
 use crate::report::{Fig2Bar, Table1, Table1Row};
 use crate::shortened::{shortened_rows, ShortenedRow};
@@ -158,45 +163,36 @@ impl Study {
     /// of the substrate that ran; the nine exchanges under the default).
     pub fn table1(&self) -> Table1 {
         let rows = self
-            .sources
-            .iter()
-            .map(|meta| {
-                let mut row = Table1Row {
-                    exchange: meta.name.clone(),
-                    kind: meta.kind.label().to_string(),
-                    crawled: 0,
-                    self_referrals: 0,
-                    popular_referrals: 0,
-                    regular: 0,
-                    malicious: 0,
-                };
-                for ((record, outcome), class) in
-                    self.store.records().iter().zip(&self.outcomes).zip(&self.referrals)
-                {
-                    if record.exchange != meta.name {
-                        continue;
-                    }
-                    row.crawled += 1;
-                    match class {
-                        ReferralClass::SelfReferral => row.self_referrals += 1,
-                        ReferralClass::PopularReferral => row.popular_referrals += 1,
-                        ReferralClass::Regular => {
-                            row.regular += 1;
-                            if outcome.malicious {
-                                row.malicious += 1;
-                            }
-                        }
-                    }
-                }
-                row
+            .source_groups()
+            .into_iter()
+            .map(|SourceGroup { row, .. }| Table1Row {
+                exchange: row.source,
+                kind: row.kind.label().to_string(),
+                crawled: row.crawled,
+                self_referrals: row.self_referrals,
+                popular_referrals: row.popular_referrals,
+                regular: row.regular,
+                malicious: row.malicious,
             })
             .collect();
         Table1 { rows }
     }
 
-    /// Table II: per-source domain statistics.
+    /// Table II: per-source domain statistics, for the sources with
+    /// regular records, by name.
     pub fn table2(&self) -> Vec<DomainRow> {
-        domain_rows(self.store.records(), &self.outcomes, &self.regular_mask())
+        let mut rows: Vec<DomainRow> = self
+            .source_groups()
+            .into_iter()
+            .filter(|g| g.row.regular > 0)
+            .map(|g| DomainRow {
+                exchange: g.row.source,
+                domains: g.domains,
+                malware_domains: g.malware_domains,
+            })
+            .collect();
+        rows.sort_by(|a, b| a.exchange.cmp(&b.exchange));
+        rows
     }
 
     /// Table III: malware categorization counts.
@@ -225,23 +221,8 @@ impl Study {
     /// Figure 3: per-source cumulative malicious series (regular URLs,
     /// crawl order).
     pub fn fig3(&self) -> Vec<CumulativeSeries> {
-        self.sources
-            .iter()
-            .map(|meta| {
-                let flags: Vec<bool> = self
-                    .store
-                    .records()
-                    .iter()
-                    .zip(&self.outcomes)
-                    .zip(&self.referrals)
-                    .filter(|((record, _), class)| {
-                        record.exchange == meta.name && **class == ReferralClass::Regular
-                    })
-                    .map(|((_, outcome), _)| outcome.malicious)
-                    .collect();
-                CumulativeSeries::from_flags(&meta.name, &flags)
-            })
-            .collect()
+        let groups = self.source_groups().into_iter();
+        groups.map(|g| CumulativeSeries::from_flags(g.row.source, &g.flags)).collect()
     }
 
     /// Figure 4 exhibit: the longest malicious redirect chain observed.
@@ -267,13 +248,15 @@ impl Study {
     /// Cross-substrate malice comparison: per-source statistics in a
     /// substrate-agnostic shape.
     pub fn substrate_comparison(&self) -> SubstrateComparison {
-        SubstrateComparison::build(
-            self.config().substrate,
-            &self.sources,
-            self.store.records(),
-            &self.referrals,
-            &self.outcomes,
-        )
+        SubstrateComparison {
+            substrate: self.config().substrate.name().to_string(),
+            rows: self.source_groups().into_iter().map(|g| g.row).collect(),
+        }
+    }
+
+    /// The group-by of the study's facts table, one group per source.
+    pub(crate) fn source_groups(&self) -> Vec<SourceGroup> {
+        self.facts.by_source(&self.sources)
     }
 }
 

@@ -1,7 +1,8 @@
 //! TLD and content-category breakdowns of malicious URLs
-//! (Figures 6 and 7) and per-exchange domain statistics (Table II).
+//! (Figures 6 and 7) and the per-exchange domain statistics row of
+//! Table II.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use slum_crawler::CrawlRecord;
 use slum_websim::{SyntheticWeb, Url};
@@ -37,11 +38,7 @@ impl TldBreakdown {
 
     /// Share of one bucket.
     pub fn share(&self, bucket: &str) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.counts.get(bucket).copied().unwrap_or(0) as f64 / total as f64
+        share_of(&self.counts, bucket)
     }
 }
 
@@ -61,13 +58,14 @@ impl ContentBreakdown {
         web: &SyntheticWeb,
         pairs: &[(&CrawlRecord, &ScanOutcome)],
     ) -> ContentBreakdown {
+        let category = |url: &Url| web.oracle_page(url).map(|p| p.category.label());
         let mut counts = BTreeMap::new();
         for (record, outcome) in pairs {
             if outcome.malicious {
-                let category = page_category(web, &record.final_url)
-                    .or_else(|| page_category(web, &record.url))
+                let label = category(&record.final_url)
+                    .or_else(|| category(&record.url))
                     .unwrap_or("Others");
-                *counts.entry(category.to_string()).or_insert(0) += 1;
+                *counts.entry(label.to_string()).or_insert(0) += 1;
             }
         }
         ContentBreakdown { counts }
@@ -80,16 +78,17 @@ impl ContentBreakdown {
 
     /// Share of one category label.
     pub fn share(&self, label: &str) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.counts.get(label).copied().unwrap_or(0) as f64 / total as f64
+        share_of(&self.counts, label)
     }
 }
 
-fn page_category<'w>(web: &'w SyntheticWeb, url: &Url) -> Option<&'w str> {
-    web.oracle_page(url).map(|p| p.category.label())
+/// `counts[key]` as a share of all counts (0 when nothing was counted).
+fn share_of(counts: &BTreeMap<String, u64>, key: &str) -> f64 {
+    let total: u64 = counts.values().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    counts.get(key).copied().unwrap_or(0) as f64 / total as f64
 }
 
 /// One Table II row: per-exchange domain statistics.
@@ -114,44 +113,13 @@ impl DomainRow {
     }
 }
 
-/// Builds Table II: for each exchange, distinct domains and the subset
-/// hosting malware. `regular` marks which records survived referral
-/// filtering.
-pub fn domain_rows(
-    records: &[CrawlRecord],
-    outcomes: &[ScanOutcome],
-    regular: &[bool],
-) -> Vec<DomainRow> {
-    assert_eq!(records.len(), outcomes.len(), "records and outcomes must align");
-    assert_eq!(records.len(), regular.len(), "records and regular flags must align");
-    let mut per_exchange: BTreeMap<&str, (BTreeSet<String>, BTreeSet<String>)> = BTreeMap::new();
-    for ((record, outcome), &is_regular) in records.iter().zip(outcomes).zip(regular) {
-        if !is_regular {
-            continue;
-        }
-        let entry = per_exchange.entry(record.exchange.as_str()).or_default();
-        let domain = record.domain();
-        entry.0.insert(domain.clone());
-        if outcome.malicious {
-            entry.1.insert(domain);
-        }
-    }
-    per_exchange
-        .into_iter()
-        .map(|(exchange, (domains, malware))| DomainRow {
-            exchange: exchange.to_string(),
-            domains: domains.len() as u64,
-            malware_domains: malware.len() as u64,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use slum_browser::har::HarLog;
     use slum_detect::quttera::{QutteraReport, QutteraVerdict};
     use slum_detect::virustotal::VtReport;
+    use slum_exchange::ExchangeKind;
 
     fn record(exchange: &str, url: &str) -> CrawlRecord {
         let u = Url::parse(url).unwrap();
@@ -217,8 +185,13 @@ mod tests {
         assert_eq!(t.total(), 1);
     }
 
+    /// Table II's columns, from the facts table's group-by.
     #[test]
     fn domain_rows_count_distinct_and_malicious() {
+        use crate::facts::Facts;
+        use crate::filter::ReferralClass::{Regular, SelfReferral};
+        use crate::substrate::SourceMeta;
+
         let records = vec![
             record("A", "http://one-site.com/p1"),
             record("A", "http://one-site.com/p2"),
@@ -228,14 +201,26 @@ mod tests {
         ];
         let outcomes =
             vec![outcome(true), outcome(false), outcome(false), outcome(false), outcome(true)];
-        let regular = vec![true, true, true, false, true];
-        let rows = domain_rows(&records, &outcomes, &regular);
-        assert_eq!(rows.len(), 2);
-        let a = rows.iter().find(|r| r.exchange == "A").unwrap();
+        let referrals = vec![Regular, Regular, Regular, SelfReferral, Regular];
+        let sources: Vec<SourceMeta> = ["A", "B"]
+            .map(|name| SourceMeta { name: name.into(), kind: ExchangeKind::AutoSurf })
+            .into();
+        let facts = Facts::build(&sources, &records, &referrals, &outcomes);
+        assert_eq!((facts.urls, facts.domains), (5, 4));
+        let rows: Vec<DomainRow> = facts
+            .by_source(&sources)
+            .into_iter()
+            .map(|g| DomainRow {
+                exchange: g.row.source,
+                domains: g.domains,
+                malware_domains: g.malware_domains,
+            })
+            .collect();
+        let a = &rows[0];
         assert_eq!(a.domains, 2, "self-referral excluded, one-site deduped");
         assert_eq!(a.malware_domains, 1);
         assert!((a.malware_fraction() - 0.5).abs() < 1e-9);
-        let b = rows.iter().find(|r| r.exchange == "B").unwrap();
+        let b = &rows[1];
         assert_eq!((b.domains, b.malware_domains), (1, 1));
     }
 

@@ -243,8 +243,8 @@ pub fn export(study: &Study) -> StudyExport {
         substrate: study.config().substrate.name().to_string(),
         corpus: CorpusExport {
             visits: study.store.len(),
-            distinct_urls: study.store.distinct_urls(),
-            distinct_domains: study.store.distinct_domains(),
+            distinct_urls: study.facts.urls,
+            distinct_domains: study.facts.domains,
             overall_malicious_fraction: table1.overall_malicious_fraction(),
         },
         table1: table1
@@ -372,12 +372,14 @@ fn fault_summary(study: &Study) -> FaultSummaryExport {
     }
 }
 
-/// Serializes the export to pretty JSON.
+/// Serializes the export to pretty JSON, recorded as an
+/// `export.to_json` span in the study's metrics.
 ///
 /// # Errors
 ///
 /// Propagates `serde_json` failures (practically unreachable).
 pub fn to_json(study: &Study) -> Result<String, serde_json::Error> {
+    let _span = study.obs.span("export.to_json");
     serde_json::to_string_pretty(&export(study))
 }
 

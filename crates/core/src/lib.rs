@@ -54,6 +54,7 @@ pub mod countermeasures;
 pub mod crawlloss;
 pub mod diskfault;
 pub mod export;
+pub(crate) mod facts;
 pub mod faultloss;
 pub mod filter;
 pub mod redirects;

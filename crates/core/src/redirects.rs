@@ -82,10 +82,7 @@ pub fn longest_chain(pairs: &[(&CrawlRecord, &ScanOutcome)]) -> Option<ChainExhi
         .iter()
         .filter(|(r, o)| o.malicious && r.redirect_hops > 0)
         .max_by_key(|(r, _)| {
-            (
-                r.redirect_hops,
-                std::cmp::Reverse((r.url.canonical(), r.chain_hosts.clone(), r.exchange.clone())),
-            )
+            (r.redirect_hops, std::cmp::Reverse((r.url.as_str(), &r.chain_hosts, &r.exchange)))
         })
         .map(|(r, _)| {
             // chain_hosts collapses consecutive repeats, so a chain of

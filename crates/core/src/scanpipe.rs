@@ -20,7 +20,8 @@
 //!    blacklist consensus;
 //! 3. a serial pass walks each record's chain up to its first
 //!    blacklisted domain and gives a content id to every capture whose
-//!    reachable URL scans were all clean;
+//!    reachable URL scans were all clean, hashing each distinct body
+//!    once;
 //! 4. a parallel pass scans each distinct capture;
 //! 5. a parallel pass assembles each record's [`ScanOutcome`] from its
 //!    ids.
@@ -743,6 +744,12 @@ impl<'w> ScanPipeline<'w> {
         let mut domain_reached = vec![false; domains.len()];
         let mut chain_lookups = 0u64;
         let mut captures = Ids::default();
+        // Records of a page share the web's interned body, so each
+        // distinct body is hashed once (keyed by its address, which the
+        // borrowed records keep alive), and a `canonical#hash` key is
+        // formatted only for a new (URL, body hash) pair.
+        let mut body_hashes: HashMap<*const u8, u64> = HashMap::new();
+        let mut capture_ids: HashMap<(u32, u64), u32> = HashMap::new();
         let mut chain_start = 0;
         for (i, (record, visit)) in records.iter().zip(&mut visits).enumerate() {
             for &h in &chain[chain_start..visit.chain_end as usize] {
@@ -758,9 +765,14 @@ impl<'w> ScanPipeline<'w> {
             chain_start = visit.chain_end as usize;
             let (Some(u), Some(content)) = (visit.url, &record.content) else { continue };
             if !visit.flagged(&url_samples[u as usize]) {
-                let canon = &urls.keys[u as usize].0;
-                let key = format!("{canon}#{:x}", fnv1a(content.as_bytes()));
-                visit.capture = Some(captures.id(&key, i));
+                let hash = *body_hashes
+                    .entry(content.as_ptr())
+                    .or_insert_with(|| fnv1a(content.as_bytes()));
+                let capture = *capture_ids.entry((u, hash)).or_insert_with(|| {
+                    let canon = &urls.keys[u as usize].0;
+                    captures.id(&format!("{canon}#{hash:x}"), i)
+                });
+                visit.capture = Some(capture);
             }
         }
 
@@ -845,7 +857,7 @@ impl<'w> ScanPipeline<'w> {
             let up = |service: ScanService| decisions[service.index()].available();
             let (vt_up, quttera_up) = (up(ScanService::VirusTotal), up(ScanService::Quttera));
             let blacklist_up = up(ScanService::Blacklist);
-            let url = (vt_up || quttera_up).then(|| plan.urls.id(&record.url.canonical(), i));
+            let url = (vt_up || quttera_up).then(|| plan.urls.id(record.url.as_str(), i));
             if blacklist_up {
                 let hosts = &mut plan.hosts;
                 plan.chain.extend(record.chain_hosts.iter().map(|host| hosts.id(host, i)));

@@ -8,6 +8,7 @@
 //! for a fixed seed — identical for every scan worker count — so tests
 //! pin them; only span/histogram wall-clock varies per machine.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -19,6 +20,7 @@ use slum_crawler::{
     CrawlHealth, CrawlPlan, CrawlRecord, RecordStore,
 };
 use slum_detect::fault::{FaultPlan, FaultProfile, ScanService};
+use slum_detect::quttera::{QutteraFinding, QutteraVerdict};
 use slum_exchange::TrafficSource;
 use slum_js::sandbox::JsEngine;
 use slum_obs::{LocalMetrics, MetricsSnapshot, Registry};
@@ -27,6 +29,7 @@ use slum_websim::SyntheticWeb;
 use crate::case_studies;
 use crate::checkpoint::{CheckpointError, CheckpointHeader, CheckpointStore, CkptStats};
 use crate::diskfault::DiskFaultProfile;
+use crate::facts::Facts;
 use crate::filter::ReferralClass;
 use crate::scanpipe::{
     effective_scan_workers, scan_key, FaultLog, JsVmStats, ScanCaches, ScanOutcome, ScanPipeline,
@@ -427,8 +430,12 @@ pub struct Study {
     /// order — what the artifact layer iterates instead of a
     /// substrate-specific profile table.
     pub sources: Vec<SourceMeta>,
+    /// Each record's facts, built once after the scan phase; the
+    /// corpus-wide artifacts group by it.
+    pub(crate) facts: Facts,
     config: StudyConfig,
-    obs: Registry,
+    /// The study's metrics; the export records its span here too.
+    pub(crate) obs: Registry,
 }
 
 /// Crawl-resume bookkeeping for the `crawl.resume.*` counters.
@@ -491,11 +498,6 @@ impl Study {
     /// latency histograms (wall-clock).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.snapshot()
-    }
-
-    /// Regular-record mask (aligned with records).
-    pub fn regular_mask(&self) -> Vec<bool> {
-        self.referrals.iter().map(|c| *c == ReferralClass::Regular).collect()
     }
 
     /// Regular records paired with their outcomes, borrowed from the
@@ -846,9 +848,14 @@ fn record_js_vm_stats(obs: &Registry, stats: &JsVmStats) {
 
 /// Tallies scan verdicts, blacklist consensus outcomes and per-engine
 /// labels over the regular records. Runs serially after the scan phase,
-/// so the counts are trivially schedule-independent.
+/// so the counts are trivially schedule-independent. Labels are counted
+/// by borrowed key first, so each metric name is formatted once.
 fn record_outcome_tallies(obs: &Registry, outcomes: &[ScanOutcome], referrals: &[ReferralClass]) {
     let mut m = LocalMetrics::new();
+    let mut engines: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut labels: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut findings: BTreeMap<QutteraFinding, u64> = BTreeMap::new();
+    let mut verdicts: BTreeMap<QutteraVerdict, u64> = BTreeMap::new();
     for (outcome, class) in outcomes.iter().zip(referrals) {
         if *class != ReferralClass::Regular {
             continue;
@@ -860,18 +867,35 @@ fn record_outcome_tallies(obs: &Registry, outcomes: &[ScanOutcome], referrals: &
         if outcome.blacklisted_domain.is_some() {
             m.inc("scan.blacklist.consensus_hits");
         }
-        for (engine, _label) in &outcome.vt.detections {
-            m.inc("scan.labels.vt.total");
-            m.add_owned(format!("scan.labels.vt.engine.{engine}"), 1);
-        }
-        for (_engine, label) in &outcome.vt.detections {
-            m.add_owned(format!("scan.labels.vt.label.{label}"), 1);
+        for (engine, label) in &outcome.vt.detections {
+            *engines.entry(engine).or_default() += 1;
+            *labels.entry(label).or_default() += 1;
         }
         for finding in &outcome.quttera.findings {
-            m.inc("scan.labels.quttera.total");
-            m.add_owned(format!("scan.labels.quttera.finding.{finding:?}"), 1);
+            *findings.entry(*finding).or_default() += 1;
         }
-        m.add_owned(format!("scan.labels.quttera.verdict.{:?}", outcome.quttera.verdict), 1);
+        *verdicts.entry(outcome.quttera.verdict).or_default() += 1;
+    }
+    // A total is registered only when something was counted, as the
+    // per-key names are.
+    let mut total = |name: &'static str, n: u64| {
+        if n > 0 {
+            m.add(name, n);
+        }
+    };
+    total("scan.labels.vt.total", engines.values().sum());
+    total("scan.labels.quttera.total", findings.values().sum());
+    for (engine, n) in engines {
+        m.add_owned(format!("scan.labels.vt.engine.{engine}"), n);
+    }
+    for (label, n) in labels {
+        m.add_owned(format!("scan.labels.vt.label.{label}"), n);
+    }
+    for (finding, n) in findings {
+        m.add_owned(format!("scan.labels.quttera.finding.{finding:?}"), n);
+    }
+    for (verdict, n) in verdicts {
+        m.add_owned(format!("scan.labels.quttera.verdict.{verdict:?}"), n);
     }
     obs.merge_local(&m);
 }
@@ -981,6 +1005,11 @@ fn scan_crawl(
         record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan());
         (outcomes, referrals)
     };
+    // After the scan phase, so the table never adds to its peak.
+    let facts = {
+        let _span = obs.span("artifact.facts");
+        Facts::build(&built.meta, store.records(), &referrals, &outcomes)
+    };
 
     Study {
         web: built.web,
@@ -989,6 +1018,7 @@ fn scan_crawl(
         referrals,
         health,
         sources: built.meta,
+        facts,
         config: config.clone(),
         obs,
     }

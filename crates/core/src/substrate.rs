@@ -26,13 +26,11 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use slum_crawler::drive::estimated_duration_secs;
-use slum_crawler::CrawlRecord;
 use slum_exchange::{ExchangeKind, TrafficSource};
 use slum_websim::build::WebBuilder;
 use slum_websim::SyntheticWeb;
 
-use crate::filter::{ReferralClass, ReferralFilter};
-use crate::scanpipe::ScanOutcome;
+use crate::filter::ReferralFilter;
 use crate::study::{steps_for, StudyConfig};
 
 /// Which traffic ecosystem a study crawls.
@@ -120,81 +118,62 @@ fn per_page_secs(min_surf_secs: u32, kind: ExchangeKind) -> u64 {
 /// pre-refactor pipeline (pinned by the golden-regression suite).
 pub fn build_substrate(config: &StudyConfig) -> BuiltSubstrate {
     let mut builder = WebBuilder::new(config.seed);
-    match config.substrate {
+    let (scale, domain_scale) = (config.crawl_scale, config.domain_scale);
+    // Each source with its step budget, in canonical order.
+    let (sources, filter): (Vec<(Box<dyn TrafficSource + Send>, u64)>, _) = match config.substrate {
         Substrate::Exchange => {
-            let sources: Vec<Box<dyn TrafficSource + Send>> = slum_exchange::params::PROFILES
+            let profiles = &slum_exchange::params::PROFILES;
+            let sources = profiles
                 .iter()
                 .map(|p| {
-                    let span = estimated_duration_secs(p, steps_for(p, config.crawl_scale));
-                    slum_exchange::build_exchange(&mut builder, p, config.domain_scale, span)
+                    let steps = steps_for(p, scale);
+                    let span = estimated_duration_secs(p, steps);
+                    let x = slum_exchange::build_exchange(&mut builder, p, domain_scale, span);
+                    (Box::new(x) as Box<dyn TrafficSource + Send>, steps)
                 })
-                .map(|x| Box::new(x) as Box<dyn TrafficSource + Send>)
                 .collect();
-            let meta = slum_exchange::params::PROFILES
-                .iter()
-                .map(|p| SourceMeta { name: p.name.to_string(), kind: p.kind })
-                .collect();
-            let steps = slum_exchange::params::PROFILES
-                .iter()
-                .map(|p| (p.name.to_string(), steps_for(p, config.crawl_scale)))
-                .collect();
-            BuiltSubstrate {
-                web: builder.finish(),
-                sources,
-                meta,
-                filter: ReferralFilter::from_profiles(slum_exchange::params::PROFILES.iter()),
-                steps,
-            }
+            (sources, ReferralFilter::from_profiles(profiles.iter()))
         }
         Substrate::AdNet => {
-            let sources: Vec<Box<dyn TrafficSource + Send>> = slum_adnet::PROFILES
+            let sources = slum_adnet::PROFILES
                 .iter()
                 .map(|p| {
-                    let steps = scaled_steps(p.urls_crawled, config.crawl_scale);
+                    let steps = scaled_steps(p.urls_crawled, scale);
                     let span = steps * per_page_secs(p.min_surf_secs, p.kind);
-                    slum_adnet::build_ad_network(&mut builder, p, config.domain_scale, span)
+                    let n = slum_adnet::build_ad_network(&mut builder, p, domain_scale, span);
+                    (Box::new(n) as Box<dyn TrafficSource + Send>, steps)
                 })
-                .map(|n| Box::new(n) as Box<dyn TrafficSource + Send>)
-                .collect();
-            let meta = slum_adnet::PROFILES
-                .iter()
-                .map(|p| SourceMeta { name: p.name.to_string(), kind: p.kind })
-                .collect();
-            let steps = slum_adnet::PROFILES
-                .iter()
-                .map(|p| (p.name.to_string(), scaled_steps(p.urls_crawled, config.crawl_scale)))
                 .collect();
             let filter = ReferralFilter::from_hosts(
                 slum_adnet::PROFILES.iter().map(|p| p.host.to_string()),
                 slum_adnet::PREMIUM_HOSTS.iter().map(|h| h.to_string()),
             );
-            BuiltSubstrate { web: builder.finish(), sources, meta, filter, steps }
+            (sources, filter)
         }
         Substrate::Torrent => {
-            let sources: Vec<Box<dyn TrafficSource + Send>> = slum_torrent::PROFILES
+            let sources = slum_torrent::PROFILES
                 .iter()
                 .map(|p| {
-                    let steps = scaled_steps(p.urls_crawled, config.crawl_scale);
+                    let steps = scaled_steps(p.urls_crawled, scale);
                     let span = steps * per_page_secs(p.min_surf_secs, p.kind);
-                    slum_torrent::build_torrent_index(&mut builder, p, config.domain_scale, span)
+                    let i = slum_torrent::build_torrent_index(&mut builder, p, domain_scale, span);
+                    (Box::new(i) as Box<dyn TrafficSource + Send>, steps)
                 })
-                .map(|i| Box::new(i) as Box<dyn TrafficSource + Send>)
-                .collect();
-            let meta = slum_torrent::PROFILES
-                .iter()
-                .map(|p| SourceMeta { name: p.name.to_string(), kind: p.kind })
-                .collect();
-            let steps = slum_torrent::PROFILES
-                .iter()
-                .map(|p| (p.name.to_string(), scaled_steps(p.urls_crawled, config.crawl_scale)))
                 .collect();
             let filter = ReferralFilter::from_hosts(
                 slum_torrent::PROFILES.iter().map(|p| p.host.to_string()),
                 slum_torrent::MIRROR_HOSTS.iter().map(|h| h.to_string()),
             );
-            BuiltSubstrate { web: builder.finish(), sources, meta, filter, steps }
+            (sources, filter)
         }
-    }
+    };
+    let meta = sources
+        .iter()
+        .map(|(source, _)| SourceMeta { name: source.name().to_string(), kind: source.kind() })
+        .collect();
+    let steps = sources.iter().map(|(source, steps)| (source.name().to_string(), *steps)).collect();
+    let sources = sources.into_iter().map(|(source, _)| source).collect();
+    BuiltSubstrate { web: builder.finish(), sources, meta, filter, steps }
 }
 
 /// One row of the substrate-comparison artifact: per-source malice
@@ -242,48 +221,6 @@ pub struct SubstrateComparison {
 }
 
 impl SubstrateComparison {
-    /// Builds the comparison from a study's aligned record data.
-    pub fn build(
-        substrate: Substrate,
-        meta: &[SourceMeta],
-        records: &[CrawlRecord],
-        referrals: &[ReferralClass],
-        outcomes: &[ScanOutcome],
-    ) -> SubstrateComparison {
-        let rows = meta
-            .iter()
-            .map(|m| {
-                let mut row = SubstrateRow {
-                    source: m.name.clone(),
-                    kind: m.kind,
-                    crawled: 0,
-                    self_referrals: 0,
-                    popular_referrals: 0,
-                    regular: 0,
-                    malicious: 0,
-                };
-                for ((record, class), outcome) in records.iter().zip(referrals).zip(outcomes) {
-                    if record.exchange != m.name {
-                        continue;
-                    }
-                    row.crawled += 1;
-                    match class {
-                        ReferralClass::SelfReferral => row.self_referrals += 1,
-                        ReferralClass::PopularReferral => row.popular_referrals += 1,
-                        ReferralClass::Regular => {
-                            row.regular += 1;
-                            if outcome.malicious {
-                                row.malicious += 1;
-                            }
-                        }
-                    }
-                }
-                row
-            })
-            .collect();
-        SubstrateComparison { substrate: substrate.name().to_string(), rows }
-    }
-
     /// Total regular records across sources.
     pub fn total_regular(&self) -> u64 {
         self.rows.iter().map(|r| r.regular).sum()

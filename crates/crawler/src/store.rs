@@ -1,6 +1,6 @@
 //! The crawl-record store.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 use crate::record::CrawlRecord;
@@ -97,15 +97,17 @@ impl RecordStore {
     /// Count of distinct surfed URLs (full canonical form, query
     /// included — the paper's 306,895 "distinct URLs").
     pub fn distinct_urls(&self) -> usize {
-        let set: BTreeSet<String> =
-            self.records.iter().map(|r| r.url.canonical()).collect();
+        let set: HashSet<&str> = self.records.iter().map(|r| r.url.as_str()).collect();
         set.len()
     }
 
-    /// Count of distinct registered domains (the paper's 17,448).
+    /// Count of distinct registered domains (the paper's 17,448), one
+    /// domain computed per distinct host.
     pub fn distinct_domains(&self) -> usize {
-        let set: BTreeSet<String> = self.records.iter().map(|r| r.domain()).collect();
-        set.len()
+        let hosts: HashSet<&str> = self.records.iter().map(|r| r.url.host()).collect();
+        let domains: HashSet<String> =
+            hosts.into_iter().map(slum_websim::domain::registered_domain).collect();
+        domains.len()
     }
 
     /// Serializes to JSON-lines, writing every record straight into one

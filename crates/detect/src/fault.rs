@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 
-use crate::hash::{chance, fnv1a};
+use crate::hash::{fnv1a, fnv1a_extend, hashed_fraction};
 use crate::retry::{BreakerState, CircuitBreaker, Resolution, RetryPolicy};
 
 /// Virtual nanoseconds per virtual second.
@@ -396,13 +396,18 @@ struct ServiceCompiler {
     tokens: f64,
     last_refill_secs: u64,
     breaker: CircuitBreaker,
+    /// FNV-1a of the `{salt}/{service}/spike/` and
+    /// `{salt}/{service}/transient/` key prefixes: a draw hashes only
+    /// its request key on top.
+    spike_prefix: u64,
+    transient_prefix: u64,
 }
 
 impl ServiceCompiler {
     /// The fault (if any) a request arriving at `at` runs into, before
     /// retries. At most one fault applies per request; outages shadow
     /// rate limits, which shadow spikes, which shadow transient noise.
-    fn fault_at(&mut self, service: ScanService, key: &str, at: u64, salt: u64) -> Option<ScanError> {
+    fn fault_at(&mut self, service: ScanService, key: &str, at: u64) -> Option<ScanError> {
         if let Some(&(_, end)) = self.windows.iter().find(|(start, end)| (*start..*end).contains(&at))
         {
             return Some(ScanError { service, kind: FaultKind::Outage, clears_at_secs: end });
@@ -424,16 +429,20 @@ impl ServiceCompiler {
                 });
             }
         }
-        let spike_key = format!("{salt}/{}/spike/{key}", service.name());
-        if chance(&spike_key, f64::from(self.profile.spike_per_mille) / 1000.0) {
+        // A draw at rate 0 never fires, so it is not hashed.
+        let draw = |prefix: u64, per_mille: u32| {
+            per_mille > 0
+                && hashed_fraction(fnv1a_extend(prefix, key.as_bytes()))
+                    < f64::from(per_mille) / 1000.0
+        };
+        if draw(self.spike_prefix, self.profile.spike_per_mille) {
             return Some(ScanError {
                 service,
                 kind: FaultKind::LatencySpike,
                 clears_at_secs: at + self.profile.spike_penalty_secs,
             });
         }
-        let transient_key = format!("{salt}/{}/transient/{key}", service.name());
-        if chance(&transient_key, f64::from(self.profile.transient_per_mille) / 1000.0) {
+        if draw(self.transient_prefix, self.profile.transient_per_mille) {
             // Transient errors clear almost immediately: the first
             // retry after any backoff succeeds.
             return Some(ScanError {
@@ -490,6 +499,9 @@ impl FaultPlan {
             .map(|service| {
                 let p = profile.service(*service).clone();
                 let windows = outage_windows(&p, *service, salt, span_secs);
+                let prefix = |draw: &str| {
+                    fnv1a(format!("{salt}/{}/{draw}/", service.name()).as_bytes())
+                };
                 ServiceCompiler {
                     tokens: f64::from(p.burst),
                     last_refill_secs: 0,
@@ -499,6 +511,8 @@ impl FaultPlan {
                         profile.breaker_cooldown_secs * NANOS_PER_SEC,
                     ),
                     profile: p,
+                    spike_prefix: prefix("spike"),
+                    transient_prefix: prefix("transient"),
                 }
             })
             .collect();
@@ -523,7 +537,7 @@ impl FaultPlan {
                     triple[i] = ServiceDecision::BreakerSkip;
                     continue;
                 }
-                match compiler.fault_at(service, key, *at, salt) {
+                match compiler.fault_at(service, key, *at) {
                     None => {
                         compiler.breaker.record_success();
                     }
@@ -547,11 +561,15 @@ impl FaultPlan {
                 }
             }
             let fresh = match split_key(key) {
-                Some((exchange, seq)) => decisions
-                    .entry(exchange.to_string())
-                    .or_default()
-                    .insert(seq, triple)
-                    .is_none(),
+                Some((exchange, seq)) => {
+                    // The source's name is allocated once, on its first
+                    // request.
+                    let per_seq = match decisions.get_mut(exchange) {
+                        Some(per_seq) => per_seq,
+                        None => decisions.entry(exchange.to_string()).or_default(),
+                    };
+                    per_seq.insert(seq, triple).is_none()
+                }
                 None => flat.insert(key.clone(), triple).is_none(),
             };
             if fresh {

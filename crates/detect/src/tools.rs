@@ -116,7 +116,7 @@ impl<'w> ToolBench<'w> {
                     return false;
                 }
                 chance(
-                    &format!("{}|{}", rate_modelled.name(), url.canonical()),
+                    &format!("{}|{url}", rate_modelled.name()),
                     rate_modelled.paper_accuracy(),
                 )
             }

@@ -91,7 +91,7 @@ impl<'w> VirusTotal<'w> {
         let browser = Browser::new(self.web).with_context(RequestContext::scanner("virustotal"));
         let load = browser.load(url);
         let features = Features::from_load(&load);
-        self.aggregate(&url.canonical(), &features)
+        self.aggregate(url.as_str(), &features)
     }
 
     /// Scans uploaded page content captured by a real browser — the
@@ -100,7 +100,7 @@ impl<'w> VirusTotal<'w> {
         let features = Features::from_content(url, content);
         // Key on the content too so cloaked/uncloaked variants of one
         // URL get independent engine decisions.
-        let key = format!("{}#{:x}", url.canonical(), crate::hash::fnv1a(content.as_bytes()));
+        let key = format!("{url}#{:x}", crate::hash::fnv1a(content.as_bytes()));
         self.aggregate(&key, &features)
     }
 

@@ -533,9 +533,9 @@ impl Service {
         let mut verdicts = self.verdicts.write().unwrap_or_else(PoisonError::into_inner);
         for (record, outcome) in study.regular_pairs() {
             malicious_regular += u64::from(outcome.malicious);
-            let url = record.url.canonical();
+            let url = record.url.as_str();
             verdicts.entry(format!("{fingerprint}#{url}")).or_insert(outcome.malicious);
-            sample_url.get_or_insert(url);
+            sample_url.get_or_insert_with(|| url.to_owned());
         }
         drop(verdicts);
         self.tenants.absorb(tenant, &study.metrics());

@@ -12,7 +12,7 @@ use crate::page::{FalsePositiveKind, GroundTruth, JsAttack, MaliceKind, Page};
 use crate::params;
 use crate::payload;
 use crate::rng::{self, pick_weighted};
-use crate::server::{route_key, Resource, SyntheticWeb};
+use crate::server::{Resource, SyntheticWeb};
 use crate::shortener::ShortenerRegistry;
 use crate::url::Url;
 
@@ -112,7 +112,7 @@ impl WebBuilder {
     }
 
     fn install(&mut self, url: &Url, resource: Resource) {
-        self.routes.insert(route_key(url), resource);
+        self.routes.insert(url.host_path().to_owned(), resource);
     }
 
     fn install_page(&mut self, page: Page) -> SiteSpec {

@@ -10,9 +10,14 @@
 
 /// FNV-1a 64-bit hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues the FNV-1a hash `h` of some prefix over `bytes`:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`, so keys sharing a
+/// prefix can hash it once.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);
@@ -22,7 +27,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Maps a decision key to a uniform fraction in `[0, 1)`.
 pub fn fraction(key: &str) -> f64 {
-    (fnv1a(key.as_bytes()) >> 11) as f64 / (1u64 << 53) as f64
+    hashed_fraction(fnv1a(key.as_bytes()))
+}
+
+/// [`fraction`] of a key whose FNV-1a hash is `h`.
+pub fn hashed_fraction(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Deterministic Bernoulli draw: true with probability `p` for this key.
@@ -53,6 +63,18 @@ mod tests {
         let hits = (0..10_000).filter(|i| chance(&format!("sample-{i}"), 0.3)).count();
         let rate = hits as f64 / 10_000.0;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
+    }
+
+    #[test]
+    fn extending_a_prefix_hash_equals_hashing_the_whole_key() {
+        for (prefix, rest) in [("", ""), ("", "abc"), ("7/vt/spike/", "X#12"), ("abc", "")] {
+            let whole = format!("{prefix}{rest}");
+            assert_eq!(
+                fnv1a_extend(fnv1a(prefix.as_bytes()), rest.as_bytes()),
+                fnv1a(whole.as_bytes())
+            );
+            assert_eq!(hashed_fraction(fnv1a(whole.as_bytes())), fraction(&whole));
+        }
     }
 
     #[test]

@@ -185,8 +185,11 @@ impl FetchOutcome {
     }
 }
 
-/// The whole synthetic web: a routing table, the shortener registry and
-/// a content-addressed page cache.
+/// The whole synthetic web: a routing table keyed by host + path (the
+/// query is ignored, so one installed page serves all its query
+/// variants, matching how exchange listings append tracking
+/// parameters), the shortener registry and a content-addressed page
+/// cache.
 ///
 /// Built once by [`crate::build::WebBuilder`], then shared immutably
 /// across crawler and scanner threads. Interior mutability covers two
@@ -224,7 +227,7 @@ impl SyntheticWeb {
     /// Looks up the page installed at `url`, with its ground truth —
     /// the simulation oracle, not reachable through `fetch`.
     pub fn oracle_page(&self, url: &Url) -> Option<&Page> {
-        match self.routes.get(&route_key(url)) {
+        match self.routes.get(url.host_path()) {
             Some(Resource::Page(p)) => Some(p),
             _ => None,
         }
@@ -258,7 +261,7 @@ impl SyntheticWeb {
             };
         }
 
-        match self.routes.get(&route_key(url)) {
+        match self.routes.get(url.host_path()) {
             None => FetchOutcome::NotFound,
             Some(Resource::Page(page)) => {
                 let body = match (&page.cloaked_benign_html, ctx.is_scanner()) {
@@ -298,13 +301,6 @@ impl SyntheticWeb {
     }
 }
 
-/// Canonical routing key: host + path (query ignored so one installed
-/// page serves all its query variants, matching how exchange listings
-/// append tracking parameters).
-pub(crate) fn route_key(url: &Url) -> String {
-    format!("{}{}", url.host(), url.path())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,7 +309,7 @@ mod tests {
 
     fn single_page_web(page: Page) -> SyntheticWeb {
         let mut routes = HashMap::new();
-        routes.insert(route_key(&page.url), Resource::Page(page));
+        routes.insert(page.url.host_path().to_owned(), Resource::Page(page));
         SyntheticWeb::new(routes, ShortenerRegistry::with_standard_services())
     }
 
@@ -373,7 +369,7 @@ mod tests {
             (0..3).map(|i| Url::http(&format!("dest{i}.example.com"), "/")).collect();
         let url = Url::http("company.ooo", "/tfjw2pmk.php");
         routes.insert(
-            route_key(&url),
+            url.host_path().to_owned(),
             Resource::RotatingRedirect { targets: targets.clone() },
         );
         let web = SyntheticWeb::new(routes, ShortenerRegistry::with_standard_services());
