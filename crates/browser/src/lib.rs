@@ -8,8 +8,9 @@
 //! plugin movies); executes inline and external scripts in the
 //! [`slum_js`] sandbox; simulates a user click (exposing
 //! click-hijacking Flash movies and deceptive download prompts); and
-//! records everything — including an HTTP Archive (HAR) log, the format
-//! the paper's NetExport extension emitted.
+//! reports what it saw. [`Browser::load_logged`] also returns the
+//! load's HTTP Archive (HAR) log, the format the paper's NetExport
+//! extension emitted; [`Browser::load`] is the same load without it.
 //!
 //! A [`Browser`] holds settings only; the state a load touches lives in
 //! the web it is bound to. Page bodies come through the web's

@@ -71,8 +71,6 @@ pub struct LoadResult {
     pub swf_movies: Vec<SwfMovie>,
     /// External script URLs that were fetched and executed.
     pub external_scripts: Vec<Url>,
-    /// HAR log of every request issued during the load.
-    pub har: HarLog,
     /// True when the load ended in a 404 or a hop limit.
     pub failed: bool,
 }
@@ -170,8 +168,24 @@ impl<'w> Browser<'w> {
         self
     }
 
-    /// Loads `url`, following redirects and executing scripts.
+    /// Loads `url`, following redirects and executing scripts. Logs
+    /// nothing: [`Browser::load_logged`] is the same load with its HAR.
     pub fn load(&self, url: &Url) -> LoadResult {
+        self.load_with(url, &mut None)
+    }
+
+    /// Loads `url` like [`Browser::load`] and also returns the HAR log
+    /// of every request the load issued, the capture NetExport wrote.
+    /// The [`LoadResult`] equals the one `load` returns.
+    pub fn load_logged(&self, url: &Url) -> (LoadResult, HarLog) {
+        let mut har = Some(HarLog::new());
+        let result = self.load_with(url, &mut har);
+        (result, har.unwrap_or_default())
+    }
+
+    /// The one load behind both entry points; requests go to `har` when
+    /// it holds a log.
+    fn load_with(&self, url: &Url, har: &mut Option<HarLog>) -> LoadResult {
         let mut result = LoadResult {
             requested_url: url.clone(),
             final_url: url.clone(),
@@ -183,7 +197,6 @@ impl<'w> Browser<'w> {
             popups: Vec::new(),
             swf_movies: Vec::new(),
             external_scripts: Vec::new(),
-            har: HarLog::new(),
             failed: false,
         };
         let mut current = url.clone();
@@ -200,7 +213,7 @@ impl<'w> Browser<'w> {
             let outcome = self.web.fetch(&current, &ctx);
             match outcome {
                 FetchOutcome::Redirect { target, status } => {
-                    self.log(&mut result.har, &current, status, "", &referrer, Some(&target));
+                    self.log(har, &current, status, "", &referrer, Some(&target));
                     let kind = if self.web.shorteners().is_shortener_host(current.host()) {
                         RedirectKind::Shortener
                     } else {
@@ -215,7 +228,7 @@ impl<'w> Browser<'w> {
                     current = target;
                 }
                 FetchOutcome::Html { body } => {
-                    self.log(&mut result.har, &current, 200, "text/html", &referrer, None);
+                    self.log(har, &current, 200, "text/html", &referrer, None);
                     let page = self.web.parsed(&body);
                     if let Some(target_str) = &page.outline.meta_refresh {
                         if let Ok(target) = Url::parse(target_str) {
@@ -236,7 +249,7 @@ impl<'w> Browser<'w> {
                 }
                 FetchOutcome::Download { filename } => {
                     self.log(
-                        &mut result.har,
+                        har,
                         &current,
                         200,
                         "application/octet-stream",
@@ -249,12 +262,12 @@ impl<'w> Browser<'w> {
                 }
                 FetchOutcome::Script { .. } | FetchOutcome::Swf { .. } => {
                     // Direct navigation to a script/swf: record and stop.
-                    self.log(&mut result.har, &current, 200, "application/javascript", &referrer, None);
+                    self.log(har, &current, 200, "application/javascript", &referrer, None);
                     result.final_url = current.clone();
                     return result;
                 }
                 FetchOutcome::NotFound => {
-                    self.log(&mut result.har, &current, 404, "", &referrer, None);
+                    self.log(har, &current, 404, "", &referrer, None);
                     result.final_url = current.clone();
                     result.failed = true;
                     return result;
@@ -263,19 +276,19 @@ impl<'w> Browser<'w> {
         }
 
         // Phase 2: execute scripts against the final document.
-        self.run_page_scripts(&mut result);
+        self.run_page_scripts(&mut result, har);
 
         // Phase 3: follow at most one script-driven navigation (a JS
         // redirector) — to a download or a new page.
         if let Some(nav) = result.js.outbound_urls().first().cloned() {
-            self.follow_script_navigation(&nav, &mut result);
+            self.follow_script_navigation(&nav, &mut result, har);
         }
         result
     }
 
     /// Executes inline scripts, external scripts and Flash movies of the
     /// final page; aggregates effects into `result.js`.
-    fn run_page_scripts(&self, result: &mut LoadResult) {
+    fn run_page_scripts(&self, result: &mut LoadResult, har: &mut Option<HarLog>) {
         let Some(outline) = result.outline.clone() else { return };
         let page_url = result.final_url.clone();
         let mut merged = SandboxReport::default();
@@ -287,7 +300,7 @@ impl<'w> Browser<'w> {
             match self.web.fetch(&script_url, &self.ctx) {
                 FetchOutcome::Script { body } => {
                     self.log(
-                        &mut result.har,
+                        har,
                         &script_url,
                         200,
                         "application/javascript",
@@ -300,12 +313,12 @@ impl<'w> Browser<'w> {
                 FetchOutcome::Redirect { target, status } => {
                     // A script src that redirects (the rotating
                     // redirector): treat as a JS-level navigation.
-                    self.log(&mut result.har, &script_url, status, "", page_url.host(), Some(&target));
+                    self.log(har, &script_url, status, "", page_url.host(), Some(&target));
                     result.external_scripts.push(script_url.clone());
                     merged.effects.push(Effect::Navigate { url: target.to_string() });
                 }
                 _ => {
-                    self.log(&mut result.har, &script_url, 404, "", page_url.host(), None);
+                    self.log(har, &script_url, 404, "", page_url.host(), None);
                 }
             }
         }
@@ -322,7 +335,7 @@ impl<'w> Browser<'w> {
             let Ok(swf_url) = resolve_href(&page_url, data) else { continue };
             if let FetchOutcome::Swf { descriptor } = self.web.fetch(&swf_url, &self.ctx) {
                 self.log(
-                    &mut result.har,
+                    har,
                     &swf_url,
                     200,
                     "application/x-shockwave-flash",
@@ -383,7 +396,12 @@ impl<'w> Browser<'w> {
     /// Follows a script-initiated navigation: downloads land in
     /// `downloads`, page targets add a `JsLocation` hop (without
     /// recursing into another full script pass).
-    fn follow_script_navigation(&self, nav: &str, result: &mut LoadResult) {
+    fn follow_script_navigation(
+        &self,
+        nav: &str,
+        result: &mut LoadResult,
+        har: &mut Option<HarLog>,
+    ) {
         let Ok(target) = Url::parse(nav) else { return };
         if target.is_data() {
             return;
@@ -392,7 +410,7 @@ impl<'w> Browser<'w> {
         match self.web.fetch(&target, &self.ctx) {
             FetchOutcome::Download { filename } => {
                 self.log(
-                    &mut result.har,
+                    har,
                     &target,
                     200,
                     "application/octet-stream",
@@ -402,7 +420,7 @@ impl<'w> Browser<'w> {
                 result.downloads.push(Download { url: target, filename });
             }
             FetchOutcome::Html { .. } => {
-                self.log(&mut result.har, &target, 200, "text/html", from.host(), None);
+                self.log(har, &target, 200, "text/html", from.host(), None);
                 result.chain.push(RedirectHop {
                     from,
                     to: target.clone(),
@@ -411,7 +429,7 @@ impl<'w> Browser<'w> {
                 result.final_url = target;
             }
             FetchOutcome::Redirect { target: next, status } => {
-                self.log(&mut result.har, &target, status, "", from.host(), Some(&next));
+                self.log(har, &target, status, "", from.host(), Some(&next));
                 result.chain.push(RedirectHop {
                     from: from.clone(),
                     to: target.clone(),
@@ -432,13 +450,13 @@ impl<'w> Browser<'w> {
                     });
                     match self.web.fetch(&t, &self.ctx) {
                         FetchOutcome::Redirect { target: t2, status } => {
-                            self.log(&mut result.har, &t, status, "", current.host(), Some(&t2));
+                            self.log(har, &t, status, "", current.host(), Some(&t2));
                             current = t.clone();
                             next_target = Some(t2);
                         }
                         FetchOutcome::Download { filename } => {
                             self.log(
-                                &mut result.har,
+                                har,
                                 &t,
                                 200,
                                 "application/octet-stream",
@@ -449,7 +467,7 @@ impl<'w> Browser<'w> {
                             result.final_url = t;
                         }
                         _ => {
-                            self.log(&mut result.har, &t, 200, "text/html", current.host(), None);
+                            self.log(har, &t, 200, "text/html", current.host(), None);
                             result.final_url = t;
                         }
                     }
@@ -459,15 +477,17 @@ impl<'w> Browser<'w> {
         }
     }
 
+    /// Appends one request to `har` when the load is logged.
     fn log(
         &self,
-        har: &mut HarLog,
+        har: &mut Option<HarLog>,
         url: &Url,
         status: u16,
         content_type: &str,
         referrer: &str,
         redirect_to: Option<&Url>,
     ) {
+        let Some(har) = har else { return };
         har.push(HarEntry {
             started: self.clock,
             method: "GET".into(),
@@ -515,13 +535,13 @@ mod tests {
         let mut b = WebBuilder::new(100);
         let site = b.benign_site(BenignOptions::default());
         let web = b.finish();
-        let load = Browser::new(&web).load(&site.url);
+        let (load, har) = Browser::new(&web).load_logged(&site.url);
         assert!(!load.failed);
         assert_eq!(load.redirect_count(), 0);
         assert!(!load.was_redirected());
         assert!(load.downloads.is_empty());
         assert!(load.popups.is_empty());
-        assert_eq!(load.har.status_chain(), vec![200]);
+        assert_eq!(har.status_chain(), vec![200]);
     }
 
     #[test]
@@ -649,23 +669,19 @@ mod tests {
         let mut b = WebBuilder::new(110);
         let spec = b.flash_site(Tld::Com, ContentCategory::Entertainment);
         let web = b.finish();
-        let load = Browser::new(&web).at_time(777).load(&spec.url);
-        assert!(load.har.len() >= 3, "page + swf + glue script");
-        assert!(load.har.entries.iter().all(|e| e.started == 777));
-        assert!(load
-            .har
-            .entries
-            .iter()
-            .any(|e| e.content_type == "application/x-shockwave-flash"));
+        let (_, har) = Browser::new(&web).at_time(777).load_logged(&spec.url);
+        assert!(har.len() >= 3, "page + swf + glue script");
+        assert!(har.entries.iter().all(|e| e.started == 777));
+        assert!(har.entries.iter().any(|e| e.content_type == "application/x-shockwave-flash"));
     }
 
     #[test]
     fn missing_url_fails_cleanly() {
         let b = WebBuilder::new(111);
         let web = b.finish();
-        let load = Browser::new(&web).load(&Url::http("ghost.example.com", "/"));
+        let (load, har) = Browser::new(&web).load_logged(&Url::http("ghost.example.com", "/"));
         assert!(load.failed);
-        assert_eq!(load.har.status_chain(), vec![404]);
+        assert_eq!(har.status_chain(), vec![404]);
     }
 
     #[test]

@@ -47,9 +47,9 @@ proptest! {
         let site = b.benign_site(BenignOptions::default());
         let web = b.finish();
         let browser = Browser::new(&web);
-        let first = browser.load(&site.url);
-        let second = browser.load(&site.url);
-        prop_assert_eq!(first.har.status_chain(), second.har.status_chain());
+        let (first, first_har) = browser.load_logged(&site.url);
+        let (second, second_har) = browser.load_logged(&site.url);
+        prop_assert_eq!(first_har.status_chain(), second_har.status_chain());
         prop_assert_eq!(first.final_url, second.final_url);
     }
 }

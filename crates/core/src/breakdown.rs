@@ -116,7 +116,6 @@ impl DomainRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_browser::har::HarLog;
     use slum_detect::quttera::{QutteraReport, QutteraVerdict};
     use slum_detect::virustotal::VtReport;
     use slum_exchange::ExchangeKind;
@@ -135,7 +134,6 @@ mod tests {
             via_js_redirect: false,
             content: None,
             download_filenames: vec![],
-            har: HarLog::new(),
             failed: false,
         }
     }

@@ -173,7 +173,6 @@ impl CategoryCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_browser::har::HarLog;
     use slum_detect::quttera::{QutteraReport, QutteraVerdict};
     use slum_detect::virustotal::VtReport;
     use slum_websim::Url;
@@ -191,7 +190,6 @@ mod tests {
             via_js_redirect: false,
             content: None,
             download_filenames: vec![],
-            har: HarLog::new(),
             failed: false,
         }
     }

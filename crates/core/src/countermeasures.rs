@@ -65,22 +65,23 @@ impl AdNetworkGuard {
         }
     }
 
-    /// Adds an extra exchange host discovered out of band.
+    /// Adds an extra exchange host discovered out of band. An empty
+    /// host names nothing and is ignored.
     pub fn with_exchange_host(mut self, host: impl Into<String>) -> Self {
-        self.exchange_hosts.insert(host.into());
+        let host = host.into();
+        if !host.is_empty() {
+            self.exchange_hosts.insert(host);
+        }
         self
     }
 
     /// Classifies one impression by the referrer chain of the page view
     /// that produced it. An impression is fraud when any hop of the
-    /// delivering page's request chain carries an exchange referrer.
+    /// delivering page's request chain is an exchange. Every referrer a
+    /// page load sends is empty or a host of its chain, so the chain
+    /// hosts cover the referrers of the load's HAR too.
     pub fn classify(&self, record: &CrawlRecord) -> ImpressionVerdict {
-        let via_exchange = record
-            .har
-            .entries
-            .iter()
-            .any(|e| self.exchange_hosts.contains(&e.referrer))
-            || self.exchange_hosts.contains(record.url.host())
+        let via_exchange = self.exchange_hosts.contains(record.url.host())
             || record.chain_hosts.iter().any(|h| self.exchange_hosts.contains(h));
         if via_exchange {
             ImpressionVerdict::ExchangeFraud

@@ -92,7 +92,6 @@ impl ReferralFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_browser::har::HarLog;
     use slum_exchange::params::PROFILES;
     use slum_websim::Url;
 
@@ -110,7 +109,6 @@ mod tests {
             via_js_redirect: false,
             content: None,
             download_filenames: vec![],
-            har: HarLog::new(),
             failed: false,
         }
     }

@@ -105,7 +105,6 @@ pub fn longest_chain(pairs: &[(&CrawlRecord, &ScanOutcome)]) -> Option<ChainExhi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_browser::har::HarLog;
     use slum_detect::quttera::{QutteraReport, QutteraVerdict};
     use slum_detect::virustotal::VtReport;
     use slum_websim::Url;
@@ -123,7 +122,6 @@ mod tests {
             via_js_redirect: false,
             content: None,
             download_filenames: vec![],
-            har: HarLog::new(),
             failed: false,
         }
     }

@@ -12,28 +12,30 @@
 //! (and the study's scan phase, which calls the same code) runs five
 //! passes:
 //!
-//! 1. a serial pass gives each record its fault decisions, a dense URL
-//!    id and its chain-host ids;
+//! 1. a serial pass gives each scanned record its fault decisions, a
+//!    dense URL id and its chain-host ids, keyed on the records' own
+//!    text;
 //! 2. parallel passes fill `Vec` slots with each distinct URL's sample
 //!    (scanner load, VirusTotal and Quttera reports, JS tally), each
 //!    distinct host's registered domain and each distinct domain's
 //!    blacklist consensus;
 //! 3. a serial pass walks each record's chain up to its first
-//!    blacklisted domain and gives a content id to every capture whose
-//!    reachable URL scans were all clean, hashing each distinct body
-//!    once;
+//!    blacklisted domain and gives a capture id to every (URL, body
+//!    hash) pair whose reachable URL scans were all clean, hashing each
+//!    distinct body once;
 //! 4. a parallel pass scans each distinct capture;
-//! 5. a parallel pass assembles each record's [`ScanOutcome`] from its
-//!    ids.
+//! 5. a parallel pass assembles every record's [`ScanOutcome`] from its
+//!    ids, or the clean outcome of a record the scan skipped.
 //!
 //! Every parallel pass runs through one chunked loop over scoped
-//! threads that returns its results in index order, so the outcomes are
-//! identical for every worker count and chunk size. The `scan.cache.*`
-//! and `js.vm.*` counters are arithmetic on the plan.
+//! threads that writes each result into its index's slot of one
+//! vector, so the outcomes are identical for every worker count and
+//! chunk size. The `scan.cache.*` and `js.vm.*` counters are arithmetic
+//! on the plan.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use slum_browser::{Browser, LoadResult};
@@ -171,14 +173,14 @@ pub fn effective_scan_workers(
 /// and returns the results in index order — the one chunked loop every
 /// parallel pass of a scan runs through.
 ///
-/// Workers pull `chunk`-sized runs of indices from a shared atomic
-/// counter instead of taking one contiguous stretch each, so a worker
-/// that drew expensive items keeps pulling small chunks while its peers
-/// do the same and no thread idles behind one unlucky stretch. Each run
-/// is tagged with its chunk number and the runs are reassembled in
-/// order, so the result equals the serial `(0..len).map(f)` for every
-/// worker count and chunk size. One worker (or at most one index) takes
-/// that serial path directly.
+/// Workers pull `chunk`-sized runs of slots from one shared iterator
+/// instead of taking one contiguous stretch each, so a worker that drew
+/// expensive items keeps pulling small chunks while its peers do the
+/// same and no thread idles behind one unlucky stretch. Each worker
+/// writes its results straight into its run's slots of the one output
+/// vector, so the result equals the serial `(0..len).map(f)` for every
+/// worker count and chunk size, and no second copy of it is ever held.
+/// One worker (or at most one index) takes that serial path directly.
 pub(crate) fn scan_chunked<T, F>(len: usize, workers: usize, chunk: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -189,34 +191,25 @@ where
         return (0..len).map(f).collect();
     }
     let chunk = chunk.max(1);
-    let n_chunks = len.div_ceil(chunk);
-    let next = AtomicUsize::new(0);
-    let mut parts: Vec<(usize, Vec<T>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, f) = (&next, &f);
-                scope.spawn(move || {
-                    let mut parts = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let lo = c * chunk;
-                        parts.push((c, (lo..(lo + chunk).min(len)).map(f).collect()));
-                    }
-                    parts
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("scan worker panicked")).collect()
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
+    let runs = Mutex::new(slots.chunks_mut(chunk).enumerate());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (runs, f) = (&runs, &f);
+            scope.spawn(move || loop {
+                // A holder only advances the iterator, so even a
+                // poisoned lock guards a valid one.
+                let next = runs.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((c, run)) = next else { break };
+                for (k, slot) in run.iter_mut().enumerate() {
+                    *slot = Some(f(c * chunk + k));
+                }
+            });
+        }
     });
-    parts.sort_unstable_by_key(|&(c, _)| c);
-    let mut out = Vec::with_capacity(len);
-    for (_, part) in parts {
-        out.extend(part);
-    }
-    out
+    // Collected in place: an `Option` of every type the passes return is
+    // the size of the value, so this reuses the slots' allocation.
+    slots.into_iter().map(|slot| slot.expect("every slot is filled")).collect()
 }
 
 /// Verdict and evidence for one scanned record.
@@ -518,40 +511,45 @@ impl Visit {
 }
 
 /// The first pass of a scan: every record's visit, and the distinct
-/// URLs and chain hosts the records look up.
-struct Plan {
-    visits: Vec<Visit>,
-    urls: Ids,
-    hosts: Ids,
+/// URLs and chain hosts the records look up, borrowed from the records.
+struct Plan<'a> {
+    /// Each record's visit; `None` for a record the scan skips.
+    visits: Vec<Option<Visit>>,
+    /// Each distinct URL (its canonical form) with its first record.
+    urls: Vec<(&'a str, usize)>,
+    /// Each distinct chain host with its first record.
+    hosts: Vec<(&'a str, usize)>,
     /// Every record's chain-host ids, back to back (see
     /// [`Visit::chain_end`]).
     chain: Vec<u32>,
 }
 
-/// Dense ids for distinct strings, in first-seen order.
-#[derive(Default)]
-struct Ids {
-    ids: HashMap<Arc<str>, u32>,
-    /// Each string with the first index that asked for it.
-    keys: Vec<(Arc<str>, usize)>,
+/// Dense ids for distinct keys, in first-seen order.
+struct Ids<K> {
+    ids: HashMap<K, u32>,
+    /// Each key with the first index that asked for it.
+    keys: Vec<(K, usize)>,
 }
 
-impl Ids {
-    /// The id of `key`; a new key takes the next id and remembers
-    /// `first`.
-    fn id(&mut self, key: &str, first: usize) -> u32 {
-        if let Some(&id) = self.ids.get(key) {
-            return id;
-        }
-        let id = u32::try_from(self.keys.len()).expect("fewer than 2^32 distinct keys");
-        let key: Arc<str> = key.into();
-        self.ids.insert(Arc::clone(&key), id);
-        self.keys.push((key, first));
-        id
+impl<K: Hash + Eq + Copy> Ids<K> {
+    fn new() -> Self {
+        Ids { ids: HashMap::new(), keys: Vec::new() }
     }
 
-    fn len(&self) -> usize {
-        self.keys.len()
+    /// The id of `key`; a new key takes the next id and remembers
+    /// `first`.
+    fn id(&mut self, key: K, first: usize) -> u32 {
+        let keys = &mut self.keys;
+        *self.ids.entry(key).or_insert_with(|| {
+            let id = u32::try_from(keys.len()).expect("fewer than 2^32 distinct keys");
+            keys.push((key, first));
+            id
+        })
+    }
+
+    /// The keys in id order; the lookup map is dropped.
+    fn into_keys(self) -> Vec<(K, usize)> {
+        self.keys
     }
 }
 
@@ -688,49 +686,55 @@ impl<'w> ScanPipeline<'w> {
         workers: usize,
         chunk: usize,
     ) -> Vec<ScanOutcome> {
-        let records: Vec<&CrawlRecord> = records.iter().collect();
-        self.scan_planned(&records, workers, chunk, None, true).0
+        self.scan_planned(records, |_| true, workers, chunk, None, true).0
     }
 
     /// The planned scan behind every public scan method and the study's
-    /// scan phase. Each URL or capture the scan computes records its
-    /// wall time into `sample_nanos` when given. With `keep`, the
-    /// finished samples extend the cache set's table for later scans;
-    /// a study scanning through its own caches passes `false`, because
-    /// nothing reads them again.
+    /// scan phase. It scans the records `scanned` selects by index; each
+    /// other record gets the clean outcome of a record no service saw,
+    /// in its slot of the one output vector. Each URL or capture the
+    /// scan computes records its wall time into `sample_nanos` when
+    /// given. With `keep`, the finished samples extend the cache set's
+    /// table for later scans; a study scanning through its own caches
+    /// passes `false`, because nothing reads them again.
     pub(crate) fn scan_planned(
         &self,
-        records: &[&CrawlRecord],
+        records: &[CrawlRecord],
+        scanned: impl Fn(usize) -> bool,
         workers: usize,
         chunk: usize,
         sample_nanos: Option<&Histogram>,
         keep: bool,
     ) -> (Vec<ScanOutcome>, ScanTally) {
         // 1. Fault decisions, URL ids and chain-host ids.
-        let Plan { mut visits, urls, hosts, chain } = self.plan(records);
+        let Plan { mut visits, urls, hosts, chain } = self.plan(records, scanned);
         let guard = self.caches.table();
         let table = &*guard;
         // 2. Each distinct URL's sample, host's domain and domain's
         //    consensus.
         let url_samples = scan_chunked(urls.len(), workers, chunk, |u| {
-            let (canon, i) = &urls.keys[u];
+            let (canon, i) = urls[u];
             table.urls.get(canon).cloned().unwrap_or_else(|| {
-                timed(sample_nanos, || Arc::new(self.url_sample(&records[*i].url, canon)))
+                timed(sample_nanos, || Arc::new(self.url_sample(&records[i].url, canon)))
             })
         });
-        let host_domains = scan_chunked(hosts.len(), workers, chunk, |h| {
-            let host = &hosts.keys[h].0;
+        let host_domains: Vec<Arc<str>> = scan_chunked(hosts.len(), workers, chunk, |h| {
+            let host = hosts[h].0;
             table
                 .hosts
                 .get(host)
                 .cloned()
                 .unwrap_or_else(|| slum_websim::domain::registered_domain(host).into())
         });
-        let mut domains = Ids::default();
-        let host_domain: Vec<u32> =
-            host_domains.iter().enumerate().map(|(h, d)| domains.id(d, h)).collect();
+        // Each distinct domain with the first host that resolved to it.
+        let (host_domain, domains) = {
+            let mut ids = Ids::new();
+            let host_domain: Vec<u32> =
+                host_domains.iter().enumerate().map(|(h, d)| ids.id(&**d, h)).collect();
+            (host_domain, ids.into_keys())
+        };
         let blacklisted = scan_chunked(domains.len(), workers, chunk, |d| {
-            let domain = &domains.keys[d].0;
+            let domain = domains[d].0;
             table
                 .domains
                 .get(domain)
@@ -739,67 +743,71 @@ impl<'w> ScanPipeline<'w> {
         });
 
         // 3. Each chain up to its first blacklisted domain, and a
-        //    content id for every capture the clean URL scans upload.
+        //    capture id for every (URL, body hash) pair the clean URL
+        //    scans upload.
         let mut host_reached = vec![false; hosts.len()];
         let mut domain_reached = vec![false; domains.len()];
         let mut chain_lookups = 0u64;
-        let mut captures = Ids::default();
-        // Records of a page share the web's interned body, so each
-        // distinct body is hashed once (keyed by its address, which the
-        // borrowed records keep alive), and a `canonical#hash` key is
-        // formatted only for a new (URL, body hash) pair.
-        let mut body_hashes: HashMap<*const u8, u64> = HashMap::new();
-        let mut capture_ids: HashMap<(u32, u64), u32> = HashMap::new();
-        let mut chain_start = 0;
-        for (i, (record, visit)) in records.iter().zip(&mut visits).enumerate() {
-            for &h in &chain[chain_start..visit.chain_end as usize] {
-                chain_lookups += 1;
-                host_reached[h as usize] = true;
-                let d = host_domain[h as usize];
-                domain_reached[d as usize] = true;
-                if blacklisted[d as usize] {
-                    visit.blacklisted = Some(d);
-                    break;
+        let captures = {
+            let mut captures = Ids::new();
+            // Records of a page share the web's interned body, so each
+            // distinct body is hashed once (keyed by its address, which
+            // the borrowed records keep alive).
+            let mut body_hashes: HashMap<*const u8, u64> = HashMap::new();
+            let mut chain_start = 0;
+            let planned = visits.iter_mut().enumerate().filter_map(|(i, v)| Some((i, v.as_mut()?)));
+            for (i, visit) in planned {
+                for &h in &chain[chain_start..visit.chain_end as usize] {
+                    chain_lookups += 1;
+                    host_reached[h as usize] = true;
+                    let d = host_domain[h as usize];
+                    domain_reached[d as usize] = true;
+                    if blacklisted[d as usize] {
+                        visit.blacklisted = Some(d);
+                        break;
+                    }
+                }
+                chain_start = visit.chain_end as usize;
+                let (Some(u), Some(content)) = (visit.url, &records[i].content) else { continue };
+                if !visit.flagged(&url_samples[u as usize]) {
+                    let hash = *body_hashes
+                        .entry(content.as_ptr())
+                        .or_insert_with(|| fnv1a(content.as_bytes()));
+                    visit.capture = Some(captures.id((u, hash), i));
                 }
             }
-            chain_start = visit.chain_end as usize;
-            let (Some(u), Some(content)) = (visit.url, &record.content) else { continue };
-            if !visit.flagged(&url_samples[u as usize]) {
-                let hash = *body_hashes
-                    .entry(content.as_ptr())
-                    .or_insert_with(|| fnv1a(content.as_bytes()));
-                let capture = *capture_ids.entry((u, hash)).or_insert_with(|| {
-                    let canon = &urls.keys[u as usize].0;
-                    captures.id(&format!("{canon}#{hash:x}"), i)
-                });
-                visit.capture = Some(capture);
-            }
-        }
+            captures.into_keys()
+        };
+        drop(chain);
 
-        // 4. Each distinct capture's upload sample.
+        // 4. Each distinct capture's upload sample, keyed
+        //    `canonical#content-hash` as `VirusTotal::scan_content` keys it.
+        let capture_key = |u: u32, hash: u64| format!("{}#{hash:x}", urls[u as usize].0);
         let capture_samples = scan_chunked(captures.len(), workers, chunk, |c| {
-            let (key, i) = &captures.keys[c];
-            table.captures.get(key).cloned().unwrap_or_else(|| {
-                let record = records[*i];
+            let ((u, hash), i) = captures[c];
+            let key = capture_key(u, hash);
+            table.captures.get(key.as_str()).cloned().unwrap_or_else(|| {
+                let record = &records[i];
                 let content = record.content.as_deref().expect("planned captures exist");
-                timed(sample_nanos, || Arc::new(self.capture_sample(&record.url, content, key)))
+                timed(sample_nanos, || Arc::new(self.capture_sample(&record.url, content, &key)))
             })
         });
         drop(guard);
 
         // 5. Every outcome from its ids.
         let outcomes = scan_chunked(records.len(), workers, chunk, |i| {
-            let visit = &visits[i];
+            let Some(visit) = &visits[i] else { return unscanned_outcome(&records[i]) };
             let url = visit.url.map(|u| &*url_samples[u as usize]);
             let capture = visit.capture.map(|c| &*capture_samples[c as usize]);
-            let domain = visit.blacklisted.map(|d| Arc::clone(&domains.keys[d as usize].0));
-            assemble(records[i], visit, url, capture, domain)
+            let domain =
+                visit.blacklisted.map(|d| Arc::clone(&host_domains[domains[d as usize].1]));
+            assemble(&records[i], visit, url, capture, domain)
         });
 
         let reached = |flags: &[bool]| flags.iter().filter(|&&r| r).count() as u64;
         let lookups = [
-            visits.iter().filter(|v| v.url.is_some()).count() as u64,
-            visits.iter().filter(|v| v.capture.is_some()).count() as u64,
+            visits.iter().flatten().filter(|v| v.url.is_some()).count() as u64,
+            visits.iter().flatten().filter(|v| v.capture.is_some()).count() as u64,
             chain_lookups,
             chain_lookups,
         ];
@@ -823,33 +831,35 @@ impl<'w> ScanPipeline<'w> {
             for (total, n) in table.lookups.iter_mut().zip(lookups) {
                 *total += n;
             }
-            for ((canon, _), sample) in urls.keys.into_iter().zip(url_samples) {
-                table.urls.entry(canon).or_insert(sample);
+            for ((canon, _), sample) in urls.iter().zip(url_samples) {
+                table.urls.entry((*canon).into()).or_insert(sample);
             }
-            for ((key, _), sample) in captures.keys.into_iter().zip(capture_samples) {
-                table.captures.entry(key).or_insert(sample);
+            for (((u, hash), _), sample) in captures.into_iter().zip(capture_samples) {
+                table.captures.entry(capture_key(u, hash).into()).or_insert(sample);
             }
-            let hosts = hosts.keys.into_iter().zip(host_domains).zip(host_reached);
+            let hosts = hosts.iter().zip(&host_domains).zip(host_reached);
             for (((host, _), domain), _) in hosts.filter(|(_, reached)| *reached) {
-                table.hosts.entry(host).or_insert(domain);
+                table.hosts.entry((*host).into()).or_insert_with(|| Arc::clone(domain));
             }
-            let domains = domains.keys.into_iter().zip(blacklisted).zip(domain_reached);
+            let domains = domains.iter().zip(blacklisted).zip(domain_reached);
             for (((domain, _), hit), _) in domains.filter(|(_, reached)| *reached) {
-                table.domains.entry(domain).or_insert(hit);
+                table.domains.entry((*domain).into()).or_insert(hit);
             }
         }
         (outcomes, tally)
     }
 
-    /// Pass 1: each record's fault decisions, URL id and chain-host ids.
-    fn plan(&self, records: &[&CrawlRecord]) -> Plan {
-        let mut plan = Plan {
-            visits: Vec::with_capacity(records.len()),
-            urls: Ids::default(),
-            hosts: Ids::default(),
-            chain: Vec::new(),
-        };
+    /// Pass 1: each scanned record's fault decisions, URL id and
+    /// chain-host ids.
+    fn plan<'a>(&self, records: &'a [CrawlRecord], scanned: impl Fn(usize) -> bool) -> Plan<'a> {
+        let mut visits = Vec::with_capacity(records.len());
+        let (mut urls, mut hosts) = (Ids::new(), Ids::new());
+        let mut chain = Vec::new();
         for (i, record) in records.iter().enumerate() {
+            if !scanned(i) {
+                visits.push(None);
+                continue;
+            }
             let decisions = match &self.fault_plan {
                 Some(faults) => faults.decisions_for(&record.exchange, record.seq),
                 None => [ServiceDecision::Ok; 3],
@@ -857,23 +867,22 @@ impl<'w> ScanPipeline<'w> {
             let up = |service: ScanService| decisions[service.index()].available();
             let (vt_up, quttera_up) = (up(ScanService::VirusTotal), up(ScanService::Quttera));
             let blacklist_up = up(ScanService::Blacklist);
-            let url = (vt_up || quttera_up).then(|| plan.urls.id(record.url.as_str(), i));
+            let url = (vt_up || quttera_up).then(|| urls.id(record.url.as_str(), i));
             if blacklist_up {
-                let hosts = &mut plan.hosts;
-                plan.chain.extend(record.chain_hosts.iter().map(|host| hosts.id(host, i)));
+                chain.extend(record.chain_hosts.iter().map(|host| hosts.id(host.as_str(), i)));
             }
-            plan.visits.push(Visit {
+            visits.push(Some(Visit {
                 vt_up,
                 quttera_up,
                 blacklist_up,
                 faults: FaultLog::from_decisions(&decisions),
                 url,
-                chain_end: u32::try_from(plan.chain.len()).expect("fewer than 2^32 chain hosts"),
+                chain_end: u32::try_from(chain.len()).expect("fewer than 2^32 chain hosts"),
                 capture: None,
                 blacklisted: None,
-            });
+            }));
         }
-        plan
+        Plan { visits, urls: urls.into_keys(), hosts: hosts.into_keys(), chain }
     }
 
     /// The URL-scan sample of one distinct URL: one scanner fetch,
@@ -972,9 +981,22 @@ fn assemble(
     }
 }
 
+/// The outcome of a record no service saw (a filtered referral): clean,
+/// with empty reports and full provenance.
+fn unscanned_outcome(record: &CrawlRecord) -> ScanOutcome {
+    ScanOutcome {
+        malicious: false,
+        vt: empty_vt_report(),
+        quttera: empty_quttera_report(&record.url),
+        blacklisted_domain: None,
+        needed_content_upload: false,
+        source: VerdictSource::Full,
+        faults: FaultLog::default(),
+    }
+}
+
 /// The report an unreachable VirusTotal contributes: no detections, no
-/// engines consulted (same shape the study splices for filtered
-/// records).
+/// engines consulted.
 fn empty_vt_report() -> VtReport {
     VtReport { detections: Vec::new(), total_engines: 0, threshold: 2 }
 }
@@ -987,6 +1009,9 @@ fn empty_quttera_report(url: &Url) -> QutteraReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use proptest::prelude::*;
     use slum_browser::Browser;
     use slum_crawler::CrawlRecord;
     use slum_websim::build::{BenignOptions, MaliciousOptions, WebBuilder};
@@ -1110,6 +1135,46 @@ mod tests {
                     "chunked scan diverged at {workers} workers, chunk {chunk}"
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The chunked loop returns the serial map for every length,
+        /// worker count and chunk size, and hands over each value it
+        /// computed whole: none is dropped before the result is, and
+        /// every one is dropped exactly once with it.
+        #[test]
+        fn chunked_loop_matches_the_serial_map_and_drops_each_value_once(
+            len in 0usize..5001,
+            workers in 1usize..9,
+            chunk in 1usize..4097,
+        ) {
+            /// A non-`Copy` value that counts its drops per index.
+            struct Counted<'a> {
+                index: usize,
+                text: String,
+                drops: &'a [AtomicUsize],
+            }
+            impl Drop for Counted<'_> {
+                fn drop(&mut self) {
+                    self.drops[self.index].fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            let text = |i: usize| format!("value {}", i.wrapping_mul(7919));
+            let drops: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            let out = scan_chunked(len, workers, chunk, |i| Counted {
+                index: i,
+                text: text(i),
+                drops: &drops,
+            });
+            let serial: Vec<(usize, String)> = (0..len).map(|i| (i, text(i))).collect();
+            let got: Vec<(usize, String)> = out.iter().map(|c| (c.index, c.text.clone())).collect();
+            prop_assert_eq!(got, serial);
+            prop_assert!(drops.iter().all(|d| d.load(Ordering::Relaxed) == 0));
+            drop(out);
+            prop_assert!(drops.iter().all(|d| d.load(Ordering::Relaxed) == 1));
         }
     }
 

@@ -20,6 +20,7 @@ use slum_crawler::{
     CrawlHealth, CrawlPlan, CrawlRecord, RecordStore,
 };
 use slum_detect::fault::{FaultPlan, FaultProfile, ScanService};
+use slum_detect::JsModuleCache;
 use slum_detect::quttera::{QutteraFinding, QutteraVerdict};
 use slum_exchange::TrafficSource;
 use slum_js::sandbox::JsEngine;
@@ -513,6 +514,22 @@ impl Study {
             .collect()
     }
 
+    /// The corpus as JSON lines: one line per record with the HAR of its
+    /// page load, which records do not keep
+    /// ([`slum_crawler::corpus_jsonl`]). Each visit is surfed again
+    /// with logging on a substrate built for the purpose, as a
+    /// checkpoint restore builds one, so printing costs one substrate
+    /// build plus one page load per record and never moves the study's
+    /// own web (the shortener statistics Table IV reads).
+    ///
+    /// # Errors
+    ///
+    /// Propagates serde failures.
+    pub fn corpus_jsonl(&self) -> Result<String, serde_json::Error> {
+        let built = build_substrate(&self.config);
+        slum_crawler::corpus_jsonl(&built.web, &built.sources, &self.store)
+    }
+
     /// §V-A case studies: iframe-injection exhibits.
     pub fn iframe_case_studies(&self) -> Vec<case_studies::IframeExhibit> {
         case_studies::iframe_injections(&self.regular_pairs())
@@ -584,6 +601,8 @@ pub struct CrawlSession {
     resume: ResumeStats,
     /// Restore and crawl wall-clock so far: the `phase.crawl` span.
     crawl_time: Duration,
+    /// The crawl's compiled-module cache, kept across `advance` calls.
+    modules: Arc<JsModuleCache>,
 }
 
 impl CrawlSession {
@@ -647,6 +666,7 @@ impl CrawlSession {
             state,
             resume,
             crawl_time: started.elapsed(),
+            modules: Arc::default(),
         })
     }
 
@@ -666,7 +686,8 @@ impl CrawlSession {
         let mut plan = CrawlPlan::new(self.config.seed)
             .fault_profile(self.config.crawl_fault_profile.clone())
             .segment_budget(self.config.checkpoint_every.unwrap_or(u64::MAX))
-            .stop_after_round(rounds);
+            .stop_after_round(rounds)
+            .module_cache(Arc::clone(&self.modules));
         if let Some(state) = self.state.take() {
             plan = plan.resume(state);
         }
@@ -1024,9 +1045,9 @@ fn scan_crawl(
     }
 }
 
-/// Scans every Regular record across the effective worker count and
-/// splices the results back into record order; Self/Popular referrals
-/// get an inert clean outcome so indices stay aligned.
+/// Scans every Regular record across the effective worker count;
+/// Self/Popular referrals get an inert clean outcome in their slots, so
+/// the outcomes stay aligned with the records.
 ///
 /// Worker selection goes through [`effective_scan_workers`] — small
 /// corpora run serially (below `config.serial_scan_threshold`) and the
@@ -1047,51 +1068,20 @@ fn scan_phase(
     obs: &Registry,
     shared: bool,
 ) -> (Vec<ScanOutcome>, usize, ScanTally) {
-    let regular: Vec<&CrawlRecord> = records
-        .iter()
-        .zip(referrals)
-        .filter(|(_, class)| **class == ReferralClass::Regular)
-        .map(|(record, _)| record)
-        .collect();
-    let workers =
-        effective_scan_workers(regular.len(), config.scan_workers, config.serial_scan_threshold);
+    let regular = |i: usize| referrals[i] == ReferralClass::Regular;
+    let scans = referrals.iter().filter(|&&class| class == ReferralClass::Regular).count();
+    let workers = effective_scan_workers(scans, config.scan_workers, config.serial_scan_threshold);
     let sample_nanos = obs.histogram("scan.sample_nanos");
-    let (scanned, tally) =
-        pipeline.scan_planned(&regular, workers, config.scan_chunk, Some(&sample_nanos), shared);
-    obs.counter("scan.scans").add(regular.len() as u64);
-
-    let mut scanned = scanned.into_iter();
-    let outcomes = records
-        .iter()
-        .zip(referrals)
-        .map(|(record, class)| match class {
-            ReferralClass::Regular => scanned.next().expect("one scan per regular record"),
-            // Self/popular referrals are excluded from analysis; give
-            // them an inert clean outcome so indices stay aligned.
-            _ => clean_outcome(record),
-        })
-        .collect();
+    let (outcomes, tally) = pipeline.scan_planned(
+        records,
+        regular,
+        workers,
+        config.scan_chunk,
+        Some(&sample_nanos),
+        shared,
+    );
+    obs.counter("scan.scans").add(scans as u64);
     (outcomes, workers, tally)
-}
-
-fn clean_outcome(record: &CrawlRecord) -> ScanOutcome {
-    ScanOutcome {
-        malicious: false,
-        vt: slum_detect::virustotal::VtReport {
-            detections: Vec::new(),
-            total_engines: 0,
-            threshold: 2,
-        },
-        quttera: slum_detect::quttera::QutteraReport {
-            url: record.url.clone(),
-            findings: Vec::new(),
-            verdict: slum_detect::quttera::QutteraVerdict::Clean,
-        },
-        blacklisted_domain: None,
-        needed_content_upload: false,
-        source: VerdictSource::Full,
-        faults: FaultLog::default(),
-    }
 }
 
 #[cfg(test)]
@@ -1345,11 +1335,7 @@ mod tests {
             .and_then(|session| session.advance(u64::MAX))
             .expect("checkpoint I/O")
             .finish(None);
-        assert_eq!(
-            direct.store.to_jsonl().unwrap(),
-            checkpointed.store.to_jsonl().unwrap(),
-            "checkpointing must not change the corpus"
-        );
+        assert_eq!(direct.store, checkpointed.store, "checkpointing must not change the corpus");
         assert_eq!(direct.outcomes, checkpointed.outcomes);
         assert_eq!(direct.health, checkpointed.health);
         assert!(
@@ -1357,6 +1343,27 @@ mod tests {
             "periodic checkpoints must be written"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Printing the corpus replays every load on a substrate of its
+    /// own: the export, and the shortener hit counts Table IV reads off
+    /// the study's web, are the same bytes before and after.
+    #[test]
+    fn printing_the_corpus_moves_nothing_the_study_reports() {
+        let config = StudyConfig::builder()
+            .seed(2016)
+            .crawl_scale(0.002)
+            .domain_scale(0.05)
+            .build()
+            .expect("valid config");
+        let study = Study::run(&config);
+        let export = crate::export::to_json(&study).expect("serializable export");
+        let table4 = study.table4();
+        assert!(table4.iter().any(|row| row.short_hits > 0), "Table IV needs crawled hits");
+        let corpus = study.corpus_jsonl().expect("serializable corpus");
+        assert_eq!(corpus.lines().count(), study.store.len());
+        assert_eq!(study.table4(), table4);
+        assert_eq!(crate::export::to_json(&study).expect("serializable export"), export);
     }
 
     #[test]
@@ -1482,11 +1489,7 @@ mod tests {
         for substrate in [Substrate::AdNet, Substrate::Torrent] {
             let a = substrate_study(substrate);
             let b = substrate_study(substrate);
-            assert_eq!(
-                a.store.to_jsonl().expect("serializable corpus"),
-                b.store.to_jsonl().expect("serializable corpus"),
-                "{substrate:?} corpus must be deterministic"
-            );
+            assert_eq!(a.store, b.store, "{substrate:?} corpus must be deterministic");
             assert_eq!(a.outcomes, b.outcomes, "{substrate:?} outcomes");
         }
     }

@@ -11,12 +11,15 @@
 //! fault schedule: in bounded segments with the cursor checkpointed
 //! between them, or in one unbounded segment for a direct run.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use slum_browser::Browser;
+use slum_browser::{Browser, HarLog};
 use slum_detect::retry::RetryPolicy;
+use slum_detect::JsModuleCache;
 use slum_exchange::antiabuse::{Admission, IpAddr, SessionPolicy, SessionTracker};
 use slum_exchange::captcha::CaptchaOutcome;
 use slum_exchange::economy::{EconomyConfig, Ledger};
@@ -257,7 +260,10 @@ pub fn crawl_exchange<S: TrafficSource + ?Sized>(
     let mut cursor = CrawlCursor::start(source, config);
     let lifecycle = ExchangeLifecycle::inert(source.name());
     let retry = RetryPolicy::no_retries();
-    crawl_exchange_segment(web, source, config, &lifecycle, &retry, &mut cursor, store, u64::MAX);
+    let modules = Arc::new(JsModuleCache::new());
+    crawl_exchange_segment(
+        web, source, config, &lifecycle, &retry, &modules, &mut cursor, store, u64::MAX,
+    );
     cursor.stats()
 }
 
@@ -274,7 +280,8 @@ pub fn crawl_exchange<S: TrafficSource + ?Sized>(
 /// a logged page. None of this touches the RNG stream, so a crawl under
 /// an inert lifecycle is bit-identical to the historical fail-fast
 /// loop, and fault decisions replay identically across resume
-/// boundaries.
+/// boundaries. Page loads compile their scripts through `modules`, the
+/// crawl's compiled-module cache.
 #[allow(clippy::too_many_arguments)] // the segment driver threads all crawl state explicitly
 pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
     web: &SyntheticWeb,
@@ -282,6 +289,7 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
     config: &CrawlConfig,
     lifecycle: &ExchangeLifecycle,
     retry: &RetryPolicy,
+    modules: &Arc<JsModuleCache>,
     cursor: &mut CrawlCursor,
     store: &mut RecordStore,
     budget: u64,
@@ -371,7 +379,7 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
         }
 
         let visit = CrawlVisit { seq: cursor.seq, at: cursor.t, url: step.url };
-        let record = record_visit(web, &*source, config, &visit);
+        let record = record_visit(web, &*source, config, modules, &visit);
         cursor.load_failures += u64::from(record.failed);
         cursor.redirects += u64::from(record.redirect_hops);
         cursor.shortener_visits += u64::from(record.via_shortener);
@@ -404,11 +412,29 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
     used
 }
 
+/// The browser a visit of `source` at virtual time `at` loads with: the
+/// click mode of `source`'s kind (auto-surf loads never simulate a
+/// click) and the crawl's compiled-module cache, which never changes a
+/// load.
+fn surf_browser<'w, S: TrafficSource + ?Sized>(
+    web: &'w SyntheticWeb,
+    source: &S,
+    modules: &Arc<JsModuleCache>,
+    at: u64,
+) -> Browser<'w> {
+    let browser = Browser::new(web).at_time(at).with_module_store(modules.clone());
+    if source.kind() == ExchangeKind::ManualSurf {
+        browser
+    } else {
+        browser.without_click()
+    }
+}
+
 /// Surfs one visit and builds its record: loads `visit.url` at virtual
-/// time `visit.at` with the click mode of `source`'s kind (auto-surf
-/// loads never simulate a click), then drops the captured content when
-/// `config` says so. The crawl loop logs every page through this, and a
-/// checkpoint restore rebuilds every stored visit through it
+/// time `visit.at` with the click mode of `source`'s kind, then drops
+/// the captured content when `config` says so. The crawl loop logs
+/// every page through this, and a checkpoint restore rebuilds every
+/// stored visit through it
 /// ([`replay_restored_loads`](crate::run::replay_restored_loads)), so a
 /// rebuilt record equals the crawled one and reapplies the load's side
 /// effects on the web.
@@ -416,17 +442,27 @@ pub fn record_visit<S: TrafficSource + ?Sized>(
     web: &SyntheticWeb,
     source: &S,
     config: &CrawlConfig,
+    modules: &Arc<JsModuleCache>,
     visit: &CrawlVisit,
 ) -> CrawlRecord {
-    let browser = Browser::new(web).at_time(visit.at);
-    let browser =
-        if source.kind() == ExchangeKind::ManualSurf { browser } else { browser.without_click() };
-    let load = browser.load(&visit.url);
+    let load = surf_browser(web, source, modules, visit.at).load(&visit.url);
     let mut record = CrawlRecord::from_load(source.name(), visit.seq, visit.at, &load);
     if !config.capture_content {
         record.content = None;
     }
     record
+}
+
+/// The HAR log of `record`'s load: its visit surfed again, as
+/// [`record_visit`] surfs it, with logging. The load repeats the
+/// crawl's side effects on `web`, so callers pass a web of their own.
+pub(crate) fn record_har<S: TrafficSource + ?Sized>(
+    web: &SyntheticWeb,
+    source: &S,
+    modules: &Arc<JsModuleCache>,
+    record: &CrawlRecord,
+) -> HarLog {
+    surf_browser(web, source, modules, record.at).load_logged(&record.url).1
 }
 
 /// Estimates the virtual duration a crawl of `steps` pages will span —
@@ -569,6 +605,7 @@ mod tests {
             let config = CrawlConfig { steps, seed, ..Default::default() };
             let lifecycle = ExchangeLifecycle::inert(x.name());
             let retry = RetryPolicy::no_retries();
+            let modules = Arc::new(JsModuleCache::new());
             let mut cursor = CrawlCursor::start(&x, &config);
             let mut store = RecordStore::new();
             while !cursor.done {
@@ -577,16 +614,13 @@ mod tests {
                 let json = serde_json::to_string(&cursor).expect("cursor serializes");
                 cursor = serde_json::from_str(&json).expect("cursor parses");
                 crawl_exchange_segment(
-                    &web, &mut x, &config, &lifecycle, &retry, &mut cursor, &mut store, segment,
+                    &web, &mut x, &config, &lifecycle, &retry, &modules, &mut cursor, &mut store,
+                    segment,
                 );
             }
             let stats = cursor.stats();
             assert_eq!(stats, one_shot.1, "stats diverged at segment budget {segment}");
-            assert_eq!(
-                store.to_jsonl().unwrap(),
-                one_shot.0.to_jsonl().unwrap(),
-                "records diverged at segment budget {segment}"
-            );
+            assert_eq!(store, one_shot.0, "records diverged at segment budget {segment}");
             assert!(cursor.health().is_clean());
         }
     }
@@ -616,23 +650,25 @@ mod tests {
             };
             let lifecycle = ExchangeLifecycle::compile(&params, 77, x.name(), span);
             let retry = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
+            let modules = Arc::new(JsModuleCache::new());
             let mut cursor = CrawlCursor::start(&x, &config);
             let mut store = RecordStore::new();
             crawl_exchange_segment(
-                &web, &mut x, &config, &lifecycle, &retry, &mut cursor, &mut store, u64::MAX,
+                &web, &mut x, &config, &lifecycle, &retry, &modules, &mut cursor, &mut store,
+                u64::MAX,
             );
-            (cursor, store.to_jsonl().unwrap())
+            (cursor, store)
         };
-        let (cursor, jsonl) = run();
+        let (cursor, store) = run();
         let health = cursor.health();
         assert_eq!(health.pages + health.lost_steps, 120, "slots must balance");
         assert!(health.outage_hits > 0, "three windows over the span must hit");
         assert!(health.faults_injected > 0);
         assert!(health.downtime_secs > 0);
-        assert_eq!(cursor.pages as usize, jsonl.lines().count());
-        let (cursor2, jsonl2) = run();
+        assert_eq!(cursor.pages as usize, store.len());
+        let (cursor2, store2) = run();
         assert_eq!(cursor, cursor2, "faulted crawl must be deterministic");
-        assert_eq!(jsonl, jsonl2);
+        assert_eq!(store, store2);
     }
 
     /// A scheduled shutdown forfeits the remaining slots and is
@@ -653,10 +689,12 @@ mod tests {
             LifecycleParams { shutdown_per_mille: 1000, ..LifecycleParams::reliable() };
         let lifecycle = ExchangeLifecycle::compile(&params, 9, x.name(), span);
         let retry = RetryPolicy::no_retries();
+        let modules = Arc::new(JsModuleCache::new());
         let mut cursor = CrawlCursor::start(&x, &config);
         let mut store = RecordStore::new();
         crawl_exchange_segment(
-            &web, &mut x, &config, &lifecycle, &retry, &mut cursor, &mut store, u64::MAX,
+            &web, &mut x, &config, &lifecycle, &retry, &modules, &mut cursor, &mut store,
+            u64::MAX,
         );
         let health = cursor.health();
         assert!(cursor.done);

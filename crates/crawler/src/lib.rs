@@ -11,7 +11,9 @@
 //! procedure over the simulated exchanges:
 //!
 //! - [`record`] / [`store`] — the per-visit crawl records (URL, redirect
-//!   chain, captured content, HAR) and their store;
+//!   chain, captured content) and their store; a record keeps no HAR,
+//!   and the corpus JSON lines ([`corpus_jsonl`]) replay each visit
+//!   with logging to print it;
 //! - [`drive`] — the auto-surf and manual-surf crawl drivers, including
 //!   the scripted CAPTCHA operator;
 //! - [`run`] — multi-exchange orchestration: one segmented crawl
@@ -36,6 +38,8 @@ pub mod store;
 pub use drive::{crawl_exchange, record_visit, CrawlConfig, CrawlCursor};
 pub use fault::{CrawlFaultProfile, CrawlHealth};
 pub use record::{CrawlRecord, CrawlVisit};
-pub use run::{crawl_all_resilient, replay_restored_loads, CrawlCheckpointState, CrawlPlan};
+pub use run::{
+    corpus_jsonl, crawl_all_resilient, replay_restored_loads, CrawlCheckpointState, CrawlPlan,
+};
 pub use slum_exchange::TrafficSource;
-pub use store::{JsonlError, RecordStore};
+pub use store::RecordStore;

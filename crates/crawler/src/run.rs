@@ -11,15 +11,18 @@
 //! Per-source stores merge in source input order, so the merged record
 //! stream is independent of thread scheduling.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
+use slum_detect::JsModuleCache;
 use slum_exchange::lifecycle::ExchangeLifecycle;
 use slum_exchange::TrafficSource;
 use slum_websim::{SyntheticWeb, Url};
 
 use crate::drive::{
-    crawl_exchange_segment, estimated_exchange_span_secs, record_visit, CrawlConfig, CrawlCursor,
-    CrawlStats,
+    crawl_exchange_segment, estimated_exchange_span_secs, record_har, record_visit, CrawlConfig,
+    CrawlCursor, CrawlStats,
 };
 use crate::fault::{CrawlFaultProfile, CrawlHealth};
 use crate::record::CrawlVisit;
@@ -75,6 +78,8 @@ pub struct CrawlPlan {
     segment_budget: Option<u64>,
     resume: Option<CrawlCheckpointState>,
     stop_after_round: Option<u64>,
+    /// The crawl's compiled-module cache (default: a fresh one).
+    modules: Arc<JsModuleCache>,
 }
 
 impl CrawlPlan {
@@ -116,15 +121,25 @@ impl CrawlPlan {
         self
     }
 
+    /// Compile page scripts through `modules`, so a crawl run in
+    /// several calls keeps one compiled-module cache. The cache never
+    /// changes a load.
+    #[must_use]
+    pub fn module_cache(mut self, modules: Arc<JsModuleCache>) -> Self {
+        self.modules = modules;
+        self
+    }
+
     /// Crawls every source in bounded segment rounds, invoking
     /// `on_round` with the full crawl state after each round — the
     /// checkpoint hook.
     ///
     /// Each round advances every unfinished source by up to the segment
-    /// budget, in parallel (one thread per source). Because every fault
-    /// and RNG decision is keyed to cursor position — never to segment
-    /// boundaries — the merged outcome is bit-identical regardless of
-    /// budget, resume points, or kills.
+    /// budget, in parallel (one thread per source); every page load
+    /// compiles its scripts through the plan's one module cache.
+    /// Because every fault and RNG decision is keyed to cursor position
+    /// — never to segment boundaries — the merged outcome is
+    /// bit-identical regardless of budget, resume points, or kills.
     ///
     /// # Errors
     ///
@@ -162,7 +177,7 @@ impl CrawlPlan {
             assert_eq!(cursor.exchange, x.name(), "checkpoint/source order mismatch");
         }
 
-        let profile = &self.profile;
+        let (profile, modules) = (&self.profile, &self.modules);
         let mut rounds_run = 0u64;
         while !state.all_done() {
             std::thread::scope(|scope| {
@@ -180,6 +195,7 @@ impl CrawlPlan {
                                 config,
                                 lifecycle,
                                 &profile.retry,
+                                modules,
                                 cursor,
                                 store,
                                 segment_budget,
@@ -433,6 +449,7 @@ pub fn replay_restored_loads<S: TrafficSource>(
     state: &CrawlCheckpointState,
 ) -> CrawlCheckpointState {
     assert_eq!(state.cursors.len(), sources.len(), "checkpoint/source count mismatch");
+    let modules = Arc::new(JsModuleCache::new());
     let stores = state
         .cursors
         .iter()
@@ -444,7 +461,7 @@ pub fn replay_restored_loads<S: TrafficSource>(
             let mut store = RecordStore::new();
             for (seq, at, url) in state.visits_of(i) {
                 let visit = CrawlVisit { seq, at, url: url.clone() };
-                store.push(record_visit(web, source, &config, &visit));
+                store.push(record_visit(web, source, &config, &modules, &visit));
             }
             store
         })
@@ -455,6 +472,39 @@ pub fn replay_restored_loads<S: TrafficSource>(
         stores,
         restored: Vec::new(),
     }
+}
+
+/// The corpus as JSON lines: every record of `store` with the HAR of
+/// its load, which a record does not keep. Each record's visit is
+/// surfed again on `web` with logging, under the click mode of the
+/// source that crawled it ([`record_har`]), so the line equals the one
+/// a record carrying its crawl-time HAR would print.
+///
+/// The replayed loads repeat the crawl's side effects (shortener hit
+/// statistics), so `web` must be a web of its own, built from the
+/// study's configuration as a checkpoint restore builds one, never the
+/// web whose statistics a study reports.
+///
+/// # Errors
+///
+/// Propagates serde failures.
+///
+/// # Panics
+///
+/// Panics when a record names a source not in `sources`.
+pub fn corpus_jsonl<S: TrafficSource>(
+    web: &SyntheticWeb,
+    sources: &[S],
+    store: &RecordStore,
+) -> Result<String, serde_json::Error> {
+    let modules = Arc::new(JsModuleCache::new());
+    store.to_jsonl(|record| {
+        let source = sources
+            .iter()
+            .find(|s| s.name() == record.exchange)
+            .expect("every record's source is among the sources");
+        record_har(web, source, &modules, record)
+    })
 }
 
 #[cfg(test)]
@@ -580,7 +630,7 @@ mod tests {
                 let (web, mut exchanges) = build();
                 let (store, stats, health) =
                     crawl_all_resilient(&web, &mut exchanges, 11, &profile, |_| 30);
-                (store.to_jsonl().unwrap(), stats, health)
+                (store, stats, health)
             };
 
             for budget in [1u64, 7, 64, 10_000] {
@@ -613,7 +663,7 @@ mod tests {
                 assert_eq!(rebuilt, outcome.state, "budget {budget}: rebuilt records differ");
                 let (store, stats, health) = outcome.state.finish();
                 let label = format!("profile {} budget {budget}", profile.name);
-                assert_eq!(store.to_jsonl().unwrap(), one_shot.0, "{label}");
+                assert_eq!(store, one_shot.0, "{label}");
                 assert_eq!(stats, one_shot.1, "{label}");
                 assert_eq!(health, one_shot.2, "{label}");
             }
@@ -630,7 +680,7 @@ mod tests {
             let web = b.finish();
             let (store, _, _) =
                 crawl_all_resilient(&web, &mut exchanges, 23, &CrawlFaultProfile::none(), |_| 20);
-            store.to_jsonl().unwrap()
+            store
         };
         let mut b = WebBuilder::new(138);
         let mut boxed: Vec<Box<dyn TrafficSource + Send>> = build_all_exchanges(&mut b, 0.02, 10_000)
@@ -640,7 +690,7 @@ mod tests {
         let web = b.finish();
         let (store, _, _) =
             crawl_all_resilient(&web, &mut boxed, 23, &CrawlFaultProfile::none(), |_| 20);
-        assert_eq!(store.to_jsonl().unwrap(), concrete);
+        assert_eq!(store, concrete);
     }
 
     /// A kill/resume cycle rebuilds the web from seed, which would

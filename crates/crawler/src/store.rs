@@ -1,42 +1,32 @@
 //! The crawl-record store.
 
 use std::collections::{BTreeSet, HashSet};
-use std::fmt;
+
+use serde::Serialize;
+
+use slum_browser::HarLog;
+use slum_websim::Url;
 
 use crate::record::CrawlRecord;
 
-/// Maximum characters of the offending line echoed in a [`JsonlError`].
-const SNIPPET_MAX: usize = 60;
-
-/// A parse failure in a JSON-lines record stream, pinned to the line
-/// that caused it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonlError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// The offending line, truncated to a displayable snippet.
-    pub snippet: String,
-    /// What went wrong on that line.
-    pub detail: String,
+/// One corpus line: a record's fields with its load's HAR, in the order
+/// the corpus JSON lines print them.
+#[derive(Serialize)]
+struct CorpusLine<'a> {
+    exchange: &'a str,
+    seq: u64,
+    at: u64,
+    url: &'a Url,
+    final_url: &'a Url,
+    redirect_hops: u32,
+    chain_hosts: &'a [String],
+    via_shortener: bool,
+    via_js_redirect: bool,
+    content: Option<&'a str>,
+    download_filenames: &'a [String],
+    har: &'a HarLog,
+    failed: bool,
 }
-
-impl JsonlError {
-    fn new(line: usize, raw: &str, detail: impl Into<String>) -> Self {
-        let mut snippet: String = raw.chars().take(SNIPPET_MAX).collect();
-        if raw.chars().count() > SNIPPET_MAX {
-            snippet.push('…');
-        }
-        JsonlError { line, snippet, detail: detail.into() }
-    }
-}
-
-impl fmt::Display for JsonlError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {} (in {:?})", self.line, self.detail, self.snippet)
-    }
-}
-
-impl std::error::Error for JsonlError {}
 
 /// An in-memory store of crawl records with the aggregate queries the
 /// dataset assembly needs.
@@ -110,40 +100,40 @@ impl RecordStore {
         domains.len()
     }
 
-    /// Serializes to JSON-lines, writing every record straight into one
-    /// buffer.
+    /// Serializes to JSON lines, one record per line with the HAR
+    /// `har_of` gives for it, writing every line straight into one
+    /// buffer. [`corpus_jsonl`](crate::run::corpus_jsonl) passes each
+    /// record's replayed load.
     ///
     /// # Errors
     ///
     /// Propagates serde failures.
-    pub fn to_jsonl(&self) -> Result<String, serde_json::Error> {
+    pub(crate) fn to_jsonl(
+        &self,
+        mut har_of: impl FnMut(&CrawlRecord) -> HarLog,
+    ) -> Result<String, serde_json::Error> {
         let mut out = String::new();
         for r in &self.records {
-            serde_json::append_to_string(&mut out, r)?;
+            let har = har_of(r);
+            let line = CorpusLine {
+                exchange: &r.exchange,
+                seq: r.seq,
+                at: r.at,
+                url: &r.url,
+                final_url: &r.final_url,
+                redirect_hops: r.redirect_hops,
+                chain_hosts: &r.chain_hosts,
+                via_shortener: r.via_shortener,
+                via_js_redirect: r.via_js_redirect,
+                content: r.content.as_deref(),
+                download_filenames: &r.download_filenames,
+                har: &har,
+                failed: r.failed,
+            };
+            serde_json::append_to_string(&mut out, &line)?;
             out.push('\n');
         }
         Ok(out)
-    }
-
-    /// Parses a store from JSON-lines. Blank lines between records are
-    /// tolerated; anything else — including trailing garbage after the
-    /// last record — must parse as a full record.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonlError`] naming the first offending line (1-based)
-    /// with a truncated snippet of its content.
-    pub fn from_jsonl(input: &str) -> Result<RecordStore, JsonlError> {
-        let mut store = RecordStore::new();
-        for (idx, line) in input.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record = serde_json::from_str(line)
-                .map_err(|e| JsonlError::new(idx + 1, line, e.to_string()))?;
-            store.push(record);
-        }
-        Ok(store)
     }
 }
 
@@ -164,8 +154,7 @@ impl Extend<CrawlRecord> for RecordStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_browser::har::HarLog;
-    use slum_websim::Url;
+    use serde::Deserialize;
 
     fn rec(exchange: &str, url: &str, seq: u64) -> CrawlRecord {
         let u = Url::parse(url).unwrap();
@@ -181,7 +170,6 @@ mod tests {
             via_js_redirect: false,
             content: None,
             download_filenames: vec![],
-            har: HarLog::new(),
             failed: false,
         }
     }
@@ -202,17 +190,29 @@ mod tests {
 
     #[test]
     fn jsonl_round_trip() {
+        /// The fields of a corpus line this test reads back.
+        #[derive(Deserialize)]
+        struct Line {
+            exchange: String,
+            seq: u64,
+            url: Url,
+            har: HarLog,
+        }
         let mut s = RecordStore::new();
         for i in 0..5 {
             // Distinct registered domains (subdomains of one domain would
             // collapse in distinct_domains()).
             s.push(rec("X", &format!("http://site{i}-example.com/"), i));
         }
-        let jsonl = s.to_jsonl().unwrap();
+        let jsonl = s.to_jsonl(|_| HarLog::new()).unwrap();
         assert_eq!(jsonl.lines().count(), 5);
-        let back = RecordStore::from_jsonl(&jsonl).unwrap();
-        assert_eq!(back.len(), 5);
-        assert_eq!(back.distinct_domains(), 5);
+        for (line, r) in jsonl.lines().zip(s.records()) {
+            let back: Line = serde_json::from_str(line).unwrap();
+            assert_eq!((back.exchange.as_str(), back.seq), (r.exchange.as_str(), r.seq));
+            assert_eq!(back.url, r.url);
+            assert!(back.har.is_empty());
+        }
+        assert_eq!(s.distinct_domains(), 5);
     }
 
     #[test]
@@ -220,52 +220,6 @@ mod tests {
         let s: RecordStore =
             (0..3).map(|i| rec("Z", &format!("http://d{i}.example.org/"), i)).collect();
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn malformed_jsonl_errors() {
-        assert!(RecordStore::from_jsonl("{not json}").is_err());
-    }
-
-    #[test]
-    fn jsonl_error_pins_the_failing_line_and_snippet() {
-        let mut s = RecordStore::new();
-        s.push(rec("A", "http://a.example.com/", 0));
-        s.push(rec("A", "http://b.example.com/", 1));
-        let mut jsonl = s.to_jsonl().unwrap();
-        jsonl.push_str("this is definitely not a record\n");
-        let err = RecordStore::from_jsonl(&jsonl).unwrap_err();
-        assert_eq!(err.line, 3);
-        assert!(err.snippet.starts_with("this is definitely"), "{:?}", err.snippet);
-        assert!(!err.detail.is_empty());
-        // Display ties all three together for log lines.
-        let shown = err.to_string();
-        assert!(shown.contains("line 3"), "{shown}");
-    }
-
-    #[test]
-    fn jsonl_error_truncates_long_snippets() {
-        let long = format!("{{\"exchange\": \"{}\"", "x".repeat(500));
-        let err = RecordStore::from_jsonl(&long).unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.snippet.chars().count() <= 61, "{}", err.snippet.len());
-        assert!(err.snippet.ends_with('…'));
-    }
-
-    #[test]
-    fn trailing_garbage_after_last_record_is_rejected() {
-        let mut s = RecordStore::new();
-        s.push(rec("A", "http://a.example.com/", 0));
-        let jsonl = s.to_jsonl().unwrap();
-        // Trailing whitespace is fine…
-        assert!(RecordStore::from_jsonl(&format!("{jsonl}\n  \n")).is_ok());
-        // …but a trailing non-whitespace fragment (even without a final
-        // newline) is not.
-        let err = RecordStore::from_jsonl(&format!("{jsonl}garbage")).unwrap_err();
-        assert_eq!(err.line, 2);
-        // Nor is garbage appended to a record line itself.
-        let fused = jsonl.trim_end().to_string() + "garbage\n";
-        assert!(RecordStore::from_jsonl(&fused).is_err());
     }
 
     /// `exchanges()` returns lexicographically sorted names regardless

@@ -1,12 +1,15 @@
-//! Property tests for the crawler: step accounting, determinism,
-//! store round-trips.
+//! Property tests for the crawler: step accounting, determinism, the
+//! corpus JSON lines.
 
 use proptest::prelude::*;
+use serde::Deserialize;
+use slum_browser::{Browser, HarLog};
 use slum_crawler::drive::{crawl_exchange, CrawlConfig};
-use slum_crawler::RecordStore;
+use slum_crawler::{corpus_jsonl, RecordStore};
 use slum_exchange::params::PROFILES;
-use slum_exchange::build_exchange;
+use slum_exchange::{build_exchange, ExchangeKind};
 use slum_websim::build::WebBuilder;
+use slum_websim::Url;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -39,14 +42,25 @@ proptest! {
         }
     }
 
-    /// The record store's JSON-lines round trip preserves everything the
-    /// analysis consumes, for real crawl output.
+    /// The corpus JSON lines of a real crawl parse back to what the
+    /// analysis consumes, each line carrying the HAR its visit's load
+    /// logs on a web built afresh from the same seed.
     #[test]
     fn store_jsonl_round_trip(seed in 0u64..30) {
+        #[derive(Deserialize)]
+        struct Line {
+            url: Url,
+            final_url: Url,
+            redirect_hops: u32,
+            har: HarLog,
+        }
         let profile = &PROFILES[(seed % 9) as usize];
-        let mut b = WebBuilder::new(seed);
-        let mut exchange = build_exchange(&mut b, profile, 0.03, 20_000);
-        let web = b.finish();
+        let build = || {
+            let mut b = WebBuilder::new(seed);
+            let exchange = build_exchange(&mut b, profile, 0.03, 20_000);
+            (b.finish(), exchange)
+        };
+        let (web, mut exchange) = build();
         let mut store = RecordStore::new();
         crawl_exchange(
             &web,
@@ -54,14 +68,18 @@ proptest! {
             &CrawlConfig { steps: 15, seed, ..Default::default() },
             &mut store,
         );
-        let jsonl = store.to_jsonl().expect("serialize");
-        let back = RecordStore::from_jsonl(&jsonl).expect("parse");
-        prop_assert_eq!(back.len(), store.len());
-        for (a, b) in back.records().iter().zip(store.records()) {
-            prop_assert_eq!(&a.url, &b.url);
-            prop_assert_eq!(&a.final_url, &b.final_url);
-            prop_assert_eq!(a.redirect_hops, b.redirect_hops);
-            prop_assert_eq!(&a.har, &b.har);
+        let (fresh_web, fresh_exchange) = build();
+        let jsonl = corpus_jsonl(&fresh_web, &[fresh_exchange], &store).expect("serialize");
+        prop_assert_eq!(jsonl.lines().count(), store.len());
+        for (line, r) in jsonl.lines().zip(store.records()) {
+            let back: Line = serde_json::from_str(line).expect("parse");
+            prop_assert_eq!(&back.url, &r.url);
+            prop_assert_eq!(&back.final_url, &r.final_url);
+            prop_assert_eq!(back.redirect_hops, r.redirect_hops);
+            let browser = Browser::new(&web).at_time(r.at);
+            let browser =
+                if profile.kind == ExchangeKind::ManualSurf { browser } else { browser.without_click() };
+            prop_assert_eq!(&back.har, &browser.load_logged(&r.url).1);
         }
     }
 }

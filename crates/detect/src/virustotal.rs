@@ -19,8 +19,10 @@ use crate::features::Features;
 /// Aggregated scan report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VtReport {
-    /// Engines that flagged the sample, with their labels.
-    pub detections: Vec<(String, String)>,
+    /// Engines that flagged the sample, with their labels (both are
+    /// names from the static engine battery, so a report copies no
+    /// string).
+    pub detections: Vec<(&'static str, &'static str)>,
     /// Total engines consulted.
     pub total_engines: usize,
     /// Positives threshold used for the verdict.
@@ -39,8 +41,8 @@ impl VtReport {
     }
 
     /// All labels reported (for categorization drill-down).
-    pub fn labels(&self) -> Vec<&str> {
-        self.detections.iter().map(|(_, l)| l.as_str()).collect()
+    pub fn labels(&self) -> Vec<&'static str> {
+        self.detections.iter().map(|&(_, l)| l).collect()
     }
 }
 
@@ -109,7 +111,7 @@ impl<'w> VirusTotal<'w> {
         let mut detections = Vec::new();
         for engine in &self.engines {
             if let Some(label) = engine.scan(sample_key, features) {
-                detections.push((engine.name.to_string(), label.to_string()));
+                detections.push((engine.name, label));
             }
         }
         VtReport { detections, total_engines: self.engines.len(), threshold: self.threshold }
@@ -207,7 +209,7 @@ mod tests {
     #[test]
     fn threshold_controls_verdict() {
         let report = VtReport {
-            detections: vec![("a".into(), "X".into())],
+            detections: vec![("a", "X")],
             total_engines: 12,
             threshold: 2,
         };

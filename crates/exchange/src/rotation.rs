@@ -9,13 +9,18 @@
 //! them with their sequential total and rebuilds them only then. Every
 //! RNG draw and every pick is exactly the one a rebuild on every step
 //! would make.
+//!
+//! A pick binary-searches the running sums of those weights instead of
+//! walking them, and falls back to the walk wherever floating-point
+//! rounding could make the two disagree (see [`Rotation::search`]), so
+//! the pick is the walk's, bit for bit.
 
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use slum_websim::rng::pick_weighted_with_total;
+use slum_websim::rng::weighted_index;
 use slum_websim::Url;
 
 /// An entry a rotation can land on.
@@ -47,10 +52,15 @@ pub trait RotationBoost {
 pub struct Rotation {
     /// Effective weight of each entry.
     weights: Vec<f64>,
+    /// Running sums of `weights`, added up in order.
+    sums: Vec<f64>,
     /// Whether an open window targets each entry.
     boosted: Vec<bool>,
     /// `weights.iter().sum()`.
     total: f64,
+    /// How far inside its entry a needle must lie for the search to
+    /// answer (infinite when a weight is negative or not a number).
+    margin: f64,
     /// Virtual times the table holds for: no window opens or closes
     /// inside it. Empty until the first pick.
     span: Range<u64>,
@@ -80,9 +90,31 @@ impl Rotation {
         let index = if self.total <= 0.0 {
             rng.gen_range(0..entries.len())
         } else {
-            pick_weighted_with_total(rng, &self.weights, self.total)
+            self.index(rng.gen_range(0.0..self.total))
         };
         (index, self.boosted[index])
+    }
+
+    /// The entry a drawn `needle` lands on: [`weighted_index`]'s answer,
+    /// found by [`Rotation::search`] where it can be.
+    fn index(&self, needle: f64) -> usize {
+        self.search(needle).unwrap_or_else(|| weighted_index(&self.weights, needle))
+    }
+
+    /// The entry whose running-sum interval holds `needle`, when the
+    /// needle lies more than `margin` inside it; `None` near an edge.
+    ///
+    /// With non-negative weights, the walk's needle after `i`
+    /// subtractions and the running sum `sums[i]` each stray from their
+    /// exact values by at most `i·ε·total/2`. A needle farther than
+    /// `4·(n+2)·ε·total` from both edges of the interval it falls in is
+    /// beyond anything those errors can move, so the walk stops at the
+    /// same entry.
+    fn search(&self, needle: f64) -> Option<usize> {
+        let i = self.sums.partition_point(|&sum| sum <= needle);
+        let end = *self.sums.get(i)?;
+        let start = if i == 0 { 0.0 } else { self.sums[i - 1] };
+        (needle - start > self.margin && end - needle > self.margin).then_some(i)
     }
 
     fn rebuild<E: RotationEntry, B: RotationBoost>(&mut self, t: u64, entries: &[E], boosts: &[B]) {
@@ -96,11 +128,29 @@ impl Rotation {
             self.boosted.push(targeting().next().is_some());
         }
         self.total = self.weights.iter().sum();
+        self.index_weights();
         let edges = || boosts.iter().flat_map(|b| [b.window().start, b.window().end]);
         let start = edges().filter(|&e| e <= t).max().unwrap_or(0);
         let end = edges().filter(|&e| e > t).min().unwrap_or(u64::MAX);
         self.span = start..end;
         self.built_from = (entries.len(), boosts.len());
+    }
+
+    /// Adds up `weights` into the running sums and sets the search's
+    /// margin.
+    fn index_weights(&mut self) {
+        self.sums.clear();
+        let mut sum = 0.0;
+        for w in &self.weights {
+            sum += w;
+            self.sums.push(sum);
+        }
+        let n = self.weights.len() as f64;
+        self.margin = if self.weights.iter().all(|&w| w >= 0.0) {
+            4.0 * (n + 2.0) * f64::EPSILON * self.total
+        } else {
+            f64::INFINITY
+        };
     }
 }
 
@@ -112,6 +162,14 @@ mod tests {
     use proptest::prelude::*;
     use proptest::TestRng;
     use slum_websim::rng::{pick_weighted, seeded};
+
+    /// A rotation's weight table over `weights`, as a rebuild fills it.
+    fn table(weights: &[f64]) -> Rotation {
+        let mut rotation =
+            Rotation { weights: weights.to_vec(), total: weights.iter().sum(), ..Rotation::default() };
+        rotation.index_weights();
+        rotation
+    }
 
     /// The rotation as every source computed it before the table: the
     /// effective weights rebuilt from scratch on every step.
@@ -237,6 +295,50 @@ mod tests {
                 );
             }
             prop_assert_eq!(cached_rng.state(), reference_rng.state());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The search answers exactly as the walk does, for needles
+        /// within three ulps of every running sum, where rounding
+        /// decides, and for needles drawn as a pick draws them. Weights
+        /// are zeros and magnitudes from 1e-6 to 1e6.
+        #[test]
+        fn search_picks_exactly_like_the_walk(
+            len in prop_oneof![1usize..65, 1usize..5001],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seeded(seed);
+            let weights: Vec<f64> = (0..len)
+                .map(|_| if rng.gen_bool(0.25) { 0.0 } else { 10f64.powf(rng.gen_range(-6.0..6.0)) })
+                .collect();
+            let rotation = table(&weights);
+            prop_assume!(rotation.total > 0.0);
+            let mut needles = Vec::new();
+            for &edge in std::iter::once(&0.0).chain(&rotation.sums) {
+                let (mut up, mut down) = (edge, edge);
+                needles.push(edge);
+                for _ in 0..3 {
+                    (up, down) = (up.next_up(), down.next_down());
+                    needles.extend([up, down]);
+                }
+            }
+            let drawn: Vec<f64> = (0..200).map(|_| rng.gen_range(0.0..rotation.total)).collect();
+            let mut searched = 0;
+            for &needle in needles.iter().chain(&drawn) {
+                if !(0.0..rotation.total).contains(&needle) {
+                    continue;
+                }
+                prop_assert_eq!(
+                    rotation.index(needle),
+                    weighted_index(&weights, needle),
+                    "needle {:e} of {:e}", needle, rotation.total
+                );
+                searched += usize::from(rotation.search(needle).is_some());
+            }
+            prop_assert!(searched > 0, "the search answers drawn needles");
         }
     }
 

@@ -28,7 +28,14 @@ pub fn pick_weighted(rng: &mut StdRng, weights: &[f64]) -> usize {
 /// Panics if `total` is not positive.
 pub fn pick_weighted_with_total(rng: &mut StdRng, weights: &[f64], total: f64) -> usize {
     assert!(total > 0.0, "weights must sum to a positive value");
-    let mut needle = rng.gen_range(0.0..total);
+    weighted_index(weights, rng.gen_range(0.0..total))
+}
+
+/// The index a weighted pick lands on for the drawn `needle`: the walk
+/// that subtracts each weight from the needle in turn until the needle
+/// falls inside one (the last index when rounding carries it past the
+/// end).
+pub fn weighted_index(weights: &[f64], mut needle: f64) -> usize {
     for (i, w) in weights.iter().enumerate() {
         if needle < *w {
             return i;

@@ -71,7 +71,7 @@ fn kill_past_the_last_round_just_completes() {
     assert!(session.crawl_done(), "the crawl completes before the kill fires");
     let study = session.finish(None);
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(study.store.to_jsonl().unwrap(), Study::run(&config).store.to_jsonl().unwrap());
+    assert_eq!(study.corpus_jsonl().unwrap(), Study::run(&config).corpus_jsonl().unwrap());
 }
 
 #[test]

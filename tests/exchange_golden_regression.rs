@@ -67,7 +67,7 @@ const GOLDEN_ARTIFACTS: &str = include_str!("../scripts/golden/exchange_artifact
 
 #[test]
 fn corpus_matches_pre_refactor_golden() {
-    let got = fnv1a(study().store.to_jsonl().expect("serializable corpus").as_bytes());
+    let got = fnv1a(study().corpus_jsonl().expect("serializable corpus").as_bytes());
     assert_eq!(
         got, GOLDEN_CORPUS_FNV,
         "exchange corpus drifted from pre-refactor golden: fnv1a = {got:#018x}"

@@ -59,6 +59,6 @@ fn fault_schedule_is_a_pure_function_of_seed_and_profile() {
     // A different profile on the same corpus faults differently.
     let default = Study::run(&world("default").builder(false).build().unwrap());
     let (corpus, outcomes, _) = reference.out.corpus.as_ref().expect("in-process run");
-    assert_eq!(*corpus, default.store.to_jsonl().unwrap(), "the corpus is seed-determined");
+    assert_eq!(*corpus, default.corpus_jsonl().unwrap(), "the corpus is seed-determined");
     assert_ne!(*outcomes, default.outcomes, "the profile must steer the schedule");
 }

@@ -138,7 +138,7 @@ impl Observed {
             export: export::to_json(study).expect("serializable export"),
             digest: export::artifact_digest(study).expect("serializable export"),
             corpus: Some((
-                study.store.to_jsonl().expect("serializable corpus"),
+                study.corpus_jsonl().expect("serializable corpus"),
                 study.outcomes.clone(),
                 study.health.clone(),
             )),

@@ -43,7 +43,7 @@ fn assert_pinned(study: &Study, digest: &str, corpus_fnv: u64, tag: &str) {
         digest,
         "{tag}: artifact digest drifted"
     );
-    let corpus = fnv1a(study.store.to_jsonl().expect("serializable corpus").as_bytes());
+    let corpus = fnv1a(study.corpus_jsonl().expect("serializable corpus").as_bytes());
     assert_eq!(corpus, corpus_fnv, "{tag}: corpus drifted: fnv1a = {corpus:#018x}");
 }
 
