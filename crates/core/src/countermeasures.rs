@@ -65,16 +65,6 @@ impl AdNetworkGuard {
         }
     }
 
-    /// Adds an extra exchange host discovered out of band. An empty
-    /// host names nothing and is ignored.
-    pub fn with_exchange_host(mut self, host: impl Into<String>) -> Self {
-        let host = host.into();
-        if !host.is_empty() {
-            self.exchange_hosts.insert(host);
-        }
-        self
-    }
-
     /// Classifies one impression by the referrer chain of the page view
     /// that produced it. An impression is fraud when any hop of the
     /// delivering page's request chain is an exchange. Every referrer a

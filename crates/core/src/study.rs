@@ -24,7 +24,7 @@ use slum_detect::JsModuleCache;
 use slum_detect::quttera::{QutteraFinding, QutteraVerdict};
 use slum_exchange::TrafficSource;
 use slum_js::sandbox::JsEngine;
-use slum_obs::{LocalMetrics, MetricsSnapshot, Registry};
+use slum_obs::{MetricsSnapshot, Registry};
 use slum_websim::SyntheticWeb;
 
 use crate::case_studies;
@@ -770,6 +770,22 @@ fn record_substrate_tallies(obs: &Registry, substrate: Substrate, n_sources: usi
     obs.counter(&format!("crawl.substrate.{name}.sources")).add(n_sources as u64);
 }
 
+/// Books every source's crawl statistics as the `crawl.*` counters and
+/// its `crawl.steps.<source>`. Each name is registered for each source,
+/// zeros included.
+fn record_crawl_tallies(obs: &Registry, stats: &[(String, CrawlStats)]) {
+    for (source, s) in stats {
+        obs.counter("crawl.pages").add(s.pages);
+        obs.counter("crawl.surf_steps").add(s.surf_steps);
+        obs.counter("crawl.redirects_followed").add(s.redirects);
+        obs.counter("crawl.burst_steps").add(s.burst_steps);
+        obs.counter("crawl.shortener_visits").add(s.shortener_visits);
+        obs.counter("crawl.captcha_failures").add(s.captcha_failures);
+        obs.counter("crawl.load_failures").add(s.load_failures);
+        obs.counter(&format!("crawl.steps.{source}")).add(s.surf_steps);
+    }
+}
+
 /// Tallies crawl-phase fault costs from the per-exchange health logs,
 /// plus the per-exchange health gauges and resume bookkeeping. Always
 /// registered — a fault-free run reports explicit zeros (which CI
@@ -869,10 +885,12 @@ fn record_js_vm_stats(obs: &Registry, stats: &JsVmStats) {
 
 /// Tallies scan verdicts, blacklist consensus outcomes and per-engine
 /// labels over the regular records. Runs serially after the scan phase,
-/// so the counts are trivially schedule-independent. Labels are counted
-/// by borrowed key first, so each metric name is formatted once.
+/// so the counts are trivially schedule-independent. Every count is
+/// kept locally and added to the registry once, and a name is
+/// registered only when its count is positive. Labels are counted by
+/// borrowed key first, so each metric name is formatted once.
 fn record_outcome_tallies(obs: &Registry, outcomes: &[ScanOutcome], referrals: &[ReferralClass]) {
-    let mut m = LocalMetrics::new();
+    let (mut malicious, mut benign, mut uploads, mut consensus) = (0u64, 0u64, 0u64, 0u64);
     let mut engines: BTreeMap<&str, u64> = BTreeMap::new();
     let mut labels: BTreeMap<&str, u64> = BTreeMap::new();
     let mut findings: BTreeMap<QutteraFinding, u64> = BTreeMap::new();
@@ -881,13 +899,10 @@ fn record_outcome_tallies(obs: &Registry, outcomes: &[ScanOutcome], referrals: &
         if *class != ReferralClass::Regular {
             continue;
         }
-        m.inc(if outcome.malicious { "scan.verdict.malicious" } else { "scan.verdict.benign" });
-        if outcome.needed_content_upload {
-            m.inc("scan.content_uploads");
-        }
-        if outcome.blacklisted_domain.is_some() {
-            m.inc("scan.blacklist.consensus_hits");
-        }
+        malicious += u64::from(outcome.malicious);
+        benign += u64::from(!outcome.malicious);
+        uploads += u64::from(outcome.needed_content_upload);
+        consensus += u64::from(outcome.blacklisted_domain.is_some());
         for (engine, label) in &outcome.vt.detections {
             *engines.entry(engine).or_default() += 1;
             *labels.entry(label).or_default() += 1;
@@ -897,28 +912,29 @@ fn record_outcome_tallies(obs: &Registry, outcomes: &[ScanOutcome], referrals: &
         }
         *verdicts.entry(outcome.quttera.verdict).or_default() += 1;
     }
-    // A total is registered only when something was counted, as the
-    // per-key names are.
-    let mut total = |name: &'static str, n: u64| {
+    let add = |name: &str, n: u64| {
         if n > 0 {
-            m.add(name, n);
+            obs.counter(name).add(n);
         }
     };
-    total("scan.labels.vt.total", engines.values().sum());
-    total("scan.labels.quttera.total", findings.values().sum());
+    add("scan.verdict.malicious", malicious);
+    add("scan.verdict.benign", benign);
+    add("scan.content_uploads", uploads);
+    add("scan.blacklist.consensus_hits", consensus);
+    add("scan.labels.vt.total", engines.values().sum());
+    add("scan.labels.quttera.total", findings.values().sum());
     for (engine, n) in engines {
-        m.add_owned(format!("scan.labels.vt.engine.{engine}"), n);
+        add(&format!("scan.labels.vt.engine.{engine}"), n);
     }
     for (label, n) in labels {
-        m.add_owned(format!("scan.labels.vt.label.{label}"), n);
+        add(&format!("scan.labels.vt.label.{label}"), n);
     }
     for (finding, n) in findings {
-        m.add_owned(format!("scan.labels.quttera.finding.{finding:?}"), n);
+        add(&format!("scan.labels.quttera.finding.{finding:?}"), n);
     }
     for (verdict, n) in verdicts {
-        m.add_owned(format!("scan.labels.quttera.verdict.{verdict:?}"), n);
+        add(&format!("scan.labels.quttera.verdict.{verdict:?}"), n);
     }
-    obs.merge_local(&m);
 }
 
 /// Tallies fault-layer costs and verdict provenance over the regular
@@ -983,9 +999,7 @@ fn scan_crawl(
     resume: &ResumeStats,
     shared_caches: Option<Arc<ScanCaches>>,
 ) -> Study {
-    for (_, s) in &stats {
-        obs.merge_local(&s.metrics);
-    }
+    record_crawl_tallies(&obs, &stats);
     record_crawl_fault_tallies(&obs, &health, resume);
     record_substrate_tallies(&obs, config.substrate, built.meta.len(), store.len() as u64);
 

@@ -76,10 +76,14 @@ pub struct CrawlStats {
     pub load_failures: u64,
     /// Credits earned (milli-credits).
     pub credits_earned_millis: i64,
-    /// Observability counters for this crawl (`crawl.*` namespace),
-    /// buffered per worker and merged into the study registry at phase
-    /// end.
-    pub metrics: slum_obs::LocalMetrics,
+    /// Surf steps taken (pages + burned CAPTCHAs).
+    pub surf_steps: u64,
+    /// Redirect hops followed.
+    pub redirects: u64,
+    /// Surf steps that landed inside a paid-campaign burst.
+    pub burst_steps: u64,
+    /// Visits that went through a URL shortener.
+    pub shortener_visits: u64,
 }
 
 /// The complete resumable state of one exchange crawl.
@@ -203,25 +207,18 @@ impl CrawlCursor {
         self.rng_s3 = s[3];
     }
 
-    /// The crawl statistics accumulated so far, with the `crawl.*`
-    /// observability counters the study merges at phase end.
+    /// The crawl statistics accumulated so far.
     pub fn stats(&self) -> CrawlStats {
-        let mut stats = CrawlStats {
+        CrawlStats {
             pages: self.pages,
             captcha_failures: self.captcha_failures,
             load_failures: self.load_failures,
             credits_earned_millis: self.credits_earned_millis,
-            metrics: slum_obs::LocalMetrics::new(),
-        };
-        stats.metrics.add("crawl.pages", self.pages);
-        stats.metrics.add("crawl.surf_steps", self.surf_steps);
-        stats.metrics.add("crawl.redirects_followed", self.redirects);
-        stats.metrics.add("crawl.burst_steps", self.burst_steps);
-        stats.metrics.add("crawl.shortener_visits", self.shortener_visits);
-        stats.metrics.add("crawl.captcha_failures", self.captcha_failures);
-        stats.metrics.add("crawl.load_failures", self.load_failures);
-        stats.metrics.add_owned(format!("crawl.steps.{}", self.exchange), self.surf_steps);
-        stats
+            surf_steps: self.surf_steps,
+            redirects: self.redirects,
+            burst_steps: self.burst_steps,
+            shortener_visits: self.shortener_visits,
+        }
     }
 
     /// The per-exchange health log accumulated so far.
@@ -560,16 +557,14 @@ mod tests {
     #[test]
     fn crawl_metrics_mirror_stats() {
         let (store, stats) = crawl("Cash N Hits", 120, 13);
-        let m = &stats.metrics;
-        assert_eq!(m.count("crawl.pages"), stats.pages);
-        assert_eq!(m.count("crawl.captcha_failures"), stats.captcha_failures);
-        assert_eq!(m.count("crawl.load_failures"), stats.load_failures);
+        assert_eq!(stats.pages, store.len() as u64);
         // Every logged page plus every burned CAPTCHA is one surf step.
-        assert_eq!(m.count("crawl.surf_steps"), stats.pages + stats.captcha_failures);
-        assert_eq!(m.count("crawl.steps.Cash N Hits"), m.count("crawl.surf_steps"));
+        assert_eq!(stats.surf_steps, stats.pages + stats.captcha_failures);
         let redirects: u64 =
             store.records().iter().map(|r| u64::from(r.redirect_hops)).sum();
-        assert_eq!(m.count("crawl.redirects_followed"), redirects);
+        assert_eq!(stats.redirects, redirects);
+        let shortened = store.records().iter().filter(|r| r.via_shortener).count();
+        assert_eq!(stats.shortener_visits, shortened as u64);
     }
 
     #[test]

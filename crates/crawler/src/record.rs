@@ -95,11 +95,6 @@ impl CrawlRecord {
     pub fn domain(&self) -> String {
         self.url.registered_domain()
     }
-
-    /// The registered domain of the final URL.
-    pub fn final_domain(&self) -> String {
-        self.final_url.registered_domain()
-    }
 }
 
 #[cfg(test)]

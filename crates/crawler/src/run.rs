@@ -551,16 +551,9 @@ mod tests {
         let web = b.finish();
         let (_, stats, _) =
             crawl_all_resilient(&web, &mut exchanges, 7, &CrawlFaultProfile::none(), |_| 20);
-        let mut merged = slum_obs::LocalMetrics::new();
-        for (_, s) in &stats {
-            merged.merge(&s.metrics);
-        }
-        assert_eq!(merged.count("crawl.pages"), 9 * 20);
-        let per_exchange: Vec<&str> = merged
-            .iter()
-            .filter(|(name, _)| name.starts_with("crawl.steps."))
-            .map(|(name, _)| name)
-            .collect();
+        assert_eq!(stats.iter().map(|(_, s)| s.pages).sum::<u64>(), 9 * 20);
+        let per_exchange: std::collections::BTreeSet<&str> =
+            stats.iter().filter(|(_, s)| s.surf_steps > 0).map(|(name, _)| name.as_str()).collect();
         assert_eq!(per_exchange.len(), 9, "{per_exchange:?}");
     }
 

@@ -76,12 +76,6 @@ impl<'w> VirusTotal<'w> {
         VirusTotal { web, engines: default_engines(), threshold: 2 }
     }
 
-    /// Overrides the positives threshold.
-    pub fn with_threshold(mut self, threshold: usize) -> Self {
-        self.threshold = threshold.max(1);
-        self
-    }
-
     /// Number of engines in the battery.
     pub fn engine_count(&self) -> usize {
         self.engines.len()

@@ -138,11 +138,6 @@ impl Ledger {
         id
     }
 
-    /// Number of accounts.
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
-    }
-
     /// Borrows an account.
     pub fn account(&self, id: AccountId) -> Option<&Account> {
         self.accounts.get(&id)
@@ -228,11 +223,6 @@ impl Ledger {
     pub fn is_conserved(&self) -> bool {
         let members: i64 = self.accounts.values().map(|a| a.balance_millis).sum();
         members + self.house_millis == self.minted_millis
-    }
-
-    /// Total milli-credits held by members.
-    pub fn member_total_millis(&self) -> i64 {
-        self.accounts.values().map(|a| a.balance_millis).sum()
     }
 
     /// The house pool (negative when the exchange has paid out more surf

@@ -580,14 +580,6 @@ mod tests {
         env
     }
 
-    fn run_vm(src: &str) -> Vec<String> {
-        let env = test_env();
-        let mut host = TestHost { log: Vec::new() };
-        let mut vm = Vm::new(DEFAULT_BUDGET, None);
-        vm.run_source(src, &env, &mut host).expect("vm run");
-        host.log
-    }
-
     /// Runs `src` on both engines and asserts identical host-visible
     /// behaviour including the step count.
     fn assert_engines_agree(src: &str) {

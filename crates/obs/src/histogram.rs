@@ -8,6 +8,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use serde::{Deserialize, Serialize};
+
 /// Number of log2 buckets. 2^63 nanoseconds is ~292 years, so 64
 /// buckets cover any duration this workspace can observe.
 const BUCKETS: usize = 64;
@@ -101,7 +103,7 @@ fn upper_bound(i: usize) -> u64 {
 
 /// Immutable histogram state: totals plus `(upper_bound, count)` pairs
 /// for every non-empty bucket, in ascending bound order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,
@@ -109,17 +111,6 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// `(inclusive upper bound, samples)` for non-empty buckets.
     pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +138,6 @@ mod tests {
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 2030);
         assert_eq!(s.buckets, vec![(1, 1), (3, 2), (1023, 1), (2047, 1)]);
-        assert!((s.mean() - 406.0).abs() < 1e-9);
     }
 
     #[test]
@@ -165,10 +155,5 @@ mod tests {
         });
         assert_eq!(h.count(), 8000);
         assert_eq!(h.sum(), 8 * 499_500);
-    }
-
-    #[test]
-    fn empty_snapshot_mean_is_zero() {
-        assert_eq!(Histogram::new().snapshot().mean(), 0.0);
     }
 }

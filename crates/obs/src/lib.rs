@@ -1,8 +1,8 @@
 //! # slum-obs
 //!
 //! The observability substrate for the malware-slums reproduction: a
-//! lightweight, dependency-free metrics layer that every crate in the
-//! workspace can link without cycles.
+//! lightweight metrics layer whose only dependencies are the vendored
+//! serde and serde_json, which write and read its snapshots.
 //!
 //! The paper's credibility rests on knowing exactly what the crawler
 //! and the scanners did — how many URLs were surfed, how many scans hit
@@ -13,12 +13,9 @@
 //! - monotonic [`Counter`]s and settable [`Gauge`]s (lock-free atomics);
 //! - [`Histogram`]s with fixed log-scale buckets for latencies;
 //! - named span timers ([`Registry::span`]) for phase wall-clock;
-//! - [`LocalMetrics`] — a per-worker plain-integer buffer for hot
-//!   paths, merged into the registry at phase end so parallel workers
-//!   never contend on shared counters;
 //! - [`MetricsSnapshot`] — an immutable, ordered view of everything,
-//!   serializable to JSON and parseable back ([`MetricsSnapshot::to_json`],
-//!   [`MetricsSnapshot::from_json`]);
+//!   written as pretty JSON by [`MetricsSnapshot::to_json`] and read
+//!   back with `serde_json::from_str`;
 //! - [`TenantRegistries`] — per-tenant registries for a multi-study
 //!   service, with a namespaced global rollup
 //!   ([`TenantRegistries::global_snapshot`]).
@@ -43,7 +40,7 @@
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("crawl.pages"), 3);
 //! let json = snapshot.to_json();
-//! let back = slum_obs::MetricsSnapshot::from_json(&json).unwrap();
+//! let back: slum_obs::MetricsSnapshot = serde_json::from_str(&json).unwrap();
 //! assert_eq!(back, snapshot);
 //! ```
 
@@ -51,14 +48,11 @@
 #![warn(missing_docs)]
 
 pub mod histogram;
-pub mod json;
-pub mod local;
 pub mod registry;
 pub mod rollup;
 pub mod snapshot;
 
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use local::LocalMetrics;
 pub use registry::{Counter, Gauge, Registry, SpanGuard};
 pub use rollup::TenantRegistries;
 pub use snapshot::{MetricsSnapshot, SpanSnapshot};

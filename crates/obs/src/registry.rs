@@ -6,7 +6,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::histogram::Histogram;
-use crate::local::LocalMetrics;
 use crate::snapshot::{MetricsSnapshot, SpanSnapshot};
 
 /// A monotonic counter handle. Cloning is cheap (an `Arc` bump); all
@@ -60,8 +59,7 @@ struct SpanRecord {
 /// Metric handles ([`Counter`], [`Gauge`], [`Histogram`]) are created
 /// on first use and live as long as the registry; looking one up takes
 /// a short mutex on the name table, so hot paths should either hold a
-/// handle or batch increments in a [`LocalMetrics`] buffer and merge
-/// once per phase ([`Registry::merge_local`]).
+/// handle or tally in plain integers and add each total once.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
@@ -128,13 +126,6 @@ impl Registry {
             .lock()
             .expect("span table poisoned")
             .push(SpanRecord { name: name.to_string(), nanos });
-    }
-
-    /// Adds every counter delta in a per-worker buffer to this registry.
-    pub fn merge_local(&self, local: &LocalMetrics) {
-        for (name, delta) in local.iter() {
-            self.counter(name).add(delta);
-        }
     }
 
     /// Folds a whole snapshot into this registry: counters add, gauges
@@ -255,18 +246,6 @@ mod tests {
         assert_eq!(snap.spans.len(), 2);
         assert_eq!(snap.spans[0].name, "phase.test");
         assert_eq!(snap.spans[1].nanos, 42);
-    }
-
-    #[test]
-    fn merge_local_adds_deltas() {
-        let r = Registry::new();
-        r.counter("x").add(1);
-        let mut local = LocalMetrics::new();
-        local.add("x", 2);
-        local.add("y", 7);
-        r.merge_local(&local);
-        assert_eq!(r.counter("x").get(), 3);
-        assert_eq!(r.counter("y").get(), 7);
     }
 
     #[test]

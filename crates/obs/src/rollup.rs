@@ -47,11 +47,6 @@ impl TenantRegistries {
         self.tenant(name).absorb(snap);
     }
 
-    /// Tenant names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.tenants.lock().expect("tenant table poisoned").keys().cloned().collect()
-    }
-
     /// One snapshot over every tenant: each metric appears namespaced
     /// as `tenant.<name>.<metric>`, and counters/histograms additionally
     /// roll up under their bare name (summed across tenants). Spans are
@@ -113,7 +108,6 @@ mod tests {
         assert_eq!(g.counter("scan.total"), 7, "bare name sums across tenants");
         assert_eq!(g.gauge("tenant.a.scan.workers"), 2);
         assert_eq!(g.gauge("scan.workers"), 0, "gauges never roll up");
-        assert_eq!(t.names(), vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]

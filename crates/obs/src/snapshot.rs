@@ -1,13 +1,14 @@
-//! Immutable snapshots of a registry, with JSON in and out.
+//! Immutable snapshots of a registry, written as JSON through serde.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use serde::{Deserialize, Serialize};
+
 use crate::histogram::HistogramSnapshot;
-use crate::json::{self, ParseError, Value};
 
 /// One completed span in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpanSnapshot {
     /// Span name (e.g. `phase.scan`).
     pub name: String,
@@ -23,7 +24,7 @@ impl SpanSnapshot {
 }
 
 /// An immutable, ordered view of every metric in a registry.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
@@ -80,132 +81,10 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Serializes the snapshot as pretty-printed JSON.
+    /// Serializes the snapshot as serde's pretty-printed JSON: an
+    /// object of `counters`, `gauges`, `histograms` and `spans`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"counters\": {");
-        write_map(&mut out, self.counters.iter(), |out, v| out.push_str(&v.to_string()));
-        out.push_str("},\n  \"gauges\": {");
-        write_map(&mut out, self.gauges.iter(), |out, v| out.push_str(&v.to_string()));
-        out.push_str("},\n  \"histograms\": {");
-        write_map(&mut out, self.histograms.iter(), |out, h| {
-            out.push_str(&format!("{{\"count\": {}, \"sum\": {}, \"buckets\": [", h.count, h.sum));
-            for (i, (le, n)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{le}, {n}]"));
-            }
-            out.push_str("]}");
-        });
-        out.push_str("},\n  \"spans\": [");
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json::write_escaped(&mut out, &span.name);
-            out.push_str(&format!(", \"nanos\": {}}}", span.nanos));
-        }
-        if !self.spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Parses a snapshot back from [`MetricsSnapshot::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] on malformed JSON or a document that
-    /// does not have the snapshot shape.
-    pub fn from_json(input: &str) -> Result<MetricsSnapshot, ParseError> {
-        let doc = json::parse(input)?;
-        let top = doc.as_object().ok_or_else(|| shape_err("top level must be an object"))?;
-
-        let mut snapshot = MetricsSnapshot::default();
-        if let Some(counters) = top.get("counters") {
-            let map = counters.as_object().ok_or_else(|| shape_err("counters"))?;
-            for (name, v) in map {
-                let v = v.as_u64().ok_or_else(|| shape_err("counter value"))?;
-                snapshot.counters.insert(name.clone(), v);
-            }
-        }
-        if let Some(gauges) = top.get("gauges") {
-            let map = gauges.as_object().ok_or_else(|| shape_err("gauges"))?;
-            for (name, v) in map {
-                let v = v.as_i64().ok_or_else(|| shape_err("gauge value"))?;
-                snapshot.gauges.insert(name.clone(), v);
-            }
-        }
-        if let Some(histograms) = top.get("histograms") {
-            let map = histograms.as_object().ok_or_else(|| shape_err("histograms"))?;
-            for (name, h) in map {
-                let h = h.as_object().ok_or_else(|| shape_err("histogram"))?;
-                let count = field_u64(h, "count")?;
-                let sum = field_u64(h, "sum")?;
-                let mut buckets = Vec::new();
-                for pair in
-                    h.get("buckets").and_then(Value::as_array).ok_or_else(|| shape_err("buckets"))?
-                {
-                    let pair = pair.as_array().ok_or_else(|| shape_err("bucket pair"))?;
-                    let [le, n] = pair else { return Err(shape_err("bucket pair arity")) };
-                    buckets.push((
-                        le.as_u64().ok_or_else(|| shape_err("bucket bound"))?,
-                        n.as_u64().ok_or_else(|| shape_err("bucket count"))?,
-                    ));
-                }
-                snapshot
-                    .histograms
-                    .insert(name.clone(), HistogramSnapshot { count, sum, buckets });
-            }
-        }
-        if let Some(spans) = top.get("spans") {
-            for span in spans.as_array().ok_or_else(|| shape_err("spans"))? {
-                let span = span.as_object().ok_or_else(|| shape_err("span"))?;
-                let name = span
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| shape_err("span name"))?;
-                snapshot
-                    .spans
-                    .push(SpanSnapshot { name: name.to_string(), nanos: field_u64(span, "nanos")? });
-            }
-        }
-        Ok(snapshot)
-    }
-}
-
-fn shape_err(what: &str) -> ParseError {
-    ParseError { message: format!("snapshot shape mismatch: {what}"), offset: 0 }
-}
-
-fn field_u64(map: &BTreeMap<String, Value>, key: &str) -> Result<u64, ParseError> {
-    map.get(key).and_then(Value::as_u64).ok_or_else(|| shape_err(key))
-}
-
-/// Writes `"key": <value>` pairs into an already-open JSON object.
-fn write_map<'a, V: 'a>(
-    out: &mut String,
-    entries: impl Iterator<Item = (&'a String, &'a V)>,
-    mut write_value: impl FnMut(&mut String, &V),
-) {
-    let mut first = true;
-    let mut any = false;
-    for (key, value) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        any = true;
-        out.push_str("\n    ");
-        json::write_escaped(out, key);
-        out.push_str(": ");
-        write_value(out, value);
-    }
-    if any {
-        out.push_str("\n  ");
+        serde_json::to_string_pretty(self).expect("a snapshot always serializes")
     }
 }
 
@@ -229,14 +108,34 @@ mod tests {
     #[test]
     fn json_round_trip_is_lossless() {
         let snap = sample();
-        let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parse");
+        let back: MetricsSnapshot = serde_json::from_str(&snap.to_json()).expect("parse");
         assert_eq!(back, snap);
     }
 
     #[test]
     fn empty_snapshot_round_trips() {
         let snap = MetricsSnapshot::default();
-        assert_eq!(MetricsSnapshot::from_json(&snap.to_json()).unwrap(), snap);
+        assert_eq!(serde_json::from_str::<MetricsSnapshot>(&snap.to_json()).unwrap(), snap);
+    }
+
+    /// Readers outside Rust (`scripts/ci.sh`, serve clients of
+    /// `stream-metrics`) rely on this document shape; the whitespace
+    /// is free to change.
+    #[test]
+    fn json_document_has_the_documented_shape() {
+        let got: serde_json::Value = serde_json::from_str(&sample().to_json()).expect("parse");
+        let want: serde_json::Value = serde_json::from_str(
+            r#"{
+                "counters": {"crawl.pages": 12, "scan.labels.vt.Trojan:JS/Redirector": 3},
+                "gauges": {"scan.workers": 4},
+                "histograms": {
+                    "scan.sample_nanos": {"count": 2, "sum": 1590, "buckets": [[127, 1], [2047, 1]]}
+                },
+                "spans": [{"name": "phase.build", "nanos": 1234}, {"name": "phase.scan", "nanos": 42000}]
+            }"#,
+        )
+        .expect("parse");
+        assert_eq!(got, want);
     }
 
     #[test]

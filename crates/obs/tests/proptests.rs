@@ -1,18 +1,15 @@
-//! Property tests for the hand-rolled snapshot JSON layer: the writer
-//! (`json::write_escaped`, `MetricsSnapshot::to_json`) and the
-//! recursive-descent parser must be exact inverses over *arbitrary*
+//! Property tests for the snapshot JSON: `MetricsSnapshot::to_json`
+//! and `serde_json::from_str` must be exact inverses over *arbitrary*
 //! metric names and the full value ranges — metric names come from
 //! scan-label families like `scan.labels.vt.Trojan:JS/Redirector` and
 //! are adversarial by assumption (labels embed quotes, backslashes and
 //! control characters from hostile page content).
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use slum_obs::histogram::HistogramSnapshot;
-use slum_obs::json::{self, Value};
 use slum_obs::{MetricsSnapshot, Registry, SpanSnapshot};
 
 /// Arbitrary metric names over the whole Latin-1 range: includes every
@@ -67,27 +64,14 @@ fn snapshot_from_parts(
     snapshot
 }
 
+fn parse(doc: &str) -> MetricsSnapshot {
+    serde_json::from_str(doc).expect("a snapshot document parses")
+}
+
 proptest! {
-    /// Escaping any Latin-1 string (controls, quotes, backslashes)
-    /// parses back to the identical string.
-    #[test]
-    fn escaped_strings_round_trip(name in name_strategy()) {
-        let mut doc = String::new();
-        json::write_escaped(&mut doc, &name);
-        prop_assert_eq!(json::parse(&doc).unwrap().as_str(), Some(name.as_str()));
-    }
-
-    /// Same for arbitrary unicode scalar values across all planes.
-    #[test]
-    fn unicode_strings_round_trip(name in unicode_name_strategy()) {
-        let mut doc = String::new();
-        json::write_escaped(&mut doc, &name);
-        prop_assert_eq!(json::parse(&doc).unwrap().as_str(), Some(name.as_str()));
-    }
-
     /// Full snapshots — hostile names in every table, extreme counter
     /// and gauge values (u64::MAX, i64::MIN), real histogram buckets,
-    /// repeated span names — survive to_json/from_json bit-for-bit.
+    /// repeated span names — survive to_json and back bit-for-bit.
     #[test]
     fn snapshot_round_trip_is_lossless(
         counters in vec((name_strategy(), any::<u64>()), 0..6),
@@ -102,8 +86,7 @@ proptest! {
         let snapshot = snapshot_from_parts(
             counters, gauges, histogram_names, histogram_samples, spans,
         );
-        let parsed = MetricsSnapshot::from_json(&snapshot.to_json()).unwrap();
-        prop_assert_eq!(parsed, snapshot);
+        prop_assert_eq!(parse(&snapshot.to_json()), snapshot);
     }
 
     /// An empty registry's snapshot round-trips (the writer's empty
@@ -112,83 +95,31 @@ proptest! {
     fn empty_registry_round_trips(_nothing in any::<bool>()) {
         let snapshot = Registry::new().snapshot();
         prop_assert_eq!(snapshot.counters.len(), 0);
-        let parsed = MetricsSnapshot::from_json(&snapshot.to_json()).unwrap();
-        prop_assert_eq!(parsed, snapshot);
-    }
-
-    /// The parser is total: arbitrary bytes either parse or error, no
-    /// panics — and whatever parses re-serializes to something that
-    /// parses to the same value (writer/parser agreement on the whole
-    /// value domain, not just snapshot-shaped documents).
-    #[test]
-    fn parser_is_total_and_reprint_agrees(input in name_strategy()) {
-        if let Ok(value) = json::parse(&input) {
-            let reprinted = print_value(&value);
-            prop_assert_eq!(json::parse(&reprinted).unwrap(), value);
-        }
+        prop_assert_eq!(parse(&snapshot.to_json()), snapshot);
     }
 }
 
-/// Serializes a parsed [`Value`] back to JSON with the writer's own
-/// escaping rules.
-fn print_value(value: &Value) -> String {
-    fn go(value: &Value, out: &mut String) {
-        match value {
-            Value::Object(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_escaped(out, k);
-                    out.push(':');
-                    go(v, out);
-                }
-                out.push('}');
-            }
-            Value::Array(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    go(v, out);
-                }
-                out.push(']');
-            }
-            Value::String(s) => json::write_escaped(out, s),
-            Value::Int(i) => out.push_str(&i.to_string()),
-        }
-    }
-    let mut out = String::new();
-    go(value, &mut out);
-    out
-}
-
-/// Regression pins for divergences the property hunt surfaced (kept as
-/// plain tests so they run even with `PROPTEST_CASES=0`).
+/// Regression pins (kept as plain tests so they run even with
+/// `PROPTEST_CASES=0`).
 mod regressions {
     use super::*;
 
-    /// `u32::from_str_radix` accepts a leading `+`, so the `\u` escape
-    /// parser used to accept `\u+1ff` (three digits and a sign) as
-    /// U+01FF instead of rejecting it.
-    #[test]
-    fn unicode_escape_requires_four_hex_digits() {
-        assert!(json::parse(r#""\u+1ff""#).is_err());
-        assert!(json::parse(r#""\u-1ff""#).is_err());
-        assert_eq!(json::parse(r#""ǿ""#).unwrap().as_str(), Some("\u{1ff}"));
-    }
-
-    /// Control characters below 0x20 that lack a shorthand escape are
-    /// written as `\u00XX` and parse back.
+    /// Control characters below 0x20 in a metric name are escaped in
+    /// the document, whose only raw controls are the pretty printer's
+    /// line breaks (each line opens with a JSON token, so none sits
+    /// inside a string), and parse back.
     #[test]
     fn bare_control_chars_round_trip() {
         let name: String = (0u8..0x20).map(char::from).collect();
-        let mut doc = String::new();
-        json::write_escaped(&mut doc, &name);
-        assert!(!doc.bytes().any(|b| b < 0x20), "controls must be escaped");
-        assert_eq!(json::parse(&doc).unwrap().as_str(), Some(name.as_str()));
+        let mut snapshot = MetricsSnapshot::default();
+        snapshot.counters.insert(name, 1);
+        let doc = snapshot.to_json();
+        assert!(!doc.bytes().any(|b| b < 0x20 && b != b'\n'), "controls must be escaped");
+        for line in doc.lines() {
+            let token = line.trim_start_matches(' ');
+            assert!(token.starts_with(['"', '{', '}', '[', ']']), "raw line break in {line:?}");
+        }
+        assert_eq!(parse(&doc), snapshot);
     }
 
     /// The extreme numeric corners of every table survive.
@@ -198,14 +129,11 @@ mod regressions {
         snapshot.counters.insert("c".to_string(), u64::MAX);
         snapshot.gauges.insert("g".to_string(), i64::MIN);
         snapshot.gauges.insert("g2".to_string(), i64::MAX);
-        let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-        counts.insert("h".to_string(), 1);
         let registry = Registry::new();
         registry.histogram("h").record(u64::MAX);
         snapshot.histograms = registry.snapshot().histograms;
         registry.record_span("s", Duration::from_nanos(u64::MAX / 2));
         snapshot.spans = registry.snapshot().spans;
-        let parsed = MetricsSnapshot::from_json(&snapshot.to_json()).unwrap();
-        assert_eq!(parsed, snapshot);
+        assert_eq!(parse(&snapshot.to_json()), snapshot);
     }
 }

@@ -425,8 +425,8 @@ mod tests {
 
         let metrics = roundtrip(&mut reader, &mut writer, r#"{"op":"stream-metrics"}"#);
         let metrics_json = metrics.metrics.expect("metrics payload");
-        let snapshot =
-            slum_obs::MetricsSnapshot::from_json(&metrics_json).expect("metrics parse");
+        let snapshot: slum_obs::MetricsSnapshot =
+            serde_json::from_str(&metrics_json).expect("metrics parse");
         assert!(snapshot.counter("serve.studies.completed") >= 1);
         assert!(snapshot.counter("tenant.smoke.crawl.pages") > 0);
 
@@ -565,8 +565,8 @@ mod tests {
         assert!(shed.retry_after_ms.is_some());
 
         let metrics = roundtrip(&mut first_reader, &mut first_writer, r#"{"op":"stream-metrics"}"#);
-        let snapshot = slum_obs::MetricsSnapshot::from_json(&metrics.metrics.expect("payload"))
-            .expect("metrics parse");
+        let snapshot: slum_obs::MetricsSnapshot =
+            serde_json::from_str(&metrics.metrics.expect("payload")).expect("metrics parse");
         assert!(snapshot.counter("serve.shed.connections") >= 1);
         daemon.shutdown();
         std::fs::remove_dir_all(&root).ok();

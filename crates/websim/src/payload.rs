@@ -178,13 +178,6 @@ pub fn rotating_redirector_page(site_name: &str, script_url: &Url) -> String {
     )
 }
 
-/// The server-side rotating redirector's script body: navigates to a
-/// different destination on every fetch (the destination is baked in by
-/// the server at serve time).
-pub fn redirector_script_body(destination: &Url) -> String {
-    format!("window.location.href = '{destination}';")
-}
-
 /// A page that participates in a redirect chain only via meta refresh —
 /// used as the final hop shape in Figure 4.
 pub fn meta_refresh_page(target: &Url) -> String {

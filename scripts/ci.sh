@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: build, test, slumbench's own tests, then one daemon
-# smoke. Everything a single process can show — determinism across
+# CI entry point: a warning-free build, test, slumbench's own tests,
+# then one daemon smoke. Everything a single process can show — determinism across
 # execution plans, the golden artifacts, the `repro` command line —
 # lives in `cargo test`; the smoke covers what needs a real daemon
 # process: a `kill -9`, on-disk corruption and a restart over the same
@@ -8,7 +8,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --all-targets
+# The build must print no warning. Cargo replays the warnings of the
+# crates it does not rebuild, so this one build's output covers every
+# target.
+build_log="$(mktemp -t CI_BUILD.XXXXXX.txt)"
+cargo build --release --all-targets 2>&1 | tee "$build_log"
+if grep -q '^warning:' "$build_log"; then
+    rm -f "$build_log"
+    echo "ci.sh: the build printed warnings"
+    exit 1
+fi
+rm -f "$build_log"
 cargo test -q
 # slumbench is a workspace of its own, so the root `cargo test` skips
 # its unit tests and its toy smoke of every workload.

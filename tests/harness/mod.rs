@@ -18,7 +18,7 @@
 //!
 //! [`run_case`] holds a plan to its world's plain `Study::run` with
 //! every execution knob at its builder default ([`Reference`]): the
-//! same export, corpus, outcomes and health logs, and the same
+//! same export, records, outcomes and health logs, and the same
 //! deterministic counters except the mode keys of the knobs the plan
 //! moved ([`MODE_KEYS`]). Each reference also checks the world
 //! invariants: every planned surf slot is crawled or lost, and an
@@ -44,7 +44,7 @@ use malware_slums::scanpipe::{DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD}
 use malware_slums::study::{CrawlSession, Restore, Study, StudyConfig, StudyConfigBuilder};
 use malware_slums::substrate::{build_substrate, Substrate};
 use malware_slums::{CheckpointError, DiskFaultProfile};
-use slum_crawler::{CrawlFaultProfile, CrawlHealth};
+use slum_crawler::{CrawlFaultProfile, CrawlHealth, RecordStore};
 use slum_detect::fault::FaultProfile;
 use slum_serve::Service;
 
@@ -126,9 +126,12 @@ impl World {
 pub struct Observed {
     pub export: String,
     pub digest: String,
-    /// Corpus JSONL, outcomes and health logs; `None` for a service
-    /// tenant, whose study stays inside the service.
-    pub corpus: Option<(String, Vec<ScanOutcome>, Vec<CrawlHealth>)>,
+    /// Records, outcomes and health logs; `None` for a service tenant,
+    /// whose study stays inside the service. Two stores of one config
+    /// are equal exactly when their corpus JSON lines are (a line is the
+    /// record plus a load replayed from it), so the lines are left to
+    /// the digest pins.
+    pub corpus: Option<(RecordStore, Vec<ScanOutcome>, Vec<CrawlHealth>)>,
     pub counters: BTreeMap<String, i128>,
 }
 
@@ -137,11 +140,7 @@ impl Observed {
         Observed {
             export: export::to_json(study).expect("serializable export"),
             digest: export::artifact_digest(study).expect("serializable export"),
-            corpus: Some((
-                study.corpus_jsonl().expect("serializable corpus"),
-                study.outcomes.clone(),
-                study.health.clone(),
-            )),
+            corpus: Some((study.store.clone(), study.outcomes.clone(), study.health.clone())),
             counters: study.metrics().deterministic_counters(),
         }
     }
@@ -369,9 +368,9 @@ pub fn assert_reproduces(reference: &Reference, got: &Observed, plan: &Plan, who
     let want = &reference.out;
     assert_eq!(got.digest, want.digest, "{who}: artifact digest");
     assert!(got.export == want.export, "{who}: export JSON differs");
-    if let Some((jsonl, outcomes, health)) = &got.corpus {
-        let (want_jsonl, want_outcomes, want_health) = want.corpus.as_ref().expect("reference");
-        assert!(jsonl == want_jsonl, "{who}: corpus JSONL differs");
+    if let Some((store, outcomes, health)) = &got.corpus {
+        let (want_store, want_outcomes, want_health) = want.corpus.as_ref().expect("reference");
+        assert!(store == want_store, "{who}: records differ");
         assert!(outcomes == want_outcomes, "{who}: scan outcomes differ");
         assert_eq!(health, want_health, "{who}: health logs");
     }

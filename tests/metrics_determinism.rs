@@ -80,7 +80,7 @@ fn key_counters_are_nonzero_and_cross_consistent() {
 fn metrics_snapshot_round_trips_through_json() {
     let snapshot = parallel_snapshot();
     let json = snapshot.to_json();
-    let parsed = MetricsSnapshot::from_json(&json).expect("valid metrics JSON");
+    let parsed: MetricsSnapshot = serde_json::from_str(&json).expect("valid metrics JSON");
     assert_eq!(parsed, snapshot);
 
     // The same document also parses as plain JSON for external tooling
