@@ -58,7 +58,7 @@ use std::sync::OnceLock;
 
 use malware_slums::artifact::{Artifact, ArtifactKind};
 use malware_slums::report::Render;
-use malware_slums::study::{CrawlSession, Restore, Study, StudyConfig};
+use malware_slums::study::{CrawlSession, Restore, Study, StudyConfig, DEFAULT_CHECKPOINT_EVERY};
 use malware_slums::substrate::Substrate;
 use malware_slums::DiskFaultProfile;
 use slum_crawler::CrawlFaultProfile;
@@ -78,10 +78,6 @@ const EXTRA_ARTIFACTS: [&str; 11] = [
     "all", "vetting", "burst", "cloaking", "staleness", "faultloss", "crawlloss", "cases", "json",
     "chaos", "serve",
 ];
-
-/// Surf slots per checkpoint segment when `--checkpoint-every` is not
-/// given.
-const DEFAULT_CHECKPOINT_EVERY: u64 = 256;
 
 struct Args {
     artifacts: Vec<String>,

@@ -35,9 +35,8 @@
 //!
 //! # Generations, quarantine and rollback
 //!
-//! [`CheckpointStore::save`] keeps the last
-//! [`DEFAULT_KEEP_GENERATIONS`] generations (configurable via
-//! [`CheckpointStore::with_keep_generations`]), pruning older files.
+//! [`CheckpointStore::save`] keeps the last [`KEEP_GENERATIONS`]
+//! generations, pruning older files.
 //! [`CheckpointStore::load_latest`] never gives up on the first corrupt
 //! file: it walks the generation chain newest→oldest, moving every
 //! file that fails structural/CRC validation into a `quarantine/`
@@ -78,8 +77,8 @@ pub const FORMAT_VERSION: u32 = 2;
 /// File extension of checkpoint files.
 pub const EXTENSION: &str = "slumckpt";
 
-/// Checkpoint generations a store retains by default.
-pub const DEFAULT_KEEP_GENERATIONS: usize = 4;
+/// Checkpoint generations a store retains.
+pub const KEEP_GENERATIONS: usize = 4;
 
 /// Name of the subdirectory corrupt checkpoints are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -497,16 +496,14 @@ pub struct CheckpointStore {
     dir: PathBuf,
     disk_faults: DiskFaultProfile,
     seed: u64,
-    keep_generations: usize,
     epoch: AtomicU64,
     stats: Arc<CkptStats>,
 }
 
 impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory. The store
-    /// starts with an inert fault profile and the default generation
-    /// retention; see [`Self::with_disk_faults`] and
-    /// [`Self::with_keep_generations`].
+    /// starts with an inert fault profile; see
+    /// [`Self::with_disk_faults`].
     ///
     /// # Errors
     ///
@@ -529,7 +526,6 @@ impl CheckpointStore {
             dir,
             disk_faults: DiskFaultProfile::none(),
             seed: 0,
-            keep_generations: DEFAULT_KEEP_GENERATIONS,
             epoch: AtomicU64::new(epoch),
             stats: Arc::new(stats),
         })
@@ -540,13 +536,6 @@ impl CheckpointStore {
     pub fn with_disk_faults(mut self, profile: DiskFaultProfile, seed: u64) -> Self {
         self.disk_faults = profile;
         self.seed = seed;
-        self
-    }
-
-    /// Sets how many checkpoint generations [`Self::save`] retains
-    /// (0 = unlimited).
-    pub fn with_keep_generations(mut self, keep: usize) -> Self {
-        self.keep_generations = keep;
         self
     }
 
@@ -647,16 +636,10 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Removes the oldest generations past the retention limit.
+    /// Removes the oldest generations past [`KEEP_GENERATIONS`].
     fn prune(&self) -> Result<(), CheckpointError> {
-        if self.keep_generations == 0 {
-            return Ok(());
-        }
         let files = self.list()?;
-        if files.len() <= self.keep_generations {
-            return Ok(());
-        }
-        for old in &files[..files.len() - self.keep_generations] {
+        for old in &files[..files.len().saturating_sub(KEEP_GENERATIONS)] {
             fs::remove_file(old).map_err(|e| io_err(old, &e))?;
             CkptStats::bump(&self.stats.pruned);
         }
@@ -1164,24 +1147,18 @@ mod tests {
     #[test]
     fn save_prunes_to_the_retention_limit() {
         let dir = scratch("prune");
-        let store = CheckpointStore::open(&dir).unwrap().with_keep_generations(4);
+        let store = CheckpointStore::open(&dir).unwrap();
         let header = sample_header();
-        for state in states(6) {
+        let saved = KEEP_GENERATIONS as u64 + 2;
+        for state in states(saved) {
             store.save(&header, &state).unwrap();
         }
         let files = store.list().unwrap();
-        assert_eq!(files.len(), 4, "keeps exactly K generations");
-        assert!(files[0].ends_with("ckpt-000003.slumckpt"), "oldest kept is round 3");
+        assert_eq!(files.len(), KEEP_GENERATIONS, "keeps exactly K generations");
+        let oldest = CheckpointStore::file_name(saved - KEEP_GENERATIONS as u64 + 1);
+        assert!(files[0].ends_with(&oldest), "oldest kept is {oldest}");
         assert_eq!(CkptStats::get(&store.stats().pruned), 2);
-        // Unlimited retention keeps everything.
-        let dir2 = scratch("prune-unlimited");
-        let store2 = CheckpointStore::open(&dir2).unwrap().with_keep_generations(0);
-        for state in states(6) {
-            store2.save(&header, &state).unwrap();
-        }
-        assert_eq!(store2.list().unwrap().len(), 6);
         fs::remove_dir_all(&dir).unwrap();
-        fs::remove_dir_all(&dir2).unwrap();
     }
 
     #[test]
@@ -1211,29 +1188,36 @@ mod tests {
         let seed = 2016u64;
         let header = sample_header();
         let dir = scratch("faults");
-        let store = CheckpointStore::open(&dir)
-            .unwrap()
-            .with_disk_faults(profile.clone(), seed)
-            .with_keep_generations(0);
-        let mut landed = Vec::new();
+        let store =
+            CheckpointStore::open(&dir).unwrap().with_disk_faults(profile.clone(), seed);
         // Each injected ENOSPC persistently advances the epoch (that is
         // the anti-livelock mechanism), so the expected schedule walks
         // the same moving key.
         let mut epoch = 0u64;
         for state in states(300) {
+            let round = state.round;
             match store.save(&header, &state) {
-                Ok(path) => landed.push((state.round, epoch, path)),
+                // Every file the schedule says was damaged must fail to
+                // decode; every clean one must load. Checked as it
+                // lands: pruning keeps only the newest generations.
+                Ok(path) => {
+                    let loadable = CheckpointStore::load(&path).is_ok();
+                    match profile.fate(seed, round, epoch) {
+                        None => assert!(loadable, "round {round}: clean save must load"),
+                        Some(DiskFault::Full) => unreachable!("ENOSPC never lands a file"),
+                        Some(_) => assert!(!loadable, "round {round}: damaged save must not load"),
+                    }
+                }
                 Err(CheckpointError::DiskFull { .. }) => {
                     assert_eq!(
-                        profile.fate(seed, state.round, epoch),
+                        profile.fate(seed, round, epoch),
                         Some(DiskFault::Full),
-                        "round {}: ENOSPC off schedule",
-                        state.round
+                        "round {round}: ENOSPC off schedule"
                     );
                     epoch += 1;
                     assert_eq!(store.epoch(), epoch, "ENOSPC must bump the epoch");
                 }
-                Err(e) => panic!("round {}: {e}", state.round),
+                Err(e) => panic!("round {round}: {e}"),
             }
         }
         let s = store.stats();
@@ -1241,16 +1225,6 @@ mod tests {
         assert!(CkptStats::get(&s.short_writes) > 0);
         assert!(CkptStats::get(&s.bit_flips) > 0);
         assert!(CkptStats::get(&s.disk_full) > 0);
-        // Every file the schedule says was damaged must fail to decode;
-        // every clean one must load.
-        for (round, epoch, path) in &landed {
-            let loadable = CheckpointStore::load(path).is_ok();
-            match profile.fate(seed, *round, *epoch) {
-                None => assert!(loadable, "round {round}: clean save must load"),
-                Some(DiskFault::Full) => unreachable!("ENOSPC never lands a file"),
-                Some(_) => assert!(!loadable, "round {round}: damaged save must not load"),
-            }
-        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -170,7 +170,7 @@ pub fn run_crawl_loss_experiment(config: &CrawlLossConfig) -> CrawlLossReport {
             PROFILES.iter().find(|p| p.name == row_base.exchange).expect("known exchange");
         rows.push(ExchangeBiasRow {
             exchange: row_base.exchange.clone(),
-            planned_steps: steps_for(profile, config.crawl_scale),
+            planned_steps: steps_for(profile.urls_crawled, config.crawl_scale),
             pages_baseline: row_base.crawled,
             pages_faulted: row_faulted.crawled,
             lost_steps: health.lost_steps,

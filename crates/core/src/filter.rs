@@ -57,12 +57,6 @@ impl ReferralFilter {
         }
     }
 
-    /// Adds an extra popular host.
-    pub fn with_popular_host(mut self, host: impl Into<String>) -> Self {
-        self.popular_hosts.insert(host.into());
-        self
-    }
-
     /// Classifies one record by its surfed URL's host.
     pub fn classify(&self, record: &CrawlRecord) -> ReferralClass {
         let host = record.url.host();
@@ -161,14 +155,5 @@ mod tests {
         let (s, p, r) = f.counts(&records);
         assert_eq!((s, p, r), (1, 1, 2));
         assert_eq!(s + p + r, records.len() as u64);
-    }
-
-    #[test]
-    fn extra_popular_host_honoured() {
-        let f = filter().with_popular_host("ajax.googleapis.example");
-        assert_eq!(
-            f.classify(&rec("http://ajax.googleapis.example/lib.js")),
-            ReferralClass::PopularReferral
-        );
     }
 }

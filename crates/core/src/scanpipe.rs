@@ -380,11 +380,6 @@ impl ScanCaches {
         *self.table_mut() = SampleTable::default();
     }
 
-    /// Drops the compiled-JS module cache too (fully cold scans).
-    pub fn clear_modules(&self) {
-        self.js_modules.clear();
-    }
-
     /// Number of distinct URLs whose scan samples are cached.
     pub fn cached_urls(&self) -> usize {
         self.table().urls.len()
@@ -594,16 +589,6 @@ impl<'w> ScanPipeline<'w> {
         self
     }
 
-    /// The pipeline's cache set (shared or private).
-    pub fn caches(&self) -> &Arc<ScanCaches> {
-        &self.caches
-    }
-
-    /// The JS engine this pipeline scans with.
-    pub fn js_engine(&self) -> JsEngine {
-        self.js_engine
-    }
-
     /// Attaches a compiled fault schedule: every subsequent scan replays
     /// the plan's frozen per-request decisions (so verdicts stay
     /// bit-identical across worker counts).
@@ -617,25 +602,14 @@ impl<'w> ScanPipeline<'w> {
         self.fault_plan.as_ref()
     }
 
-    /// Direct access to the blacklist database.
-    pub fn blacklists(&self) -> &BlacklistDb {
-        &self.blacklists
-    }
-
     /// Drops all memoized state (page features and finished samples).
     /// Verdicts are deterministic with or without warm caches; tests
     /// use this to scan cold again without rebuilding the pipeline.
     ///
     /// The compiled-module cache survives: modules are keyed by content
-    /// hash and behaviourally inert. Use
-    /// [`ScanPipeline::clear_module_cache`] for a fully cold run.
+    /// hash and behaviourally inert.
     pub fn clear_caches(&self) {
         self.caches.clear();
-    }
-
-    /// Drops the compiled-JS module cache too (fully cold scans).
-    pub fn clear_module_cache(&self) {
-        self.caches.clear_modules();
     }
 
     /// Number of distinct URLs whose scan samples are cached.

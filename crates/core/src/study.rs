@@ -116,6 +116,11 @@ pub const DEFAULT_SUBSTRATE: Substrate = Substrate::Exchange;
 /// Scan-phase JavaScript engine of the default configuration.
 pub const DEFAULT_JS_ENGINE: JsEngine = JsEngine::Vm;
 
+/// Checkpoint cadence (surf slots per source between checkpoints) of
+/// daemon-submitted studies and of checkpointed `repro` runs that name
+/// none; also the daemon scheduler's preemption grain.
+pub const DEFAULT_CHECKPOINT_EVERY: u64 = 256;
+
 impl Default for StudyConfig {
     fn default() -> Self {
         StudyConfig {
@@ -734,10 +739,11 @@ impl CrawlSession {
     }
 }
 
-/// Per-exchange crawl steps at a given scale (minimum 40 so small-scale
-/// runs still populate every row).
-pub fn steps_for(profile: &slum_exchange::ExchangeProfile, scale: f64) -> u64 {
-    ((profile.urls_crawled as f64 * scale).round() as u64).max(40)
+/// Crawl steps of a source that logged `urls_crawled` pages at paper
+/// scale, at crawl scale `scale` (minimum 40 so small-scale runs still
+/// populate every row).
+pub fn steps_for(urls_crawled: u64, scale: f64) -> u64 {
+    ((urls_crawled as f64 * scale).round() as u64).max(40)
 }
 
 /// Records configuration echoes as gauges (scales in parts-per-million
@@ -1317,7 +1323,8 @@ mod tests {
         assert!(m.counter("crawl.faults.injected") > 0, "default profile must inject");
         assert!(m.counter("crawl.faults.downtime_secs") > 0);
         // Every planned slot is accounted for: logged or lost.
-        let steps: u64 = PROFILES.iter().map(|p| steps_for(p, config.crawl_scale)).sum();
+        let steps: u64 =
+            PROFILES.iter().map(|p| steps_for(p.urls_crawled, config.crawl_scale)).sum();
         assert_eq!(m.counter("crawl.pages") + m.counter("crawl.faults.lost_steps"), steps);
         // The study still produces all nine Table I rows — degraded, not
         // aborted.

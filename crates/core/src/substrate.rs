@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use slum_crawler::drive::estimated_duration_secs;
+use slum_crawler::drive::estimated_span_secs;
 use slum_exchange::{ExchangeKind, TrafficSource};
 use slum_websim::build::WebBuilder;
 use slum_websim::SyntheticWeb;
@@ -97,19 +97,6 @@ pub struct BuiltSubstrate {
     pub steps: BTreeMap<String, u64>,
 }
 
-/// Scaled crawl steps for a non-exchange source (same formula as
-/// [`steps_for`]: paper-scale volume times the crawl scale, floored at
-/// 40 so tiny runs still populate every row).
-fn scaled_steps(urls_crawled: u64, scale: f64) -> u64 {
-    ((urls_crawled as f64 * scale).round() as u64).max(40)
-}
-
-/// Average virtual seconds per crawled page for a source (mirrors
-/// [`slum_crawler::drive::estimated_duration_secs`]).
-fn per_page_secs(min_surf_secs: u32, kind: ExchangeKind) -> u64 {
-    min_surf_secs as u64 + 2 + if kind == ExchangeKind::ManualSurf { 6 } else { 0 }
-}
-
 /// Builds the configured substrate's population and sources.
 ///
 /// The exchange arm reproduces the pre-substrate build sequence
@@ -126,8 +113,8 @@ pub fn build_substrate(config: &StudyConfig) -> BuiltSubstrate {
             let sources = profiles
                 .iter()
                 .map(|p| {
-                    let steps = steps_for(p, scale);
-                    let span = estimated_duration_secs(p, steps);
+                    let steps = steps_for(p.urls_crawled, scale);
+                    let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
                     let x = slum_exchange::build_exchange(&mut builder, p, domain_scale, span);
                     (Box::new(x) as Box<dyn TrafficSource + Send>, steps)
                 })
@@ -138,8 +125,8 @@ pub fn build_substrate(config: &StudyConfig) -> BuiltSubstrate {
             let sources = slum_adnet::PROFILES
                 .iter()
                 .map(|p| {
-                    let steps = scaled_steps(p.urls_crawled, scale);
-                    let span = steps * per_page_secs(p.min_surf_secs, p.kind);
+                    let steps = steps_for(p.urls_crawled, scale);
+                    let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
                     let n = slum_adnet::build_ad_network(&mut builder, p, domain_scale, span);
                     (Box::new(n) as Box<dyn TrafficSource + Send>, steps)
                 })
@@ -154,8 +141,8 @@ pub fn build_substrate(config: &StudyConfig) -> BuiltSubstrate {
             let sources = slum_torrent::PROFILES
                 .iter()
                 .map(|p| {
-                    let steps = scaled_steps(p.urls_crawled, scale);
-                    let span = steps * per_page_secs(p.min_surf_secs, p.kind);
+                    let steps = steps_for(p.urls_crawled, scale);
+                    let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
                     let i = slum_torrent::build_torrent_index(&mut builder, p, domain_scale, span);
                     (Box::new(i) as Box<dyn TrafficSource + Send>, steps)
                 })
@@ -274,12 +261,13 @@ mod tests {
         assert_eq!(built.meta.len(), 9);
         // Same step budgets the legacy step_fn computed.
         for p in &slum_exchange::params::PROFILES {
-            assert_eq!(built.steps[p.name], steps_for(p, config.crawl_scale));
+            assert_eq!(built.steps[p.name], steps_for(p.urls_crawled, config.crawl_scale));
         }
         // Same web population as the legacy build sequence.
         let mut legacy = WebBuilder::new(config.seed);
         for p in &slum_exchange::params::PROFILES {
-            let span = estimated_duration_secs(p, steps_for(p, config.crawl_scale));
+            let steps = steps_for(p.urls_crawled, config.crawl_scale);
+            let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
             slum_exchange::build_exchange(&mut legacy, p, config.domain_scale, span);
         }
         assert_eq!(built.web.len(), legacy.finish().len());

@@ -35,7 +35,10 @@ use crate::store::RecordStore;
 /// Virtual nanoseconds per virtual second.
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
-/// Configuration of one exchange crawl.
+/// The scripted operator's CAPTCHA success rate (manual-surf only).
+const CAPTCHA_SKILL: f64 = 0.96;
+
+/// Configuration of one exchange crawl: where its cursor starts.
 #[derive(Debug, Clone)]
 pub struct CrawlConfig {
     /// Number of surf steps to log.
@@ -44,24 +47,11 @@ pub struct CrawlConfig {
     pub seed: u64,
     /// Virtual start time (seconds).
     pub start_time: u64,
-    /// Scripted operator's CAPTCHA success rate (manual-surf only).
-    pub captcha_skill: f64,
-    /// Whether to capture page content into records (needed for the
-    /// cloaking-defeating upload scans). A captured body is the shared
-    /// `Arc<str>` the browser loaded, so records of the same page cost
-    /// one pointer each, not one copy.
-    pub capture_content: bool,
 }
 
 impl Default for CrawlConfig {
     fn default() -> Self {
-        CrawlConfig {
-            steps: 500,
-            seed: 1,
-            start_time: 0,
-            captcha_skill: 0.96,
-            capture_content: true,
-        }
+        CrawlConfig { steps: 500, seed: 1, start_time: 0 }
     }
 }
 
@@ -258,9 +248,7 @@ pub fn crawl_exchange<S: TrafficSource + ?Sized>(
     let lifecycle = ExchangeLifecycle::inert(source.name());
     let retry = RetryPolicy::no_retries();
     let modules = Arc::new(JsModuleCache::new());
-    crawl_exchange_segment(
-        web, source, config, &lifecycle, &retry, &modules, &mut cursor, store, u64::MAX,
-    );
+    crawl_exchange_segment(web, source, &lifecycle, &retry, &modules, &mut cursor, store, u64::MAX);
     cursor.stats()
 }
 
@@ -283,7 +271,6 @@ pub fn crawl_exchange<S: TrafficSource + ?Sized>(
 pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
     web: &SyntheticWeb,
     source: &mut S,
-    config: &CrawlConfig,
     lifecycle: &ExchangeLifecycle,
     retry: &RetryPolicy,
     modules: &Arc<JsModuleCache>,
@@ -360,7 +347,7 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
         // Manual-surf: solve the CAPTCHA first; a failure burns time but
         // logs nothing (the page never opens).
         if let Some(captcha) = &step.captcha {
-            let outcome = if rng.gen_bool(config.captcha_skill) {
+            let outcome = if rng.gen_bool(CAPTCHA_SKILL) {
                 debug_assert!(captcha.verify(captcha.answer()));
                 CaptchaOutcome::Passed
             } else {
@@ -376,7 +363,7 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
         }
 
         let visit = CrawlVisit { seq: cursor.seq, at: cursor.t, url: step.url };
-        let record = record_visit(web, &*source, config, modules, &visit);
+        let record = record_visit(web, &*source, modules, &visit);
         cursor.load_failures += u64::from(record.failed);
         cursor.redirects += u64::from(record.redirect_hops);
         cursor.shortener_visits += u64::from(record.via_shortener);
@@ -428,26 +415,23 @@ fn surf_browser<'w, S: TrafficSource + ?Sized>(
 }
 
 /// Surfs one visit and builds its record: loads `visit.url` at virtual
-/// time `visit.at` with the click mode of `source`'s kind, then drops
-/// the captured content when `config` says so. The crawl loop logs
-/// every page through this, and a checkpoint restore rebuilds every
-/// stored visit through it
+/// time `visit.at` with the click mode of `source`'s kind. The record
+/// keeps the loaded page content (the cloaking-defeating upload scans
+/// need it) as the shared `Arc<str>` the browser loaded, so records of
+/// the same page cost one pointer each, not one copy. The crawl loop
+/// logs every page through this, and a checkpoint restore rebuilds
+/// every stored visit through it
 /// ([`replay_restored_loads`](crate::run::replay_restored_loads)), so a
 /// rebuilt record equals the crawled one and reapplies the load's side
 /// effects on the web.
 pub fn record_visit<S: TrafficSource + ?Sized>(
     web: &SyntheticWeb,
     source: &S,
-    config: &CrawlConfig,
     modules: &Arc<JsModuleCache>,
     visit: &CrawlVisit,
 ) -> CrawlRecord {
     let load = surf_browser(web, source, modules, visit.at).load(&visit.url);
-    let mut record = CrawlRecord::from_load(source.name(), visit.seq, visit.at, &load);
-    if !config.capture_content {
-        record.content = None;
-    }
-    record
+    CrawlRecord::from_load(source.name(), visit.seq, visit.at, &load)
 }
 
 /// The HAR log of `record`'s load: its visit surfed again, as
@@ -462,23 +446,14 @@ pub(crate) fn record_har<S: TrafficSource + ?Sized>(
     surf_browser(web, source, modules, record.at).load_logged(&record.url).1
 }
 
-/// Estimates the virtual duration a crawl of `steps` pages will span —
-/// used to place campaign bursts before crawling starts.
-pub fn estimated_duration_secs(profile: &slum_exchange::ExchangeProfile, steps: u64) -> u64 {
+/// Estimates the virtual duration a crawl of `steps` pages will span on
+/// a source with minimum surf time `min_surf_secs` and pacing `kind`:
+/// what places campaign bursts before a web is built and lifecycle
+/// faults before a crawl starts.
+pub fn estimated_span_secs(min_surf_secs: u32, kind: ExchangeKind, steps: u64) -> u64 {
     // Average dwell = min surf + ~2s jitter (+ solve time for manual).
-    let per_page = profile.min_surf_secs as u64
-        + 2
-        + if profile.kind == ExchangeKind::ManualSurf { 6 } else { 0 };
-    steps * per_page
-}
-
-/// The same span estimate computed from a built [`TrafficSource`] (the
-/// resilience layer compiles lifecycle schedules inside crawl workers,
-/// where only the source itself is at hand).
-pub fn estimated_exchange_span_secs<S: TrafficSource + ?Sized>(source: &S, steps: u64) -> u64 {
-    let per_page = source.min_surf_secs() as u64
-        + 2
-        + if source.kind() == ExchangeKind::ManualSurf { 6 } else { 0 };
+    let per_page =
+        u64::from(min_surf_secs) + 2 + if kind == ExchangeKind::ManualSurf { 6 } else { 0 };
     steps * per_page
 }
 
@@ -491,7 +466,7 @@ mod tests {
     fn crawl(name: &str, steps: u64, seed: u64) -> (RecordStore, CrawlStats) {
         let mut b = WebBuilder::new(seed);
         let p = profile(name).unwrap();
-        let span = estimated_duration_secs(p, steps);
+        let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
         let mut x = build_exchange(&mut b, p, 0.05, span);
         let web = b.finish();
         let mut store = RecordStore::new();
@@ -567,22 +542,6 @@ mod tests {
         assert_eq!(stats.shortener_visits, shortened as u64);
     }
 
-    #[test]
-    fn content_capture_can_be_disabled() {
-        let mut b = WebBuilder::new(12);
-        let p = profile("Otohits").unwrap();
-        let mut x = build_exchange(&mut b, p, 0.05, 10_000);
-        let web = b.finish();
-        let mut store = RecordStore::new();
-        crawl_exchange(
-            &web,
-            &mut x,
-            &CrawlConfig { steps: 20, capture_content: false, ..Default::default() },
-            &mut store,
-        );
-        assert!(store.records().iter().all(|r| r.content.is_none()));
-    }
-
     /// The segment driver with an inert lifecycle, stopped and resumed
     /// at arbitrary budgets, must reproduce the one-shot crawl exactly.
     #[test]
@@ -594,7 +553,7 @@ mod tests {
         for segment in [1u64, 7, 32] {
             let mut b = WebBuilder::new(seed);
             let p = profile("Cash N Hits").unwrap();
-            let span = estimated_duration_secs(p, steps);
+            let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
             let mut x = build_exchange(&mut b, p, 0.05, span);
             let web = b.finish();
             let config = CrawlConfig { steps, seed, ..Default::default() };
@@ -609,8 +568,7 @@ mod tests {
                 let json = serde_json::to_string(&cursor).expect("cursor serializes");
                 cursor = serde_json::from_str(&json).expect("cursor parses");
                 crawl_exchange_segment(
-                    &web, &mut x, &config, &lifecycle, &retry, &modules, &mut cursor, &mut store,
-                    segment,
+                    &web, &mut x, &lifecycle, &retry, &modules, &mut cursor, &mut store, segment,
                 );
             }
             let stats = cursor.stats();
@@ -632,7 +590,7 @@ mod tests {
             let seed = 31u64;
             let mut b = WebBuilder::new(seed);
             let p = profile("Otohits").unwrap();
-            let span = estimated_duration_secs(p, steps);
+            let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
             let mut x = build_exchange(&mut b, p, 0.05, span);
             let web = b.finish();
             let config = CrawlConfig { steps, seed, ..Default::default() };
@@ -649,8 +607,7 @@ mod tests {
             let mut cursor = CrawlCursor::start(&x, &config);
             let mut store = RecordStore::new();
             crawl_exchange_segment(
-                &web, &mut x, &config, &lifecycle, &retry, &modules, &mut cursor, &mut store,
-                u64::MAX,
+                &web, &mut x, &lifecycle, &retry, &modules, &mut cursor, &mut store, u64::MAX,
             );
             (cursor, store)
         };
@@ -676,7 +633,7 @@ mod tests {
         let seed = 41u64;
         let mut b = WebBuilder::new(seed);
         let p = profile("ManyHits").unwrap();
-        let span = estimated_duration_secs(p, steps);
+        let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
         let mut x = build_exchange(&mut b, p, 0.05, span);
         let web = b.finish();
         let config = CrawlConfig { steps, seed, ..Default::default() };
@@ -688,8 +645,7 @@ mod tests {
         let mut cursor = CrawlCursor::start(&x, &config);
         let mut store = RecordStore::new();
         crawl_exchange_segment(
-            &web, &mut x, &config, &lifecycle, &retry, &modules, &mut cursor, &mut store,
-            u64::MAX,
+            &web, &mut x, &lifecycle, &retry, &modules, &mut cursor, &mut store, u64::MAX,
         );
         let health = cursor.health();
         assert!(cursor.done);

@@ -21,7 +21,7 @@ use slum_exchange::TrafficSource;
 use slum_websim::{SyntheticWeb, Url};
 
 use crate::drive::{
-    crawl_exchange_segment, estimated_exchange_span_secs, record_har, record_visit, CrawlConfig,
+    crawl_exchange_segment, estimated_span_secs, record_har, record_visit, CrawlConfig,
     CrawlCursor, CrawlStats,
 };
 use crate::fault::{CrawlFaultProfile, CrawlHealth};
@@ -34,15 +34,8 @@ pub fn exchange_crawl_seed(base_seed: u64, index: usize) -> u64 {
     base_seed.wrapping_add(index as u64 * 7919)
 }
 
-/// The loop configuration of one source's crawl. Only the slot budget
-/// and the seed vary by source, and a [`CrawlCursor`] records both, so
-/// a restore rebuilds the exact configuration its records were crawled
-/// under.
-fn source_config(steps: u64, seed: u64) -> CrawlConfig {
-    CrawlConfig { steps, seed, ..Default::default() }
-}
-
-/// Per-source crawl plan: the loop configuration plus the compiled
+/// Per-source crawl plan: the configuration a fresh cursor starts from
+/// (only the slot budget and the seed vary by source) plus the compiled
 /// lifecycle-fault schedule.
 fn crawl_plans<S, F>(
     sources: &[S],
@@ -59,8 +52,9 @@ where
         .enumerate()
         .map(|(i, x)| {
             let steps = step_fn(x);
-            let config = source_config(steps, exchange_crawl_seed(base_seed, i));
-            let span = estimated_exchange_span_secs(x, steps);
+            let seed = exchange_crawl_seed(base_seed, i);
+            let config = CrawlConfig { steps, seed, ..Default::default() };
+            let span = estimated_span_secs(x.min_surf_secs(), x.kind(), steps);
             let lifecycle = profile.compile_for(x, base_seed, span);
             (config, lifecycle)
         })
@@ -187,12 +181,11 @@ impl CrawlPlan {
                     .zip(state.stores.iter_mut())
                     .zip(plans.iter())
                     .filter(|(((_, cursor), _), _)| !cursor.done)
-                    .map(|(((source, cursor), store), (config, lifecycle))| {
+                    .map(|(((source, cursor), store), (_, lifecycle))| {
                         scope.spawn(move || {
                             crawl_exchange_segment(
                                 web,
                                 source,
-                                config,
                                 lifecycle,
                                 &profile.retry,
                                 modules,
@@ -457,11 +450,10 @@ pub fn replay_restored_loads<S: TrafficSource>(
         .enumerate()
         .map(|(i, (cursor, source))| {
             assert_eq!(cursor.exchange, source.name(), "checkpoint/source order mismatch");
-            let config = source_config(cursor.steps, cursor.seed);
             let mut store = RecordStore::new();
             for (seq, at, url) in state.visits_of(i) {
                 let visit = CrawlVisit { seq, at, url: url.clone() };
-                store.push(record_visit(web, source, &config, &modules, &visit));
+                store.push(record_visit(web, source, &modules, &visit));
             }
             store
         })

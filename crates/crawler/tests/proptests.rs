@@ -30,7 +30,7 @@ proptest! {
         let stats = crawl_exchange(
             &web,
             &mut exchange,
-            &CrawlConfig { steps, seed, capture_content: false, ..Default::default() },
+            &CrawlConfig { steps, seed, ..Default::default() },
             &mut store,
         );
         prop_assert_eq!(stats.pages, steps);

@@ -465,9 +465,6 @@ pub struct FaultPlan {
     /// `exchange#seq` request keys, so the scan hot path can look a
     /// record up without formatting a key ([`FaultPlan::decisions_for`]).
     decisions: HashMap<String, HashMap<u64, [ServiceDecision; 3]>>,
-    /// Decisions whose keys don't parse as `exchange#seq` (plans are
-    /// occasionally compiled over ad-hoc key sets in tests/tools).
-    flat: HashMap<String, [ServiceDecision; 3]>,
     /// Total requests covered.
     covered: usize,
     breaker_opens: [u64; 3],
@@ -490,6 +487,12 @@ impl FaultPlan {
     /// resolution and the circuit breaker. The walk order depends only
     /// on the corpus, never on scan scheduling, which is what makes
     /// every downstream consumer bit-identical across worker counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a key is not a canonical `exchange#seq` request key
+    /// (the part after the last `#` a plain integer), as every scan key
+    /// is.
     pub fn compile(profile: &FaultProfile, seed: u64, requests: &[(String, u64)]) -> FaultPlan {
         let span_secs = requests.iter().map(|(_, at)| *at).max().unwrap_or(0) + 1;
         let salt = seed ^ profile.seed_salt.rotate_left(17);
@@ -521,7 +524,6 @@ impl FaultPlan {
         order.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
 
         let mut decisions: HashMap<String, HashMap<u64, [ServiceDecision; 3]>> = HashMap::new();
-        let mut flat: HashMap<String, [ServiceDecision; 3]> = HashMap::new();
         let mut covered = 0usize;
         let mut injected = [0u64; 3];
         for (key, at) in order {
@@ -560,26 +562,20 @@ impl FaultPlan {
                     }
                 }
             }
-            let fresh = match split_key(key) {
-                Some((exchange, seq)) => {
-                    // The source's name is allocated once, on its first
-                    // request.
-                    let per_seq = match decisions.get_mut(exchange) {
-                        Some(per_seq) => per_seq,
-                        None => decisions.entry(exchange.to_string()).or_default(),
-                    };
-                    per_seq.insert(seq, triple).is_none()
-                }
-                None => flat.insert(key.clone(), triple).is_none(),
+            let (exchange, seq) =
+                split_key(key).unwrap_or_else(|| panic!("not an `exchange#seq` key: {key:?}"));
+            // The source's name is allocated once, on its first request.
+            let per_seq = match decisions.get_mut(exchange) {
+                Some(per_seq) => per_seq,
+                None => decisions.entry(exchange.to_string()).or_default(),
             };
-            if fresh {
+            if per_seq.insert(seq, triple).is_none() {
                 covered += 1;
             }
         }
 
         FaultPlan {
             decisions,
-            flat,
             covered,
             breaker_opens: [
                 compilers[0].breaker.opens(),
@@ -596,11 +592,12 @@ impl FaultPlan {
     }
 
     /// The decision triple for one request key (all-Ok for unknown
-    /// keys, so a plan compiled over a subset degrades safely).
+    /// keys, so a plan compiled over a subset degrades safely, and for
+    /// keys that are not `exchange#seq`, which no plan covers).
     pub fn decisions(&self, key: &str) -> [ServiceDecision; 3] {
         match split_key(key) {
             Some((exchange, seq)) => self.decisions_for(exchange, seq),
-            None => self.flat.get(key).copied().unwrap_or_default(),
+            None => [ServiceDecision::Ok; 3],
         }
     }
 
@@ -799,22 +796,6 @@ mod tests {
         }
         assert_eq!(plan.decisions_for("unknown-exchange", 0), [ServiceDecision::Ok; 3]);
         assert_eq!(plan.len(), 120);
-    }
-
-    #[test]
-    fn unparseable_keys_fall_back_to_flat_storage() {
-        let reqs = vec![
-            ("no-separator".to_string(), 0),
-            ("trailing#text".to_string(), 5),
-            ("ex#7".to_string(), 9),
-        ];
-        let plan = FaultPlan::compile(&FaultProfile::harsh(), 3, &reqs);
-        assert_eq!(plan.len(), 3);
-        for (key, _) in &reqs {
-            // Whatever the storage route, every compiled key resolves.
-            let _ = plan.decisions(key);
-        }
-        assert_eq!(plan.decisions("ex#7"), plan.decisions_for("ex", 7));
     }
 
     #[test]

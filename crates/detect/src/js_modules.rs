@@ -77,13 +77,6 @@ impl JsModuleCache {
             .map(|module| module.chunks.iter().map(|c| c.code.len() as u64).sum::<u64>())
             .sum()
     }
-
-    /// Drops every compiled module and resets lookup statistics (cold
-    /// benchmark runs).
-    pub fn clear(&self) {
-        self.modules.write().unwrap_or_else(PoisonError::into_inner).clear();
-        self.lookups.store(0, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for JsModuleCache {
@@ -174,9 +167,5 @@ mod tests {
         assert!(again.errors.is_empty());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().hits, 1);
-
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 }

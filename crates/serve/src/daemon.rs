@@ -4,58 +4,39 @@
 //!
 //! # Robustness contract
 //!
-//! - **Admission control**: at most [`DaemonOptions::max_connections`]
-//!   concurrent connections; excess connects receive one `overloaded`
-//!   line (with `retry_after_ms`) and are closed, counted under
+//! - **Admission control**: at most [`MAX_CONNECTIONS`] concurrent
+//!   connections; excess connects receive one `overloaded` line (with
+//!   `retry_after_ms`) and are closed, counted under
 //!   `serve.shed.connections`.
-//! - **Bounded buffering**: request lines are read through a timeout
-//!   poll loop and capped at [`crate::proto::MAX_REQUEST_LINE`] bytes;
-//!   an oversized line is discarded up to its newline and answered with
-//!   a typed failure instead of growing the buffer.
-//! - **Bounded shutdown**: [`Daemon::shutdown`] is idempotent and
-//!   drains connection handlers for at most
-//!   [`DaemonOptions::drain_deadline`]; idle clients cannot wedge it
-//!   because every read wakes within [`READ_POLL`] to check the stop
-//!   flag.
-//! - **No idle polling**: the accept loop blocks in `accept` and the
-//!   scheduler sleeps while no study runs. A submit wakes the
-//!   scheduler; raising the stop flag wakes both (see [`Stop`]).
+//! - **Bounded buffering**: a handler reads at most
+//!   [`MAX_REQUEST_LINE`] + 1 bytes of a line; an oversized line is
+//!   discarded up to its newline and answered once with a typed failure
+//!   instead of growing the buffer.
+//! - **Prompt shutdown**: [`Daemon::shutdown`] is idempotent. Raising
+//!   the stop shuts every live connection down, so a handler blocked in
+//!   `read` returns at once and the accept loop joins every handler:
+//!   idle clients cannot wedge it, and there is no drain deadline.
+//! - **No polling**: the accept loop blocks in `accept`, connection
+//!   handlers block in `read` and the scheduler sleeps while no study
+//!   runs. A submit wakes the scheduler; raising the stop wakes all of
+//!   them (see [`Stop`]).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use crate::proto::{parse_request, Response, MAX_REQUEST_LINE};
-use crate::service::{ServeError, Service};
+use crate::proto::{parse_request, ProtoError, Response, MAX_REQUEST_LINE};
+use crate::service::{ServeError, Service, RETRY_AFTER_MS};
 
-/// How often the shutdown drain re-checks its connection handlers.
-const DRAIN_POLL: Duration = Duration::from_millis(5);
+/// Concurrent connections the daemon serves; connects beyond it are
+/// shed with one `overloaded` line.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// How long raising the stop flag waits for its wake-up connection.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// Socket read timeout: the longest a connection handler sleeps before
-/// re-checking the stop flag. Bounds shutdown latency per handler.
-const READ_POLL: Duration = Duration::from_millis(50);
-
-/// Tuning knobs for [`Daemon::start_with`]. [`Default`] gives the
-/// stock daemon: 64 connections, a 2-second drain deadline.
-#[derive(Debug, Clone)]
-pub struct DaemonOptions {
-    /// Maximum concurrent connections before new connects are shed.
-    pub max_connections: usize,
-    /// How long [`Daemon::shutdown`] waits for connection handlers to
-    /// notice the stop flag before abandoning them.
-    pub drain_deadline: Duration,
-}
-
-impl Default for DaemonOptions {
-    fn default() -> DaemonOptions {
-        DaemonOptions { max_connections: 64, drain_deadline: Duration::from_secs(2) }
-    }
-}
 
 /// A running daemon: a [`Service`] behind a TCP listener.
 ///
@@ -73,13 +54,16 @@ pub struct Daemon {
     scheduler_thread: Option<std::thread::JoinHandle<()>>,
 }
 
-/// The daemon's stop flag, and how raising it wakes the threads that
-/// block: the scheduler through [`Service::wake_scheduler`], the accept
-/// loop through one connection to the bound address, which the loop
-/// drops before it exits.
+/// The daemon's stop flag, the live connections, and how raising the
+/// flag wakes the threads that block: the scheduler through
+/// [`Service::wake_scheduler`], every connection handler by shutting
+/// its stream down, and the accept loop through one connection to the
+/// bound address, which the loop drops before it exits.
 struct Stop {
     raised: AtomicBool,
     addr: SocketAddr,
+    /// A clone of every live connection's stream, by connection id.
+    connections: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl Stop {
@@ -87,13 +71,41 @@ impl Stop {
         self.raised.load(Ordering::SeqCst)
     }
 
-    /// Raises the flag and wakes the scheduler and the accept loop.
-    /// Raising it again is harmless: once the accept loop is gone the
-    /// wake-up connection is refused.
+    fn connections(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.connections.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Raises the flag and wakes the scheduler, the connection handlers
+    /// and the accept loop. Raising it again is harmless: once the
+    /// accept loop is gone the wake-up connection is refused.
     fn raise(&self, service: &Service) {
         self.raised.store(true, Ordering::SeqCst);
         service.wake_scheduler();
+        self.close_connections();
         let _ = TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT);
+    }
+
+    /// Shuts every registered connection down: a handler blocked in
+    /// `read` sees end of stream, one blocked in `write` an error.
+    fn close_connections(&self) {
+        for stream in self.connections().values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Registers a clone of connection `id`'s stream; `false` at
+    /// [`MAX_CONNECTIONS`] live connections or once the flag is raised.
+    /// The flag is checked under the lock [`Stop::close_connections`]
+    /// takes, so no connection registers after the raise closed the
+    /// registered ones.
+    fn register(&self, id: u64, stream: &TcpStream) -> bool {
+        let mut connections = self.connections();
+        if self.is_raised() || connections.len() >= MAX_CONNECTIONS {
+            return false;
+        }
+        let Ok(clone) = stream.try_clone() else { return false };
+        connections.insert(id, clone);
+        true
     }
 }
 
@@ -105,29 +117,19 @@ impl Daemon {
     ///
     /// Propagates bind failures.
     pub fn start(service: Service, addr: &str) -> Result<Daemon, ServeError> {
-        Daemon::start_with(service, addr, DaemonOptions::default())
-    }
-
-    /// [`Daemon::start`] with explicit [`DaemonOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn start_with(
-        service: Service,
-        addr: &str,
-        options: DaemonOptions,
-    ) -> Result<Daemon, ServeError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let service = Arc::new(service);
-        let stop = Arc::new(Stop { raised: AtomicBool::new(false), addr });
+        let stop = Arc::new(Stop {
+            raised: AtomicBool::new(false),
+            addr,
+            connections: Mutex::new(HashMap::new()),
+        });
 
         let accept_service = Arc::clone(&service);
         let accept_stop = Arc::clone(&stop);
-        let accept_options = options;
         let accept_thread = std::thread::spawn(move || {
-            accept_loop(&listener, &accept_service, &accept_stop, &accept_options);
+            accept_loop(&listener, &accept_service, &accept_stop);
         });
 
         let sched_service = Arc::clone(&service);
@@ -160,11 +162,9 @@ impl Daemon {
     /// stop at a checkpoint boundary and resume cleanly on the next
     /// daemon over the same root.
     ///
-    /// Bounded and idempotent: connection handlers wake within
-    /// [`READ_POLL`] to observe the stop flag and the accept loop
-    /// abandons any that outlive [`DaemonOptions::drain_deadline`], so
-    /// an idle or wedged client cannot stall shutdown. Calling it
-    /// again (including via [`Drop`]) is a no-op.
+    /// Prompt and idempotent: raising the stop shuts every live
+    /// connection down, so no client, idle or not, holds a handler
+    /// open. Calling it again (including via [`Drop`]) is a no-op.
     pub fn shutdown(&mut self) {
         if self.accept_thread.is_none() && self.scheduler_thread.is_none() {
             return;
@@ -195,24 +195,21 @@ impl Drop for Daemon {
     }
 }
 
-/// Decrements the live-connection count when a handler exits, however
-/// it exits.
-struct ConnectionSlot(Arc<AtomicUsize>);
+/// Unregisters a connection when its handler exits, however it exits.
+struct ConnectionSlot {
+    id: u64,
+    stop: Arc<Stop>,
+}
 
 impl Drop for ConnectionSlot {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.stop.connections().remove(&self.id);
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    service: &Arc<Service>,
-    stop: &Arc<Stop>,
-    options: &DaemonOptions,
-) {
+fn accept_loop(listener: &TcpListener, service: &Arc<Service>, stop: &Arc<Stop>) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let live = Arc::new(AtomicUsize::new(0));
+    let mut next_id = 0u64;
     loop {
         let accepted = listener.accept();
         if stop.is_raised() {
@@ -220,47 +217,33 @@ fn accept_loop(
             // dropped unanswered.
             break;
         }
-        match accepted {
-            Ok((stream, _)) => {
-                if live.load(Ordering::SeqCst) >= options.max_connections {
-                    shed_connection(stream, service);
-                    continue;
-                }
-                live.fetch_add(1, Ordering::SeqCst);
-                let slot = ConnectionSlot(Arc::clone(&live));
-                let service = Arc::clone(service);
-                let stop = Arc::clone(stop);
-                handlers.push(std::thread::spawn(move || {
-                    let _slot = slot;
-                    serve_connection(stream, &service, &stop);
-                }));
-            }
-            Err(_) => break,
+        let Ok((stream, _)) = accepted else { break };
+        next_id += 1;
+        if stop.register(next_id, &stream) {
+            let slot = ConnectionSlot { id: next_id, stop: Arc::clone(stop) };
+            let service = Arc::clone(service);
+            handlers.push(std::thread::spawn(move || {
+                serve_connection(stream, &service, &slot.stop);
+            }));
+        } else if !stop.is_raised() {
+            shed_connection(stream, service);
         }
         handlers.retain(|h| !h.is_finished());
     }
-    // Drain: handlers poll the stop flag every READ_POLL, so they exit
-    // on their own. Wait up to the deadline, then abandon stragglers —
-    // they hold only Arc clones and die with the process.
-    let deadline = Instant::now() + options.drain_deadline;
-    loop {
-        handlers.retain(|h| !h.is_finished());
-        if handlers.is_empty() || Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(DRAIN_POLL);
+    // A handler blocks in `read` until its stream shuts down. The stop
+    // shut every registered stream down already; closing them here
+    // covers an `accept` failure with the stop still lowered.
+    stop.close_connections();
+    for handler in handlers {
+        let _ = handler.join();
     }
 }
 
 /// Answers one over-capacity connection with a single `overloaded`
 /// line and closes it.
-fn shed_connection(mut stream: TcpStream, service: &Arc<Service>) {
+fn shed_connection(mut stream: TcpStream, service: &Service) {
     service.obs().counter("serve.shed.connections").inc();
-    let response = Response::overloaded("connect", service.retry_after_ms());
-    if let Ok(encoded) = serde_json::to_string(&response) {
-        let _ = writeln!(stream, "{encoded}");
-        let _ = stream.flush();
-    }
+    let _ = write_response(&mut stream, &Response::overloaded("connect", RETRY_AFTER_MS));
 }
 
 /// Advances every running study a slice per pass, and sleeps in
@@ -274,94 +257,51 @@ fn scheduler_loop(service: &Arc<Service>, stop: &Arc<Stop>) {
     }
 }
 
-fn serve_connection(stream: TcpStream, service: &Arc<Service>, stop: &Arc<Stop>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
+fn serve_connection(stream: TcpStream, service: &Service, stop: &Stop) {
+    let Ok(mut writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
-    // The line buffer persists across read timeouts: `read_until`
-    // appends whatever bytes arrived before the timeout, so a slow
-    // client's half-line survives the next poll. `discarding` tracks
-    // an oversized line being skipped up to its newline.
-    let mut buf: Vec<u8> = Vec::new();
-    let mut discarding = false;
-    let mut discarded: usize = 0;
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        if stop.is_raised() {
-            return;
-        }
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => return, // EOF
+        line.clear();
+        // At most one byte past the cap: enough to tell an oversized
+        // line without buffering it.
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return, // end of stream, or shut down
             Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Timeout: partial bytes (if any) are already in
-                // `buf`. Enforce the line cap before waiting again so
-                // a newline-free firehose cannot grow the buffer.
-                if buf.len() > MAX_REQUEST_LINE {
-                    discarding = true;
-                    discarded += buf.len();
-                    buf.clear();
+        }
+        let response = if line.len() > MAX_REQUEST_LINE {
+            // Discard the rest of the oversized line, then resync on
+            // the next one.
+            let mut len = line.len();
+            if line.last() != Some(&b'\n') {
+                match reader.skip_until(b'\n') {
+                    Ok(rest) => len += rest,
+                    Err(_) => return,
                 }
+            }
+            Response::failure("parse", ProtoError::RequestTooLarge { len, max: MAX_REQUEST_LINE })
+        } else {
+            let text = String::from_utf8_lossy(&line);
+            if text.trim().is_empty() {
                 continue;
             }
-            Err(_) => return,
-        }
-        if buf.last() != Some(&b'\n') {
-            // read_until returned without the delimiter: EOF follows.
-            if buf.len() > MAX_REQUEST_LINE {
-                discarding = true;
-                discarded += buf.len();
-                buf.clear();
-            }
-            if buf.is_empty() && !discarding {
-                return;
-            }
-        }
-        if discarding || buf.len() > MAX_REQUEST_LINE {
-            // The newline (or EOF) ending an oversized line: report it
-            // once, then resync on the next line.
-            discarded += buf.len();
-            buf.clear();
-            let response = Response::failure(
-                "parse",
-                crate::proto::ProtoError::RequestTooLarge {
-                    len: discarded,
-                    max: MAX_REQUEST_LINE,
-                },
-            );
-            discarding = false;
-            discarded = 0;
-            if !write_response(&mut writer, &response) {
-                return;
-            }
-            continue;
-        }
-        let line = String::from_utf8_lossy(&buf).into_owned();
-        buf.clear();
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match parse_request(line.trim_end()) {
-            Ok(req) => {
-                let response = service.handle(&req);
-                if req.op == "shutdown" {
-                    stop.raise(service);
+            match parse_request(text.trim_end()) {
+                Ok(req) => {
+                    let response = service.handle(&req);
+                    if req.op == "shutdown" {
+                        // Raising the stop closes this connection too:
+                        // answer first.
+                        let _ = write_response(&mut writer, &response);
+                        stop.raise(service);
+                        return;
+                    }
+                    response
                 }
-                response
+                Err(e) => Response::failure("parse", e),
             }
-            Err(e) => Response::failure("parse", e),
         };
         if !write_response(&mut writer, &response) {
-            return;
-        }
-        if stop.is_raised() {
             return;
         }
     }
@@ -375,6 +315,7 @@ fn write_response(writer: &mut TcpStream, response: &Response) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn roundtrip(
         reader: &mut BufReader<TcpStream>,
@@ -477,31 +418,56 @@ mod tests {
     #[test]
     fn shutdown_is_idempotent_and_bounded_with_idle_clients() {
         let (service, root) = scratch_service("drain");
-        let mut daemon = Daemon::start_with(
-            service,
-            "127.0.0.1:0",
-            DaemonOptions { drain_deadline: Duration::from_secs(1), ..DaemonOptions::default() },
-        )
-        .expect("daemon");
+        let daemon = Daemon::start(service, "127.0.0.1:0").expect("daemon");
 
-        // Two clients that connect and then go silent: the old
-        // blocking reader would park the handlers in `lines()` forever
-        // and `shutdown` would never join the accept loop.
+        // Two clients that connect and then go silent: their handlers
+        // block in `read` until the stop shuts their streams down.
         let _idle_a = TcpStream::connect(daemon.addr()).expect("connect");
         let _idle_b = TcpStream::connect(daemon.addr()).expect("connect");
         std::thread::sleep(Duration::from_millis(30));
 
-        let started = Instant::now();
-        daemon.shutdown();
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "shutdown with idle clients must be deadline-bounded, took {:?}",
-            started.elapsed()
-        );
+        // Shut down on another thread, so a shutdown that never returns
+        // fails the test instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut daemon = daemon;
+            daemon.shutdown();
+            let _ = done.send(daemon);
+        });
+        let mut daemon = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown with idle clients must return within 5 s");
         // Idempotent: a second call (and the Drop impl after it) is a
         // no-op, not a hang or panic.
         daemon.shutdown();
         drop(daemon);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_line_split_across_pauses_is_answered_once_whole() {
+        let (service, root) = scratch_service("split");
+        let mut daemon = Daemon::start(service, "127.0.0.1:0").expect("daemon");
+
+        let stream = TcpStream::connect(daemon.addr()).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        writer.write_all(br#"{"op":"stream-"#).expect("write first half");
+        writer.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(200));
+        writeln!(writer, r#"metrics"}}"#).expect("write second half");
+        writer.flush().expect("flush");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read response");
+        let whole: Response = serde_json::from_str(reply.trim()).expect("parses");
+        assert!(whole.ok, "the joined line must parse: {:?}", whole.error);
+        assert_eq!(whole.op, "stream-metrics");
+
+        // The next answer belongs to the next request: the first half
+        // was never answered on its own.
+        let next = roundtrip(&mut reader, &mut writer, r#"{"op":"study-status","study":9}"#);
+        assert_eq!(next.op, "study-status");
+        daemon.shutdown();
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -539,32 +505,32 @@ mod tests {
     #[test]
     fn connection_cap_sheds_with_overloaded_response() {
         let (service, root) = scratch_service("shed");
-        let mut daemon = Daemon::start_with(
-            service,
-            "127.0.0.1:0",
-            DaemonOptions { max_connections: 1, ..DaemonOptions::default() },
-        )
-        .expect("daemon");
+        let mut daemon = Daemon::start(service, "127.0.0.1:0").expect("daemon");
 
-        // First client occupies the single slot (a roundtrip proves
-        // its handler is live, not just queued).
-        let first = TcpStream::connect(daemon.addr()).expect("connect");
-        let mut first_writer = first.try_clone().expect("clone");
-        let mut first_reader = BufReader::new(first);
-        let ping = roundtrip(&mut first_reader, &mut first_writer, r#"{"op":"stream-metrics"}"#);
-        assert!(ping.ok);
+        // Fill every slot (a roundtrip on each proves its handler is
+        // live, not just queued).
+        let mut clients = Vec::new();
+        for _ in 0..MAX_CONNECTIONS {
+            let stream = TcpStream::connect(daemon.addr()).expect("connect");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = BufReader::new(stream);
+            let ping = roundtrip(&mut reader, &mut writer, r#"{"op":"stream-metrics"}"#);
+            assert!(ping.ok);
+            clients.push((reader, writer));
+        }
 
-        // Second client is shed with one overloaded line.
-        let second = TcpStream::connect(daemon.addr()).expect("connect");
-        let mut second_reader = BufReader::new(second);
+        // The next client is shed with one overloaded line.
+        let extra = TcpStream::connect(daemon.addr()).expect("connect");
+        let mut extra_reader = BufReader::new(extra);
         let mut reply = String::new();
-        second_reader.read_line(&mut reply).expect("read shed line");
+        extra_reader.read_line(&mut reply).expect("read shed line");
         let shed: Response = serde_json::from_str(reply.trim()).expect("parses");
         assert!(!shed.ok);
         assert_eq!(shed.error.as_deref(), Some("overloaded"));
-        assert!(shed.retry_after_ms.is_some());
+        assert_eq!(shed.retry_after_ms, Some(RETRY_AFTER_MS));
 
-        let metrics = roundtrip(&mut first_reader, &mut first_writer, r#"{"op":"stream-metrics"}"#);
+        let (reader, writer) = &mut clients[0];
+        let metrics = roundtrip(reader, writer, r#"{"op":"stream-metrics"}"#);
         let snapshot: slum_obs::MetricsSnapshot =
             serde_json::from_str(&metrics.metrics.expect("payload")).expect("metrics parse");
         assert!(snapshot.counter("serve.shed.connections") >= 1);

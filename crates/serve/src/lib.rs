@@ -50,14 +50,15 @@
 //!
 //! ## Resilience
 //!
-//! The service is built to survive its tenants and its disks:
-//! panicking studies are contained to a `poisoned` state by slice
-//! supervision, runaway studies stall at a slice budget, request
-//! floods shed with `overloaded` + `retry_after_ms` (per-tenant
-//! in-flight caps, a daemon-wide connection cap), and checkpoint
-//! storage faults (injectable via [`malware_slums::DiskFaultProfile`])
-//! are detected when a study attaches and cost recrawled rounds, never
-//! the study, thanks to checkpoint generations with quarantine/rollback.
+//! The service is built to survive its tenants, its clients and its
+//! disks: panicking studies are contained to a `poisoned` state by
+//! slice supervision, request floods shed with `overloaded` +
+//! `retry_after_ms` (per-tenant in-flight caps, a daemon-wide
+//! connection cap), stopping the daemon shuts every connection down so
+//! no client can hold it open, and checkpoint storage faults
+//! (injectable via [`malware_slums::DiskFaultProfile`]) are detected
+//! when a study attaches and cost recrawled rounds, never the study,
+//! thanks to checkpoint generations with quarantine/rollback.
 //! The seeded storm harness lives in
 //! [`chaos`]; `tests/serve_chaos.rs` and `repro chaos` both drive it
 //! to pin the headline guarantee: under a storm of kills, corruptions,
@@ -72,8 +73,7 @@ pub mod daemon;
 pub mod proto;
 pub mod service;
 
-pub use daemon::{Daemon, DaemonOptions};
-pub use proto::{
-    parse_request, ProtoError, Request, Response, DEFAULT_CHECKPOINT_EVERY, MAX_REQUEST_LINE,
-};
+pub use daemon::Daemon;
+pub use malware_slums::study::DEFAULT_CHECKPOINT_EVERY;
+pub use proto::{parse_request, ProtoError, Request, Response, MAX_REQUEST_LINE};
 pub use service::{ServeError, Service, StudyStatus};

@@ -16,17 +16,13 @@
 //! ```
 
 use malware_slums::study::{
-    DEFAULT_CRAWL_SCALE, DEFAULT_DOMAIN_SCALE, DEFAULT_JS_ENGINE, DEFAULT_SEED, DEFAULT_SUBSTRATE,
+    DEFAULT_CHECKPOINT_EVERY, DEFAULT_CRAWL_SCALE, DEFAULT_DOMAIN_SCALE, DEFAULT_JS_ENGINE,
+    DEFAULT_SEED, DEFAULT_SUBSTRATE,
 };
 use malware_slums::{DiskFaultProfile, StudyConfig};
 use serde::{Deserialize, Serialize};
 use slum_crawler::CrawlFaultProfile;
 use slum_detect::fault::FaultProfile;
-
-/// Default checkpoint cadence for daemon-submitted studies (surf slots
-/// per exchange between checkpoints — also the scheduler's preemption
-/// grain).
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 256;
 
 /// Hard cap on a single request line in bytes. Longer lines are
 /// rejected with [`ProtoError::RequestTooLarge`] before any JSON

@@ -7,17 +7,17 @@
 //! Every scheduling slice runs under `catch_unwind`: a panicking
 //! tenant's study transitions to the `poisoned` state and the scheduler
 //! skips it from then on — the panic never crosses a lock boundary, so
-//! `status`/`metrics` keep answering for every other tenant. A study
-//! that exceeds the configured slice budget transitions to `stalled`
-//! the same way. All internal locks recover from poisoning
+//! `status`/`metrics` keep answering for every other tenant. All
+//! internal locks recover from poisoning
 //! (`lock_recover`): even a panic at an unexpected point degrades one
 //! job, not the service.
 //!
 //! # Admission control
 //!
-//! [`Service::handle`] enforces a per-tenant in-flight request cap;
-//! requests over the cap get an explicit `overloaded` response carrying
-//! `retry_after_ms` instead of queueing without bound. The TCP daemon
+//! [`Service::handle`] enforces a per-tenant in-flight request cap
+//! ([`MAX_INFLIGHT_PER_TENANT`]); requests over the cap get an explicit
+//! `overloaded` response carrying [`RETRY_AFTER_MS`] instead of
+//! queueing without bound. The TCP daemon
 //! adds a connection cap on top (see `daemon.rs`). Shed work is counted
 //! under `serve.shed.*` — always registered, so clean runs export
 //! explicit zeros.
@@ -38,11 +38,11 @@ use slum_obs::{MetricsSnapshot, Registry, TenantRegistries};
 
 use crate::proto::{Request, Response};
 
-/// Default per-tenant cap on concurrently handled protocol requests.
-pub const DEFAULT_MAX_INFLIGHT_PER_TENANT: usize = 8;
+/// Per-tenant cap on concurrently handled protocol requests.
+pub const MAX_INFLIGHT_PER_TENANT: usize = 8;
 
-/// Default `retry_after_ms` hint sent with `overloaded` responses.
-pub const DEFAULT_RETRY_AFTER_MS: u64 = 25;
+/// The `retry_after_ms` hint sent with `overloaded` responses.
+pub const RETRY_AFTER_MS: u64 = 25;
 
 /// Locks a mutex, recovering from poisoning: a panic that died inside
 /// the critical section (already contained by the slice supervisor)
@@ -122,18 +122,16 @@ enum Slice {
     Done(FinishedStudy),
 }
 
-/// The per-study lifecycle. `Poisoned` and `Stalled` are supervision
-/// quarantine states: the scheduler skips such jobs, their checkpoints
-/// stay on disk, and resubmitting the same (tenant, config) resumes
-/// from where the last intact checkpoint left off.
+/// The per-study lifecycle. `Poisoned` is the supervision quarantine
+/// state: the scheduler skips such jobs, their checkpoints stay on
+/// disk, and resubmitting the same (tenant, config) resumes from where
+/// the last intact checkpoint left off.
 enum JobState {
     Running,
     Done(FinishedStudy),
     Failed(String),
     /// The study's slice panicked; the panic was contained here.
     Poisoned(String),
-    /// The study exceeded the service's slice budget.
-    Stalled(String),
 }
 
 struct Job {
@@ -150,8 +148,8 @@ struct Job {
     state: JobState,
     /// The crawl kept resident between slices. `None` before the first
     /// slice (which attaches from the checkpoints on disk), while a
-    /// slice runs, and once the job stops running — a panicked, stalled
-    /// or failed slice drops its session.
+    /// slice runs, and once the job stops running — a panicked or
+    /// failed slice drops its session.
     session: Option<CrawlSession>,
 }
 
@@ -162,7 +160,7 @@ pub struct StudyStatus {
     pub id: u64,
     /// Owning tenant.
     pub tenant: String,
-    /// `running`, `done`, `failed`, `poisoned` or `stalled`.
+    /// `running`, `done`, `failed` or `poisoned`.
     pub state: String,
     /// Scheduling slices executed so far.
     pub slices: u64,
@@ -196,9 +194,6 @@ pub struct StudyStatus {
 /// interleave with other tenants' (see `tests/invariance.rs`).
 pub struct Service {
     root: PathBuf,
-    max_slices: Option<u64>,
-    max_inflight_per_tenant: usize,
-    retry_after_ms: u64,
     disk_fault_override: Option<DiskFaultProfile>,
     jobs: Mutex<Vec<Job>>,
     /// Notified under the `jobs` lock on every submit and by
@@ -250,16 +245,12 @@ impl Service {
             "serve.shed.requests",
             "serve.shed.connections",
             "serve.tenants.poisoned",
-            "serve.tenants.stalled",
             "ckpt.quarantined",
         ] {
             obs.counter(name).add(0);
         }
         Ok(Service {
             root,
-            max_slices: None,
-            max_inflight_per_tenant: DEFAULT_MAX_INFLIGHT_PER_TENANT,
-            retry_after_ms: DEFAULT_RETRY_AFTER_MS,
             disk_fault_override: None,
             jobs: Mutex::new(Vec::new()),
             work: Condvar::new(),
@@ -271,27 +262,6 @@ impl Service {
         })
     }
 
-    /// Caps the scheduling slices any one study may consume; a study
-    /// still running at the cap transitions to `stalled` and stops
-    /// being scheduled (its checkpoints remain for resubmission).
-    /// `None` (the default) never stalls.
-    pub fn with_max_slices(mut self, max: Option<u64>) -> Service {
-        self.max_slices = max;
-        self
-    }
-
-    /// Sets the per-tenant in-flight request cap (min 1).
-    pub fn with_max_inflight_per_tenant(mut self, cap: usize) -> Service {
-        self.max_inflight_per_tenant = cap.max(1);
-        self
-    }
-
-    /// Sets the `retry_after_ms` hint sent with `overloaded` responses.
-    pub fn with_retry_after_ms(mut self, ms: u64) -> Service {
-        self.retry_after_ms = ms;
-        self
-    }
-
     /// Forces every submitted study onto `profile` for checkpoint
     /// storage-fault injection — the operator chaos override behind
     /// `repro serve --disk-fault-profile`. Disk faults never change
@@ -300,11 +270,6 @@ impl Service {
     pub fn with_disk_fault_profile(mut self, profile: DiskFaultProfile) -> Service {
         self.disk_fault_override = Some(profile);
         self
-    }
-
-    /// The `retry_after_ms` hint this service attaches to shed work.
-    pub fn retry_after_ms(&self) -> u64 {
-        self.retry_after_ms
     }
 
     /// The service's own observability registry (shed/supervision
@@ -319,7 +284,7 @@ impl Service {
     pub fn admit(&self, tenant: &str) -> Option<InflightGuard<'_>> {
         let mut inflight = lock_recover(&self.inflight);
         let n = inflight.entry(tenant.to_string()).or_insert(0);
-        if *n >= self.max_inflight_per_tenant {
+        if *n >= MAX_INFLIGHT_PER_TENANT {
             return None;
         }
         *n += 1;
@@ -430,10 +395,9 @@ impl Service {
     }
 
     /// Advances study `id` by one scheduling slice, supervised: a
-    /// panicking slice transitions the study to `poisoned`, a study
-    /// over the slice budget to `stalled` — either way the panic or
-    /// runaway is contained to this job and the scheduler keeps serving
-    /// every other tenant. Returns the status after the slice;
+    /// panicking slice transitions the study to `poisoned` — the panic
+    /// is contained to this job and the scheduler keeps serving every
+    /// other tenant. Returns the status after the slice;
     /// completed, failed or quarantined studies return immediately
     /// without work.
     ///
@@ -495,19 +459,8 @@ impl Service {
                 job.state = JobState::Poisoned(panic_message(payload));
                 self.obs.counter("serve.tenants.poisoned").inc();
             }
-            Ok(Ok(Slice::Crawling(session))) => {
-                // Crawl still in progress; next slice continues —
-                // unless this study has exhausted its slice budget.
-                if self.max_slices.is_some_and(|max| job.slices >= max) {
-                    job.state = JobState::Stalled(format!(
-                        "slice budget exceeded ({} slices)",
-                        job.slices
-                    ));
-                    self.obs.counter("serve.tenants.stalled").inc();
-                } else {
-                    job.session = Some(*session);
-                }
-            }
+            // Crawl still in progress; the next slice continues it.
+            Ok(Ok(Slice::Crawling(session))) => job.session = Some(*session),
             Ok(Ok(Slice::Done(finished))) => {
                 job.state = JobState::Done(finished);
                 self.obs.counter("serve.studies.completed").inc();
@@ -651,12 +604,12 @@ impl Service {
 
     /// Dispatches one protocol request (the shared front end behind the
     /// TCP daemon and any in-process embedding). Requests over the
-    /// tenant's in-flight cap are shed with an `overloaded` response
-    /// carrying `retry_after_ms`.
+    /// tenant's in-flight cap ([`MAX_INFLIGHT_PER_TENANT`]) are shed
+    /// with an `overloaded` response carrying [`RETRY_AFTER_MS`].
     pub fn handle(&self, req: &Request) -> Response {
         let Some(_guard) = self.admit(&req.tenant) else {
             self.obs.counter("serve.shed.requests").inc();
-            return Response::overloaded(&req.op, self.retry_after_ms);
+            return Response::overloaded(&req.op, RETRY_AFTER_MS);
         };
         match req.op.as_str() {
             "submit-study" => {
@@ -745,7 +698,6 @@ fn status_of(job: &mut Job) -> Result<StudyStatus, ServeError> {
         ),
         JobState::Failed(e) => ("failed", None, None, None, None, Some(e.clone())),
         JobState::Poisoned(e) => ("poisoned", None, None, None, None, Some(e.clone())),
-        JobState::Stalled(e) => ("stalled", None, None, None, None, Some(e.clone())),
     };
     Ok(StudyStatus {
         id: job.id,
@@ -799,10 +751,11 @@ mod tests {
     #[test]
     fn admission_caps_inflight_per_tenant_and_sheds_requests() {
         let (service, root) = scratch_service("admit");
-        let service = service.with_max_inflight_per_tenant(1).with_retry_after_ms(42);
 
-        let guard = service.admit("alpha").expect("first slot admits");
-        assert!(service.admit("alpha").is_none(), "cap of 1 must shed the second");
+        let mut guards: Vec<_> = (0..MAX_INFLIGHT_PER_TENANT)
+            .map(|_| service.admit("alpha").expect("slots under the cap admit"))
+            .collect();
+        assert!(service.admit("alpha").is_none(), "a full tenant must shed the next");
         assert!(service.admit("beta").is_some(), "caps are per-tenant");
 
         // handle() sheds through the same gate, with the typed
@@ -812,11 +765,11 @@ mod tests {
         let shed = service.handle(&req);
         assert!(!shed.ok);
         assert_eq!(shed.error.as_deref(), Some("overloaded"));
-        assert_eq!(shed.retry_after_ms, Some(42));
+        assert_eq!(shed.retry_after_ms, Some(RETRY_AFTER_MS));
         assert!(service.metrics().counter("serve.shed.requests") >= 1);
 
-        // Dropping the guard frees the slot.
-        drop(guard);
+        // Dropping a guard frees its slot.
+        guards.pop();
         let served = service.handle(&req);
         assert!(served.ok, "slot must free on guard drop: {:?}", served.error);
         std::fs::remove_dir_all(&root).ok();
@@ -830,7 +783,6 @@ mod tests {
             "serve.shed.requests",
             "serve.shed.connections",
             "serve.tenants.poisoned",
-            "serve.tenants.stalled",
             "ckpt.quarantined",
         ] {
             assert_eq!(m.counter(name), 0, "{name} must be present and zero");
@@ -995,20 +947,6 @@ mod tests {
         }
         assert_eq!(std::fs::read(&file).expect("still in place"), v1);
         assert!(!dir.join("quarantine").exists(), "nothing is quarantined");
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn slice_budget_stalls_runaway_studies() {
-        let (service, root) = scratch_service("stall");
-        let service = service.with_max_slices(Some(2));
-        let id = service.submit("greedy", tiny_config()).expect("submit");
-        service.run_to_completion().expect("scheduler");
-        let status = service.status(id).expect("status");
-        assert_eq!(status.state, "stalled", "2 one-round slices cannot finish a study");
-        assert_eq!(status.slices, 2);
-        assert!(status.error.as_deref().unwrap_or("").contains("slice budget"));
-        assert_eq!(service.metrics().counter("serve.tenants.stalled"), 1);
         std::fs::remove_dir_all(&root).ok();
     }
 }

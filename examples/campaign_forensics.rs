@@ -53,7 +53,7 @@ fn main() {
     crawl_exchange(
         &web,
         &mut exchange,
-        &CrawlConfig { steps: 600, seed: 11, start_time: 95_000, ..Default::default() },
+        &CrawlConfig { steps: 600, seed: 11, start_time: 95_000 },
         &mut store,
     );
     let flags: Vec<bool> =

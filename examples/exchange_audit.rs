@@ -10,7 +10,7 @@
 use malware_slums::case_studies;
 use malware_slums::categorize::{categorize, Category};
 use malware_slums::scanpipe::ScanPipeline;
-use slum_crawler::drive::{crawl_exchange, estimated_duration_secs, CrawlConfig};
+use slum_crawler::drive::{crawl_exchange, estimated_span_secs, CrawlConfig};
 use slum_crawler::RecordStore;
 use slum_exchange::params::{profile, PROFILES};
 use slum_exchange::build_exchange;
@@ -29,8 +29,8 @@ fn main() {
     println!("Auditing {} ({})\n", p.name, p.kind.label());
     let steps = 400;
     let mut builder = WebBuilder::new(99);
-    let mut exchange =
-        build_exchange(&mut builder, p, 0.08, estimated_duration_secs(p, steps));
+    let span = estimated_span_secs(p.min_surf_secs, p.kind, steps);
+    let mut exchange = build_exchange(&mut builder, p, 0.08, span);
     let web = builder.finish();
 
     let mut store = RecordStore::new();

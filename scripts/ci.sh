@@ -119,7 +119,7 @@ for tenant in tenants:
     if counters.get(f"tenant.{tenant}.crawl.pages", 0) <= 0:
         sys.exit(f"SERVE smoke test: no crawl.pages rollup for tenant {tenant}")
 for name in ("serve.shed.requests", "serve.shed.connections",
-             "serve.tenants.poisoned", "serve.tenants.stalled"):
+             "serve.tenants.poisoned"):
     if name not in counters:
         sys.exit(f"SERVE smoke test: resilience counter {name!r} missing")
 quarantined = counters.get("ckpt.quarantined", 0)
