@@ -211,3 +211,29 @@ fn json_export_is_a_span_in_the_metrics() {
         spans.iter().filter(|s| s["name"].as_str().is_some_and(|n| n.starts_with("phase.")));
     assert_eq!(phases.count(), 3, "the export is not a phase");
 }
+
+#[test]
+fn the_scan_phase_times_its_serial_steps_as_spans() {
+    let spans_of = |args: &[&str]| -> Vec<String> {
+        let metrics_path = scratch("serial-steps.json");
+        let mut argv = args.to_vec();
+        argv.extend(["--metrics", metrics_path.to_str().unwrap()]);
+        stdout_of(&argv);
+        let snapshot = metrics(&metrics_path);
+        std::fs::remove_file(&metrics_path).ok();
+        let spans = snapshot["spans"].as_array().expect("spans listed");
+        spans.iter().map(|s| s["name"].as_str().expect("a span name").to_string()).collect()
+    };
+    let count = |names: &[String], name: &str| names.iter().filter(|n| *n == name).count();
+    let phases = |names: &[String]| names.iter().filter(|n| n.starts_with("phase.")).count();
+
+    let faulted = spans_of(&["table1", "--scale", "0.0005", "--fault-profile", "harsh"]);
+    assert_eq!(count(&faulted, "filter.classify"), 1, "{faulted:?}");
+    assert_eq!(count(&faulted, "scan.fault_plan"), 1, "{faulted:?}");
+    assert_eq!(phases(&faulted), 3, "neither step is a phase: {faulted:?}");
+
+    let plain = spans_of(&["table1", "--scale", "0.0005"]);
+    assert_eq!(count(&plain, "filter.classify"), 1, "{plain:?}");
+    assert_eq!(count(&plain, "scan.fault_plan"), 0, "no profile, no plan: {plain:?}");
+    assert_eq!(phases(&plain), 3, "{plain:?}");
+}

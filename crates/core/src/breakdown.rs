@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn tld_breakdown_buckets() {
-        let records = vec![
+        let records = [
             record("X", "http://a-site.com/"),
             record("X", "http://b-site.com/"),
             record("X", "http://c-site.net/"),
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn benign_records_excluded_from_breakdowns() {
-        let records = vec![record("X", "http://a-site.com/"), record("X", "http://b-site.net/")];
+        let records = [record("X", "http://a-site.com/"), record("X", "http://b-site.net/")];
         let outcomes = vec![outcome(true), outcome(false)];
         let pairs: Vec<_> = records.iter().zip(&outcomes).collect();
         let t = TldBreakdown::build(&pairs);
@@ -235,7 +235,7 @@ mod tests {
             ..Default::default()
         });
         let web = b.finish();
-        let records = vec![record("X", &spec.url.to_string())];
+        let records = [record("X", &spec.url.to_string())];
         let outcomes = vec![outcome(true)];
         let pairs: Vec<_> = records.iter().zip(&outcomes).collect();
         let c = ContentBreakdown::build(&web, &pairs);
@@ -246,7 +246,7 @@ mod tests {
     fn unknown_landing_page_falls_to_others() {
         let b = slum_websim::build::WebBuilder::new(211);
         let web = b.finish();
-        let records = vec![record("X", "http://ghost-site.com/")];
+        let records = [record("X", "http://ghost-site.com/")];
         let outcomes = vec![outcome(true)];
         let pairs: Vec<_> = records.iter().zip(&outcomes).collect();
         let c = ContentBreakdown::build(&web, &pairs);

@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn tally_and_shares() {
-        let records = vec![
+        let records = [
             record("http://a.example/", "http://a.example/", false), // blacklisted
             record("http://b.example/", "http://b.example/", false), // js
             record("http://c.example/", "http://c.example/", false), // benign

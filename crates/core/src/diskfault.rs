@@ -108,7 +108,7 @@ impl DiskFaultProfile {
     pub fn harsh() -> Self {
         DiskFaultProfile {
             name: "harsh".to_string(),
-            seed_salt: 0xd15c_bad,
+            seed_salt: 0x0d15_cbad,
             torn_per_mille: 60,
             short_per_mille: 40,
             flip_per_mille: 50,

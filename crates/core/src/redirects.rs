@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_only_malicious_redirecting() {
-        let records = vec![record(1), record(1), record(2), record(0), record(3)];
+        let records = [record(1), record(1), record(2), record(0), record(3)];
         let outcomes =
             vec![outcome(true), outcome(true), outcome(true), outcome(true), outcome(false)];
         let pairs: Vec<_> = records.iter().zip(&outcomes).collect();
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn longest_chain_selected() {
-        let records = vec![record(2), record(5), record(7), record(6)];
+        let records = [record(2), record(5), record(7), record(6)];
         let outcomes = vec![outcome(true), outcome(true), outcome(false), outcome(true)];
         let pairs: Vec<_> = records.iter().zip(&outcomes).collect();
         let exhibit = longest_chain(&pairs).unwrap();

@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn fig2_bars_render_scaled() {
-        let bars = vec![Fig2Bar { exchange: "X".into(), benign: 50, malicious: 50 }];
+        let bars = [Fig2Bar { exchange: "X".into(), benign: 50, malicious: 50 }];
         let text = bars.render();
         assert!(text.contains("50.0%"));
         assert!(text.contains("####################"));

@@ -12,9 +12,11 @@
 //! (and the study's scan phase, which calls the same code) runs five
 //! passes:
 //!
-//! 1. a serial pass gives each scanned record its fault decisions, a
-//!    dense URL id and its chain-host ids, keyed on the records' own
-//!    text;
+//! 1. the workers look up each scanned record's fault decisions (once
+//!    per run of records from one source) and hash its URL and chain
+//!    hosts into flat arrays; a serial pass then gives each record a
+//!    dense URL id and its chain-host ids by probing presized id maps
+//!    with those hashes, comparing text only when two hashes are equal;
 //! 2. parallel passes fill `Vec` slots with each distinct URL's sample
 //!    (scanner load, VirusTotal and Quttera reports, JS tally), each
 //!    distinct host's registered domain and each distinct domain's
@@ -34,14 +36,15 @@
 //! on the plan.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, RandomState};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use slum_browser::{Browser, LoadResult};
 use slum_crawler::CrawlRecord;
 use slum_detect::blacklist::BlacklistDb;
-use slum_detect::fault::{FaultPlan, ScanService, ServiceDecision};
+use slum_detect::fault::{FaultPlan, ScanService, ServiceDecision, SourceDecisions};
 use slum_detect::hash::fnv1a;
 use slum_detect::quttera::{Quttera, QutteraFinding, QutteraReport, QutteraVerdict};
 use slum_detect::virustotal::{VirusTotal, VtReport};
@@ -107,6 +110,14 @@ pub struct FaultLog {
 }
 
 impl FaultLog {
+    /// Adds `other`'s costs to this log.
+    pub(crate) fn add(&mut self, other: &FaultLog) {
+        self.injected += other.injected;
+        self.retries += other.retries;
+        self.backoff_nanos += other.backoff_nanos;
+        self.breaker_skips += other.breaker_skips;
+    }
+
     fn from_decisions(decisions: &[ServiceDecision; 3]) -> FaultLog {
         let mut log = FaultLog::default();
         for d in decisions {
@@ -125,9 +136,10 @@ impl FaultLog {
 /// `exchange#seq` is unique per corpus and fixed by the crawl, never by
 /// scan-worker chunking.
 ///
-/// Only plan *compilation* materializes these strings (once per
-/// record); the scan hot path looks decisions up allocation-free via
-/// [`FaultPlan::decisions_for`] with the record's own fields.
+/// This is the key [`FaultPlan::compile`] and [`FaultPlan::decisions`]
+/// take. The study never builds it: it compiles from the records' own
+/// fields ([`FaultPlan::compile_requests`]), and the scan looks
+/// decisions up by source and seq.
 pub fn scan_key(record: &CrawlRecord) -> String {
     format!("{}#{}", record.exchange, record.seq)
 }
@@ -169,47 +181,80 @@ pub fn effective_scan_workers(
     requested.max(1).min(cores).min(record_count.max(1))
 }
 
-/// Maps `f` over the indices `0..len` across `workers` scoped threads
-/// and returns the results in index order — the one chunked loop every
-/// parallel pass of a scan runs through.
+/// Fills a vector of `len` values across `workers` scoped threads, run
+/// by run, and returns it with one value per run — the one chunked loop
+/// every parallel pass of a scan runs through.
 ///
-/// Workers pull `chunk`-sized runs of slots from one shared iterator
-/// instead of taking one contiguous stretch each, so a worker that drew
-/// expensive items keeps pulling small chunks while its peers do the
-/// same and no thread idles behind one unlucky stretch. Each worker
-/// writes its results straight into its run's slots of the one output
-/// vector, so the result equals the serial `(0..len).map(f)` for every
-/// worker count and chunk size, and no second copy of it is ever held.
-/// One worker (or at most one index) takes that serial path directly.
+/// Workers pull runs of `chunk` consecutive slots from one shared
+/// iterator instead of taking one contiguous stretch each, so a worker
+/// that drew expensive items keeps pulling small runs while its peers
+/// do the same and no thread idles behind one unlucky stretch. `f` gets
+/// a run's first index and its slots of the one output vector, fills
+/// every slot and returns the run's value; so the result is the serial
+/// one for every worker count and chunk size, and no second copy of it
+/// is ever held. One worker (or at most one run) fills the runs in
+/// order on the calling thread.
+pub(crate) fn fill_runs<T, R, F>(len: usize, workers: usize, chunk: usize, f: F) -> (Vec<T>, Vec<R>)
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [Option<T>]) -> R + Sync,
+{
+    let chunk = chunk.max(1);
+    let runs = len.div_ceil(chunk);
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
+    let mut values: Vec<Option<R>> = std::iter::repeat_with(|| None).take(runs).collect();
+    let mut pending = slots.chunks_mut(chunk).zip(values.iter_mut()).enumerate();
+    let workers = workers.max(1).min(runs.max(1));
+    if workers == 1 {
+        for (r, (run, value)) in pending {
+            *value = Some(f(r * chunk, run));
+        }
+    } else {
+        let pending = Mutex::new(&mut pending);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let (pending, f) = (&pending, &f);
+                scope.spawn(move || loop {
+                    // A holder only advances the iterator, so even a
+                    // poisoned lock guards a valid one.
+                    let next = pending.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((r, (run, value))) = next else { break };
+                    *value = Some(f(r * chunk, run));
+                });
+            }
+        });
+    }
+    // Collected in place: an `Option` of every type the passes return is
+    // the size of the value, so this reuses the slots' allocation.
+    let slots = slots.into_iter().map(|slot| slot.expect("every slot is filled")).collect();
+    (slots, values.into_iter().map(|value| value.expect("every run is filled")).collect())
+}
+
+/// Maps `f` over the indices `0..len` through [`fill_runs`] and returns
+/// the results in index order: the serial `(0..len).map(f)`.
 pub(crate) fn scan_chunked<T, F>(len: usize, workers: usize, chunk: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = workers.max(1).min(len.max(1));
-    if workers == 1 {
-        return (0..len).map(f).collect();
-    }
-    let chunk = chunk.max(1);
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
-    let runs = Mutex::new(slots.chunks_mut(chunk).enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (runs, f) = (&runs, &f);
-            scope.spawn(move || loop {
-                // A holder only advances the iterator, so even a
-                // poisoned lock guards a valid one.
-                let next = runs.lock().unwrap_or_else(PoisonError::into_inner).next();
-                let Some((c, run)) = next else { break };
-                for (k, slot) in run.iter_mut().enumerate() {
-                    *slot = Some(f(c * chunk + k));
-                }
-            });
+    let fill = |start: usize, run: &mut [Option<T>]| {
+        for (k, slot) in run.iter_mut().enumerate() {
+            *slot = Some(f(start + k));
         }
-    });
-    // Collected in place: an `Option` of every type the passes return is
-    // the size of the value, so this reuses the slots' allocation.
-    slots.into_iter().map(|slot| slot.expect("every slot is filled")).collect()
+    };
+    fill_runs(len, workers, chunk, fill).0
+}
+
+/// Folds each run of `chunk` consecutive indices of `0..len` and
+/// returns the folds in run order.
+pub(crate) fn scan_runs<R, F>(len: usize, workers: usize, chunk: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    let chunk = chunk.max(1);
+    scan_chunked(len.div_ceil(chunk), workers, 1, |r| f(r * chunk..len.min((r + 1) * chunk)))
 }
 
 /// Verdict and evidence for one scanned record.
@@ -519,6 +564,69 @@ struct Plan<'a> {
     chain: Vec<u32>,
 }
 
+/// The hashes of the keys one run of records looks up, in record order.
+struct RunHashes {
+    /// The URL hash of each visit with a scanner up.
+    urls: Vec<u64>,
+    /// The chain-host hashes of each visit with the blacklists up, laid
+    /// out like the plan's `chain`.
+    hosts: Vec<u64>,
+}
+
+/// Dense ids for distinct strings, in first-seen order, probed by
+/// hashes computed beforehand: two keys' text is compared only when
+/// their hashes are equal. Sized once for every key it will be asked
+/// about, so it never grows.
+struct HashedIds<'a> {
+    /// Open-addressed, at most half full: 0 is empty, else an id plus
+    /// one.
+    slots: Vec<u32>,
+    /// Each key's hash, by id.
+    hashes: Vec<u64>,
+    /// Each key with the first index that asked for it.
+    keys: Vec<(&'a str, usize)>,
+}
+
+impl<'a> HashedIds<'a> {
+    /// A map for up to `lookups` lookups.
+    fn with_capacity(lookups: usize) -> Self {
+        HashedIds {
+            slots: vec![0; (2 * lookups).next_power_of_two()],
+            hashes: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// The id of `key`, whose hash is `hash`; a new key takes the next
+    /// id and remembers `first`.
+    fn id(&mut self, hash: u64, key: &'a str, first: usize) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let Some(id) = self.slots[slot].checked_sub(1) else {
+                let id = u32::try_from(self.keys.len())
+                    .ok()
+                    .filter(|&id| id < u32::MAX)
+                    .expect("fewer than 2^32 - 1 distinct keys");
+                self.slots[slot] = id + 1;
+                self.hashes.push(hash);
+                self.keys.push((key, first));
+                return id;
+            };
+            let known = self.keys[id as usize].0;
+            if self.hashes[id as usize] == hash && (std::ptr::eq(known, key) || known == key) {
+                return id;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The keys in id order; the slots and hashes are dropped.
+    fn into_keys(self) -> Vec<(&'a str, usize)> {
+        self.keys
+    }
+}
+
 /// Dense ids for distinct keys, in first-seen order.
 struct Ids<K> {
     ids: HashMap<K, u32>,
@@ -674,14 +782,14 @@ impl<'w> ScanPipeline<'w> {
     pub(crate) fn scan_planned(
         &self,
         records: &[CrawlRecord],
-        scanned: impl Fn(usize) -> bool,
+        scanned: impl Fn(usize) -> bool + Sync,
         workers: usize,
         chunk: usize,
         sample_nanos: Option<&Histogram>,
         keep: bool,
     ) -> (Vec<ScanOutcome>, ScanTally) {
         // 1. Fault decisions, URL ids and chain-host ids.
-        let Plan { mut visits, urls, hosts, chain } = self.plan(records, scanned);
+        let Plan { mut visits, urls, hosts, chain } = self.plan(records, scanned, workers, chunk);
         let guard = self.caches.table();
         let table = &*guard;
         // 2. Each distinct URL's sample, host's domain and domain's
@@ -824,39 +932,107 @@ impl<'w> ScanPipeline<'w> {
     }
 
     /// Pass 1: each scanned record's fault decisions, URL id and
-    /// chain-host ids.
-    fn plan<'a>(&self, records: &'a [CrawlRecord], scanned: impl Fn(usize) -> bool) -> Plan<'a> {
-        let mut visits = Vec::with_capacity(records.len());
-        let (mut urls, mut hosts) = (Ids::new(), Ids::new());
-        let mut chain = Vec::new();
-        for (i, record) in records.iter().enumerate() {
-            if !scanned(i) {
-                visits.push(None);
+    /// chain-host ids. The workers build each record's visit in its
+    /// slot and hash the keys it looks up ([`ScanPipeline::visit_run`]);
+    /// the serial walk assigns the ids in record order, so they are the
+    /// ids a walk over the records' text assigns. The hash arrays are
+    /// dropped on return.
+    fn plan<'a>(
+        &self,
+        records: &'a [CrawlRecord],
+        scanned: impl Fn(usize) -> bool + Sync,
+        workers: usize,
+        chunk: usize,
+    ) -> Plan<'a> {
+        let chunk = chunk.max(1);
+        // Ids follow first sight, never hash values, so the map may use
+        // a seeded hasher.
+        let hasher = RandomState::new();
+        let (mut visits, hashes) = fill_runs(records.len(), workers, chunk, |start, run| {
+            self.visit_run(&records[start..start + run.len()], start, run, &scanned, &hasher)
+        });
+        let url_lookups = hashes.iter().map(|run| run.urls.len()).sum();
+        let host_lookups = hashes.iter().map(|run| run.hosts.len()).sum();
+        let mut urls = HashedIds::with_capacity(url_lookups);
+        let mut hosts = HashedIds::with_capacity(host_lookups);
+        let mut chain = Vec::with_capacity(host_lookups);
+        for (r, (run, hashes)) in visits.chunks_mut(chunk).zip(hashes).enumerate() {
+            let mut url_hashes = hashes.urls.into_iter();
+            let mut host_hashes = hashes.hosts.into_iter();
+            for (k, visit) in run.iter_mut().enumerate() {
+                let Some(visit) = visit else { continue };
+                let i = r * chunk + k;
+                let record = &records[i];
+                if visit.vt_up || visit.quttera_up {
+                    let hash = url_hashes.next().expect("a hash per looked-up URL");
+                    visit.url = Some(urls.id(hash, record.url.as_str(), i));
+                }
+                if visit.blacklist_up {
+                    let hosts_and_hashes = record.chain_hosts.iter().zip(&mut host_hashes);
+                    chain.extend(hosts_and_hashes.map(|(host, hash)| hosts.id(hash, host, i)));
+                }
+                visit.chain_end = u32::try_from(chain.len()).expect("fewer than 2^32 chain hosts");
+            }
+        }
+        Plan { visits, urls: urls.into_keys(), hosts: hosts.into_keys(), chain }
+    }
+
+    /// Pass 1's parallel half for `records`, the run of the batch that
+    /// starts at index `start`: each scanned record's visit in its slot
+    /// of `visits`, with its fault decisions (its source looked up once
+    /// per run of records from that source) but no ids yet, and the
+    /// `hasher`'s hashes of the URL and chain hosts the visit looks up.
+    fn visit_run(
+        &self,
+        records: &[CrawlRecord],
+        start: usize,
+        visits: &mut [Option<Option<Visit>>],
+        scanned: &impl Fn(usize) -> bool,
+        hasher: &RandomState,
+    ) -> RunHashes {
+        let mut hashes = RunHashes { urls: Vec::with_capacity(records.len()), hosts: Vec::new() };
+        let mut source: Option<(&str, SourceDecisions<'_>)> = None;
+        for (k, (record, slot)) in records.iter().zip(visits).enumerate() {
+            if !scanned(start + k) {
+                *slot = Some(None);
                 continue;
             }
             let decisions = match &self.fault_plan {
-                Some(faults) => faults.decisions_for(&record.exchange, record.seq),
+                Some(plan) => {
+                    let decisions = match source {
+                        Some((name, decisions)) if name == record.exchange => decisions,
+                        _ => {
+                            let decisions = plan.source(&record.exchange);
+                            source = Some((&record.exchange, decisions));
+                            decisions
+                        }
+                    };
+                    decisions.get(record.seq)
+                }
                 None => [ServiceDecision::Ok; 3],
             };
             let up = |service: ScanService| decisions[service.index()].available();
             let (vt_up, quttera_up) = (up(ScanService::VirusTotal), up(ScanService::Quttera));
             let blacklist_up = up(ScanService::Blacklist);
-            let url = (vt_up || quttera_up).then(|| urls.id(record.url.as_str(), i));
-            if blacklist_up {
-                chain.extend(record.chain_hosts.iter().map(|host| hosts.id(host.as_str(), i)));
+            if vt_up || quttera_up {
+                hashes.urls.push(hasher.hash_one(record.url.as_str()));
             }
-            visits.push(Some(Visit {
+            if blacklist_up {
+                let chain = record.chain_hosts.iter();
+                hashes.hosts.extend(chain.map(|host| hasher.hash_one(host.as_str())));
+            }
+            *slot = Some(Some(Visit {
                 vt_up,
                 quttera_up,
                 blacklist_up,
                 faults: FaultLog::from_decisions(&decisions),
-                url,
-                chain_end: u32::try_from(chain.len()).expect("fewer than 2^32 chain hosts"),
+                url: None,
+                chain_end: 0,
                 capture: None,
                 blacklisted: None,
             }));
         }
-        Plan { visits, urls: urls.into_keys(), hosts: hosts.into_keys(), chain }
+        hashes
     }
 
     /// The URL-scan sample of one distinct URL: one scanner fetch,
@@ -1118,7 +1294,8 @@ mod tests {
         /// The chunked loop returns the serial map for every length,
         /// worker count and chunk size, and hands over each value it
         /// computed whole: none is dropped before the result is, and
-        /// every one is dropped exactly once with it.
+        /// every one is dropped exactly once with it. Run values come
+        /// back in run order.
         #[test]
         fn chunked_loop_matches_the_serial_map_and_drops_each_value_once(
             len in 0usize..5001,
@@ -1149,6 +1326,15 @@ mod tests {
             prop_assert!(drops.iter().all(|d| d.load(Ordering::Relaxed) == 0));
             drop(out);
             prop_assert!(drops.iter().all(|d| d.load(Ordering::Relaxed) == 1));
+            // Each run's value comes back in run order, for the run's
+            // own stretch of slots.
+            let (_, runs) = fill_runs(len, workers, chunk, |start, run: &mut [Option<()>]| {
+                run.fill(Some(()));
+                (start, run.len())
+            });
+            let serial: Vec<(usize, usize)> =
+                (0..len).step_by(chunk).map(|start| (start, chunk.min(len - start))).collect();
+            prop_assert_eq!(runs, serial);
         }
     }
 

@@ -133,7 +133,7 @@ mod tests {
         let web = b.finish();
         let load = Browser::new(&web).load(&spec.url);
         let rec = CrawlRecord::from_load("X", 0, 0, &load);
-        let records = vec![rec.clone(), rec.clone(), rec];
+        let records = [rec.clone(), rec.clone(), rec];
         let outcomes = vec![outcome(true), outcome(true), outcome(false)];
         let pairs: Vec<_> = records.iter().zip(&outcomes).collect();
         let rows = shortened_rows(&web, &pairs);

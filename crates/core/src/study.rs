@@ -2,9 +2,9 @@
 //! analyze — everything the paper's evaluation reports, in one object.
 //!
 //! Every run carries a [`slum_obs::Registry`]: the phases record named
-//! spans, the crawler and scan workers buffer counters locally and
-//! merge them at phase end, and [`Study::metrics`] exposes the result
-//! as a [`MetricsSnapshot`]. All counters and gauges are deterministic
+//! spans, the crawl and the scan return plain tallies that the study
+//! adds to the registry once per phase, and [`Study::metrics`] exposes
+//! the result as a [`MetricsSnapshot`]. All counters and gauges are deterministic
 //! for a fixed seed — identical for every scan worker count — so tests
 //! pin them; only span/histogram wall-clock varies per machine.
 
@@ -33,8 +33,8 @@ use crate::diskfault::DiskFaultProfile;
 use crate::facts::Facts;
 use crate::filter::ReferralClass;
 use crate::scanpipe::{
-    effective_scan_workers, scan_key, FaultLog, JsVmStats, ScanCaches, ScanOutcome, ScanPipeline,
-    ScanTally, VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
+    effective_scan_workers, scan_chunked, scan_runs, FaultLog, JsVmStats, ScanCaches, ScanOutcome,
+    ScanPipeline, ScanTally, VerdictSource, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD,
 };
 use crate::substrate::{build_substrate, BuiltSubstrate, SourceMeta, Substrate};
 
@@ -475,7 +475,8 @@ impl Study {
         };
 
         // 2. Crawl every source in parallel; each crawl returns its
-        //    per-worker counter buffer, merged at phase end. Every path
+        //    records with its `CrawlStats` and health log, which the
+        //    scan phase books into the registry. Every path
         //    funnels through the same segment driver, so the records are
         //    bit-identical to checkpointed runs whatever their cadence
         //    and resume points.
@@ -889,91 +890,151 @@ fn record_js_vm_stats(obs: &Registry, stats: &JsVmStats) {
     obs.counter("js.vm.budget_exhaustions").add(stats.budget_exhaustions);
 }
 
-/// Tallies scan verdicts, blacklist consensus outcomes and per-engine
-/// labels over the regular records. Runs serially after the scan phase,
-/// so the counts are trivially schedule-independent. Every count is
-/// kept locally and added to the registry once, and a name is
-/// registered only when its count is positive. Labels are counted by
-/// borrowed key first, so each metric name is formatted once.
-fn record_outcome_tallies(obs: &Registry, outcomes: &[ScanOutcome], referrals: &[ReferralClass]) {
-    let (mut malicious, mut benign, mut uploads, mut consensus) = (0u64, 0u64, 0u64, 0u64);
-    let mut engines: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut labels: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut findings: BTreeMap<QutteraFinding, u64> = BTreeMap::new();
-    let mut verdicts: BTreeMap<QutteraVerdict, u64> = BTreeMap::new();
-    for (outcome, class) in outcomes.iter().zip(referrals) {
-        if *class != ReferralClass::Regular {
-            continue;
-        }
-        malicious += u64::from(outcome.malicious);
-        benign += u64::from(!outcome.malicious);
-        uploads += u64::from(outcome.needed_content_upload);
-        consensus += u64::from(outcome.blacklisted_domain.is_some());
+/// Verdict, blacklist-consensus and label counts over some regular
+/// records; labels are counted by borrowed key.
+#[derive(Default)]
+struct OutcomeTally<'a> {
+    malicious: u64,
+    benign: u64,
+    uploads: u64,
+    consensus: u64,
+    engines: BTreeMap<&'a str, u64>,
+    labels: BTreeMap<&'a str, u64>,
+    findings: BTreeMap<QutteraFinding, u64>,
+    verdicts: BTreeMap<QutteraVerdict, u64>,
+}
+
+impl<'a> OutcomeTally<'a> {
+    fn add(&mut self, outcome: &'a ScanOutcome) {
+        self.malicious += u64::from(outcome.malicious);
+        self.benign += u64::from(!outcome.malicious);
+        self.uploads += u64::from(outcome.needed_content_upload);
+        self.consensus += u64::from(outcome.blacklisted_domain.is_some());
         for (engine, label) in &outcome.vt.detections {
-            *engines.entry(engine).or_default() += 1;
-            *labels.entry(label).or_default() += 1;
+            *self.engines.entry(engine).or_default() += 1;
+            *self.labels.entry(label).or_default() += 1;
         }
         for finding in &outcome.quttera.findings {
-            *findings.entry(*finding).or_default() += 1;
+            *self.findings.entry(*finding).or_default() += 1;
         }
-        *verdicts.entry(outcome.quttera.verdict).or_default() += 1;
+        *self.verdicts.entry(outcome.quttera.verdict).or_default() += 1;
     }
+
+    fn merge(mut self, other: OutcomeTally<'a>) -> Self {
+        fn sum<K: Ord>(into: &mut BTreeMap<K, u64>, from: BTreeMap<K, u64>) {
+            for (key, n) in from {
+                *into.entry(key).or_default() += n;
+            }
+        }
+        self.malicious += other.malicious;
+        self.benign += other.benign;
+        self.uploads += other.uploads;
+        self.consensus += other.consensus;
+        sum(&mut self.engines, other.engines);
+        sum(&mut self.labels, other.labels);
+        sum(&mut self.findings, other.findings);
+        sum(&mut self.verdicts, other.verdicts);
+        self
+    }
+}
+
+/// Tallies scan verdicts, blacklist consensus outcomes and per-engine
+/// labels over the regular records. The scan's `workers` fold one run
+/// of `chunk` records each, and the runs merge in order; sums do not
+/// depend on the split, so the counts are schedule-independent. Every
+/// count is added to the registry once, and a name is registered only
+/// when its count is positive, formatted once per key.
+fn record_outcome_tallies(
+    obs: &Registry,
+    outcomes: &[ScanOutcome],
+    referrals: &[ReferralClass],
+    (workers, chunk): (usize, usize),
+) {
+    let runs = scan_runs(outcomes.len(), workers, chunk, |run| {
+        let mut tally = OutcomeTally::default();
+        for i in run.filter(|&i| referrals[i] == ReferralClass::Regular) {
+            tally.add(&outcomes[i]);
+        }
+        tally
+    });
+    let tally = runs.into_iter().fold(OutcomeTally::default(), OutcomeTally::merge);
     let add = |name: &str, n: u64| {
         if n > 0 {
             obs.counter(name).add(n);
         }
     };
-    add("scan.verdict.malicious", malicious);
-    add("scan.verdict.benign", benign);
-    add("scan.content_uploads", uploads);
-    add("scan.blacklist.consensus_hits", consensus);
-    add("scan.labels.vt.total", engines.values().sum());
-    add("scan.labels.quttera.total", findings.values().sum());
-    for (engine, n) in engines {
+    add("scan.verdict.malicious", tally.malicious);
+    add("scan.verdict.benign", tally.benign);
+    add("scan.content_uploads", tally.uploads);
+    add("scan.blacklist.consensus_hits", tally.consensus);
+    add("scan.labels.vt.total", tally.engines.values().sum());
+    add("scan.labels.quttera.total", tally.findings.values().sum());
+    for (engine, n) in tally.engines {
         add(&format!("scan.labels.vt.engine.{engine}"), n);
     }
-    for (label, n) in labels {
+    for (label, n) in tally.labels {
         add(&format!("scan.labels.vt.label.{label}"), n);
     }
-    for (finding, n) in findings {
+    for (finding, n) in tally.findings {
         add(&format!("scan.labels.quttera.finding.{finding:?}"), n);
     }
-    for (verdict, n) in verdicts {
+    for (verdict, n) in tally.verdicts {
         add(&format!("scan.labels.quttera.verdict.{verdict:?}"), n);
+    }
+}
+
+/// Fault-layer costs and verdict provenance over some regular records.
+#[derive(Default)]
+struct FaultTally {
+    log: FaultLog,
+    degraded: u64,
+    blacklist_only: u64,
+    unresolved: u64,
+}
+
+impl FaultTally {
+    fn add(&mut self, outcome: &ScanOutcome) {
+        self.log.add(&outcome.faults);
+        match outcome.source {
+            VerdictSource::Full => {}
+            VerdictSource::Degraded => self.degraded += 1,
+            VerdictSource::BlacklistOnly => self.blacklist_only += 1,
+            VerdictSource::Unresolved => self.unresolved += 1,
+        }
+    }
+
+    fn merge(mut self, other: FaultTally) -> Self {
+        self.log.add(&other.log);
+        self.degraded += other.degraded;
+        self.blacklist_only += other.blacklist_only;
+        self.unresolved += other.unresolved;
+        self
     }
 }
 
 /// Tallies fault-layer costs and verdict provenance over the regular
 /// records, plus the per-service breaker trajectory from the compiled
-/// plan. Runs serially after the scan phase from order-independent
-/// per-outcome logs, so every number is identical for every worker
-/// count. The counters are always registered — a fault-free run
-/// reports explicit zeros (which CI asserts) rather than absent keys.
+/// plan. The scan's `workers` fold one run of `chunk` records each from
+/// order-independent per-outcome logs, and the runs merge in order, so
+/// every number is identical for every worker count. The counters are
+/// always registered — a fault-free run reports explicit zeros (which
+/// CI asserts) rather than absent keys.
 fn record_fault_tallies(
     obs: &Registry,
     outcomes: &[ScanOutcome],
     referrals: &[ReferralClass],
     plan: Option<&FaultPlan>,
+    (workers, chunk): (usize, usize),
 ) {
-    let mut log = FaultLog::default();
-    let mut degraded = 0u64;
-    let mut blacklist_only = 0u64;
-    let mut unresolved = 0u64;
-    for (outcome, class) in outcomes.iter().zip(referrals) {
-        if *class != ReferralClass::Regular {
-            continue;
+    let runs = scan_runs(outcomes.len(), workers, chunk, |run| {
+        let mut tally = FaultTally::default();
+        for i in run.filter(|&i| referrals[i] == ReferralClass::Regular) {
+            tally.add(&outcomes[i]);
         }
-        log.injected += outcome.faults.injected;
-        log.retries += outcome.faults.retries;
-        log.backoff_nanos += outcome.faults.backoff_nanos;
-        log.breaker_skips += outcome.faults.breaker_skips;
-        match outcome.source {
-            VerdictSource::Full => {}
-            VerdictSource::Degraded => degraded += 1,
-            VerdictSource::BlacklistOnly => blacklist_only += 1,
-            VerdictSource::Unresolved => unresolved += 1,
-        }
-    }
+        tally
+    });
+    let FaultTally { log, degraded, blacklist_only, unresolved } =
+        runs.into_iter().fold(FaultTally::default(), FaultTally::merge);
     obs.counter("scan.faults.injected").add(u64::from(log.injected));
     obs.counter("scan.retries").add(u64::from(log.retries));
     obs.counter("scan.backoff_nanos").add(log.backoff_nanos);
@@ -1011,10 +1072,22 @@ fn scan_crawl(
 
     // 3. Classify referrals, then scan every *regular* record across the
     //    configured worker count.
+    let records = store.records();
     let (outcomes, referrals) = {
         let _span = obs.span("phase.scan");
-        let referrals: Vec<ReferralClass> =
-            store.records().iter().map(|r| built.filter.classify(r)).collect();
+        let referrals: Vec<ReferralClass> = {
+            // Before the regular records are known, the workers are
+            // those the scan would take for every record.
+            let _span = obs.span("filter.classify");
+            let workers = effective_scan_workers(
+                records.len(),
+                config.scan_workers,
+                config.serial_scan_threshold,
+            );
+            scan_chunked(records.len(), workers, config.scan_chunk, |i| {
+                built.filter.classify(&records[i])
+            })
+        };
         record_filter_counts(&obs, &referrals);
 
         let mut pipeline = ScanPipeline::new(&built.web).with_js_engine(config.js_engine);
@@ -1027,29 +1100,29 @@ fn scan_crawl(
             // records in virtual-arrival order), never from scan
             // scheduling — the determinism contract across worker counts
             // hangs on this.
-            let requests: Vec<(String, u64)> = store
-                .records()
+            let _span = obs.span("scan.fault_plan");
+            let requests = records
                 .iter()
                 .zip(&referrals)
                 .filter(|(_, class)| **class == ReferralClass::Regular)
-                .map(|(record, _)| (scan_key(record), record.at))
-                .collect();
-            let plan = FaultPlan::compile(&config.fault_profile, config.seed, &requests);
+                .map(|(record, _)| (record.exchange.as_str(), record.seq, record.at));
+            let plan = FaultPlan::compile_requests(&config.fault_profile, config.seed, requests);
             pipeline = pipeline.with_fault_plan(plan);
         }
         let (outcomes, scan_workers, tally) =
-            scan_phase(&pipeline, store.records(), &referrals, config, &obs, shared);
+            scan_phase(&pipeline, records, &referrals, config, &obs, shared);
         obs.gauge("scan.workers").set(scan_workers as i64);
         record_cache_stats(&obs, &tally.caches);
         record_js_vm_stats(&obs, &tally.js_vm);
-        record_outcome_tallies(&obs, &outcomes, &referrals);
-        record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan());
+        let runs = (scan_workers, config.scan_chunk);
+        record_outcome_tallies(&obs, &outcomes, &referrals, runs);
+        record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan(), runs);
         (outcomes, referrals)
     };
     // After the scan phase, so the table never adds to its peak.
     let facts = {
         let _span = obs.span("artifact.facts");
-        Facts::build(&built.meta, store.records(), &referrals, &outcomes)
+        Facts::build(&built.meta, records, &referrals, &outcomes)
     };
 
     Study {

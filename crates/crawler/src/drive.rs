@@ -18,7 +18,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use slum_browser::{Browser, HarLog};
-use slum_detect::retry::RetryPolicy;
+use slum_detect::retry::{request_key_hash, RetryPolicy};
 use slum_detect::JsModuleCache;
 use slum_exchange::antiabuse::{Admission, IpAddr, SessionPolicy, SessionTracker};
 use slum_exchange::captcha::CaptchaOutcome;
@@ -316,9 +316,8 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
                 LifecycleFaultKind::CaptchaLockout => cursor.captcha_lockouts += 1,
                 _ => {}
             }
-            let key = format!("{}#{}", cursor.exchange, cursor.seq);
-            let resolution = retry.resolve(
-                &key,
+            let resolution = retry.resolve_hashed(
+                request_key_hash(&cursor.exchange, cursor.seq),
                 cursor.t.saturating_mul(NANOS_PER_SEC),
                 fault.clears_at_secs.saturating_mul(NANOS_PER_SEC),
             );

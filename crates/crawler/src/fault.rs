@@ -59,7 +59,7 @@ impl CrawlFaultProfile {
     pub fn default_profile() -> Self {
         CrawlFaultProfile {
             name: "default".to_string(),
-            seed_salt: 0xc4a_71,
+            seed_salt: 0x000c_4a71,
             auto: LifecycleParams {
                 outage_windows: 2,
                 outage_secs: 400,
@@ -92,7 +92,7 @@ impl CrawlFaultProfile {
     pub fn harsh() -> Self {
         CrawlFaultProfile {
             name: "harsh".to_string(),
-            seed_salt: 0xdead_51d,
+            seed_salt: 0x0dea_d51d,
             auto: LifecycleParams {
                 outage_windows: 4,
                 outage_secs: 1_200,

@@ -25,10 +25,17 @@
 //! not by scan-worker scheduling. Scan workers merely *replay* frozen
 //! decisions, so verdicts, provenance and fault counters are
 //! bit-identical for every `scan_workers` count.
+//!
+//! A request is identified by its source and sequence number, the
+//! canonical key `source#seq`. The compiler never builds that string:
+//! it orders requests by the key's bytes and hashes them one field at a
+//! time ([`fnv1a_extend`] continues a hash over the next bytes).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::iter;
 
-use crate::hash::{fnv1a, fnv1a_extend, hashed_fraction};
+use crate::hash::{decimal_digits, fnv1a, fnv1a_extend, hashed_fraction};
 use crate::retry::{BreakerState, CircuitBreaker, Resolution, RetryPolicy};
 
 /// Virtual nanoseconds per virtual second.
@@ -252,7 +259,7 @@ impl FaultProfile {
     pub fn harsh() -> Self {
         FaultProfile {
             name: "harsh".to_string(),
-            seed_salt: 0xbad5_eed,
+            seed_salt: 0x0bad_5eed,
             services: [
                 ServiceFaultProfile {
                     outage_windows: 4,
@@ -396,18 +403,21 @@ struct ServiceCompiler {
     tokens: f64,
     last_refill_secs: u64,
     breaker: CircuitBreaker,
-    /// FNV-1a of the `{salt}/{service}/spike/` and
-    /// `{salt}/{service}/transient/` key prefixes: a draw hashes only
-    /// its request key on top.
-    spike_prefix: u64,
-    transient_prefix: u64,
 }
 
 impl ServiceCompiler {
     /// The fault (if any) a request arriving at `at` runs into, before
-    /// retries. At most one fault applies per request; outages shadow
-    /// rate limits, which shadow spikes, which shadow transient noise.
-    fn fault_at(&mut self, service: ScanService, key: &str, at: u64) -> Option<ScanError> {
+    /// retries. `draws` are the spike and transient prefixes continued
+    /// over the request's `source#`, and `seq` its seq's digits. At most
+    /// one fault applies per request; outages shadow rate limits, which
+    /// shadow spikes, which shadow transient noise.
+    fn fault_at(
+        &mut self,
+        service: ScanService,
+        draws: [u64; 2],
+        seq: &[u8],
+        at: u64,
+    ) -> Option<ScanError> {
         if let Some(&(_, end)) = self.windows.iter().find(|(start, end)| (*start..*end).contains(&at))
         {
             return Some(ScanError { service, kind: FaultKind::Outage, clears_at_secs: end });
@@ -432,17 +442,16 @@ impl ServiceCompiler {
         // A draw at rate 0 never fires, so it is not hashed.
         let draw = |prefix: u64, per_mille: u32| {
             per_mille > 0
-                && hashed_fraction(fnv1a_extend(prefix, key.as_bytes()))
-                    < f64::from(per_mille) / 1000.0
+                && hashed_fraction(fnv1a_extend(prefix, seq)) < f64::from(per_mille) / 1000.0
         };
-        if draw(self.spike_prefix, self.profile.spike_per_mille) {
+        if draw(draws[0], self.profile.spike_per_mille) {
             return Some(ScanError {
                 service,
                 kind: FaultKind::LatencySpike,
                 clears_at_secs: at + self.profile.spike_penalty_secs,
             });
         }
-        if draw(self.transient_prefix, self.profile.transient_per_mille) {
+        if draw(draws[1], self.profile.transient_per_mille) {
             // Transient errors clear almost immediately: the first
             // retry after any backoff succeeds.
             return Some(ScanError {
@@ -455,21 +464,124 @@ impl ServiceCompiler {
     }
 }
 
+/// One request of a compile: when it arrives, which source sent it,
+/// and the row of `seqs` and `triples` its decisions go to.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    at: u64,
+    seq: u64,
+    source: u32,
+    row: u32,
+}
+
+/// Orders requests of one arrival second as their `source#seq` keys
+/// order bytewise, without building the keys.
+struct KeyOrder<'a> {
+    names: &'a [&'a str],
+    /// Each source's rank by its `source#` bytes.
+    rank: Vec<u32>,
+    /// Whether a source's `source#` is a prefix of another source's
+    /// (or another's of its): only then do the digits of two keys from
+    /// different sources take part in their order.
+    entangled: Vec<bool>,
+}
+
+impl<'a> KeyOrder<'a> {
+    fn new(names: &'a [&'a str]) -> Self {
+        let tagged = |name: &'a str| name.bytes().chain(iter::once(b'#'));
+        let mut by_key: Vec<usize> = (0..names.len()).collect();
+        by_key.sort_by(|&a, &b| tagged(names[a]).cmp(tagged(names[b])));
+        let mut rank = vec![0; names.len()];
+        for (r, &source) in by_key.iter().enumerate() {
+            rank[source] = u32::try_from(r).expect("fewer than 2^32 sources");
+        }
+        // `a#` is a proper prefix of `b#`.
+        let prefixes = |a: &str, b: &str| {
+            b.len() > a.len() && b.starts_with(a) && b.as_bytes()[a.len()] == b'#'
+        };
+        let entangled = names
+            .iter()
+            .map(|a| names.iter().any(|b| prefixes(a, b) || prefixes(b, a)))
+            .collect();
+        KeyOrder { names, rank, entangled }
+    }
+
+    fn cmp(&self, a: &Request, b: &Request) -> Ordering {
+        if a.source == b.source {
+            return decimal_cmp(a.seq, b.seq);
+        }
+        let (sa, sb) = (a.source as usize, b.source as usize);
+        if !self.entangled[sa] && !self.entangled[sb] {
+            return self.rank[sa].cmp(&self.rank[sb]);
+        }
+        let (mut da, mut db) = ([0; 20], [0; 20]);
+        key_bytes(self.names[sa], decimal_digits(a.seq, &mut da))
+            .cmp(key_bytes(self.names[sb], decimal_digits(b.seq, &mut db)))
+    }
+}
+
+/// The bytes of the key `source#seq`, from `seq`'s decimal digits.
+fn key_bytes<'k>(source: &'k str, digits: &'k [u8]) -> impl Iterator<Item = u8> + 'k {
+    source.bytes().chain(iter::once(b'#')).chain(digits.iter().copied())
+}
+
+/// Orders two integers as their decimal digits order bytewise (`"10"`
+/// before `"9"`): scaled to one digit count, then the shorter first.
+fn decimal_cmp(a: u64, b: u64) -> Ordering {
+    let digits = |n: u64| n.checked_ilog10().map_or(1, |log| log + 1);
+    let (da, db) = (digits(a), digits(b));
+    let width = da.max(db);
+    let scaled = |n: u64, d: u32| u128::from(n) * 10u128.pow(width - d);
+    scaled(a, da).cmp(&scaled(b, db)).then(da.cmp(&db))
+}
+
+/// One source's hashes, which every draw and retry key continues over
+/// a request's seq digits.
+struct SourceHashes {
+    /// FNV-1a of `source#`: the retry key's prefix.
+    retry: u64,
+    /// Per service, the spike and transient draw prefixes continued
+    /// over `source#`.
+    draws: [[u64; 2]; 3],
+}
+
 /// The compiled fault schedule for one scan corpus: a frozen
 /// [`ServiceDecision`] triple per request, plus the per-service breaker
 /// trajectory. Read-only after compilation, so it is shared freely
 /// across scan worker threads.
 #[derive(Debug)]
 pub struct FaultPlan {
-    /// Decisions keyed `exchange → seq → triple` for the canonical
-    /// `exchange#seq` request keys, so the scan hot path can look a
-    /// record up without formatting a key ([`FaultPlan::decisions_for`]).
-    decisions: HashMap<String, HashMap<u64, [ServiceDecision; 3]>>,
-    /// Total requests covered.
-    covered: usize,
+    /// Each source's rows of `seqs` and `triples`, by source name.
+    sources: HashMap<Box<str>, (usize, usize)>,
+    /// The seq of every request covered, grouped by source and
+    /// ascending within one: memory follows the request count, however
+    /// sparse the seqs are.
+    seqs: Vec<u64>,
+    /// The decision triple of the request in the same row of `seqs`.
+    triples: Vec<[ServiceDecision; 3]>,
     breaker_opens: [u64; 3],
     breaker_final: [BreakerState; 3],
     injected: [u64; 3],
+}
+
+/// One source's decisions in a [`FaultPlan`], looked up by seq
+/// ([`FaultPlan::source`]): a scan looks a source up once per run of
+/// its records.
+#[derive(Debug, Clone, Copy)]
+pub struct SourceDecisions<'p> {
+    seqs: &'p [u64],
+    triples: &'p [[ServiceDecision; 3]],
+}
+
+impl SourceDecisions<'_> {
+    /// The decision triple of request `seq` (all-Ok when the plan does
+    /// not cover it).
+    pub fn get(&self, seq: u64) -> [ServiceDecision; 3] {
+        match self.seqs.binary_search(&seq) {
+            Ok(row) => self.triples[row],
+            Err(_) => [ServiceDecision::Ok; 3],
+        }
+    }
 }
 
 /// Splits a canonical `exchange#seq` request key; `None` when the part
@@ -480,13 +592,11 @@ fn split_key(key: &str) -> Option<(&str, u64)> {
 }
 
 impl FaultPlan {
-    /// Compiles the plan: seeds per-service outage windows from
-    /// `(seed, profile.seed_salt)`, then walks `requests` — `(key,
-    /// virtual-arrival-seconds)` pairs — in `(at, key)` order, driving
-    /// the token bucket, the per-request fault draws, the retry
-    /// resolution and the circuit breaker. The walk order depends only
-    /// on the corpus, never on scan scheduling, which is what makes
-    /// every downstream consumer bit-identical across worker counts.
+    /// Compiles the plan over `requests`, `(key, virtual-arrival-seconds)`
+    /// pairs keyed `exchange#seq`: each key is split once and compiled
+    /// as [`FaultPlan::compile_requests`] compiles it. The part after
+    /// the last `#` is read as an integer, so `X#07` is the request
+    /// `X#7`.
     ///
     /// # Panics
     ///
@@ -494,7 +604,56 @@ impl FaultPlan {
     /// (the part after the last `#` a plain integer), as every scan key
     /// is.
     pub fn compile(profile: &FaultProfile, seed: u64, requests: &[(String, u64)]) -> FaultPlan {
-        let span_secs = requests.iter().map(|(_, at)| *at).max().unwrap_or(0) + 1;
+        FaultPlan::compile_requests(
+            profile,
+            seed,
+            requests.iter().map(|(key, at)| {
+                let (source, seq) = split_key(key)
+                    .unwrap_or_else(|| panic!("not an `exchange#seq` key: {key:?}"));
+                (source, seq, *at)
+            }),
+        )
+    }
+
+    /// Compiles the plan: seeds per-service outage windows from
+    /// `(seed, profile.seed_salt)`, then walks `requests` — `(source,
+    /// seq, virtual-arrival-seconds)` triples — in the byte order of
+    /// `(at, "source#seq")`, driving the token bucket, the per-request
+    /// fault draws, the retry resolution and the circuit breaker. The
+    /// walk order depends only on the corpus, never on scan scheduling,
+    /// which is what makes every downstream consumer bit-identical
+    /// across worker counts. A request listed twice is walked twice (in
+    /// input order when its arrivals tie); its later walk's decisions
+    /// stand.
+    pub fn compile_requests<'a>(
+        profile: &FaultProfile,
+        seed: u64,
+        requests: impl IntoIterator<Item = (&'a str, u64, u64)>,
+    ) -> FaultPlan {
+        // Each source is interned on its first request, and looked up
+        // again only where a run of requests from one source ends.
+        let mut names: Vec<&str> = Vec::new();
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let mut run: Option<(&str, u32)> = None;
+        let mut rows: Vec<Request> = Vec::new();
+        let mut last_at = 0;
+        for (source, seq, at) in requests {
+            let id = match run {
+                Some((name, id)) if name == source => id,
+                _ => {
+                    let next = u32::try_from(names.len()).expect("fewer than 2^32 sources");
+                    let id = *ids.entry(source).or_insert_with(|| {
+                        names.push(source);
+                        next
+                    });
+                    run = Some((source, id));
+                    id
+                }
+            };
+            last_at = last_at.max(at);
+            rows.push(Request { at, seq, source: id, row: 0 });
+        }
+        let span_secs = last_at + 1;
         let salt = seed ^ profile.seed_salt.rotate_left(17);
 
         let mut compilers: Vec<ServiceCompiler> = ScanService::ALL
@@ -502,9 +661,6 @@ impl FaultPlan {
             .map(|service| {
                 let p = profile.service(*service).clone();
                 let windows = outage_windows(&p, *service, salt, span_secs);
-                let prefix = |draw: &str| {
-                    fnv1a(format!("{salt}/{}/{draw}/", service.name()).as_bytes())
-                };
                 ServiceCompiler {
                     tokens: f64::from(p.burst),
                     last_refill_secs: 0,
@@ -514,19 +670,52 @@ impl FaultPlan {
                         profile.breaker_cooldown_secs * NANOS_PER_SEC,
                     ),
                     profile: p,
-                    spike_prefix: prefix("spike"),
-                    transient_prefix: prefix("transient"),
+                }
+            })
+            .collect();
+        // FNV-1a of each service's `{salt}/{service}/spike/` and
+        // `{salt}/{service}/transient/` draw-key prefixes.
+        let draw_prefixes: [[u64; 2]; 3] = ScanService::ALL.map(|service| {
+            let prefix = |draw: &str| fnv1a(format!("{salt}/{}/{draw}/", service.name()).as_bytes());
+            [prefix("spike"), prefix("transient")]
+        });
+        let hashes: Vec<SourceHashes> = names
+            .iter()
+            .map(|name| {
+                // Continues a hash over `source#` (from the empty hash,
+                // the retry key's prefix).
+                let over_source = |h: u64| fnv1a_extend(fnv1a_extend(h, name.as_bytes()), b"#");
+                SourceHashes {
+                    retry: over_source(fnv1a(b"")),
+                    draws: draw_prefixes.map(|prefixes| prefixes.map(over_source)),
                 }
             })
             .collect();
 
-        let mut order: Vec<&(String, u64)> = requests.iter().collect();
-        order.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+        // One row per distinct request, grouped by source.
+        rows.sort_by_key(|r| (r.source, r.seq));
+        let mut seqs: Vec<u64> = Vec::with_capacity(rows.len());
+        let mut ends = vec![0usize; names.len()];
+        let mut previous = None;
+        for request in &mut rows {
+            if previous != Some((request.source, request.seq)) {
+                previous = Some((request.source, request.seq));
+                seqs.push(request.seq);
+            }
+            request.row = u32::try_from(seqs.len() - 1).expect("fewer than 2^32 requests");
+            ends[request.source as usize] = seqs.len();
+        }
 
-        let mut decisions: HashMap<String, HashMap<u64, [ServiceDecision; 3]>> = HashMap::new();
-        let mut covered = 0usize;
+        let order = KeyOrder::new(&names);
+        rows.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| order.cmp(a, b)));
+
+        let mut triples = vec![[ServiceDecision::Ok; 3]; seqs.len()];
         let mut injected = [0u64; 3];
-        for (key, at) in order {
+        let mut digits = [0; 20];
+        for request in &rows {
+            let at = request.at;
+            let seq = decimal_digits(request.seq, &mut digits);
+            let source = &hashes[request.source as usize];
             let mut triple = [ServiceDecision::Ok; 3];
             for service in ScanService::ALL {
                 let i = service.index();
@@ -539,13 +728,13 @@ impl FaultPlan {
                     triple[i] = ServiceDecision::BreakerSkip;
                     continue;
                 }
-                match compiler.fault_at(service, key, *at) {
+                match compiler.fault_at(service, source.draws[i], seq, at) {
                     None => {
                         compiler.breaker.record_success();
                     }
                     Some(error) => {
-                        let resolution = profile.retry.resolve(
-                            key,
+                        let resolution = profile.retry.resolve_hashed(
+                            fnv1a_extend(source.retry, seq),
                             now_nanos,
                             error.clears_at_secs * NANOS_PER_SEC,
                         );
@@ -562,21 +751,19 @@ impl FaultPlan {
                     }
                 }
             }
-            let (exchange, seq) =
-                split_key(key).unwrap_or_else(|| panic!("not an `exchange#seq` key: {key:?}"));
-            // The source's name is allocated once, on its first request.
-            let per_seq = match decisions.get_mut(exchange) {
-                Some(per_seq) => per_seq,
-                None => decisions.entry(exchange.to_string()).or_default(),
-            };
-            if per_seq.insert(seq, triple).is_none() {
-                covered += 1;
-            }
+            triples[request.row as usize] = triple;
         }
 
+        let mut start = 0;
+        let sources = names
+            .iter()
+            .zip(ends)
+            .map(|(name, end)| ((*name).into(), (std::mem::replace(&mut start, end), end)))
+            .collect();
         FaultPlan {
-            decisions,
-            covered,
+            sources,
+            seqs,
+            triples,
             breaker_opens: [
                 compilers[0].breaker.opens(),
                 compilers[1].breaker.opens(),
@@ -602,24 +789,27 @@ impl FaultPlan {
     }
 
     /// The decision triple for the record identified by `exchange` and
-    /// `seq` — the allocation-free form of [`FaultPlan::decisions`] the
-    /// scan hot path uses (all-Ok for unknown records).
+    /// `seq` — the allocation-free form of [`FaultPlan::decisions`]
+    /// (all-Ok for unknown records).
     pub fn decisions_for(&self, exchange: &str, seq: u64) -> [ServiceDecision; 3] {
-        self.decisions
-            .get(exchange)
-            .and_then(|per_seq| per_seq.get(&seq))
-            .copied()
-            .unwrap_or_default()
+        self.source(exchange).get(seq)
+    }
+
+    /// The decisions of one source's requests (none for a source the
+    /// plan does not cover).
+    pub fn source(&self, exchange: &str) -> SourceDecisions<'_> {
+        let (start, end) = self.sources.get(exchange).copied().unwrap_or((0, 0));
+        SourceDecisions { seqs: &self.seqs[start..end], triples: &self.triples[start..end] }
     }
 
     /// Number of requests the plan covers.
     pub fn len(&self) -> usize {
-        self.covered
+        self.seqs.len()
     }
 
     /// True when the plan covers no requests.
     pub fn is_empty(&self) -> bool {
-        self.covered == 0
+        self.seqs.is_empty()
     }
 
     /// Total injected faults (failed attempts) planned for a service.
@@ -655,9 +845,195 @@ fn outage_windows(
         .collect()
 }
 
+/// The string-keyed compiler this module replaced: it formats every
+/// request's `exchange#seq` key, walks the keys in `(at, key)` order,
+/// hashes each draw and retry over the whole key and keeps one map
+/// entry per request. Kept as the reference model for the record-keyed
+/// compiler above.
+#[cfg(test)]
+mod oracle {
+    use std::collections::HashMap;
+
+    use super::{
+        outage_windows, split_key, BreakerState, CircuitBreaker, FaultKind, FaultProfile,
+        ScanError, ScanService, ServiceDecision, ServiceFaultProfile, NANOS_PER_SEC,
+    };
+    use crate::hash::{fnv1a, fnv1a_extend, hashed_fraction};
+    use crate::retry;
+
+    struct ServiceCompiler {
+        profile: ServiceFaultProfile,
+        windows: Vec<(u64, u64)>,
+        tokens: f64,
+        last_refill_secs: u64,
+        breaker: CircuitBreaker,
+        spike_prefix: u64,
+        transient_prefix: u64,
+    }
+
+    impl ServiceCompiler {
+        fn fault_at(&mut self, service: ScanService, key: &str, at: u64) -> Option<ScanError> {
+            if let Some(&(_, end)) =
+                self.windows.iter().find(|(start, end)| (*start..*end).contains(&at))
+            {
+                return Some(ScanError { service, kind: FaultKind::Outage, clears_at_secs: end });
+            }
+            if self.profile.rate_per_minute > 0 {
+                let rate_per_sec = f64::from(self.profile.rate_per_minute) / 60.0;
+                let elapsed = at.saturating_sub(self.last_refill_secs) as f64;
+                self.tokens =
+                    (self.tokens + elapsed * rate_per_sec).min(f64::from(self.profile.burst));
+                self.last_refill_secs = at;
+                if self.tokens >= 1.0 {
+                    self.tokens -= 1.0;
+                } else {
+                    let wait_secs = ((1.0 - self.tokens) / rate_per_sec).ceil() as u64;
+                    return Some(ScanError {
+                        service,
+                        kind: FaultKind::RateLimit,
+                        clears_at_secs: at + wait_secs.max(1),
+                    });
+                }
+            }
+            let draw = |prefix: u64, per_mille: u32| {
+                per_mille > 0
+                    && hashed_fraction(fnv1a_extend(prefix, key.as_bytes()))
+                        < f64::from(per_mille) / 1000.0
+            };
+            if draw(self.spike_prefix, self.profile.spike_per_mille) {
+                return Some(ScanError {
+                    service,
+                    kind: FaultKind::LatencySpike,
+                    clears_at_secs: at + self.profile.spike_penalty_secs,
+                });
+            }
+            if draw(self.transient_prefix, self.profile.transient_per_mille) {
+                return Some(ScanError {
+                    service,
+                    kind: FaultKind::Transient,
+                    clears_at_secs: at + 1,
+                });
+            }
+            None
+        }
+    }
+
+    pub struct FaultPlan {
+        decisions: HashMap<String, HashMap<u64, [ServiceDecision; 3]>>,
+        covered: usize,
+        pub breaker_opens: [u64; 3],
+        pub breaker_final: [BreakerState; 3],
+        pub injected: [u64; 3],
+    }
+
+    impl FaultPlan {
+        pub fn compile(profile: &FaultProfile, seed: u64, requests: &[(String, u64)]) -> FaultPlan {
+            let span_secs = requests.iter().map(|(_, at)| *at).max().unwrap_or(0) + 1;
+            let salt = seed ^ profile.seed_salt.rotate_left(17);
+            let mut compilers: Vec<ServiceCompiler> = ScanService::ALL
+                .iter()
+                .map(|service| {
+                    let p = profile.service(*service).clone();
+                    let windows = outage_windows(&p, *service, salt, span_secs);
+                    let prefix = |draw: &str| {
+                        fnv1a(format!("{salt}/{}/{draw}/", service.name()).as_bytes())
+                    };
+                    ServiceCompiler {
+                        tokens: f64::from(p.burst),
+                        last_refill_secs: 0,
+                        windows,
+                        breaker: CircuitBreaker::new(
+                            profile.breaker_threshold,
+                            profile.breaker_cooldown_secs * NANOS_PER_SEC,
+                        ),
+                        profile: p,
+                        spike_prefix: prefix("spike"),
+                        transient_prefix: prefix("transient"),
+                    }
+                })
+                .collect();
+
+            let mut order: Vec<&(String, u64)> = requests.iter().collect();
+            order.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+
+            let mut decisions: HashMap<String, HashMap<u64, [ServiceDecision; 3]>> =
+                HashMap::new();
+            let mut covered = 0usize;
+            let mut injected = [0u64; 3];
+            for (key, at) in order {
+                let mut triple = [ServiceDecision::Ok; 3];
+                for service in ScanService::ALL {
+                    let i = service.index();
+                    let compiler = &mut compilers[i];
+                    if compiler.profile.is_inert() {
+                        continue;
+                    }
+                    let now_nanos = at * NANOS_PER_SEC;
+                    if !compiler.breaker.allows(now_nanos) {
+                        triple[i] = ServiceDecision::BreakerSkip;
+                        continue;
+                    }
+                    match compiler.fault_at(service, key, *at) {
+                        None => compiler.breaker.record_success(),
+                        Some(error) => {
+                            let resolution = retry::oracle::resolve(
+                                &profile.retry,
+                                key,
+                                now_nanos,
+                                error.clears_at_secs * NANOS_PER_SEC,
+                            );
+                            injected[i] += u64::from(resolution.failed_attempts);
+                            if resolution.resolved {
+                                compiler.breaker.record_success();
+                            } else {
+                                compiler
+                                    .breaker
+                                    .record_failure(now_nanos + resolution.backoff_nanos);
+                            }
+                            triple[i] = ServiceDecision::Faulted { kind: error.kind, resolution };
+                        }
+                    }
+                }
+                let (exchange, seq) = split_key(key).expect("an `exchange#seq` key");
+                let per_seq = decisions.entry(exchange.to_string()).or_default();
+                if per_seq.insert(seq, triple).is_none() {
+                    covered += 1;
+                }
+            }
+            FaultPlan {
+                decisions,
+                covered,
+                breaker_opens: std::array::from_fn(|i| compilers[i].breaker.opens()),
+                breaker_final: std::array::from_fn(|i| compilers[i].breaker.state()),
+                injected,
+            }
+        }
+
+        pub fn decisions(&self, key: &str) -> [ServiceDecision; 3] {
+            match split_key(key) {
+                Some((exchange, seq)) => self.decisions_for(exchange, seq),
+                None => [ServiceDecision::Ok; 3],
+            }
+        }
+
+        pub fn decisions_for(&self, exchange: &str, seq: u64) -> [ServiceDecision; 3] {
+            self.decisions
+                .get(exchange)
+                .and_then(|per_seq| per_seq.get(&seq))
+                .copied()
+                .unwrap_or_default()
+        }
+
+        pub fn len(&self) -> usize {
+            self.covered
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn requests(n: u64, stride_secs: u64) -> Vec<(String, u64)> {
         (0..n).map(|i| (format!("X#{i}"), i * stride_secs)).collect()
@@ -796,6 +1172,108 @@ mod tests {
         }
         assert_eq!(plan.decisions_for("unknown-exchange", 0), [ServiceDecision::Ok; 3]);
         assert_eq!(plan.len(), 120);
+    }
+
+    /// SplitMix64: the next draw from `state`.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Source names where one `name#` is a prefix of another's
+    /// (`X`, `X#1`) or sorts around the `#` (`X!`, `X0`), and names
+    /// that are prefixes of each other (`Ad`, `AdRotor`).
+    const SOURCES: [&str; 8] = ["Ad", "AdRotor", "X", "X#1", "X!", "X0", "10KHits", "Hit"];
+
+    /// Seqs across digit boundaries, sparse ones and one near `u64::MAX`.
+    const SEQS: [u64; 12] =
+        [0, 1, 7, 9, 10, 11, 99, 100, 101, 12_345, 1 << 40, 18_446_744_073_709_551_000];
+
+    /// A corpus of 2–5 sources: arrivals cluster at a few widely spaced
+    /// seconds (so requests tie across sources and outage windows
+    /// scatter), seqs come from [`SEQS`] or a sparse draw, and keys
+    /// repeat, with the same or another arrival.
+    fn draw_requests(state: &mut u64) -> Vec<(String, u64)> {
+        let mut names: Vec<&str> = Vec::new();
+        let wanted = 2 + (next(state) % 4) as usize;
+        while names.len() < wanted {
+            let name = SOURCES[(next(state) % SOURCES.len() as u64) as usize];
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
+        const CLUSTERS: [u64; 4] = [0, 5_000, 40_000, 90_000];
+        let n = (next(state) % 120) as usize;
+        let mut requests: Vec<(String, u64)> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let at = CLUSTERS[(next(state) % 4) as usize] + next(state) % 3;
+            if !requests.is_empty() && next(state).is_multiple_of(8) {
+                // A key again: at the same arrival or another.
+                let pick = (next(state) % requests.len() as u64) as usize;
+                let (key, first_at) = requests[pick].clone();
+                requests.push((key, if next(state).is_multiple_of(2) { first_at } else { at }));
+                continue;
+            }
+            let name = names[(next(state) % names.len() as u64) as usize];
+            let seq = match next(state) % 4 {
+                0 => next(state) >> (next(state) % 64),
+                _ => SEQS[(next(state) % SEQS.len() as u64) as usize],
+            };
+            requests.push((format!("{name}#{seq}"), at));
+        }
+        // Shuffle.
+        for i in (1..requests.len()).rev() {
+            requests.swap(i, (next(state) % (i as u64 + 1)) as usize);
+        }
+        requests
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// The record-keyed compiler makes every decision, count and
+        /// breaker trajectory the string-keyed one made, under every
+        /// named profile.
+        #[test]
+        fn plan_matches_the_string_keyed_reference_model(seed in any::<u64>()) {
+            let mut state = seed;
+            let requests = draw_requests(&mut state);
+            let profiles =
+                [FaultProfile::none(), FaultProfile::default_profile(), FaultProfile::harsh()];
+            let profile = &profiles[(next(&mut state) % 3) as usize];
+            let plan_seed = next(&mut state);
+            let plan = FaultPlan::compile(profile, plan_seed, &requests);
+            let model = oracle::FaultPlan::compile(profile, plan_seed, &requests);
+            let absent = ["X#2", "Nobody#0", "Ad#18446744073709551615", "AdRotor", "#5", ""];
+            let keys = requests.iter().map(|(key, _)| key.as_str()).chain(absent);
+            for key in keys {
+                let (got, want) = (plan.decisions(key), model.decisions(key));
+                prop_assert_eq!(got, want, "{} in {:?}", key, requests);
+                if let Some((source, seq)) = split_key(key) {
+                    let got = plan.decisions_for(source, seq);
+                    prop_assert_eq!(got, model.decisions_for(source, seq));
+                }
+            }
+            prop_assert_eq!(plan.len(), model.len());
+            for service in ScanService::ALL {
+                let i = service.index();
+                prop_assert_eq!(plan.injected(service), model.injected[i], "{:?}", requests);
+                prop_assert_eq!(plan.breaker_opens(service), model.breaker_opens[i]);
+                prop_assert_eq!(plan.breaker_final_state(service), model.breaker_final[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_sparse_seq_costs_one_row() {
+        let requests = [("X#18446744073709551000".to_string(), 3), ("X#0".to_string(), 3)];
+        let plan = FaultPlan::compile(&FaultProfile::harsh(), 1, &requests);
+        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.seqs, [0, 18_446_744_073_709_551_000]);
+        assert_eq!(plan.decisions_for("X", 1), [ServiceDecision::Ok; 3]);
     }
 
     #[test]

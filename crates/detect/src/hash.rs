@@ -8,4 +8,6 @@
 //! crates (exchange lifecycles) can share it without depending on the
 //! detection stack; this module re-exports it for existing callers.
 
-pub use slum_websim::hash::{chance, fnv1a, fnv1a_extend, fraction, hashed_fraction};
+pub use slum_websim::hash::{
+    chance, decimal_digits, fnv1a, fnv1a_extend, fnv1a_extend_decimal, fraction, hashed_fraction,
+};

@@ -15,8 +15,19 @@
 //! schedule takes a running maximum so capping at
 //! [`RetryPolicy::max_backoff_nanos`] can never produce a shrinking
 //! delay).
+//!
+//! A draw hashes `{key}#retry{n}#{salt}` without building that string:
+//! FNV-1a runs one byte at a time, so each attempt continues the key's
+//! hash over the suffix's bytes ([`fnv1a_extend`]).
 
-use crate::hash::fnv1a;
+use crate::hash::{decimal_digits, fnv1a, fnv1a_extend, fnv1a_extend_decimal};
+
+/// The FNV-1a hash of the request key `{source}#{seq}`, hashed without
+/// formatting it: the key the crawl's lifecycle retries and the scan's
+/// fault plan resolve with ([`RetryPolicy::resolve_hashed`]).
+pub fn request_key_hash(source: &str, seq: u64) -> u64 {
+    fnv1a_extend_decimal(fnv1a_extend(fnv1a(source.as_bytes()), b"#"), seq)
+}
 
 /// Bounded exponential backoff with deterministic per-key jitter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,18 +85,25 @@ impl RetryPolicy {
     /// non-decreasing in `attempt` and bounded by
     /// `1.5 * max_backoff_nanos`.
     pub fn backoff_nanos(&self, key: &str, attempt: u32) -> u64 {
-        let mut best = 0u64;
-        for n in 0..=attempt {
-            let raw = self
-                .base_backoff_nanos
-                .checked_shl(n)
-                .unwrap_or(self.max_backoff_nanos)
-                .min(self.max_backoff_nanos);
-            let jitter_span = raw / 2 + 1;
-            let h = fnv1a(format!("{key}#retry{n}#{}", self.jitter_salt).as_bytes());
-            best = best.max(raw + h % jitter_span);
-        }
-        best
+        let key_hash = fnv1a(key.as_bytes());
+        let mut salt = [0; 20];
+        let salt = decimal_digits(self.jitter_salt, &mut salt);
+        (0..=attempt).map(|n| self.jittered_nanos(key_hash, n, salt)).max().unwrap_or(0)
+    }
+
+    /// Retry `n`'s raw backoff plus its jitter, hashed from
+    /// `{key}#retry{n}#{salt}` on top of the key's hash `key_hash`;
+    /// `salt` is the jitter salt's decimal digits.
+    fn jittered_nanos(&self, key_hash: u64, n: u32, salt: &[u8]) -> u64 {
+        let raw = self
+            .base_backoff_nanos
+            .checked_shl(n)
+            .unwrap_or(self.max_backoff_nanos)
+            .min(self.max_backoff_nanos);
+        let jitter_span = raw / 2 + 1;
+        let h = fnv1a_extend_decimal(fnv1a_extend(key_hash, b"#retry"), u64::from(n));
+        let h = fnv1a_extend(fnv1a_extend(h, b"#"), salt);
+        raw + h % jitter_span
     }
 
     /// Resolves a request that arrives (on the virtual clock) at
@@ -96,8 +114,19 @@ impl RetryPolicy {
     /// budget. Pure per `(policy, key, times)`, so the outcome is
     /// identical no matter which worker thread replays it.
     pub fn resolve(&self, key: &str, at_nanos: u64, clears_at_nanos: u64) -> Resolution {
+        self.resolve_hashed(fnv1a(key.as_bytes()), at_nanos, clears_at_nanos)
+    }
+
+    /// [`RetryPolicy::resolve`] for the key whose FNV-1a hash is
+    /// `key_hash` ([`request_key_hash`] for a `{source}#{seq}` key).
+    /// Each retry waits the running maximum of the jittered schedule,
+    /// carried from one attempt to the next.
+    pub fn resolve_hashed(&self, key_hash: u64, at_nanos: u64, clears_at_nanos: u64) -> Resolution {
         let mut now = at_nanos;
+        let mut backoff = 0u64;
         let mut resolution = Resolution::default();
+        let mut salt = [0; 20];
+        let salt = decimal_digits(self.jitter_salt, &mut salt);
         loop {
             if now >= clears_at_nanos {
                 resolution.resolved = true;
@@ -107,7 +136,7 @@ impl RetryPolicy {
             if resolution.retries == self.max_retries {
                 return resolution;
             }
-            let backoff = self.backoff_nanos(key, resolution.retries);
+            backoff = backoff.max(self.jittered_nanos(key_hash, resolution.retries, salt));
             resolution.retries += 1;
             resolution.backoff_nanos += backoff;
             now = now.saturating_add(backoff);
@@ -223,9 +252,145 @@ impl CircuitBreaker {
     }
 }
 
+/// The string-keyed retry schedule this module replaced: every draw
+/// formats `{key}#retry{n}#{salt}` and hashes it whole, and every retry
+/// recomputes the schedule from attempt 0. Kept as the reference model
+/// for the byte-at-a-time hashing above.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{Resolution, RetryPolicy};
+    use crate::hash::fnv1a;
+
+    pub fn backoff_nanos(policy: &RetryPolicy, key: &str, attempt: u32) -> u64 {
+        let mut best = 0u64;
+        for n in 0..=attempt {
+            let raw = policy
+                .base_backoff_nanos
+                .checked_shl(n)
+                .unwrap_or(policy.max_backoff_nanos)
+                .min(policy.max_backoff_nanos);
+            let jitter_span = raw / 2 + 1;
+            let h = fnv1a(format!("{key}#retry{n}#{}", policy.jitter_salt).as_bytes());
+            best = best.max(raw + h % jitter_span);
+        }
+        best
+    }
+
+    pub fn resolve(
+        policy: &RetryPolicy,
+        key: &str,
+        at_nanos: u64,
+        clears_at_nanos: u64,
+    ) -> Resolution {
+        let mut now = at_nanos;
+        let mut resolution = Resolution::default();
+        loop {
+            if now >= clears_at_nanos {
+                resolution.resolved = true;
+                return resolution;
+            }
+            resolution.failed_attempts += 1;
+            if resolution.retries == policy.max_retries {
+                return resolution;
+            }
+            let backoff = backoff_nanos(policy, key, resolution.retries);
+            resolution.retries += 1;
+            resolution.backoff_nanos += backoff;
+            now = now.saturating_add(backoff);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// SplitMix64: the next draw from `state`.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A key of up to six pieces: empty, ASCII, digits, `#` (alone and
+    /// as the `#retry` the draws append), multi-byte characters.
+    fn draw_key(state: &mut u64) -> String {
+        const PIECES: [&str; 12] =
+            ["", "a", "Z", "0", "9", "#", "#retry", "/", " ", "é", "漢", "🦀"];
+        let len = next(state) % 7;
+        (0..len).map(|_| PIECES[(next(state) % PIECES.len() as u64) as usize]).collect()
+    }
+
+    /// A policy whose base and cap range from zero to values whose
+    /// shifts overflow (`base << n` loses bits well before attempt 12);
+    /// the cap stays small enough that 13 capped, jittered waits sum
+    /// without overflow.
+    fn draw_policy(state: &mut u64) -> RetryPolicy {
+        let base = match next(state) % 5 {
+            0 => 0,
+            1 => 1,
+            2 => RetryPolicy::default().base_backoff_nanos,
+            3 => 1 << 63,
+            _ => next(state),
+        };
+        let max_backoff_nanos = match next(state) % 4 {
+            0 => 0,
+            1 => 1,
+            2 => RetryPolicy::default().max_backoff_nanos,
+            _ => next(state) % (u64::MAX / 32),
+        };
+        let jitter_salt = match next(state) % 2 {
+            0 => RetryPolicy::default().jitter_salt,
+            _ => next(state),
+        };
+        RetryPolicy {
+            max_retries: (next(state) % 13) as u32,
+            base_backoff_nanos: base,
+            max_backoff_nanos,
+            jitter_salt,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Backoff and resolution equal the formatted-key reference for
+        /// every key, attempt, salt and schedule shape; a `source#seq`
+        /// key resolves the same through its hash.
+        #[test]
+        fn backoff_and_resolution_match_the_formatted_key_reference(
+            seed in any::<u64>(),
+            attempt in 0u32..13,
+        ) {
+            let mut state = seed;
+            let key = draw_key(&mut state);
+            let policy = draw_policy(&mut state);
+            prop_assert_eq!(
+                policy.backoff_nanos(&key, attempt),
+                oracle::backoff_nanos(&policy, &key, attempt),
+                "{:?} {:?} attempt {}", key, policy, attempt
+            );
+            let at = match next(&mut state) % 3 {
+                0 => 0,
+                1 => next(&mut state) % (1 << 40),
+                _ => u64::MAX - next(&mut state) % (1 << 40),
+            };
+            let horizon = policy.max_backoff_nanos.saturating_mul(3).max(1 << 30);
+            let clears = at.saturating_add(next(&mut state) % horizon);
+            let expected = oracle::resolve(&policy, &key, at, clears);
+            prop_assert_eq!(policy.resolve(&key, at, clears), expected, "{:?} {:?}", key, policy);
+            let seq = next(&mut state) >> (next(&mut state) % 64);
+            let request = format!("{key}#{seq}");
+            prop_assert_eq!(request_key_hash(&key, seq), fnv1a(request.as_bytes()));
+            prop_assert_eq!(
+                policy.resolve_hashed(request_key_hash(&key, seq), at, clears),
+                oracle::resolve(&policy, &request, at, clears)
+            );
+        }
+    }
 
     #[test]
     fn backoff_is_monotone_and_bounded() {

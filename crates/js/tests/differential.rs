@@ -28,7 +28,7 @@ impl ModuleStore for TestStore {
         compile: &mut dyn FnMut() -> Arc<Module>,
     ) -> Arc<Module> {
         let mut map = self.0.lock().unwrap();
-        map.entry(key).or_insert_with(|| compile()).clone()
+        map.entry(key).or_insert_with(compile).clone()
     }
 }
 

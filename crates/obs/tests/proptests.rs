@@ -39,9 +39,11 @@ fn snapshot_from_parts(
     histogram_samples: Vec<u64>,
     spans: Vec<(String, u64)>,
 ) -> MetricsSnapshot {
-    let mut snapshot = MetricsSnapshot::default();
-    snapshot.counters = counters.into_iter().collect();
-    snapshot.gauges = gauges.into_iter().collect();
+    let mut snapshot = MetricsSnapshot {
+        counters: counters.into_iter().collect(),
+        gauges: gauges.into_iter().collect(),
+        ..MetricsSnapshot::default()
+    };
     for name in histogram_names {
         // A histogram with real bucket structure: record the sample
         // values through the actual histogram type so bucket bounds are

@@ -275,16 +275,16 @@ pub fn run_storm(root: &Path, config: &StormConfig) -> StormReport {
     // The storm passes: drain every tenant to done. Poisoned/stalled
     // jobs are resubmitted (same config → same checkpoint dir → resume
     // from the newest intact generation).
-    for t in 0..config.tenants {
+    for (t, id) in ids.iter_mut().enumerate() {
         for drained in 1.. {
             assert!(drained < 500, "t{t} failed to drain after the storm");
-            match service.status(ids[t]).expect("status").state.as_str() {
+            match service.status(*id).expect("status").state.as_str() {
                 "done" => break,
                 "running" => {
-                    service.advance(ids[t]).expect("advance");
+                    service.advance(*id).expect("advance");
                 }
                 _ => {
-                    ids[t] = service
+                    *id = service
                         .submit(&format!("t{t}"), config.study_config(t))
                         .expect("resubmit");
                 }

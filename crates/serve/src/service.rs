@@ -681,7 +681,7 @@ fn running_count(jobs: &[Job]) -> usize {
     jobs.iter().filter(|j| matches!(j.state, JobState::Running)).count()
 }
 
-fn job_mut<'j>(jobs: &'j mut [Job], id: u64) -> Result<&'j mut Job, ServeError> {
+fn job_mut(jobs: &mut [Job], id: u64) -> Result<&mut Job, ServeError> {
     jobs.iter_mut().find(|j| j.id == id).ok_or(ServeError::UnknownStudy(id))
 }
 

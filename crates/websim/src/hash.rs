@@ -25,6 +25,27 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// The decimal digits of `n`, as `format!("{n}")` writes them, in
+/// `buf`: a key with an integer field hashes (or compares) its digits
+/// without formatting the key.
+pub fn decimal_digits(n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut start = buf.len();
+    let mut rest = n;
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            return &buf[start..];
+        }
+    }
+}
+
+/// [`fnv1a_extend`] over the decimal digits of `n`.
+pub fn fnv1a_extend_decimal(h: u64, n: u64) -> u64 {
+    fnv1a_extend(h, decimal_digits(n, &mut [0; 20]))
+}
+
 /// Maps a decision key to a uniform fraction in `[0, 1)`.
 pub fn fraction(key: &str) -> f64 {
     hashed_fraction(fnv1a(key.as_bytes()))
@@ -74,6 +95,15 @@ mod tests {
                 fnv1a(whole.as_bytes())
             );
             assert_eq!(hashed_fraction(fnv1a(whole.as_bytes())), fraction(&whole));
+        }
+    }
+
+    #[test]
+    fn decimal_digits_are_the_formatted_integer() {
+        for n in [0, 7, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            let text = n.to_string();
+            assert_eq!(decimal_digits(n, &mut [0; 20]), text.as_bytes());
+            assert_eq!(fnv1a_extend_decimal(fnv1a(b"X#"), n), fnv1a(format!("X#{n}").as_bytes()));
         }
     }
 

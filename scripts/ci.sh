@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: a warning-free build, test, slumbench's own tests,
-# then one daemon smoke. Everything a single process can show — determinism across
+# CI entry point: a warning-free build, a warning-free clippy, test,
+# slumbench's own tests, then one daemon smoke. Everything a single process can show — determinism across
 # execution plans, the golden artifacts, the `repro` command line —
 # lives in `cargo test`; the smoke covers what needs a real daemon
 # process: a `kill -9`, on-disk corruption and a restart over the same
@@ -19,6 +19,9 @@ if grep -q '^warning:' "$build_log"; then
     exit 1
 fi
 rm -f "$build_log"
+# Clippy's default lints over every target of the workspace's own
+# crates; any lint fails CI.
+cargo clippy --offline --release --all-targets -- -D warnings
 cargo test -q
 # slumbench is a workspace of its own, so the root `cargo test` skips
 # its unit tests and its toy smoke of every workload.
