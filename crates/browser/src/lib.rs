@@ -13,10 +13,10 @@
 //! extension emitted; [`Browser::load`] is the same load without it.
 //!
 //! A [`Browser`] holds settings only; the state a load touches lives in
-//! the web it is bound to. Page bodies come through the web's
-//! parsed-page cache ([`slum_websim::SyntheticWeb::parsed`]), so each
-//! distinct body is parsed once per web rather than once per visit, and
-//! a load's [`LoadResult::html`] shares that body's one allocation.
+//! the web it is bound to. A load reads each page from the outline its
+//! [`slum_websim::Body`] parses once, so a body is parsed once per web
+//! rather than once per visit, and a load's [`LoadResult::html`] is a
+//! handle on the web's one copy of the body.
 //!
 //! ## Example
 //!
@@ -31,7 +31,9 @@
 //! let browser = Browser::new(&web);
 //! let load = browser.load(&site.url);
 //! assert_eq!(load.final_url, site.url);
-//! assert!(load.outline.is_some());
+//! let body = load.html.expect("a benign site serves a page");
+//! assert_eq!(body.id(), Some(0), "the web's first body");
+//! assert!(body.outline().meta_refresh.is_none());
 //! ```
 
 #![forbid(unsafe_code)]

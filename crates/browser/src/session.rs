@@ -2,11 +2,10 @@
 
 use std::sync::Arc;
 
-use slum_html::Outline;
 use slum_js::flash::SwfMovie;
 use slum_js::sandbox::{Effect, JsEngine, Sandbox, SandboxReport};
 use slum_js::ModuleStore;
-use slum_websim::{FetchOutcome, RequestContext, SyntheticWeb, Url};
+use slum_websim::{Body, FetchOutcome, RequestContext, SyntheticWeb, Url};
 
 use crate::har::{HarEntry, HarLog};
 
@@ -53,13 +52,10 @@ pub struct LoadResult {
     /// Redirect chain traversed, in order.
     pub chain: Vec<RedirectHop>,
     /// Final page HTML (what the browser saw — cloaking already applied
-    /// by the server according to the request context), shared with
-    /// every other load of the same text.
-    pub html: Option<Arc<str>>,
-    /// Outline of the final page: its meta refresh, scripts and plugin
-    /// movies, parsed once per distinct body by
-    /// [`SyntheticWeb::parsed`].
-    pub outline: Option<Arc<Outline>>,
+    /// by the server according to the request context): the web's
+    /// handle on the body, shared with every other load of it, which
+    /// carries the body's outline.
+    pub html: Option<Body>,
     /// Aggregated sandbox report over every executed script; markup the
     /// scripts wrote via `document.write` is in `js.written_html`.
     pub js: SandboxReport,
@@ -92,10 +88,9 @@ impl LoadResult {
 ///
 /// A browser carries only its settings, never per-load state, so one
 /// can be constructed once and [`Browser::load`] called repeatedly. A
-/// load reads page bodies through the web's parsed-page cache
-/// ([`SyntheticWeb::parsed`]): each distinct body is parsed once per
-/// web, however many loads land on it, and the result of a load is the
-/// same either way.
+/// load reads each page from its body's outline ([`Body::outline`]):
+/// a body the web serves is parsed once, however many loads land on it,
+/// and the result of a load is the same either way.
 #[derive(Debug, Clone)]
 pub struct Browser<'w> {
     web: &'w SyntheticWeb,
@@ -191,7 +186,6 @@ impl<'w> Browser<'w> {
             final_url: url.clone(),
             chain: Vec::new(),
             html: None,
-            outline: None,
             js: SandboxReport::default(),
             downloads: Vec::new(),
             popups: Vec::new(),
@@ -229,22 +223,19 @@ impl<'w> Browser<'w> {
                 }
                 FetchOutcome::Html { body } => {
                     self.log(har, &current, 200, "text/html", &referrer, None);
-                    let page = self.web.parsed(&body);
-                    if let Some(target_str) = &page.outline.meta_refresh {
-                        if let Ok(target) = Url::parse(target_str) {
-                            result.chain.push(RedirectHop {
-                                from: current.clone(),
-                                to: target.clone(),
-                                kind: RedirectKind::MetaRefresh,
-                            });
-                            referrer = current.host().to_string();
-                            current = target;
-                            continue;
-                        }
+                    let refresh = body.outline().meta_refresh.as_deref();
+                    if let Some(target) = refresh.and_then(|t| Url::parse(t).ok()) {
+                        result.chain.push(RedirectHop {
+                            from: current.clone(),
+                            to: target.clone(),
+                            kind: RedirectKind::MetaRefresh,
+                        });
+                        referrer = current.host().to_string();
+                        current = target;
+                        continue;
                     }
                     result.final_url = current.clone();
-                    result.html = Some(page.body);
-                    result.outline = Some(page.outline);
+                    result.html = Some(body);
                     break;
                 }
                 FetchOutcome::Download { filename } => {
@@ -289,7 +280,8 @@ impl<'w> Browser<'w> {
     /// Executes inline scripts, external scripts and Flash movies of the
     /// final page; aggregates effects into `result.js`.
     fn run_page_scripts(&self, result: &mut LoadResult, har: &mut Option<HarLog>) {
-        let Some(outline) = result.outline.clone() else { return };
+        let Some(body) = result.html.clone() else { return };
+        let outline = body.outline();
         let page_url = result.final_url.clone();
         let mut merged = SandboxReport::default();
 

@@ -10,7 +10,6 @@
 use slum_browser::Browser;
 use slum_crawler::CrawlRecord;
 use slum_html::attr::HiddenReason;
-use slum_html::Document;
 use slum_websim::{FalsePositiveKind, GroundTruth, SyntheticWeb, Url};
 
 use crate::scanpipe::ScanOutcome;
@@ -49,19 +48,14 @@ pub fn iframe_injections(pairs: &[(&CrawlRecord, &ScanOutcome)]) -> Vec<IframeEx
             continue;
         }
         let Some(content) = &record.content else { continue };
-        let dom = Document::parse(content);
 
         // Static iframes → categories one and two.
-        for id in dom.iframes() {
-            let reasons = dom.effective_hidden_reasons(id);
+        for iframe in &content.outline().iframes {
+            let reasons = &iframe.hidden_reasons;
             if reasons.is_empty() {
                 continue;
             }
-            let src = dom
-                .element(id)
-                .and_then(|el| el.attr("src"))
-                .unwrap_or_default()
-                .to_string();
+            let src = iframe.src.clone().unwrap_or_default();
             let exfiltrates = src.contains('?') && src.contains('&');
             let kind = if reasons.contains(&HiddenReason::CssHidden)
                 || reasons.contains(&HiddenReason::Transparency)
@@ -108,14 +102,10 @@ pub fn deceptive_downloads(pairs: &[(&CrawlRecord, &ScanOutcome)]) -> Vec<Downlo
         if !outcome.malicious {
             continue;
         }
-        let has_markup = record
-            .content
-            .as_deref()
-            .map(|c| {
-                let dom = Document::parse(c);
-                !dom.data_uri_anchors().is_empty() || !dom.download_manager_elements().is_empty()
-            })
-            .unwrap_or(false);
+        let has_markup = record.content.as_ref().is_some_and(|c| {
+            let outline = c.outline();
+            outline.data_uri_anchor || outline.download_manager
+        });
         if record.download_filenames.is_empty() && !has_markup {
             continue;
         }
@@ -154,9 +144,8 @@ pub fn rotating_redirectors(
             continue;
         }
         let Some(content) = &record.content else { continue };
-        let dom = Document::parse(content);
-        for src in dom.external_script_srcs() {
-            let Ok(script_url) = slum_browser::session::resolve_href(&record.url, &src) else {
+        for src in &content.outline().external_scripts {
+            let Ok(script_url) = slum_browser::session::resolve_href(&record.url, src) else {
                 continue;
             };
             if out.iter().any(|e| e.script == script_url) {

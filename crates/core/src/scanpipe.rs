@@ -23,8 +23,8 @@
 //!    blacklist consensus;
 //! 3. a serial pass walks each record's chain up to its first
 //!    blacklisted domain and gives a capture id to every (URL, body
-//!    hash) pair whose reachable URL scans were all clean, hashing each
-//!    distinct body once;
+//!    hash) pair whose reachable URL scans were all clean, reading each
+//!    body's content hash from its [`Body`], which computes it once;
 //! 4. a parallel pass scans each distinct capture;
 //! 5. a parallel pass assembles every record's [`ScanOutcome`] from its
 //!    ids, or the clean outcome of a record the scan skipped.
@@ -38,21 +38,20 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use slum_browser::{Browser, LoadResult};
 use slum_crawler::CrawlRecord;
 use slum_detect::blacklist::BlacklistDb;
 use slum_detect::fault::{FaultPlan, ScanService, ServiceDecision, SourceDecisions};
-use slum_detect::hash::fnv1a;
 use slum_detect::quttera::{Quttera, QutteraFinding, QutteraReport, QutteraVerdict};
 use slum_detect::virustotal::{VirusTotal, VtReport};
 use slum_detect::{CacheStats, Features, JsModuleCache};
 use slum_js::sandbox::{JsEngine, SandboxReport};
 use slum_js::ModuleStore;
 use slum_obs::Histogram;
-use slum_websim::{BodyCache, RequestContext, SyntheticWeb, Url};
+use slum_websim::{Body, RequestContext, SyntheticWeb, Url};
 
 /// Which services contributed to a verdict — the provenance record the
 /// related mal-activity-measurement literature argues must accompany
@@ -384,11 +383,12 @@ struct SampleTable {
 /// counters are its own plan's. Only [`ScanCaches::stats`] — summed
 /// over every scan through the set — observes it.
 pub struct ScanCaches {
-    /// Static-pass features ([`Features::from_page`]) per distinct page
-    /// body. Which body a scanner load ends on is known only after the
-    /// load, so this cache fills while the scan runs. Keyed by the body
-    /// text, held as the shared `Arc<str>` the web interned.
-    page_features: BodyCache<Features>,
+    /// Static-pass features ([`Features::from_body`]) per body the web
+    /// serves, indexed by [`Body::id`]. Which body a scanner load ends
+    /// on is known only after the load, so each slot fills while the
+    /// scan runs. The table is sized from the web's body count the
+    /// first time a pipeline scans through these caches.
+    page_features: OnceLock<Box<[OnceLock<Features>]>>,
     /// Compiled-module cache: campaign pages reusing the same packed
     /// payload compile it once. Only consulted under [`JsEngine::Vm`].
     js_modules: Arc<JsModuleCache>,
@@ -402,7 +402,7 @@ impl ScanCaches {
     /// Fresh, cold caches.
     pub fn new() -> Self {
         ScanCaches {
-            page_features: BodyCache::new(),
+            page_features: OnceLock::new(),
             js_modules: Arc::new(JsModuleCache::new()),
             samples: RwLock::new(SampleTable::default()),
         }
@@ -418,11 +418,25 @@ impl ScanCaches {
         self.samples.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Drops all memoized state except the compiled-module cache (see
-    /// [`ScanPipeline::clear_caches`] for the rationale).
+    /// Drops all memoized state except the compiled modules and the
+    /// per-body static features (see [`ScanPipeline::clear_caches`]
+    /// for the rationale).
     pub fn clear(&self) {
-        self.page_features.clear();
         *self.table_mut() = SampleTable::default();
+    }
+
+    /// The per-body static-feature slots for a web serving `bodies`
+    /// bodies.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an earlier scan sized the table for another count:
+    /// these caches were shared between pipelines over different webs.
+    fn page_features(&self, bodies: usize) -> &[OnceLock<Features>] {
+        let table =
+            self.page_features.get_or_init(|| (0..bodies).map(|_| OnceLock::new()).collect());
+        assert_eq!(table.len(), bodies, "ScanCaches shared between webs with different bodies");
+        table
     }
 
     /// Number of distinct URLs whose scan samples are cached.
@@ -710,12 +724,14 @@ impl<'w> ScanPipeline<'w> {
         self.fault_plan.as_ref()
     }
 
-    /// Drops all memoized state (page features and finished samples).
-    /// Verdicts are deterministic with or without warm caches; tests
-    /// use this to scan cold again without rebuilding the pipeline.
+    /// Drops the finished samples. Verdicts are deterministic with or
+    /// without warm caches; tests use this to scan cold again without
+    /// rebuilding the pipeline.
     ///
-    /// The compiled-module cache survives: modules are keyed by content
-    /// hash and behaviourally inert.
+    /// The compiled-module cache and the per-body static features
+    /// survive: modules are keyed by content hash and behaviourally
+    /// inert, and a body's static features are a pure function of the
+    /// body.
     pub fn clear_caches(&self) {
         self.caches.clear();
     }
@@ -832,10 +848,6 @@ impl<'w> ScanPipeline<'w> {
         let mut chain_lookups = 0u64;
         let captures = {
             let mut captures = Ids::new();
-            // Records of a page share the web's interned body, so each
-            // distinct body is hashed once (keyed by its address, which
-            // the borrowed records keep alive).
-            let mut body_hashes: HashMap<*const u8, u64> = HashMap::new();
             let mut chain_start = 0;
             let planned = visits.iter_mut().enumerate().filter_map(|(i, v)| Some((i, v.as_mut()?)));
             for (i, visit) in planned {
@@ -852,10 +864,7 @@ impl<'w> ScanPipeline<'w> {
                 chain_start = visit.chain_end as usize;
                 let (Some(u), Some(content)) = (visit.url, &records[i].content) else { continue };
                 if !visit.flagged(&url_samples[u as usize]) {
-                    let hash = *body_hashes
-                        .entry(content.as_ptr())
-                        .or_insert_with(|| fnv1a(content.as_bytes()));
-                    visit.capture = Some(captures.id((u, hash), i));
+                    visit.capture = Some(captures.id((u, content.content_hash()), i));
                 }
             }
             captures.into_keys()
@@ -870,7 +879,7 @@ impl<'w> ScanPipeline<'w> {
             let key = capture_key(u, hash);
             table.captures.get(key.as_str()).cloned().unwrap_or_else(|| {
                 let record = &records[i];
-                let content = record.content.as_deref().expect("planned captures exist");
+                let content = record.content.as_ref().expect("planned captures exist");
                 timed(sample_nanos, || Arc::new(self.capture_sample(&record.url, content, &key)))
             })
         });
@@ -1060,7 +1069,7 @@ impl<'w> ScanPipeline<'w> {
     /// The upload sample of one distinct capture. `key` is
     /// `canonical#content-hash`, the sample key `VirusTotal::scan_content`
     /// derives, so engine decisions match a direct upload.
-    fn capture_sample(&self, url: &Url, content: &str, key: &str) -> Sample {
+    fn capture_sample(&self, url: &Url, content: &Body, key: &str) -> Sample {
         let (features, report) = self.content_features(url, content);
         Sample::new(
             self.vt.aggregate(key, &features),
@@ -1070,29 +1079,31 @@ impl<'w> ScanPipeline<'w> {
     }
 
     /// [`Features::from_load`], with the static pass over the load's
-    /// final page taken from the per-body cache.
+    /// final page taken from the per-body table.
     pub fn load_features(&self, load: &LoadResult) -> Features {
         load.html.as_ref().map(|body| self.page_features(body)).unwrap_or_default().with_load(load)
     }
 
     /// [`Features::from_content_with_engine`] under this pipeline's JS
-    /// engine and module cache, with the static pass and the outline
-    /// (hence the inline scripts) taken from the per-body caches: only
-    /// the sandbox run is per call.
-    pub fn content_features(&self, url: &Url, content: &str) -> (Features, SandboxReport) {
-        let page = self.web.parsed(content);
-        self.page_features(&page.body).with_script_run(
+    /// engine and module cache, with the static pass taken from the
+    /// per-body table and the inline scripts from the body's outline:
+    /// only the sandbox run is per call.
+    pub fn content_features(&self, url: &Url, content: &Body) -> (Features, SandboxReport) {
+        self.page_features(content).with_script_run(
             url,
-            &page.outline.inline_scripts,
+            &content.outline().inline_scripts,
             self.js_engine,
             self.module_store(),
         )
     }
 
-    /// Static-pass features of `body`, computed once per distinct body
-    /// text.
-    fn page_features(&self, body: &Arc<str>) -> Features {
-        self.caches.page_features.get_or_insert_with(Arc::clone(body), Features::from_page).1
+    /// Static-pass features of `body`: computed once per body of the
+    /// web, found by its id; a body without one (bare text) is
+    /// computed on the spot.
+    fn page_features(&self, body: &Body) -> Features {
+        let Some(id) = body.id() else { return Features::from_body(body) };
+        let slots = self.caches.page_features(self.web.bodies().len());
+        slots[id as usize].get_or_init(|| Features::from_body(body)).clone()
     }
 
     /// The shared module store, when the engine can use one.

@@ -5,11 +5,15 @@
 //! equivalent snippets out of the scanned corpus: the hidden-iframe
 //! element, the packed injector with its statically unpacked form, the
 //! deceptive-download prompt, and the decompiled-SWF view.
+//!
+//! Each extractor reads the body's outline; the two that print an
+//! element's markup parse the body only once its outline shows the
+//! exhibit is there.
 
 use slum_html::{Document, NodeId};
 use slum_js::flash::SwfMovie;
 use slum_js::obfuscate::unpack_all_static;
-use slum_websim::{FetchOutcome, RequestContext, SyntheticWeb, Url};
+use slum_websim::{Body, FetchOutcome, RequestContext, SyntheticWeb, Url};
 
 /// A code/markup exhibit with provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +40,10 @@ fn element_source(doc: &Document, id: NodeId) -> String {
 
 /// Extracts the hidden-iframe exhibit from page content (the paper's
 /// Code 1/2 shape), if present.
-pub fn hidden_iframe_snippet(url: &Url, html: &str) -> Option<Snippet> {
+pub fn hidden_iframe_snippet(url: &Url, html: &Body) -> Option<Snippet> {
+    if html.outline().iframes.iter().all(|iframe| iframe.hidden_reasons.is_empty()) {
+        return None;
+    }
     let doc = Document::parse(html);
     for id in doc.iframes() {
         if doc.is_hidden(id) {
@@ -52,10 +59,9 @@ pub fn hidden_iframe_snippet(url: &Url, html: &str) -> Option<Snippet> {
 
 /// Extracts a packed inline script together with its statically unpacked
 /// payload (the paper's "obfuscated multiple times" drill-down).
-pub fn unpacked_script_snippet(url: &Url, html: &str) -> Option<Snippet> {
-    let doc = Document::parse(html);
-    for script in doc.inline_scripts() {
-        let (inner, layers) = unpack_all_static(&script);
+pub fn unpacked_script_snippet(url: &Url, html: &Body) -> Option<Snippet> {
+    for script in &html.outline().inline_scripts {
+        let (inner, layers) = unpack_all_static(script);
         if layers > 0 {
             let packed_preview: String = script.chars().take(96).collect();
             return Some(Snippet {
@@ -69,7 +75,11 @@ pub fn unpacked_script_snippet(url: &Url, html: &str) -> Option<Snippet> {
 }
 
 /// Extracts the deceptive-download prompt markup (Code 4 shape).
-pub fn deceptive_download_snippet(url: &Url, html: &str) -> Option<Snippet> {
+pub fn deceptive_download_snippet(url: &Url, html: &Body) -> Option<Snippet> {
+    let outline = html.outline();
+    if !outline.data_uri_anchor && !outline.download_manager {
+        return None;
+    }
     let doc = Document::parse(html);
     let anchor = doc
         .data_uri_anchors()
@@ -85,11 +95,8 @@ pub fn deceptive_download_snippet(url: &Url, html: &str) -> Option<Snippet> {
 
 /// Fetches and "decompiles" the SWF referenced by a Flash page (the
 /// Code 6 view: the movie's behavioural surface).
-pub fn decompiled_swf_snippet(web: &SyntheticWeb, url: &Url, html: &str) -> Option<Snippet> {
-    let doc = Document::parse(html);
-    for obj in doc.elements_by_tag("object").into_iter().chain(doc.elements_by_tag("embed")) {
-        let Some(el) = doc.element(obj) else { continue };
-        let Some(data) = el.attr("data").or_else(|| el.attr("src")) else { continue };
+pub fn decompiled_swf_snippet(web: &SyntheticWeb, url: &Url, html: &Body) -> Option<Snippet> {
+    for data in &html.outline().plugin_srcs {
         let Ok(swf_url) = slum_browser::session::resolve_href(url, data) else { continue };
         if let FetchOutcome::Swf { descriptor } =
             web.fetch(&swf_url, &RequestContext::scanner("decompiler"))
@@ -178,7 +185,7 @@ mod tests {
     #[test]
     fn hidden_iframe_snippet_extracted() {
         let html = payload::pixel_iframe_page("b.example.com", &u("http://trk.example/t"));
-        let snippet = hidden_iframe_snippet(&u("http://b.example.com/"), &html).unwrap();
+        let snippet = hidden_iframe_snippet(&u("http://b.example.com/"), &html.into()).unwrap();
         assert!(snippet.listing.starts_with("<iframe"));
         assert!(snippet.listing.contains("width=\"1\""));
         assert!(snippet.listing.contains("http://trk.example/t"));
@@ -188,7 +195,7 @@ mod tests {
     fn packed_script_snippet_shows_both_forms() {
         let html =
             payload::js_injected_iframe_page("s.example.com", &u("http://evil.example/x"), 2);
-        let snippet = unpacked_script_snippet(&u("http://s.example.com/"), &html).unwrap();
+        let snippet = unpacked_script_snippet(&u("http://s.example.com/"), &html.into()).unwrap();
         assert!(snippet.caption.contains("2 layer"));
         assert!(snippet.listing.contains("// packed"));
         assert!(snippet.listing.contains("document.write"), "unpacked payload visible");
@@ -197,6 +204,7 @@ mod tests {
     #[test]
     fn deceptive_download_snippet_extracted() {
         let html = payload::deceptive_download_page("anime.example.com", "dl.example.net");
+        let html = html.into();
         let snippet = deceptive_download_snippet(&u("http://anime.example.com/"), &html).unwrap();
         assert!(snippet.listing.contains("data-dm") || snippet.listing.contains("data:"));
     }
@@ -215,7 +223,7 @@ mod tests {
 
     #[test]
     fn benign_pages_yield_no_snippets() {
-        let html = payload::benign_page("ok.example.com", ContentCategory::Business);
+        let html = payload::benign_page("ok.example.com", ContentCategory::Business).into();
         let url = u("http://ok.example.com/");
         assert!(hidden_iframe_snippet(&url, &html).is_none());
         assert!(unpacked_script_snippet(&url, &html).is_none());

@@ -1,9 +1,7 @@
 //! The per-visit crawl record.
 
-use std::sync::Arc;
-
 use slum_browser::{LoadResult, RedirectKind};
-use slum_websim::Url;
+use slum_websim::{Body, Url};
 
 /// One surfed visit: which slot of the source's crawl, when, and what
 /// URL the surfbar opened. A page load is a pure function of the web,
@@ -51,9 +49,9 @@ pub struct CrawlRecord {
     pub via_js_redirect: bool,
     /// Captured page content (the *browser's* view — what the paper
     /// downloaded "to our local storage" to upload to scanners). Records
-    /// of the same page share one allocation: the body the crawl's
-    /// browser loaded through the web's page cache.
-    pub content: Option<Arc<str>>,
+    /// of the same page share one allocation: the web's handle on the
+    /// body the crawl's browser loaded.
+    pub content: Option<Body>,
     /// Executable downloads triggered during the load.
     pub download_filenames: Vec<String>,
     /// Load failed (404 / hop-limit).

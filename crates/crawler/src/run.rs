@@ -469,7 +469,7 @@ pub fn replay_restored_loads<S: TrafficSource>(
 /// The corpus as JSON lines: every record of `store` with the HAR of
 /// its load, which a record does not keep. Each record's visit is
 /// surfed again on `web` with logging, under the click mode of the
-/// source that crawled it ([`record_har`]), so the line equals the one
+/// source that crawled it (the private `record_har`), so the line equals the one
 /// a record carrying its crawl-time HAR would print.
 ///
 /// The replayed loads repeat the crawl's side effects (shortener hit

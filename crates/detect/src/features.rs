@@ -3,9 +3,12 @@
 //!
 //! Extraction is a static pass composed with a dynamic one:
 //!
-//! - the static pass ([`Features::from_page`]: DOM inspection + static
-//!   deobfuscation) is a pure function of the page body, so the scan
-//!   pipeline computes it once per distinct body;
+//! - the static pass ([`Features::from_outline`]: the DOM facts of the
+//!   body's [`Outline`] + static deobfuscation of its inline scripts) is
+//!   a pure function of the page body, so the scan pipeline computes it
+//!   once per body the web serves. It reads the outline and the text and
+//!   never parses: a body the web serves is parsed once, by its
+//!   [`Body::outline`], for the browser and the scanner alike;
 //! - the dynamic pass depends on how the sample was obtained. A full
 //!   [`slum_browser::LoadResult`] (the scanner fetched the URL itself,
 //!   subresources included) folds in the real load's signals
@@ -19,11 +22,11 @@ use std::sync::Arc;
 
 use slum_browser::LoadResult;
 use slum_html::attr::HiddenReason;
-use slum_html::Document;
+use slum_html::{Document, Outline};
 use slum_js::obfuscate::{is_likely_obfuscated, unpack_all_static};
 use slum_js::sandbox::{Effect, JsEngine, Sandbox, SandboxReport};
 use slum_js::ModuleStore;
-use slum_websim::Url;
+use slum_websim::{Body, Url};
 
 /// Extracted detection features of one sample.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -83,27 +86,89 @@ impl Features {
         engine: JsEngine,
         store: Option<Arc<dyn ModuleStore>>,
     ) -> (Features, SandboxReport) {
-        let dom = Document::parse(html);
-        let inline_scripts = dom.inline_scripts();
-        Features::from_document(&dom, html).with_script_run(url, &inline_scripts, engine, store)
+        let outline = Document::parse(html).outline();
+        Features::from_outline(&outline, html).with_script_run(
+            url,
+            &outline.inline_scripts,
+            engine,
+            store,
+        )
     }
 
     /// Extracts features from a full browser load (the URL-scan path —
     /// includes external scripts, Flash, and the redirect chain).
     pub fn from_load(load: &LoadResult) -> Features {
-        load.html.as_deref().map(Features::from_page).unwrap_or_default().with_load(load)
+        load.html.as_ref().map(Features::from_body).unwrap_or_default().with_load(load)
     }
 
-    /// The static pass over one page body: DOM inspection plus static
-    /// analysis of its inline scripts. A pure function of `html`.
+    /// The static pass over bare page text: [`Features::from_outline`]
+    /// after parsing `html` once.
     pub fn from_page(html: &str) -> Features {
-        Features::from_document(&Document::parse(html), html)
+        Features::from_outline(&Document::parse(html).outline(), html)
     }
 
-    /// [`Features::from_page`] over an already parsed body.
-    fn from_document(dom: &Document, html: &str) -> Features {
+    /// The static pass over a body the web serves, from the outline the
+    /// body parsed once.
+    pub fn from_body(body: &Body) -> Features {
+        Features::from_outline(body.outline(), body)
+    }
+
+    /// The static pass over one page body: the DOM facts of its
+    /// `outline` plus static analysis of its inline scripts and a scan
+    /// of its text `html`. A pure function of the body; parses nothing.
+    pub fn from_outline(outline: &Outline, html: &str) -> Features {
         let mut f = Features::default();
-        f.static_pass(dom, html);
+        for iframe in &outline.iframes {
+            let src = iframe.src.as_deref().unwrap_or_default();
+            if src.contains("postmessageRelay") {
+                f.oauth_relay_iframe = true;
+            }
+            for &reason in &iframe.hidden_reasons {
+                f.hidden_iframes.push((reason, src.to_string()));
+                if src.contains('?') && src.contains('&') {
+                    f.iframe_exfil_query = true;
+                }
+            }
+        }
+        for script in &outline.inline_scripts {
+            if is_likely_obfuscated(script) {
+                f.obfuscated_scripts += 1;
+                let (_, layers) = unpack_all_static(script);
+                f.eval_layers = f.eval_layers.max(layers);
+            }
+            if script.contains("GoogleAnalyticsObject") {
+                f.ga_bootstrap = true;
+            }
+            if script.contains("mousemove") || script.contains("keydown") {
+                // Listener + beacon shipping = fingerprinting; bare
+                // listeners alone are common and benign.
+                if script.contains("createElement") || script.contains("/fp?") {
+                    f.fingerprinting = true;
+                }
+            }
+        }
+        if outline.data_uri_anchor || outline.download_manager {
+            f.deceptive_download = true;
+        }
+        if outline.meta_refresh.is_some() {
+            f.meta_refresh = true;
+        }
+        // Flash click-jack rig: object/embed with transparent wmode and
+        // allowscriptaccess. Parameters live in <param> children.
+        for plugin in &outline.plugins {
+            let any = |values: &[String], want: &str| {
+                values.iter().any(|v| v.eq_ignore_ascii_case(want))
+            };
+            let transparent = any(&plugin.wmode, "transparent");
+            let script_access = any(&plugin.allowscriptaccess, "always");
+            let covers_page = plugin.width.as_deref() == Some("100%");
+            if script_access && (transparent || covers_page) {
+                f.flash_clickjack = true;
+            }
+        }
+        if html.contains("slum:payload:") {
+            f.generic_malware_marker = true;
+        }
         f
     }
 
@@ -163,12 +228,103 @@ impl Features {
         self.fold_effects(&report.effects, page_url);
         self.eval_layers = self.eval_layers.max(report.max_eval_depth);
         if !report.written_html.is_empty() {
-            self.fold_injected_dom(&Document::parse(&report.written_html));
+            self.fold_injected_dom(&Document::parse(&report.written_html).outline());
         }
     }
 
-    /// Static DOM + script-text analysis.
-    fn static_pass(&mut self, dom: &Document, html: &str) {
+    /// Folds in sandbox effects.
+    fn fold_effects(&mut self, effects: &[Effect], page_url: &Url) {
+        let mut mouse_listener = false;
+        let mut beacon_insert = false;
+        for effect in effects {
+            match effect {
+                Effect::DocumentWrite(html)
+                    if html.contains("<iframe") => {
+                        self.dynamic_iframe_injection = true;
+                    }
+                Effect::ElementInserted { tag, attrs }
+                    if tag == "iframe" => {
+                        self.dynamic_iframe_injection = true;
+                        beacon_insert = true;
+                        let hidden = slum_html::attr::hidden_reasons(attrs);
+                        let src = attrs
+                            .iter()
+                            .find(|(k, _)| k == "src")
+                            .map(|(_, v)| v.clone())
+                            .unwrap_or_default();
+                        for r in hidden {
+                            self.hidden_iframes.push((r, src.clone()));
+                        }
+                    }
+                Effect::Navigate { url } => {
+                    let lower = url.to_ascii_lowercase();
+                    if lower.contains(".exe") || lower.contains("downloadas=") {
+                        self.deceptive_download = true;
+                    } else if let Ok(target) = Url::parse(url) {
+                        if target.host() != page_url.host() {
+                            self.js_redirect = true;
+                        }
+                    }
+                }
+                Effect::Popup { .. } => self.popups += 1,
+                Effect::ExternalCall { .. } => self.external_interface_calls += 1,
+                Effect::ListenerRegistered { event, .. }
+                    if (event == "mousemove" || event == "keydown") => {
+                        mouse_listener = true;
+                    }
+                Effect::EvalLayer { depth, .. } => {
+                    self.eval_layers = self.eval_layers.max(*depth);
+                    if *depth > 0 {
+                        self.obfuscated_scripts = self.obfuscated_scripts.max(1);
+                    }
+                }
+                _ => {}
+            }
+        }
+        if mouse_listener && beacon_insert {
+            self.fingerprinting = true;
+        }
+    }
+
+    /// Inspects the outline of runtime-injected markup.
+    fn fold_injected_dom(&mut self, injected: &Outline) {
+        for iframe in &injected.iframes {
+            self.dynamic_iframe_injection = true;
+            let src = iframe.src.as_deref().unwrap_or_default();
+            for &reason in &iframe.hidden_reasons {
+                self.hidden_iframes.push((reason, src.to_string()));
+            }
+        }
+    }
+
+    /// True when no malicious signal at all was extracted (the benign
+    /// fast path).
+    pub fn is_clean(&self) -> bool {
+        self.hidden_iframes.is_empty()
+            && !self.dynamic_iframe_injection
+            && self.obfuscated_scripts == 0
+            && !self.deceptive_download
+            && !self.fingerprinting
+            && !self.flash_clickjack
+            && self.external_interface_calls == 0
+            && !self.js_redirect
+            && !self.generic_malware_marker
+            && self.popups == 0
+    }
+}
+
+#[cfg(test)]
+impl Features {
+    /// The static pass as it was before outlines carried the DOM facts:
+    /// it walks a second parse of the body. Kept as the reference model
+    /// [`Features::from_outline`] is held to.
+    fn reference_static_pass(dom: &Document, html: &str) -> Features {
+        let mut f = Features::default();
+        f.walk_dom(dom, html);
+        f
+    }
+
+    fn walk_dom(&mut self, dom: &Document, html: &str) {
         for id in dom.iframes() {
             let reasons = dom.effective_hidden_reasons(id);
             let src = dom
@@ -242,90 +398,6 @@ impl Features {
         if html.contains("slum:payload:") {
             self.generic_malware_marker = true;
         }
-    }
-
-    /// Folds in sandbox effects.
-    fn fold_effects(&mut self, effects: &[Effect], page_url: &Url) {
-        let mut mouse_listener = false;
-        let mut beacon_insert = false;
-        for effect in effects {
-            match effect {
-                Effect::DocumentWrite(html)
-                    if html.contains("<iframe") => {
-                        self.dynamic_iframe_injection = true;
-                    }
-                Effect::ElementInserted { tag, attrs }
-                    if tag == "iframe" => {
-                        self.dynamic_iframe_injection = true;
-                        beacon_insert = true;
-                        let hidden = slum_html::attr::hidden_reasons(attrs);
-                        let src = attrs
-                            .iter()
-                            .find(|(k, _)| k == "src")
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or_default();
-                        for r in hidden {
-                            self.hidden_iframes.push((r, src.clone()));
-                        }
-                    }
-                Effect::Navigate { url } => {
-                    let lower = url.to_ascii_lowercase();
-                    if lower.contains(".exe") || lower.contains("downloadas=") {
-                        self.deceptive_download = true;
-                    } else if let Ok(target) = Url::parse(url) {
-                        if target.host() != page_url.host() {
-                            self.js_redirect = true;
-                        }
-                    }
-                }
-                Effect::Popup { .. } => self.popups += 1,
-                Effect::ExternalCall { .. } => self.external_interface_calls += 1,
-                Effect::ListenerRegistered { event, .. }
-                    if (event == "mousemove" || event == "keydown") => {
-                        mouse_listener = true;
-                    }
-                Effect::EvalLayer { depth, .. } => {
-                    self.eval_layers = self.eval_layers.max(*depth);
-                    if *depth > 0 {
-                        self.obfuscated_scripts = self.obfuscated_scripts.max(1);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if mouse_listener && beacon_insert {
-            self.fingerprinting = true;
-        }
-    }
-
-    /// Inspects runtime-injected markup.
-    fn fold_injected_dom(&mut self, injected: &Document) {
-        for id in injected.iframes() {
-            self.dynamic_iframe_injection = true;
-            let src = injected
-                .element(id)
-                .and_then(|el| el.attr("src"))
-                .unwrap_or_default()
-                .to_string();
-            for r in injected.effective_hidden_reasons(id) {
-                self.hidden_iframes.push((r, src.clone()));
-            }
-        }
-    }
-
-    /// True when no malicious signal at all was extracted (the benign
-    /// fast path).
-    pub fn is_clean(&self) -> bool {
-        self.hidden_iframes.is_empty()
-            && !self.dynamic_iframe_injection
-            && self.obfuscated_scripts == 0
-            && !self.deceptive_download
-            && !self.fingerprinting
-            && !self.flash_clickjack
-            && self.external_interface_calls == 0
-            && !self.js_redirect
-            && !self.generic_malware_marker
-            && self.popups == 0
     }
 }
 
@@ -461,6 +533,132 @@ mod tests {
 
         let f_dl = Features::from_load(&browser.load(&dl.url));
         assert!(f_dl.deceptive_download);
+    }
+
+    /// Markup pieces for [`outline_pass_matches_the_dom_walking_reference`]:
+    /// hidden-iframe styles and wrappers, iframe `src`s with `?` and `&`,
+    /// `object`/`embed` with `param` children, data-URI anchors,
+    /// download-manager markup, meta refreshes and inline scripts.
+    const PIECES: &[&str] = &[
+        r#"<div style="display:none">"#,
+        r#"<span style="visibility: hidden">"#,
+        "</div>",
+        "</span>",
+        r#"<iframe src="http://t.example/p?a=1&amp;b=2" width="1" height="1"></iframe>"#,
+        r#"<iframe src="https://accounts.example/o/oauth2/postmessageRelay?p=1"
+            style="position:absolute;top:-100px"></iframe>"#,
+        r#"<iframe allowtransparency="true" frameborder="0" src="http://x/?q"></iframe>"#,
+        r#"<iframe hidden src=x?a&b></iframe>"#,
+        r#"<IFRAME style="opacity:0" SRC='?&'>"#,
+        "<iframe>",
+        "</iframe>",
+        r#"<object width="100%" data="m.swf">"#,
+        "<object>",
+        "</object>",
+        r#"<param name="wmode" value="transparent">"#,
+        r#"<param name="WMode" value="Transparent">"#,
+        r#"<param name="wmode" value="opaque">"#,
+        r#"<param name="allowscriptaccess" value="always">"#,
+        r#"<param name="AllowScriptAccess" value="sameDomain">"#,
+        r#"<param name="allowscriptaccess">"#,
+        r#"<input name="wmode" value="transparent">"#,
+        r#"<embed src="e.swf" width="100%" name="allowScriptAccess" value="ALWAYS">"#,
+        r#"<embed name="wmode" value="transparent" src="x.swf">"#,
+        r#"<a href="data:text/html;base64,PGh0bWw+">"#,
+        r#"<a href=" data:x">"#,
+        r#"<a href="http://x/">"#,
+        "</a>",
+        r#"<div data-dm-title="Flash Player">"#,
+        r#"<span data-dm="1">"#,
+        r#"<meta http-equiv="refresh" content="0; url=http://n.example/">"#,
+        r#"<meta http-equiv="Refresh" content="5;URL='http://m.example/'">"#,
+        r#"<meta http-equiv="refresh" content="30">"#,
+        r#"<meta charset="utf-8">"#,
+        r#"<meta http-equiv="x-ua-compatible" content="ie=edge">"#,
+        "<script>var GoogleAnalyticsObject='ga';</script>",
+        "<script>document.addEventListener('mousemove',f);document.createElement('img');</script>",
+        r#"<script>window.onkeydown=k;new Image().src="/fp?"+k;</script>"#,
+        r#"<script src="/lib.js"></script>"#,
+        "<script>",
+        "</script>",
+        "<!-- slum:payload:generic-trojan-dropper -->",
+        "<p>hello &amp; bye</p>",
+        "<body>",
+        "</body>",
+    ];
+
+    /// `from_page` and `from_body` equal the DOM-walking reference over
+    /// a second parse of `body`.
+    fn assert_matches_reference(body: &Body) {
+        let want = Features::reference_static_pass(&Document::parse(body), body);
+        assert_eq!(Features::from_page(body), want, "{body:?}");
+        assert_eq!(Features::from_body(body), want, "{body:?}");
+    }
+
+    fn every_kind_of_page(seed: u64) -> slum_websim::SyntheticWeb {
+        use slum_websim::build::{BenignOptions, MaliciousOptions, WebBuilder};
+        use slum_websim::{FalsePositiveKind, JsAttack, MaliceKind, Tld};
+
+        let mut b = WebBuilder::new(seed);
+        let cat = ContentCategory::Entertainment;
+        b.benign_site(BenignOptions::default());
+        b.popular_site("popular.example.com");
+        b.exchange_home("home.exchange.example");
+        b.flash_site(Tld::Com, cat);
+        b.redirect_chain_site(4, Tld::Com, cat);
+        b.rotating_redirector_site(3, cat);
+        b.shortened_site(Tld::Com, cat);
+        for kind in [FalsePositiveKind::GoogleOauthRelay, FalsePositiveKind::GoogleAnalytics] {
+            b.false_positive_site(kind);
+        }
+        for cloaked in [false, true] {
+            b.blacklisted_site(Tld::Com, cat, cloaked);
+            b.misc_site(Tld::Com, cat, cloaked);
+            for attack in [
+                JsAttack::HiddenIframe,
+                JsAttack::InvisibleIframeExfil,
+                JsAttack::DynamicIframe,
+                JsAttack::DeceptiveDownload,
+                JsAttack::Fingerprinting,
+            ] {
+                b.js_site(attack, Tld::Com, cat, cloaked);
+            }
+            b.malicious_site(MaliciousOptions { cloaked: Some(cloaked), ..Default::default() });
+            b.malicious_site(MaliciousOptions {
+                kind: Some(MaliceKind::MaliciousFlash),
+                cloaked: Some(cloaked),
+                ..Default::default()
+            });
+        }
+        b.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The static pass over the outline's facts equals the
+        /// DOM-walking reference: on generated markup, and on every body
+        /// of a web holding every kind of page the builder makes, which
+        /// includes each cloaked page's scanner view and each
+        /// meta-refresh hop.
+        #[test]
+        fn outline_pass_matches_the_dom_walking_reference(
+            seed in proptest::any::<u64>(),
+            pieces in proptest::collection::vec(
+                (0..PIECES.len() + 1, "[a-z<>/=\"' ?&:;%-]{0,8}"),
+                0..32,
+            ),
+        ) {
+            let html: String = pieces
+                .iter()
+                .map(|(i, free)| PIECES.get(*i).copied().unwrap_or(free))
+                .collect();
+            assert_matches_reference(&Body::from(html));
+            let web = every_kind_of_page(seed);
+            let cloaked = web.oracle_pages().filter(|page| page.is_cloaked()).count();
+            proptest::prop_assert!(web.bodies().len() >= 30 && cloaked >= 7);
+            web.bodies().iter().for_each(assert_matches_reference);
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! A pick binary-searches the running sums of those weights instead of
 //! walking them, and falls back to the walk wherever floating-point
-//! rounding could make the two disagree (see [`Rotation::search`]), so
+//! rounding could make the two disagree (see the private
+//! `Rotation::search`), so
 //! the pick is the walk's, bit for bit.
 
 use std::ops::Range;

@@ -21,37 +21,29 @@
 /// ```
 pub fn decode_entities(input: &str) -> String {
     let mut out = String::with_capacity(input.len());
-    let mut chars = input.char_indices().peekable();
-    while let Some((start, c)) = chars.next() {
-        if c != '&' {
-            out.push(c);
-            continue;
-        }
-        // Find the terminating ';' within a reasonable window.
-        let rest = &input[start + 1..];
-        let semi = rest.char_indices().take(12).find(|&(_, rc)| rc == ';');
-        let Some((semi_off, _)) = semi else {
-            out.push('&');
-            continue;
-        };
-        let body = &rest[..semi_off];
-        let decoded = decode_entity_body(body);
-        match decoded {
-            Some(ch) => {
-                out.push_str(&ch);
-                // Skip past the consumed entity.
-                for _ in 0..body.chars().count() + 1 {
-                    chars.next();
-                }
+    let mut copied = 0;
+    while let Some(amp) = input[copied..].find('&').map(|i| copied + i) {
+        out.push_str(&input[copied..amp]);
+        // The terminating ';' must fall within a reasonable window.
+        let rest = &input[amp + 1..];
+        let semi = rest.char_indices().take(12).find(|&(_, c)| c == ';');
+        match semi.and_then(|(end, _)| Some((end, decode_entity_body(&rest[..end])?))) {
+            Some((end, ch)) => {
+                out.push(ch);
+                copied = amp + 1 + end + 1;
             }
-            None => out.push('&'),
+            None => {
+                out.push('&');
+                copied = amp + 1;
+            }
         }
     }
+    out.push_str(&input[copied..]);
     out
 }
 
 /// Decodes a single entity body (the text between `&` and `;`).
-fn decode_entity_body(body: &str) -> Option<String> {
+pub(crate) fn decode_entity_body(body: &str) -> Option<char> {
     let named = match body {
         "amp" => Some('&'),
         "lt" => Some('<'),
@@ -61,8 +53,8 @@ fn decode_entity_body(body: &str) -> Option<String> {
         "nbsp" => Some('\u{a0}'),
         _ => None,
     };
-    if let Some(ch) = named {
-        return Some(ch.to_string());
+    if named.is_some() {
+        return named;
     }
     let digits = body.strip_prefix('#')?;
     let code = if let Some(hex) = digits.strip_prefix('x').or_else(|| digits.strip_prefix('X')) {
@@ -70,7 +62,7 @@ fn decode_entity_body(body: &str) -> Option<String> {
     } else {
         digits.parse::<u32>().ok()?
     };
-    char::from_u32(code).map(|c| c.to_string())
+    char::from_u32(code)
 }
 
 /// Encodes the characters that are unsafe inside HTML text or attribute

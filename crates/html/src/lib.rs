@@ -41,5 +41,5 @@ pub mod query;
 pub mod tokenizer;
 
 pub use dom::{Document, Element, Node, NodeId, NodeKind};
-pub use outline::Outline;
+pub use outline::{IframeFacts, Outline, PluginFacts};
 pub use tokenizer::{tokenize, Token};

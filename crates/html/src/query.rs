@@ -1,7 +1,10 @@
 //! Query layer: the structural questions the study asks of pages.
 
+use std::ops::ControlFlow;
+
 use crate::attr::{hidden_reasons, HiddenReason};
 use crate::dom::{Document, NodeId, NodeKind};
+use crate::outline::{is_data_uri_anchor, meta_refresh_step};
 
 impl Document {
     /// All elements with the given (case-insensitive) tag name, in
@@ -112,21 +115,8 @@ impl Document {
     /// URL yields `None`.
     pub fn meta_refresh_target(&self) -> Option<String> {
         for id in self.elements_by_tag("meta") {
-            let el = self.element(id)?;
-            let equiv = el.attr("http-equiv")?;
-            if !equiv.eq_ignore_ascii_case("refresh") {
-                continue;
-            }
-            let content = el.attr("content")?;
-            for part in content.split(';') {
-                let part = part.trim();
-                if let Some(url) = part
-                    .strip_prefix("url=")
-                    .or_else(|| part.strip_prefix("URL="))
-                    .or_else(|| part.strip_prefix("Url="))
-                {
-                    return Some(url.trim().trim_matches(['\'', '"']).to_string());
-                }
+            if let ControlFlow::Break(target) = meta_refresh_step(self.element(id)?) {
+                return target;
             }
         }
         None
@@ -137,11 +127,7 @@ impl Document {
     pub fn data_uri_anchors(&self) -> Vec<NodeId> {
         self.elements_by_tag("a")
             .into_iter()
-            .filter(|&id| {
-                self.element(id)
-                    .and_then(|el| el.attr("href"))
-                    .is_some_and(|href| href.trim_start().starts_with("data:"))
-            })
+            .filter(|&id| self.element(id).is_some_and(is_data_uri_anchor))
             .collect()
     }
 

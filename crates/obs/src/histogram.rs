@@ -66,7 +66,7 @@ impl Histogram {
     /// Adds every bucket of a snapshot into this histogram. Snapshot
     /// bounds map back to the exact bucket they came from (`bound + 1`
     /// is a power of two, and `u64::MAX` is the last bucket, so
-    /// [`Histogram::bucket_index`] of a bound is the bucket it
+    /// the private `Histogram::bucket_index` of a bound is the bucket it
     /// summarizes) — absorbing N snapshots then snapshotting equals the
     /// element-wise bucket sum.
     pub fn absorb(&self, snap: &HistogramSnapshot) {

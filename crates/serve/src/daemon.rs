@@ -19,7 +19,7 @@
 //! - **No polling**: the accept loop blocks in `accept`, connection
 //!   handlers block in `read` and the scheduler sleeps while no study
 //!   runs. A submit wakes the scheduler; raising the stop wakes all of
-//!   them (see [`Stop`]).
+//!   them (see the private `Stop` type).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};

@@ -66,6 +66,9 @@ pub struct MaliciousOptions {
 pub struct WebBuilder {
     rng: StdRng,
     routes: HashMap<String, Resource>,
+    /// Every installed route key, in first-install order: the order the
+    /// web numbers its bodies in.
+    installed: Vec<String>,
     shorteners: ShortenerRegistry,
     site_counter: usize,
 }
@@ -76,14 +79,18 @@ impl WebBuilder {
         WebBuilder {
             rng: rng::seeded(seed),
             routes: HashMap::new(),
+            installed: Vec::new(),
             shorteners: ShortenerRegistry::with_standard_services(),
             site_counter: 0,
         }
     }
 
-    /// Finishes construction.
+    /// Finishes construction: every body the web can serve becomes one
+    /// shared [`Body`](crate::page_cache::Body), numbered in install
+    /// order (never in the routing table's order, which differs from
+    /// one process to the next).
     pub fn finish(self) -> SyntheticWeb {
-        SyntheticWeb::new(self.routes, self.shorteners)
+        SyntheticWeb::new(self.routes, &self.installed, self.shorteners)
     }
 
     /// Direct RNG access for callers that co-sample with the builder.
@@ -112,7 +119,10 @@ impl WebBuilder {
     }
 
     fn install(&mut self, url: &Url, resource: Resource) {
-        self.routes.insert(url.host_path().to_owned(), resource);
+        let key = url.host_path().to_owned();
+        if self.routes.insert(key.clone(), resource).is_none() {
+            self.installed.push(key);
+        }
     }
 
     fn install_page(&mut self, page: Page) -> SiteSpec {
@@ -151,7 +161,7 @@ impl WebBuilder {
         };
         let page = Page {
             url: url.clone(),
-            html,
+            html: html.into(),
             truth: GroundTruth::BenignSuspicious(kind),
             category: ContentCategory::Entertainment,
             cloaked_benign_html: None,
@@ -378,7 +388,10 @@ impl WebBuilder {
             let hop_url = Url::http(&bridge_host, &format!("/ct?cid={token}"));
             let use_meta = hop_idx + 1 == hops && hops >= 2;
             let resource = if use_meta {
-                Resource::MetaRefresh { target: next.clone() }
+                Resource::MetaRefresh {
+                    target: next.clone(),
+                    body: payload::meta_refresh_page(&next).into(),
+                }
             } else {
                 Resource::Redirect { target: next.clone() }
             };

@@ -14,9 +14,11 @@
 //! Downstream crates treat [`SyntheticWeb`] exactly like an HTTP
 //! substrate: [`SyntheticWeb::fetch`] takes a URL plus a
 //! [`RequestContext`] (who is asking: a real browser or a scanner API)
-//! and returns a [`FetchOutcome`]; browsers then read an HTML body
-//! through [`SyntheticWeb::parsed`], a content-addressed cache that
-//! parses each distinct body once ([`page_cache`]). Every generated
+//! and returns a [`FetchOutcome`]. An HTML body is a shared [`Body`]
+//! handle ([`page_cache`]): the web builds each body it serves once,
+//! a fetch hands out a reference-count bump, and the body parses itself
+//! into its outline the first time a browser or scanner asks, so each
+//! body is parsed once however many loads land on it. Every generated
 //! page carries a [`GroundTruth`] label, which is what lets the
 //! reproduction *vet* detection tooling the way the paper did.
 //!
@@ -51,6 +53,6 @@ pub mod url;
 pub use content::ContentCategory;
 pub use domain::Tld;
 pub use page::{FalsePositiveKind, GroundTruth, JsAttack, MaliceKind, Page};
-pub use page_cache::{BodyCache, ParsedPage};
+pub use page_cache::Body;
 pub use server::{ClientKind, FetchOutcome, RequestContext, Resource, SyntheticWeb};
 pub use url::Url;

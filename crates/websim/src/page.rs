@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::content::ContentCategory;
+use crate::page_cache::Body;
 use crate::url::Url;
 
 /// The specific JavaScript attack a malicious-JS page carries. Mirrors
@@ -100,7 +101,7 @@ pub struct Page {
     /// Canonical URL the page is served at.
     pub url: Url,
     /// Full HTML markup.
-    pub html: String,
+    pub html: Body,
     /// Ground-truth label (simulation oracle).
     pub truth: GroundTruth,
     /// Content category (drives the Figure 7 breakdown).
@@ -108,20 +109,26 @@ pub struct Page {
     /// When set, scanner-API clients are served this benign variant
     /// instead of `html` — the cloaking behaviour the paper defeats by
     /// uploading crawler-captured content.
-    pub cloaked_benign_html: Option<String>,
+    pub cloaked_benign_html: Option<Body>,
 }
 
 impl Page {
     /// Creates a benign page.
     pub fn benign(url: Url, html: String, category: ContentCategory) -> Page {
-        Page { url, html, truth: GroundTruth::Benign, category, cloaked_benign_html: None }
+        Page {
+            url,
+            html: html.into(),
+            truth: GroundTruth::Benign,
+            category,
+            cloaked_benign_html: None,
+        }
     }
 
     /// Creates a malicious page.
     pub fn malicious(url: Url, html: String, kind: MaliceKind, category: ContentCategory) -> Page {
         Page {
             url,
-            html,
+            html: html.into(),
             truth: GroundTruth::Malicious(kind),
             category,
             cloaked_benign_html: None,
@@ -130,7 +137,7 @@ impl Page {
 
     /// Enables cloaking with the given benign variant.
     pub fn with_cloak(mut self, benign_html: String) -> Page {
-        self.cloaked_benign_html = Some(benign_html);
+        self.cloaked_benign_html = Some(benign_html.into());
         self
     }
 

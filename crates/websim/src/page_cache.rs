@@ -1,109 +1,131 @@
-//! Content-addressed page caching.
+//! Page bodies as shared handles.
 //!
-//! A crawl opens a few hundred thousand pages but only a few percent of
-//! them carry a body the crawl has not seen before: a site serves the
-//! same markup to every visit whatever tracking query the exchange
-//! appended. [`BodyCache`] keys a value on the body text itself, so the
-//! work a value stands for runs once per distinct body, and it interns
-//! each body as one shared `Arc<str>`, so every load and crawl record
-//! that saw the body holds the same allocation.
-//!
-//! [`SyntheticWeb::parsed`](crate::SyntheticWeb::parsed) uses one to
-//! parse each distinct body once into a [`slum_html::Outline`]; the scan
-//! pipeline uses another for the static detection features of each
-//! distinct body.
+//! A crawl opens a few hundred thousand pages but the web serves only a
+//! few tens of thousands of bodies: a site serves the same markup to
+//! every visit whatever tracking query the exchange appended. A
+//! [`Body`] is one such body. The web builds each of its bodies once
+//! ([`WebBuilder::finish`](crate::build::WebBuilder::finish)), so a
+//! fetch, a load and a crawl record hand the same allocation on with a
+//! reference-count bump. The body parses itself into its
+//! [`slum_html::Outline`] the first time anyone asks and hashes itself
+//! the same way, so every load and scan of it shares one parse and one
+//! hash. Each body the web serves carries a dense id, which lets a scan
+//! keep per-body results in a table instead of a map keyed by text.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-use slum_html::Outline;
+use serde::{Content, DeError, Deserialize, JsonWriter, Serialize};
+use slum_html::{Document, Outline};
 
-/// One page body as a browser loads it: the shared text and its
-/// outline.
-#[derive(Debug, Clone)]
-pub struct ParsedPage {
-    /// The body, shared by every load of equal text.
-    pub body: Arc<str>,
-    /// What loading the body needs from its DOM.
-    pub outline: Arc<Outline>,
-}
+use crate::hash::fnv1a;
 
-/// A concurrent map from page-body text to a value derived from it.
+/// One page body: its text, its id in the web that serves it, and its
+/// outline and content hash, each computed on first use.
 ///
-/// Every value must be a pure function of its body: two threads that
-/// meet a new body at once may both compute its value, and the first
-/// insert wins, so the race costs time but never changes a result.
-pub struct BodyCache<V> {
-    map: RwLock<HashMap<Arc<str>, V>>,
+/// A clone is a reference-count bump. Equality, `Debug` and serde are
+/// those of the text, so a body compares, prints and serializes like
+/// the `String` it holds.
+#[derive(Clone)]
+pub struct Body(Arc<Shared>);
+
+struct Shared {
+    text: String,
+    id: Option<u32>,
+    outline: OnceLock<Outline>,
+    hash: OnceLock<u64>,
 }
 
-impl<V> Default for BodyCache<V> {
-    fn default() -> Self {
-        BodyCache { map: RwLock::new(HashMap::new()) }
+impl Body {
+    fn new(text: String, id: Option<u32>) -> Body {
+        Body(Arc::new(Shared { text, id, outline: OnceLock::new(), hash: OnceLock::new() }))
+    }
+
+    /// Gives the body id `id` in its web: in place when this handle is
+    /// its only one, as it is while the web is built.
+    pub(crate) fn number(&mut self, id: u32) {
+        match Arc::get_mut(&mut self.0) {
+            Some(shared) => shared.id = Some(id),
+            None => *self = Body::new(self.as_str().to_owned(), Some(id)),
+        }
+    }
+
+    /// The body's dense id in the web that serves it, counting from 0
+    /// in build order; `None` for a body made from bare text.
+    pub fn id(&self) -> Option<u32> {
+        self.0.id
+    }
+
+    /// The markup.
+    pub fn as_str(&self) -> &str {
+        &self.0.text
+    }
+
+    /// What loading and inspecting the body needs from its DOM, parsed
+    /// on the first call and shared by every clone.
+    pub fn outline(&self) -> &Outline {
+        self.0.outline.get_or_init(|| Document::parse(&self.0.text).outline())
+    }
+
+    /// FNV-1a of the text ([`fnv1a`]), computed on the first call.
+    pub fn content_hash(&self) -> u64 {
+        *self.0.hash.get_or_init(|| fnv1a(self.0.text.as_bytes()))
+    }
+
+    /// True when `a` and `b` are clones of one body.
+    pub fn ptr_eq(a: &Body, b: &Body) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
     }
 }
 
-impl<V> fmt::Debug for BodyCache<V> {
+impl From<String> for Body {
+    fn from(text: String) -> Body {
+        Body::new(text, None)
+    }
+}
+
+impl From<&str> for Body {
+    fn from(text: &str) -> Body {
+        Body::from(text.to_owned())
+    }
+}
+
+impl Deref for Body {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Body) -> bool {
+        Body::ptr_eq(self, other) || self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Body {}
+
+impl fmt::Debug for Body {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BodyCache").field("bodies", &self.len()).finish()
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
-impl<V> BodyCache<V> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+impl Serialize for Body {
+    fn to_content(&self) -> Content {
+        self.as_str().to_content()
     }
 
-    /// Number of distinct bodies cached.
-    pub fn len(&self) -> usize {
-        self.read().len()
-    }
-
-    /// True when no body is cached.
-    pub fn is_empty(&self) -> bool {
-        self.read().is_empty()
-    }
-
-    /// Drops every cached body.
-    pub fn clear(&self) {
-        self.write().clear();
-    }
-
-    /// The map, ignoring poison from a panicked holder: an entry is
-    /// inserted whole or not at all.
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<Arc<str>, V>> {
-        self.map.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<Arc<str>, V>> {
-        self.map.write().unwrap_or_else(PoisonError::into_inner)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.as_str().write_json(w);
     }
 }
 
-impl<V: Clone> BodyCache<V> {
-    /// The value for `body`, computed by `make` the first time this text
-    /// is seen, together with the cache's shared copy of the text.
-    ///
-    /// Passing an `Arc<str>` lets a new entry keep that allocation as
-    /// its key; passing a `&str` copies the text only when it is new.
-    /// `make` runs outside the lock.
-    pub fn get_or_insert_with<K>(&self, body: K, make: impl FnOnce(&str) -> V) -> (Arc<str>, V)
-    where
-        K: AsRef<str> + Into<Arc<str>>,
-    {
-        if let Some((key, value)) = self.read().get_key_value(body.as_ref()) {
-            return (Arc::clone(key), value.clone());
-        }
-        let value = make(body.as_ref());
-        let mut map = self.write();
-        if let Some((key, value)) = map.get_key_value(body.as_ref()) {
-            return (Arc::clone(key), value.clone());
-        }
-        let key: Arc<str> = body.into();
-        map.insert(Arc::clone(&key), value.clone());
-        (key, value)
+impl Deserialize for Body {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        String::from_content(content).map(Body::from)
     }
 }
 
@@ -112,25 +134,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn equal_text_shares_one_allocation_and_one_computation() {
-        let cache: BodyCache<usize> = BodyCache::new();
-        let mut computed = 0;
-        let (a, va) = cache.get_or_insert_with("<p>hi</p>", |b| {
-            computed += 1;
-            b.len()
-        });
-        let owned: Arc<str> = Arc::from("<p>hi</p>");
-        let (b, vb) = cache.get_or_insert_with(owned, |_| unreachable!("cached"));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((va, vb, computed), (9, 9, 1));
-        assert_eq!(cache.len(), 1);
+    fn clones_share_one_text_and_one_outline() {
+        let mut body = Body::from("<script>go();</script>");
+        body.number(3);
+        let clone = body.clone();
+        assert!(Body::ptr_eq(&body, &clone));
+        assert!(std::ptr::eq(body.outline(), clone.outline()), "parsed once");
+        assert_eq!(clone.outline().inline_scripts, ["go();"]);
+        assert_eq!((clone.id(), clone.content_hash()), (Some(3), fnv1a(body.as_bytes())));
+        let detached = Body::from(body.as_str());
+        assert_eq!(detached, body, "equal text, equal bodies");
+        assert!(!Body::ptr_eq(&detached, &body));
+        assert_eq!(detached.id(), None);
+        assert_eq!(detached.outline(), body.outline());
     }
 
     #[test]
-    fn a_new_arc_key_is_kept_not_copied() {
-        let cache: BodyCache<()> = BodyCache::new();
-        let body: Arc<str> = Arc::from("<html></html>");
-        let (key, ()) = cache.get_or_insert_with(Arc::clone(&body), |_| ());
-        assert!(Arc::ptr_eq(&key, &body));
+    fn a_body_keeps_the_buffer_of_its_owned_text() {
+        let text = String::from("<html></html>");
+        let buffer = text.as_ptr();
+        let mut body = Body::from(text);
+        assert_eq!(body.as_ptr(), buffer);
+        body.number(7);
+        assert_eq!((body.as_ptr(), body.id()), (buffer, Some(7)), "numbered in place");
+        let mut shared = body.clone();
+        shared.number(8);
+        assert_eq!((body.id(), shared.id()), (Some(7), Some(8)), "a shared body is copied");
+    }
+
+    #[test]
+    fn debug_and_json_are_the_texts() {
+        let body = Body::from("a \"quoted\" body");
+        assert_eq!(format!("{body:?}"), format!("{:?}", "a \"quoted\" body"));
+        let json = serde_json::to_string(&body).unwrap();
+        assert_eq!(json, serde_json::to_string("a \"quoted\" body").unwrap());
+        assert_eq!(serde_json::from_str::<Body>(&json).unwrap(), body);
     }
 }

@@ -1,14 +1,11 @@
 //! The synthetic web server: URL → resource resolution with
 //! client-sensitive behaviour (cloaking, rotating redirects, shortener
-//! hit accounting), plus the parsed-page cache browsers load through.
+//! hit accounting), serving each page body as its shared [`Body`].
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use slum_html::{Document, Outline};
 
 use crate::page::Page;
-use crate::page_cache::{BodyCache, ParsedPage};
+use crate::page_cache::Body;
 use crate::shortener::ShortenerRegistry;
 use crate::url::Url;
 
@@ -109,6 +106,10 @@ pub enum Resource {
     MetaRefresh {
         /// Where the refresh points.
         target: Url,
+        /// The refresh page served
+        /// ([`payload::meta_refresh_page`](crate::payload::meta_refresh_page)
+        /// of `target`).
+        body: Body,
     },
     /// A server-side rotating redirector: each fetch 302s to the cycle
     /// entry keyed by the request clock (the `company.ooo` pattern,
@@ -141,8 +142,8 @@ pub enum Resource {
 pub enum FetchOutcome {
     /// 200 with an HTML body.
     Html {
-        /// The body markup.
-        body: String,
+        /// The body markup, shared with every other fetch of it.
+        body: Body,
     },
     /// 30x redirect.
     Redirect {
@@ -188,25 +189,48 @@ impl FetchOutcome {
 /// The whole synthetic web: a routing table keyed by host + path (the
 /// query is ignored, so one installed page serves all its query
 /// variants, matching how exchange listings append tracking
-/// parameters), the shortener registry and a content-addressed page
-/// cache.
+/// parameters), the shortener registry and every page body the web
+/// serves.
 ///
 /// Built once by [`crate::build::WebBuilder`], then shared immutably
-/// across crawler and scanner threads. Interior mutability covers two
-/// things: the shortener statistics, which organic resolutions update,
-/// and the page cache behind [`SyntheticWeb::parsed`], which holds each
-/// distinct page body once as a shared `Arc<str>` beside its
-/// [`Outline`]. The cache never changes what a fetch or a load returns.
+/// across crawler and scanner threads. Each body it can serve — a
+/// page's markup, its cloaked variant, a meta-refresh page — is one
+/// [`Body`] with a dense id, numbered in install order, so two builds
+/// of one configuration number their bodies alike. Interior mutability
+/// covers the shortener statistics, which organic resolutions update,
+/// and each body's lazily parsed outline, which never changes what a
+/// fetch or a load returns.
 #[derive(Debug)]
 pub struct SyntheticWeb {
     routes: HashMap<String, Resource>,
     shorteners: ShortenerRegistry,
-    pages: BodyCache<Arc<Outline>>,
+    bodies: Vec<Body>,
 }
 
 impl SyntheticWeb {
-    pub(crate) fn new(routes: HashMap<String, Resource>, shorteners: ShortenerRegistry) -> Self {
-        SyntheticWeb { routes, shorteners, pages: BodyCache::new() }
+    /// The web serving `routes`. The bodies of the routes keyed in
+    /// `order` are numbered in that order.
+    pub(crate) fn new(
+        mut routes: HashMap<String, Resource>,
+        order: &[String],
+        shorteners: ShortenerRegistry,
+    ) -> Self {
+        let mut bodies = Vec::new();
+        let mut number = |body: &mut Body| {
+            body.number(u32::try_from(bodies.len()).expect("fewer than 2^32 bodies"));
+            bodies.push(body.clone());
+        };
+        for key in order {
+            match routes.get_mut(key) {
+                Some(Resource::Page(page)) => {
+                    number(&mut page.html);
+                    page.cloaked_benign_html.iter_mut().for_each(&mut number);
+                }
+                Some(Resource::MetaRefresh { body, .. }) => number(body),
+                _ => {}
+            }
+        }
+        SyntheticWeb { routes, shorteners, bodies }
     }
 
     /// Number of installed resources.
@@ -222,6 +246,11 @@ impl SyntheticWeb {
     /// The shortener registry (public statistics access).
     pub fn shorteners(&self) -> &ShortenerRegistry {
         &self.shorteners
+    }
+
+    /// Every body the web can serve, indexed by its [`Body::id`].
+    pub fn bodies(&self) -> &[Body] {
+        &self.bodies
     }
 
     /// Looks up the page installed at `url`, with its ground truth —
@@ -265,17 +294,15 @@ impl SyntheticWeb {
             None => FetchOutcome::NotFound,
             Some(Resource::Page(page)) => {
                 let body = match (&page.cloaked_benign_html, ctx.is_scanner()) {
-                    (Some(benign), true) => benign.clone(),
-                    _ => page.html.clone(),
+                    (Some(benign), true) => benign,
+                    _ => &page.html,
                 };
-                FetchOutcome::Html { body }
+                FetchOutcome::Html { body: body.clone() }
             }
             Some(Resource::Redirect { target }) => {
                 FetchOutcome::Redirect { target: target.clone(), status: 302 }
             }
-            Some(Resource::MetaRefresh { target }) => FetchOutcome::Html {
-                body: crate::payload::meta_refresh_page(target),
-            },
+            Some(Resource::MetaRefresh { body, .. }) => FetchOutcome::Html { body: body.clone() },
             Some(Resource::RotatingRedirect { targets }) => {
                 let i = ctx.time as usize % targets.len();
                 FetchOutcome::Redirect { target: targets[i].clone(), status: 302 }
@@ -289,16 +316,6 @@ impl SyntheticWeb {
             }
         }
     }
-
-    /// `body` as browsers load it: interned once as a shared `Arc<str>`
-    /// and parsed once into its [`Outline`]. Any later call with equal
-    /// text, from any thread, returns the same two `Arc`s without
-    /// parsing again.
-    pub fn parsed(&self, body: &str) -> ParsedPage {
-        let (body, outline) =
-            self.pages.get_or_insert_with(body, |b| Arc::new(Document::parse(b).outline()));
-        ParsedPage { body, outline }
-    }
 }
 
 #[cfg(test)]
@@ -307,10 +324,15 @@ mod tests {
     use crate::content::ContentCategory;
     use crate::page::{MaliceKind, Page};
 
+    /// A web serving `routes`, numbering their bodies in list order.
+    fn web(routes: Vec<(String, Resource)>) -> SyntheticWeb {
+        let order: Vec<String> = routes.iter().map(|(key, _)| key.clone()).collect();
+        let routes = routes.into_iter().collect();
+        SyntheticWeb::new(routes, &order, ShortenerRegistry::with_standard_services())
+    }
+
     fn single_page_web(page: Page) -> SyntheticWeb {
-        let mut routes = HashMap::new();
-        routes.insert(page.url.host_path().to_owned(), Resource::Page(page));
-        SyntheticWeb::new(routes, ShortenerRegistry::with_standard_services())
+        web(vec![(page.url.host_path().to_owned(), Resource::Page(page))])
     }
 
     #[test]
@@ -363,16 +385,54 @@ mod tests {
     }
 
     #[test]
+    fn bodies_are_numbered_in_route_order_and_fetched_as_handles() {
+        let cloaked = Url::http("cloaky.example.com", "/");
+        let hop = Url::http("hop.example.com", "/ct");
+        let page = Page::malicious(
+            cloaked.clone(),
+            "<html>EVIL</html>".into(),
+            MaliceKind::Misc,
+            ContentCategory::Business,
+        )
+        .with_cloak("<html>innocent</html>".into());
+        let refresh = crate::payload::meta_refresh_page(&cloaked);
+        let web = web(vec![
+            (hop.host_path().to_owned(), Resource::MetaRefresh {
+                target: cloaked.clone(),
+                body: refresh.as_str().into(),
+            }),
+            (cloaked.host_path().to_owned(), Resource::Page(page)),
+        ]);
+        let texts: Vec<&str> = web.bodies().iter().map(|b| b.as_str()).collect();
+        assert_eq!(texts, [refresh.as_str(), "<html>EVIL</html>", "<html>innocent</html>"]);
+        let html = |url: &Url, ctx: &RequestContext| match web.fetch(url, ctx) {
+            FetchOutcome::Html { body } => body,
+            other => panic!("{other:?}"),
+        };
+        for (id, (url, ctx)) in [
+            (&hop, RequestContext::browser()),
+            (&cloaked, RequestContext::browser()),
+            (&cloaked, RequestContext::scanner("quttera")),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let body = html(url, &ctx);
+            assert_eq!(body.id(), Some(id as u32));
+            assert!(Body::ptr_eq(&body, &html(url, &ctx)), "a fetch is a handle, not a copy");
+            assert!(Body::ptr_eq(&body, &web.bodies()[id]));
+        }
+    }
+
+    #[test]
     fn rotating_redirect_cycles() {
-        let mut routes = HashMap::new();
         let targets: Vec<Url> =
             (0..3).map(|i| Url::http(&format!("dest{i}.example.com"), "/")).collect();
         let url = Url::http("company.ooo", "/tfjw2pmk.php");
-        routes.insert(
+        let web = web(vec![(
             url.host_path().to_owned(),
             Resource::RotatingRedirect { targets: targets.clone() },
-        );
-        let web = SyntheticWeb::new(routes, ShortenerRegistry::with_standard_services());
+        )]);
         let at = |t: u64| {
             let ctx = RequestContext::browser().with_time(t);
             web.fetch(&url, &ctx).redirect_target().cloned().unwrap()
@@ -386,8 +446,7 @@ mod tests {
 
     #[test]
     fn shortener_fetch_records_hit_for_browser_only() {
-        let web =
-            SyntheticWeb::new(HashMap::new(), ShortenerRegistry::with_standard_services());
+        let web = web(Vec::new());
         let target = Url::http("landing.example.com", "/");
         let short = web.shorteners().service("goo.gl").unwrap().register("abc123", target.clone());
 

@@ -12,8 +12,8 @@
 //! campaigns and ad flights open and close mid-crawl, so every cache in
 //! the page-load, scan and rotation paths is hit while it matters. A
 //! killed-and-resumed run must reach the same digest: its restored
-//! records carry bodies that no load in the resumed process produced,
-//! and its replayed loads go through the page cache.
+//! records are rebuilt by replaying their visits' loads on the resumed
+//! process's own web, whose bodies parse and number themselves anew.
 
 use std::path::PathBuf;
 
