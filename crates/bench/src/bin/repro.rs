@@ -578,6 +578,11 @@ fn main() {
         for d in downloads.iter().take(3) {
             println!("  {} -> {:?}", d.url, d.filenames);
         }
+        let rotators = s.rotator_case_studies();
+        println!("rotating redirectors: {} exhibits", rotators.len());
+        for r in rotators.iter().take(3) {
+            println!("  {} -> {} -> {} destinations", r.page, r.script, r.destinations.len());
+        }
         let flash = s.flash_case_studies();
         println!("flash click-jacks: {} exhibits", flash.len());
         for f in flash.iter().take(3) {

@@ -170,6 +170,23 @@ fn substrates_print_every_source() {
     }
 }
 
+/// The §V-C exhibit: the ad-network substrate installs rotating
+/// redirectors, and `repro cases` prints the ones the scan flagged.
+#[test]
+fn cases_print_rotating_redirectors() {
+    let args = ["cases", "--substrate", "adnet", "--scale", "0.002", "--seed", "2016"];
+    let rendered = stdout_of(&args);
+    let exhibits: u64 = rendered
+        .lines()
+        .find_map(|line| line.strip_prefix("rotating redirectors: "))
+        .and_then(|rest| rest.strip_suffix(" exhibits"))
+        .unwrap_or_else(|| panic!("no rotator line:\n{rendered}"))
+        .parse()
+        .expect("an exhibit count");
+    assert!(exhibits > 0, "{rendered}");
+    assert!(rendered.contains(" destinations\n"), "{rendered}");
+}
+
 #[test]
 fn interp_engine_prints_the_same_json() {
     let run = |engine: &str| {

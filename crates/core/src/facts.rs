@@ -68,6 +68,9 @@ impl Facts {
         let mut urls: HashMap<&str, u32> = HashMap::with_capacity(records.len());
         let mut hosts: HashMap<&str, u32> = HashMap::new();
         let mut domains: HashMap<String, u32> = HashMap::new();
+        // The store is grouped by source: the index is looked up again
+        // only where a run of one source's records ends.
+        let mut run: Option<(&str, u16)> = None;
         let facts = records
             .iter()
             .zip(referrals)
@@ -80,11 +83,18 @@ impl Facts {
                         *domains.entry(registered_domain(host)).or_insert(next)
                     })
                 });
-                let source = sources
-                    .iter()
-                    .position(|meta| meta.name == record.exchange)
-                    .expect("every record comes from one of the study's sources");
-                let source = u16::try_from(source).expect("fewer than 2^16 sources");
+                let source = match run {
+                    Some((name, source)) if name == record.exchange => source,
+                    _ => {
+                        let source = sources
+                            .iter()
+                            .position(|meta| meta.name == record.exchange)
+                            .expect("every record comes from one of the study's sources");
+                        let source = u16::try_from(source).expect("fewer than 2^16 sources");
+                        run = Some((&record.exchange, source));
+                        source
+                    }
+                };
                 Fact { source, class, malicious: outcome.malicious, domain }
             })
             .collect();

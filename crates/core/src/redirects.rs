@@ -45,18 +45,6 @@ impl RedirectHistogram {
     pub fn at(&self, hops: u32) -> u64 {
         self.counts.get(&hops).copied().unwrap_or(0)
     }
-
-    /// True when counts decrease as hop count grows (the Figure 5
-    /// monotone shape), tolerating ties.
-    ///
-    /// Absent buckets in `1..=max_hops` count as zero: a histogram
-    /// with counts at hops 1 and 3 but none at 2 is the shape
-    /// 5 → 0 → 3, which is *not* monotone — comparing only the present
-    /// `BTreeMap` keys used to miss exactly that case.
-    pub fn is_monotone_decreasing(&self) -> bool {
-        let values: Vec<u64> = (1..=self.max_hops()).map(|hops| self.at(hops)).collect();
-        values.windows(2).all(|w| w[0] >= w[1])
-    }
 }
 
 /// A rendered redirect chain — the Figure 4 exhibit.
@@ -162,35 +150,6 @@ mod tests {
         assert_eq!(h.at(3), 0, "benign chains excluded");
         assert_eq!(h.total(), 3);
         assert_eq!(h.max_hops(), 2);
-    }
-
-    #[test]
-    fn monotone_check() {
-        let mut h = RedirectHistogram::default();
-        h.counts.insert(1, 100);
-        h.counts.insert(2, 50);
-        h.counts.insert(3, 50);
-        assert!(h.is_monotone_decreasing());
-        h.counts.insert(4, 80);
-        assert!(!h.is_monotone_decreasing());
-    }
-
-    #[test]
-    fn gapped_histogram_is_not_monotone() {
-        // Counts at hops 1 and 3 but none at 2: the rendered shape is
-        // 5 → 0 → 3, which rises again after the gap. Comparing only
-        // the present BTreeMap keys saw [5, 3] and wrongly said
-        // monotone.
-        let mut h = RedirectHistogram::default();
-        h.counts.insert(1, 5);
-        h.counts.insert(3, 3);
-        assert!(!h.is_monotone_decreasing(), "gap at hops=2 breaks monotonicity");
-
-        // A gap at the *tail* is fine: 5 → 3 → 0 never rises.
-        let mut tail = RedirectHistogram::default();
-        tail.counts.insert(1, 5);
-        tail.counts.insert(2, 3);
-        assert!(tail.is_monotone_decreasing());
     }
 
     #[test]

@@ -546,6 +546,12 @@ impl Study {
         case_studies::deceptive_downloads(&self.regular_pairs())
     }
 
+    /// §V-C case studies: rotating redirector scripts, each fetched
+    /// four times.
+    pub fn rotator_case_studies(&self) -> Vec<case_studies::RotatorExhibit> {
+        case_studies::rotating_redirectors(&self.web, &self.regular_pairs(), 4)
+    }
+
     /// §V-D case studies: Flash click-jacks.
     pub fn flash_case_studies(&self) -> Vec<case_studies::FlashExhibit> {
         case_studies::flash_clickjacks(&self.web, &self.regular_pairs())
@@ -890,8 +896,9 @@ fn record_js_vm_stats(obs: &Registry, stats: &JsVmStats) {
     obs.counter("js.vm.budget_exhaustions").add(stats.budget_exhaustions);
 }
 
-/// Verdict, blacklist-consensus and label counts over some regular
-/// records; labels are counted by borrowed key.
+/// Verdict, blacklist-consensus and label counts, fault-layer costs and
+/// verdict provenance over some regular records; labels are counted by
+/// borrowed key.
 #[derive(Default)]
 struct OutcomeTally<'a> {
     malicious: u64,
@@ -902,6 +909,10 @@ struct OutcomeTally<'a> {
     labels: BTreeMap<&'a str, u64>,
     findings: BTreeMap<QutteraFinding, u64>,
     verdicts: BTreeMap<QutteraVerdict, u64>,
+    faults: FaultLog,
+    degraded: u64,
+    blacklist_only: u64,
+    unresolved: u64,
 }
 
 impl<'a> OutcomeTally<'a> {
@@ -918,6 +929,13 @@ impl<'a> OutcomeTally<'a> {
             *self.findings.entry(*finding).or_default() += 1;
         }
         *self.verdicts.entry(outcome.quttera.verdict).or_default() += 1;
+        self.faults.add(&outcome.faults);
+        match outcome.source {
+            VerdictSource::Full => {}
+            VerdictSource::Degraded => self.degraded += 1,
+            VerdictSource::BlacklistOnly => self.blacklist_only += 1,
+            VerdictSource::Unresolved => self.unresolved += 1,
+        }
     }
 
     fn merge(mut self, other: OutcomeTally<'a>) -> Self {
@@ -934,20 +952,30 @@ impl<'a> OutcomeTally<'a> {
         sum(&mut self.labels, other.labels);
         sum(&mut self.findings, other.findings);
         sum(&mut self.verdicts, other.verdicts);
+        self.faults.add(&other.faults);
+        self.degraded += other.degraded;
+        self.blacklist_only += other.blacklist_only;
+        self.unresolved += other.unresolved;
         self
     }
 }
 
-/// Tallies scan verdicts, blacklist consensus outcomes and per-engine
-/// labels over the regular records. The scan's `workers` fold one run
-/// of `chunk` records each, and the runs merge in order; sums do not
-/// depend on the split, so the counts are schedule-independent. Every
-/// count is added to the registry once, and a name is registered only
-/// when its count is positive, formatted once per key.
+/// Tallies scan verdicts, blacklist consensus outcomes, per-engine
+/// labels, fault-layer costs and verdict provenance over the regular
+/// records in one pass, plus the per-service breaker trajectory from
+/// the compiled plan. The scan's `workers` fold one run of `chunk`
+/// records each from order-independent per-outcome counts and logs, and
+/// the runs merge in order, so every number is identical for every
+/// worker count. Every count is added to the registry once. An outcome
+/// name is registered only when its count is positive, formatted once
+/// per key; the fault and breaker counters are always registered — a
+/// fault-free run reports explicit zeros (which CI asserts) rather than
+/// absent keys.
 fn record_outcome_tallies(
     obs: &Registry,
     outcomes: &[ScanOutcome],
     referrals: &[ReferralClass],
+    plan: Option<&FaultPlan>,
     (workers, chunk): (usize, usize),
 ) {
     let runs = scan_runs(outcomes.len(), workers, chunk, |run| {
@@ -981,67 +1009,13 @@ fn record_outcome_tallies(
     for (verdict, n) in tally.verdicts {
         add(&format!("scan.labels.quttera.verdict.{verdict:?}"), n);
     }
-}
-
-/// Fault-layer costs and verdict provenance over some regular records.
-#[derive(Default)]
-struct FaultTally {
-    log: FaultLog,
-    degraded: u64,
-    blacklist_only: u64,
-    unresolved: u64,
-}
-
-impl FaultTally {
-    fn add(&mut self, outcome: &ScanOutcome) {
-        self.log.add(&outcome.faults);
-        match outcome.source {
-            VerdictSource::Full => {}
-            VerdictSource::Degraded => self.degraded += 1,
-            VerdictSource::BlacklistOnly => self.blacklist_only += 1,
-            VerdictSource::Unresolved => self.unresolved += 1,
-        }
-    }
-
-    fn merge(mut self, other: FaultTally) -> Self {
-        self.log.add(&other.log);
-        self.degraded += other.degraded;
-        self.blacklist_only += other.blacklist_only;
-        self.unresolved += other.unresolved;
-        self
-    }
-}
-
-/// Tallies fault-layer costs and verdict provenance over the regular
-/// records, plus the per-service breaker trajectory from the compiled
-/// plan. The scan's `workers` fold one run of `chunk` records each from
-/// order-independent per-outcome logs, and the runs merge in order, so
-/// every number is identical for every worker count. The counters are
-/// always registered — a fault-free run reports explicit zeros (which
-/// CI asserts) rather than absent keys.
-fn record_fault_tallies(
-    obs: &Registry,
-    outcomes: &[ScanOutcome],
-    referrals: &[ReferralClass],
-    plan: Option<&FaultPlan>,
-    (workers, chunk): (usize, usize),
-) {
-    let runs = scan_runs(outcomes.len(), workers, chunk, |run| {
-        let mut tally = FaultTally::default();
-        for i in run.filter(|&i| referrals[i] == ReferralClass::Regular) {
-            tally.add(&outcomes[i]);
-        }
-        tally
-    });
-    let FaultTally { log, degraded, blacklist_only, unresolved } =
-        runs.into_iter().fold(FaultTally::default(), FaultTally::merge);
-    obs.counter("scan.faults.injected").add(u64::from(log.injected));
-    obs.counter("scan.retries").add(u64::from(log.retries));
-    obs.counter("scan.backoff_nanos").add(log.backoff_nanos);
-    obs.counter("scan.breaker.skips").add(u64::from(log.breaker_skips));
-    obs.counter("scan.degraded_verdicts").add(degraded);
-    obs.counter("scan.blacklist_only_verdicts").add(blacklist_only);
-    obs.counter("scan.unresolved_verdicts").add(unresolved);
+    obs.counter("scan.faults.injected").add(u64::from(tally.faults.injected));
+    obs.counter("scan.retries").add(u64::from(tally.faults.retries));
+    obs.counter("scan.backoff_nanos").add(tally.faults.backoff_nanos);
+    obs.counter("scan.breaker.skips").add(u64::from(tally.faults.breaker_skips));
+    obs.counter("scan.degraded_verdicts").add(tally.degraded);
+    obs.counter("scan.blacklist_only_verdicts").add(tally.blacklist_only);
+    obs.counter("scan.unresolved_verdicts").add(tally.unresolved);
     for service in ScanService::ALL {
         let name = service.name();
         let (opens, state) = match plan {
@@ -1115,8 +1089,7 @@ fn scan_crawl(
         record_cache_stats(&obs, &tally.caches);
         record_js_vm_stats(&obs, &tally.js_vm);
         let runs = (scan_workers, config.scan_chunk);
-        record_outcome_tallies(&obs, &outcomes, &referrals, runs);
-        record_fault_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan(), runs);
+        record_outcome_tallies(&obs, &outcomes, &referrals, pipeline.fault_plan(), runs);
         (outcomes, referrals)
     };
     // After the scan phase, so the table never adds to its peak.

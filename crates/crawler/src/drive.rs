@@ -20,9 +20,8 @@ use serde::{Deserialize, Serialize};
 use slum_browser::{Browser, HarLog};
 use slum_detect::retry::{request_key_hash, RetryPolicy};
 use slum_detect::JsModuleCache;
-use slum_exchange::antiabuse::{Admission, IpAddr, SessionPolicy, SessionTracker};
 use slum_exchange::captcha::CaptchaOutcome;
-use slum_exchange::economy::{EconomyConfig, Ledger};
+use slum_exchange::economy::EconomyConfig;
 use slum_exchange::lifecycle::{ExchangeLifecycle, LifecycleFaultKind};
 use slum_exchange::{ExchangeKind, TrafficSource};
 use slum_websim::rng::seeded;
@@ -233,11 +232,12 @@ impl CrawlCursor {
 /// Crawls one traffic source for `config.steps` logged pages, appending
 /// records to `store`.
 ///
-/// The procedure mirrors §III-A: register a brand-new account, open a
-/// session (subject to anti-abuse checks), then either let the auto-surf
-/// rotation run or click through manually, solving CAPTCHAs. Auto-surf
-/// loads never simulate user clicks; the virtual clock advances by the
-/// source's minimum surf time per page.
+/// The procedure mirrors §III-A: surf on a brand-new account, either
+/// letting the auto-surf rotation run or clicking through manually,
+/// solving CAPTCHAs. Each logged page earns the account
+/// `EconomyConfig::default().earn_per_view_millis` milli-credits.
+/// Auto-surf loads never simulate user clicks; the virtual clock
+/// advances by the source's minimum surf time per page.
 pub fn crawl_exchange<S: TrafficSource + ?Sized>(
     web: &SyntheticWeb,
     source: &mut S,
@@ -282,20 +282,9 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
     let mut rng = cursor.rng();
     source.restore_captcha_nonce(cursor.captcha_nonce);
 
-    // Fresh account, fresh session — the study's brand-new accounts.
-    // The ledger holds no crawl-relevant state across segments (earning
-    // always succeeds for an active account), so each segment opens its
-    // own; earned credits accumulate in the cursor.
-    let mut ledger = Ledger::new();
-    let economy = EconomyConfig::default();
-    let account = ledger.open_account();
-    let mut sessions = SessionTracker::new(SessionPolicy::SingleSessionStrict);
-    let crawler_ip = IpAddr::new(format!("crawler-{}", cursor.seed));
-    let Admission::Granted { .. } = sessions.open_session(account, crawler_ip) else {
-        // Fresh tracker + fresh account: admission cannot fail.
-        unreachable!("fresh session must be admitted");
-    };
-
+    // The crawl surfs on a fresh, active account, which earns the same
+    // credit for every logged page; the total lives in the cursor.
+    let earn_per_view_millis = EconomyConfig::default().earn_per_view_millis;
     let mut used = 0u64;
 
     while !cursor.done && used < budget {
@@ -371,9 +360,7 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
         cursor.seq += 1;
         used += 1;
 
-        if ledger.earn_view(account, &economy).is_ok() {
-            cursor.credits_earned_millis += economy.earn_per_view_millis;
-        }
+        cursor.credits_earned_millis += earn_per_view_millis;
         // Dwell for the required surf time (plus jitter for realism).
         cursor.t += step.min_surf_secs as u64 + rng.gen_range(0..5);
 
@@ -484,7 +471,30 @@ mod tests {
         assert_eq!(stats.pages, 300);
         assert_eq!(store.len(), 300);
         assert_eq!(stats.captcha_failures, 0, "auto-surf has no CAPTCHAs");
-        assert!(stats.credits_earned_millis > 0);
+        let per_view = EconomyConfig::default().earn_per_view_millis;
+        assert_eq!(stats.credits_earned_millis, 300 * per_view);
+    }
+
+    /// Every logged page earns one view's credit on every source, under
+    /// crawl faults too: a lost slot or a failed CAPTCHA earns nothing.
+    #[test]
+    fn credits_follow_logged_pages_under_crawl_faults() {
+        use crate::fault::CrawlFaultProfile;
+        use crate::run::crawl_all_resilient;
+        use slum_exchange::setup::build_all_exchanges;
+
+        let mut b = WebBuilder::new(136);
+        let mut exchanges = build_all_exchanges(&mut b, 0.02, 10_000);
+        let web = b.finish();
+        let profile = CrawlFaultProfile::default_profile();
+        let (_, stats, health) = crawl_all_resilient(&web, &mut exchanges, 5, &profile, |_| 40);
+        assert_eq!(stats.len(), 9);
+        assert!(health.iter().any(|h| h.lost_steps > 0), "the default profile must lose slots");
+        assert!(stats.iter().any(|(_, s)| s.captcha_failures > 0), "manual surf fails CAPTCHAs");
+        let per_view = EconomyConfig::default().earn_per_view_millis;
+        for (name, s) in &stats {
+            assert_eq!(s.credits_earned_millis, s.pages as i64 * per_view, "{name}");
+        }
     }
 
     #[test]

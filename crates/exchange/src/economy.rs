@@ -224,12 +224,6 @@ impl Ledger {
         let members: i64 = self.accounts.values().map(|a| a.balance_millis).sum();
         members + self.house_millis == self.minted_millis
     }
-
-    /// The house pool (negative when the exchange has paid out more surf
-    /// rewards than it has collected).
-    pub fn house_millis(&self) -> i64 {
-        self.house_millis
-    }
 }
 
 #[cfg(test)]

@@ -6,15 +6,14 @@
 //! The paper measured nine live exchanges — five auto-surf (Otohits,
 //! ManyHit, SendSurf, Smiley Traffic, 10KHits) and four manual-surf
 //! (Cash N Hits, Easyhits4u, Traffic Monsoon, Hit2Hit). This crate
-//! models the member-visible machinery of such services:
+//! models the machinery of such services that shapes the URL stream a
+//! crawling member sees:
 //!
 //! - the **credit economy**: earn credits by surfing, spend them on
 //!   visits, or buy them for cash ([`economy`]);
 //! - **surf sessions**: auto-surf streams that rotate member sites on a
 //!   timer, and manual-surf flows gated by CAPTCHAs ([`exchange`],
 //!   [`captcha`]);
-//! - **anti-abuse**: the one-account-per-IP rule and parallel-session
-//!   suspension the paper screenshots on Otohits ([`antiabuse`]);
 //! - **lifecycle faults**: seeded, deterministic outage / ban /
 //!   CAPTCHA-lockout / permanent-shutdown schedules modelling the
 //!   operational hazards of a months-long crawl ([`lifecycle`]);
@@ -33,14 +32,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod antiabuse;
 pub mod campaign;
 pub mod captcha;
 pub mod economy;
-pub mod evasion;
 pub mod exchange;
 pub mod lifecycle;
-pub mod monetize;
 pub mod params;
 pub mod rotation;
 pub mod setup;

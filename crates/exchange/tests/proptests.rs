@@ -1,8 +1,7 @@
 //! Property tests for the exchange simulator: ledger conservation,
-//! CAPTCHA determinism, session-tracker invariants, rotation sanity.
+//! CAPTCHA determinism, campaign delivery.
 
 use proptest::prelude::*;
-use slum_exchange::antiabuse::{Admission, IpAddr, SessionPolicy, SessionTracker};
 use slum_exchange::captcha::Captcha;
 use slum_exchange::economy::{AccountId, EconomyConfig, Ledger};
 
@@ -63,37 +62,6 @@ proptest! {
         prop_assert_eq!(&c, &Captcha::for_nonce(nonce));
         prop_assert!(c.verify(c.answer()));
         prop_assert!(!c.verify(c.answer().wrapping_add(wrong_delta)));
-    }
-
-    /// Session tracker: under the strict policy, an account never holds
-    /// two live sessions; a suspended account never gets a new session.
-    #[test]
-    fn session_tracker_invariants(
-        events in proptest::collection::vec((0u8..4, 0u8..4), 0..60),
-    ) {
-        let mut tracker = SessionTracker::new(SessionPolicy::SingleSessionStrict);
-        let mut open_tokens: Vec<Vec<slum_exchange::antiabuse::SessionToken>> = vec![Vec::new(); 4];
-        for (acct_raw, ip_raw) in events {
-            let account = AccountId(acct_raw as u64);
-            let suspended_before = tracker.is_suspended(account);
-            match tracker.open_session(account, IpAddr::new(format!("10.0.0.{ip_raw}"))) {
-                Admission::Granted { session } => {
-                    prop_assert!(!suspended_before, "suspended account admitted");
-                    open_tokens[acct_raw as usize].push(session);
-                }
-                Admission::RejectedAndSuspended => {
-                    prop_assert!(tracker.is_suspended(account));
-                    open_tokens[acct_raw as usize].clear();
-                }
-                Admission::RejectedIpInUse { holder } => {
-                    prop_assert_ne!(holder, account);
-                }
-            }
-            prop_assert!(
-                tracker.live_sessions(account) <= 1,
-                "strict policy allows at most one live session"
-            );
-        }
     }
 
     /// Burst delivery: delivered count is exactly the over-delivery

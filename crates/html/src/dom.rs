@@ -50,11 +50,6 @@ impl Element {
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
-
-    /// Returns true if the attribute is present, regardless of value.
-    pub fn has_attr(&self, name: &str) -> bool {
-        self.attr(name).is_some()
-    }
 }
 
 /// The payload of a DOM node.
@@ -292,7 +287,6 @@ mod tests {
             attrs: vec![("href".into(), "1".into()), ("HREF".into(), "2".into())],
         };
         assert_eq!(el.attr("HREF"), Some("1"));
-        assert!(el.has_attr("href"));
         assert_eq!(el.attr("missing"), None);
     }
 

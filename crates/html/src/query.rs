@@ -3,7 +3,7 @@
 use std::ops::ControlFlow;
 
 use crate::attr::{hidden_reasons, HiddenReason};
-use crate::dom::{Document, NodeId, NodeKind};
+use crate::dom::{Document, NodeId};
 use crate::outline::{is_data_uri_anchor, meta_refresh_step};
 
 impl Document {
@@ -93,22 +93,6 @@ impl Document {
         !self.effective_hidden_reasons(id).is_empty()
     }
 
-    /// `href`/`src` attribute values of all elements, paired with the tag
-    /// name — the link surface the crawler records.
-    pub fn link_urls(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for id in self.descendants(NodeId::ROOT) {
-            if let Some(el) = self.element(id) {
-                for attr in ["href", "src"] {
-                    if let Some(v) = el.attr(attr) {
-                        out.push((el.name.clone(), v.to_string()));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// `meta http-equiv="refresh"` redirect target, if any.
     ///
     /// Parses the `content="5; url=http://..."` form; a bare delay with no
@@ -136,17 +120,6 @@ impl Document {
     /// study).
     pub fn download_manager_elements(&self) -> Vec<NodeId> {
         self.elements_where(|el| el.attrs.iter().any(|(k, _)| k.starts_with("data-dm")))
-    }
-
-    /// All comment bodies in the document.
-    pub fn comments(&self) -> Vec<String> {
-        self.descendants(NodeId::ROOT)
-            .into_iter()
-            .filter_map(|id| match &self.node(id).kind {
-                NodeKind::Comment(c) => Some(c.clone()),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -207,20 +180,5 @@ mod tests {
     fn download_manager_markup_found() {
         let doc = Document::parse(r#"<a data-dm-title="Flash Player" data-dm="1">install</a>"#);
         assert_eq!(doc.download_manager_elements().len(), 1);
-    }
-
-    #[test]
-    fn link_urls_collects_href_and_src() {
-        let doc = Document::parse(r#"<a href="http://a/">x</a><img src="http://b/i.png">"#);
-        let urls = doc.link_urls();
-        assert_eq!(urls.len(), 2);
-        assert_eq!(urls[0], ("a".to_string(), "http://a/".to_string()));
-        assert_eq!(urls[1], ("img".to_string(), "http://b/i.png".to_string()));
-    }
-
-    #[test]
-    fn comments_collected() {
-        let doc = Document::parse("<!--a--><div><!--b--></div>");
-        assert_eq!(doc.comments(), vec!["a".to_string(), "b".to_string()]);
     }
 }

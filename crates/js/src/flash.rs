@@ -103,27 +103,6 @@ impl SwfMovie {
         Ok(movie)
     }
 
-    /// Serializes back to descriptor form (inverse of [`SwfMovie::parse`]).
-    pub fn to_descriptor(&self) -> String {
-        let mut parts = vec!["SWF1".to_string(), format!("name={}", self.name)];
-        if self.full_page {
-            parts.push("fullpage".into());
-        }
-        if self.transparent {
-            parts.push("transparent".into());
-        }
-        if let Some(d) = &self.allow_domain {
-            parts.push(format!("allowdomain={d}"));
-        }
-        if !self.on_click_calls.is_empty() {
-            parts.push(format!("onclick={}", self.on_click_calls.join(",")));
-        }
-        if !self.on_load_calls.is_empty() {
-            parts.push(format!("onload={}", self.on_load_calls.join(",")));
-        }
-        parts.join(";")
-    }
-
     /// Simulates loading the movie: returns the effects of its `onload`
     /// external calls.
     pub fn load(&self) -> Vec<Effect> {
@@ -171,13 +150,6 @@ mod tests {
         assert_eq!(m.allow_domain.as_deref(), Some("*"));
         assert_eq!(m.on_click_calls, vec!["AdFlash.onClick", "window.NqPnfu"]);
         assert!(m.is_clickjack());
-    }
-
-    #[test]
-    fn descriptor_round_trip() {
-        let m = SwfMovie::parse(ADFLASH).unwrap();
-        let re = SwfMovie::parse(&m.to_descriptor()).unwrap();
-        assert_eq!(m, re);
     }
 
     #[test]

@@ -19,6 +19,10 @@ use crate::value::{ObjectData, Value};
 use crate::vm::Vm;
 use crate::JsError;
 
+/// The `navigator.userAgent` every sandboxed script sees: a desktop
+/// Firefox of the paper's crawl period.
+const USER_AGENT: &str = "Mozilla/5.0 (X11; Linux x86_64; rv:38.0) Gecko/20100101 Firefox/38.0";
+
 /// Which execution engine the sandbox drives.
 ///
 /// Both engines produce bit-identical [`SandboxReport`]s (modulo the
@@ -156,9 +160,6 @@ struct BrowserState {
     errors: Vec<String>,
     eval_depth: u32,
     max_eval_depth: u32,
-    /// Elements created via `document.createElement`, keyed by an id we
-    /// hand to the script; used to reconstruct attrs on insertion.
-    user_agent: String,
     location: String,
     referrer: String,
 }
@@ -166,12 +167,11 @@ struct BrowserState {
 /// A sandboxed script runner.
 ///
 /// Construct, optionally configure the simulated environment
-/// ([`Sandbox::with_location`], [`Sandbox::with_user_agent`]), then call
+/// ([`Sandbox::with_location`], [`Sandbox::with_referrer`]), then call
 /// [`Sandbox::run`]. The sandbox is reusable; each run gets a fresh
 /// global scope and report.
 pub struct Sandbox {
     budget: u64,
-    user_agent: String,
     location: String,
     referrer: String,
     engine: JsEngine,
@@ -185,13 +185,10 @@ impl Default for Sandbox {
 }
 
 impl Sandbox {
-    /// Creates a sandbox with the default budget and a desktop-browser
-    /// user agent.
+    /// Creates a sandbox with the default budget.
     pub fn new() -> Self {
         Sandbox {
             budget: DEFAULT_BUDGET,
-            user_agent: "Mozilla/5.0 (X11; Linux x86_64; rv:38.0) Gecko/20100101 Firefox/38.0"
-                .into(),
             location: "about:blank".into(),
             referrer: String::new(),
             engine: JsEngine::default(),
@@ -219,12 +216,6 @@ impl Sandbox {
         self
     }
 
-    /// Sets the simulated `navigator.userAgent`.
-    pub fn with_user_agent(mut self, ua: impl Into<String>) -> Self {
-        self.user_agent = ua.into();
-        self
-    }
-
     /// Sets the simulated `document.location`.
     pub fn with_location(mut self, url: impl Into<String>) -> Self {
         self.location = url.into();
@@ -248,7 +239,6 @@ impl Sandbox {
             errors: Vec::new(),
             eval_depth: 0,
             max_eval_depth: 0,
-            user_agent: self.user_agent.clone(),
             location: self.location.clone(),
             referrer: self.referrer.clone(),
         };
@@ -354,7 +344,7 @@ fn global_env(state: &BrowserState) -> EnvRef {
     {
         let mut n = navigator.borrow_mut();
         n.class = "Navigator".into();
-        n.props.insert("userAgent".into(), Value::Str(state.user_agent.clone()));
+        n.props.insert("userAgent".into(), Value::Str(USER_AGENT.into()));
         n.props.insert("language".into(), Value::Str("en-US".into()));
         n.props.insert("platform".into(), Value::Str("Linux x86_64".into()));
     }
@@ -997,9 +987,9 @@ mod tests {
 
     #[test]
     fn navigator_user_agent_visible() {
-        let mut sb = Sandbox::new().with_user_agent("TestUA/1.0");
+        let mut sb = Sandbox::new();
         let r = sb.run("alert(navigator.userAgent);");
-        assert!(r.effects.iter().any(|e| matches!(e, Effect::Dialog(d) if d == "TestUA/1.0")));
+        assert!(r.effects.iter().any(|e| matches!(e, Effect::Dialog(d) if d == USER_AGENT)));
     }
 
     #[test]

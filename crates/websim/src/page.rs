@@ -53,20 +53,6 @@ pub enum MaliceKind {
     Misc,
 }
 
-impl MaliceKind {
-    /// Table III row label.
-    pub fn table3_label(self) -> &'static str {
-        match self {
-            MaliceKind::Blacklisted => "Blacklisted",
-            MaliceKind::MaliciousJs(_) => "Malicious JavaScript",
-            MaliceKind::SuspiciousRedirect => "Suspicious Redirection",
-            MaliceKind::MaliciousShortened => "Malicious Shortened URLs",
-            MaliceKind::MaliciousFlash => "Malicious Flash",
-            MaliceKind::Misc => "Miscellaneous",
-        }
-    }
-}
-
 /// Ground-truth label carried by every generated page. This is the
 /// simulation's oracle: scanners never see it; the vetting harness and
 /// shape assertions do.
@@ -178,17 +164,5 @@ mod tests {
         .with_cloak("<html>nothing to see</html>".into());
         assert!(p.is_cloaked());
         assert!(p.truth.is_malicious());
-    }
-
-    #[test]
-    fn table3_labels_match_paper() {
-        assert_eq!(MaliceKind::Blacklisted.table3_label(), "Blacklisted");
-        assert_eq!(
-            MaliceKind::MaliciousJs(JsAttack::DynamicIframe).table3_label(),
-            "Malicious JavaScript"
-        );
-        assert_eq!(MaliceKind::SuspiciousRedirect.table3_label(), "Suspicious Redirection");
-        assert_eq!(MaliceKind::MaliciousShortened.table3_label(), "Malicious Shortened URLs");
-        assert_eq!(MaliceKind::MaliciousFlash.table3_label(), "Malicious Flash");
     }
 }

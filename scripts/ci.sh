@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: a warning-free build, a warning-free clippy,
-# warning-free API docs, test, slumbench's own tests, then one daemon
-# smoke. Everything a single process can show — determinism across
+# warning-free API docs, test, slumbench's own tests, one run of every
+# example, then one daemon smoke. Everything a single process can show — determinism across
 # execution plans, the golden artifacts, the `repro` command line —
 # lives in `cargo test`; the smoke covers what needs a real daemon
 # process: a `kill -9`, on-disk corruption and a restart over the same
@@ -30,6 +30,11 @@ cargo test -q
 # slumbench is a workspace of its own, so the root `cargo test` skips
 # its unit tests and its toy smoke of every workload.
 cargo test -q --offline --manifest-path crates/bench/src/bin/slumbench/Cargo.toml
+# The build above compiled every example; each must run to a zero exit.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    "target/release/examples/$name" > /dev/null || { echo "ci.sh: example $name failed"; exit 1; }
+done
 
 # Daemon smoke: one `repro serve` under harsh injected storage faults
 # takes an exchange and an adnet tenant, is killed with `kill -9` after
