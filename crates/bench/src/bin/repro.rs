@@ -297,6 +297,15 @@ fn parse_args() -> Args {
     }
 }
 
+/// The process's peak resident set so far, in MiB: `VmHWM` of
+/// `/proc/self/status`, or `None` where that file cannot be read.
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib.div_ceil(1024))
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
@@ -378,12 +387,16 @@ fn main() {
             );
             let snapshot = study.metrics();
             eprintln!(
-                "[repro] phases: build {:?}  crawl {:?}  scan {:?} ({} worker(s))\n",
+                "[repro] phases: build {:?}  crawl {:?}  scan {:?} ({} worker(s))",
                 snapshot.span_duration("phase.build"),
                 snapshot.span_duration("phase.crawl"),
                 snapshot.span_duration("phase.scan"),
                 snapshot.gauge("scan.workers").max(1)
             );
+            if let Some(mib) = peak_rss_mib() {
+                eprintln!("[repro] peak RSS {mib} MiB");
+            }
+            eprintln!();
             study
         })
     };

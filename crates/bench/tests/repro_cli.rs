@@ -230,6 +230,20 @@ fn json_export_is_a_span_in_the_metrics() {
 }
 
 #[test]
+fn a_study_run_reports_its_peak_memory() {
+    let out = repro(&["table1", "--scale", "0.0005"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    let phases = lines.iter().position(|l| l.starts_with("[repro] phases: ")).expect("phases");
+    let peak = lines.get(phases + 1).and_then(|l| l.strip_prefix("[repro] peak RSS "));
+    if cfg!(target_os = "linux") {
+        let mib = peak.and_then(|p| p.strip_suffix(" MiB")).expect("a peak line after the phases");
+        assert!(mib.parse::<u64>().is_ok_and(|mib| mib > 0), "{stderr}");
+    }
+}
+
+#[test]
 fn the_scan_phase_times_its_serial_steps_as_spans() {
     let spans_of = |args: &[&str]| -> Vec<String> {
         let metrics_path = scratch("serial-steps.json");

@@ -116,8 +116,6 @@ impl DomainRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_detect::quttera::{QutteraReport, QutteraVerdict};
-    use slum_detect::virustotal::VtReport;
     use slum_exchange::ExchangeKind;
 
     fn record(exchange: &str, url: &str) -> CrawlRecord {
@@ -139,19 +137,7 @@ mod tests {
     }
 
     fn outcome(malicious: bool) -> ScanOutcome {
-        ScanOutcome {
-            malicious,
-            vt: VtReport { detections: vec![], total_engines: 12, threshold: 2 },
-            quttera: QutteraReport {
-                url: Url::parse("http://x.example/").unwrap(),
-                findings: vec![],
-                verdict: QutteraVerdict::Clean,
-            },
-            blacklisted_domain: None,
-            needed_content_upload: false,
-            source: crate::scanpipe::VerdictSource::Full,
-            faults: crate::scanpipe::FaultLog::default(),
-        }
+        ScanOutcome::answered(malicious, vec![], None)
     }
 
     #[test]

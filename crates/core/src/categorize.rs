@@ -173,8 +173,6 @@ impl CategoryCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_detect::quttera::{QutteraReport, QutteraVerdict};
-    use slum_detect::virustotal::VtReport;
     use slum_websim::Url;
 
     fn record(url: &str, final_url: &str, via_shortener: bool) -> CrawlRecord {
@@ -199,24 +197,7 @@ mod tests {
         findings: Vec<QutteraFinding>,
         blacklisted_domain: Option<&str>,
     ) -> ScanOutcome {
-        let verdict = if findings.is_empty() {
-            QutteraVerdict::Clean
-        } else {
-            QutteraVerdict::Malicious
-        };
-        ScanOutcome {
-            malicious,
-            vt: VtReport { detections: vec![], total_engines: 12, threshold: 2 },
-            quttera: QutteraReport {
-                url: Url::parse("http://x.example/").unwrap(),
-                findings,
-                verdict,
-            },
-            blacklisted_domain: blacklisted_domain.map(std::sync::Arc::from),
-            needed_content_upload: false,
-            source: crate::scanpipe::VerdictSource::Full,
-            faults: crate::scanpipe::FaultLog::default(),
-        }
+        ScanOutcome::answered(malicious, findings, blacklisted_domain)
     }
 
     #[test]

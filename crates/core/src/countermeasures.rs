@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use slum_crawler::CrawlRecord;
+use slum_detect::quttera::QutteraVerdict;
 use slum_exchange::ExchangeProfile;
 
 use crate::scanpipe::ScanOutcome;
@@ -218,7 +219,8 @@ pub fn detection_ablation(outcomes: &[ScanOutcome]) -> DetectionAblation {
             continue;
         }
         ablation.total += 1;
-        let engines_hit = outcome.vt.is_malicious() || outcome.quttera.is_malicious();
+        let engines_hit =
+            outcome.vt().is_malicious() || outcome.quttera_verdict() == QutteraVerdict::Malicious;
         if outcome.needed_content_upload {
             ablation.added_by_upload += 1;
         } else if engines_hit {

@@ -93,8 +93,6 @@ pub fn longest_chain(pairs: &[(&CrawlRecord, &ScanOutcome)]) -> Option<ChainExhi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_detect::quttera::{QutteraReport, QutteraVerdict};
-    use slum_detect::virustotal::VtReport;
     use slum_websim::Url;
 
     fn record(hops: u32) -> CrawlRecord {
@@ -115,19 +113,7 @@ mod tests {
     }
 
     fn outcome(malicious: bool) -> ScanOutcome {
-        ScanOutcome {
-            malicious,
-            vt: VtReport { detections: vec![], total_engines: 12, threshold: 2 },
-            quttera: QutteraReport {
-                url: Url::parse("http://x.example/").unwrap(),
-                findings: vec![],
-                verdict: QutteraVerdict::Clean,
-            },
-            blacklisted_domain: None,
-            needed_content_upload: false,
-            source: crate::scanpipe::VerdictSource::Full,
-            faults: crate::scanpipe::FaultLog::default(),
-        }
+        ScanOutcome::answered(malicious, vec![], None)
     }
 
     fn record_with_url(hops: u32, url: &str, host_prefix: &str) -> CrawlRecord {

@@ -20,14 +20,30 @@
 //! 2. parallel passes fill `Vec` slots with each distinct URL's sample
 //!    (scanner load, VirusTotal and Quttera reports, JS tally), each
 //!    distinct host's registered domain and each distinct domain's
-//!    blacklist consensus;
+//!    blacklist consensus. One scanner load per distinct route (host
+//!    and path) serves every URL on the route, each URL adding only its
+//!    own engine draws;
 //! 3. a serial pass walks each record's chain up to its first
 //!    blacklisted domain and gives a capture id to every (URL, body
 //!    hash) pair whose reachable URL scans were all clean, reading each
 //!    body's content hash from its [`Body`], which computes it once;
-//! 4. a parallel pass scans each distinct capture;
+//! 4. a parallel pass scans each distinct capture, once per body, each
+//!    capture again adding only its own engine draws;
 //! 5. a parallel pass assembles every record's [`ScanOutcome`] from its
-//!    ids, or the clean outcome of a record the scan skipped.
+//!    ids, or the clean outcome of a record the scan skipped. An
+//!    outcome points at its deciding sample instead of copying it.
+//!
+//! A sample's page part (Quttera's findings and verdict, the JS it ran,
+//! the feature classes the engines read) is shared by every key scanned
+//! on that page, and every key whose engine draws all miss shares the
+//! page's whole sample. The reuse is exact — each record's outcome is
+//! the one it gets scanned alone — because a scan reads a URL only
+//! through its route, with one exception: a page's scripts get the
+//! full URL as `location`, and no script the synthetic web installs
+//! reads it. The synthetic web routes a fetch by host and path,
+//! shorteners resolve by path, a rotator keys on the request clock
+//! (0 for the scanner), and script and plugin sources resolve against
+//! the page's host alone.
 //!
 //! Every parallel pass runs through one chunked loop over scoped
 //! threads that writes each result into its index's slot of one
@@ -36,6 +52,7 @@
 //! on the plan.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -47,7 +64,7 @@ use slum_detect::blacklist::BlacklistDb;
 use slum_detect::fault::{FaultPlan, ScanService, ServiceDecision, SourceDecisions};
 use slum_detect::quttera::{Quttera, QutteraFinding, QutteraReport, QutteraVerdict};
 use slum_detect::virustotal::{VirusTotal, VtReport};
-use slum_detect::{CacheStats, Features, JsModuleCache};
+use slum_detect::{CacheStats, ClassSet, Features, JsModuleCache};
 use slum_js::sandbox::{JsEngine, SandboxReport};
 use slum_js::ModuleStore;
 use slum_obs::Histogram;
@@ -257,15 +274,18 @@ where
 }
 
 /// Verdict and evidence for one scanned record.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The evidence is the deciding sample — the URL scan's, or the content
+/// scan's when that was the deciding path — shared with every record
+/// whose scan drew the same, and read through [`ScanOutcome::vt`],
+/// [`ScanOutcome::findings`] and [`ScanOutcome::quttera_verdict`]. A
+/// scanner that did not answer for this record contributes an empty
+/// report. Equality and `Debug` are those of the evidence, whatever
+/// shares it.
+#[derive(Clone)]
 pub struct ScanOutcome {
     /// Final verdict.
     pub malicious: bool,
-    /// VirusTotal report (URL scan, or content scan when that was the
-    /// deciding path).
-    pub vt: VtReport,
-    /// Quttera report.
-    pub quttera: QutteraReport,
     /// Blacklist consensus hit on any chain domain (every record of a
     /// scan hitting the same domain shares one allocation).
     pub blacklisted_domain: Option<Arc<str>>,
@@ -276,17 +296,100 @@ pub struct ScanOutcome {
     pub source: VerdictSource,
     /// What the fault layer cost this record (all-zero without faults).
     pub faults: FaultLog,
+    /// The deciding sample; `None` when no scanner answered.
+    sample: Option<Arc<Sample>>,
+    /// Whether VirusTotal answered for this record.
+    vt_up: bool,
+    /// Whether Quttera answered for this record.
+    quttera_up: bool,
 }
 
+/// The report a VirusTotal that did not answer contributes: no
+/// detections, no engines consulted.
+static UNANSWERED_VT: VtReport =
+    VtReport { detections: Vec::new(), total_engines: 0, threshold: 2 };
+
 impl ScanOutcome {
-    /// All threat labels from the VT report.
-    pub fn labels(&self) -> Vec<&str> {
-        self.vt.labels()
+    /// The VirusTotal report on the deciding sample.
+    pub fn vt(&self) -> &VtReport {
+        self.sample.as_deref().filter(|_| self.vt_up).map_or(&UNANSWERED_VT, |s| &s.vt)
+    }
+
+    /// Quttera's view of the deciding sample, when Quttera answered.
+    fn quttera(&self) -> Option<&PageScan> {
+        self.sample.as_deref().filter(|_| self.quttera_up).map(|s| &*s.page)
     }
 
     /// Quttera findings.
     pub fn findings(&self) -> &[QutteraFinding] {
-        &self.quttera.findings
+        self.quttera().map_or(&[], |page| &page.findings)
+    }
+
+    /// Quttera's verdict.
+    pub fn quttera_verdict(&self) -> QutteraVerdict {
+        self.quttera().map_or(QutteraVerdict::Clean, |page| page.verdict)
+    }
+
+    /// All threat labels from the VT report.
+    pub fn labels(&self) -> Vec<&str> {
+        self.vt().labels()
+    }
+}
+
+impl PartialEq for ScanOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        self.malicious == other.malicious
+            && self.vt() == other.vt()
+            && self.findings() == other.findings()
+            && self.quttera_verdict() == other.quttera_verdict()
+            && self.blacklisted_domain == other.blacklisted_domain
+            && self.needed_content_upload == other.needed_content_upload
+            && self.source == other.source
+            && self.faults == other.faults
+    }
+}
+
+impl fmt::Debug for ScanOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScanOutcome")
+            .field("malicious", &self.malicious)
+            .field("vt", self.vt())
+            .field("findings", &self.findings())
+            .field("quttera_verdict", &self.quttera_verdict())
+            .field("blacklisted_domain", &self.blacklisted_domain)
+            .field("needed_content_upload", &self.needed_content_upload)
+            .field("source", &self.source)
+            .field("faults", &self.faults)
+            .finish()
+    }
+}
+
+#[cfg(test)]
+impl ScanOutcome {
+    /// An outcome every service answered: the full battery's VirusTotal
+    /// report without detections, Quttera's `findings` (a malicious
+    /// verdict when there are any) and the blacklist hit
+    /// `blacklisted_domain`.
+    pub(crate) fn answered(
+        malicious: bool,
+        findings: Vec<QutteraFinding>,
+        blacklisted_domain: Option<&str>,
+    ) -> ScanOutcome {
+        let verdict =
+            if findings.is_empty() { QutteraVerdict::Clean } else { QutteraVerdict::Malicious };
+        let classes = ClassSet::default();
+        let page = PageScan { findings, verdict, classes, js: JsRunStats::default() };
+        let vt = VtReport { detections: Vec::new(), total_engines: 12, threshold: 2 };
+        ScanOutcome {
+            malicious,
+            blacklisted_domain: blacklisted_domain.map(Arc::from),
+            needed_content_upload: false,
+            source: VerdictSource::Full,
+            faults: FaultLog::default(),
+            sample: Some(Arc::new(Sample { page: Arc::new(page), vt })),
+            vt_up: true,
+            quttera_up: true,
+        }
     }
 }
 
@@ -294,29 +397,30 @@ impl ScanOutcome {
 const CACHE_GROUPS: [&str; 4] =
     ["url_features", "content_features", "host_domains", "domain_blacklisted"];
 
-/// One scanned sample — a URL as the scanner fetches it, or an uploaded
-/// capture: both scanners' verdicts and the JS it ran.
+/// What one scanned page or uploaded body shows under any sample key:
+/// Quttera's findings and verdict, the JS the scan ran, and the feature
+/// classes that decide which engine rules draw.
 #[derive(Debug)]
-struct Sample {
-    vt: VtReport,
-    /// Quttera's findings and verdict; each outcome's report carries
-    /// its own record's URL.
+struct PageScan {
     findings: Vec<QutteraFinding>,
     verdict: QutteraVerdict,
+    classes: ClassSet,
     js: JsRunStats,
 }
 
+/// One scanned sample — a URL as the scanner fetches it, or an uploaded
+/// capture: its page scan and the VirusTotal report its key drew. A
+/// page's *clean* sample is the one every key whose draws all miss
+/// shares.
+#[derive(Debug)]
+struct Sample {
+    page: Arc<PageScan>,
+    vt: VtReport,
+}
+
 impl Sample {
-    fn new(vt: VtReport, quttera: QutteraReport, js: JsRunStats) -> Sample {
-        Sample { vt, findings: quttera.findings, verdict: quttera.verdict, js }
-    }
-
     fn quttera_malicious(&self) -> bool {
-        self.verdict == QutteraVerdict::Malicious
-    }
-
-    fn quttera_for(&self, url: &Url) -> QutteraReport {
-        QutteraReport { url: url.clone(), findings: self.findings.clone(), verdict: self.verdict }
+        self.page.verdict == QutteraVerdict::Malicious
     }
 }
 
@@ -347,9 +451,9 @@ impl JsRunStats {
 
     fn sum<'a>(samples: impl IntoIterator<Item = &'a Arc<Sample>>) -> JsRunStats {
         samples.into_iter().fold(JsRunStats::default(), |acc, s| JsRunStats {
-            instructions: acc.instructions + s.js.instructions,
-            module_lookups: acc.module_lookups + s.js.module_lookups,
-            budget_exhaustions: acc.budget_exhaustions + s.js.budget_exhaustions,
+            instructions: acc.instructions + s.page.js.instructions,
+            module_lookups: acc.module_lookups + s.page.js.module_lookups,
+            budget_exhaustions: acc.budget_exhaustions + s.page.js.budget_exhaustions,
         })
     }
 }
@@ -670,13 +774,61 @@ impl<K: Hash + Eq + Copy> Ids<K> {
     }
 }
 
-/// Runs `compute`, recording its wall time into `timing` when given.
-fn timed<T>(timing: Option<&Histogram>, compute: impl FnOnce() -> T) -> T {
-    let Some(histogram) = timing else { return compute() };
-    let t0 = Instant::now();
-    let value = compute();
-    histogram.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    value
+/// How a pass finds one key's sample.
+enum Slot {
+    /// The cache set's table holds it.
+    Cached(Arc<Sample>),
+    /// It is scanned on page `id`: a route, or a captured body.
+    Page(u32),
+}
+
+/// The keys of one pass, grouped by the page each is scanned on.
+struct PageKeys {
+    /// How each key finds its sample.
+    slots: Vec<Slot>,
+    /// Each page's first key.
+    firsts: Vec<usize>,
+}
+
+/// The sample timings of one run of a pass: a histogram of the run's
+/// own, so its records touch no cache line another worker writes.
+struct RunTimings(Option<Histogram>);
+
+impl RunTimings {
+    /// Runs `compute`, recording its wall time when the pass is timed.
+    fn time<T>(&self, compute: impl FnOnce() -> T) -> T {
+        let Some(local) = &self.0 else { return compute() };
+        let t0 = Instant::now();
+        let value = compute();
+        local.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        value
+    }
+}
+
+/// [`scan_chunked`] for a pass that computes samples: `f` times them
+/// with its run's [`RunTimings`], and each run adds its timings to
+/// `timing` at its end.
+fn scan_timed<T, F>(
+    len: usize,
+    workers: usize,
+    chunk: usize,
+    timing: Option<&Histogram>,
+    f: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &RunTimings) -> T + Sync,
+{
+    let fill = |start: usize, run: &mut [Option<T>]| {
+        let timings = RunTimings(timing.map(|_| Histogram::new()));
+        for (k, slot) in run.iter_mut().enumerate() {
+            *slot = Some(f(start + k, &timings));
+        }
+        if let (Some(histogram), Some(local)) = (timing, &timings.0) {
+            histogram.absorb(&local.snapshot());
+        }
+    };
+    fill_runs(len, workers, chunk, fill).0
 }
 
 impl<'w> ScanPipeline<'w> {
@@ -791,10 +943,11 @@ impl<'w> ScanPipeline<'w> {
     /// scan phase. It scans the records `scanned` selects by index; each
     /// other record gets the clean outcome of a record no service saw,
     /// in its slot of the one output vector. Each URL or capture the
-    /// scan computes records its wall time into `sample_nanos` when
-    /// given. With `keep`, the finished samples extend the cache set's
-    /// table for later scans; a study scanning through its own caches
-    /// passes `false`, because nothing reads them again.
+    /// scan computes, on its own page or a shared one, records its wall
+    /// time into `sample_nanos` when given. With `keep`, the finished
+    /// samples extend the cache set's table for later scans; a study
+    /// scanning through its own caches passes `false`, because nothing
+    /// reads them again.
     pub(crate) fn scan_planned(
         &self,
         records: &[CrawlRecord],
@@ -808,14 +961,27 @@ impl<'w> ScanPipeline<'w> {
         let Plan { mut visits, urls, hosts, chain } = self.plan(records, scanned, workers, chunk);
         let guard = self.caches.table();
         let table = &*guard;
-        // 2. Each distinct URL's sample, host's domain and domain's
-        //    consensus.
-        let url_samples = scan_chunked(urls.len(), workers, chunk, |u| {
-            let (canon, i) = urls[u];
-            table.urls.get(canon).cloned().unwrap_or_else(|| {
-                timed(sample_nanos, || Arc::new(self.url_sample(&records[i].url, canon)))
-            })
-        });
+        // 2. Each distinct URL's sample — the table's, or scanned on its
+        //    route — host's domain and domain's consensus.
+        let url_samples = {
+            let hasher = RandomState::new();
+            let found = scan_chunked(urls.len(), workers, chunk, |u| {
+                let (canon, i) = urls[u];
+                let route = || hasher.hash_one(records[i].url.host_path());
+                table.urls.get(canon).cloned().ok_or_else(route)
+            });
+            let mut routes = HashedIds::with_capacity(urls.len());
+            let slots = (found.into_iter().enumerate())
+                .map(|(u, found)| match found {
+                    Ok(sample) => Slot::Cached(sample),
+                    Err(hash) => Slot::Page(routes.id(hash, records[urls[u].1].url.host_path(), u)),
+                })
+                .collect();
+            let firsts = routes.into_keys().into_iter().map(|(_, u)| u).collect();
+            let load = |u: usize| self.load_page(&records[urls[u].1].url);
+            let keys = PageKeys { slots, firsts };
+            self.page_samples(&keys, workers, chunk, sample_nanos, load, |u| urls[u].0)
+        };
         let host_domains: Vec<Arc<str>> = scan_chunked(hosts.len(), workers, chunk, |h| {
             let host = hosts[h].0;
             table
@@ -871,28 +1037,49 @@ impl<'w> ScanPipeline<'w> {
         };
         drop(chain);
 
-        // 4. Each distinct capture's upload sample, keyed
-        //    `canonical#content-hash` as `VirusTotal::scan_content` keys it.
-        let capture_key = |u: u32, hash: u64| format!("{}#{hash:x}", urls[u as usize].0);
-        let capture_samples = scan_chunked(captures.len(), workers, chunk, |c| {
-            let ((u, hash), i) = captures[c];
-            let key = capture_key(u, hash);
-            table.captures.get(key.as_str()).cloned().unwrap_or_else(|| {
-                let record = &records[i];
-                let content = record.content.as_ref().expect("planned captures exist");
-                timed(sample_nanos, || Arc::new(self.capture_sample(&record.url, content, &key)))
-            })
-        });
+        // 4. Each distinct capture's upload sample — the table's, or
+        //    scanned on its body — keyed `canonical#content-hash` as
+        //    `VirusTotal::scan_content` keys it.
+        let capture_key = |c: usize| {
+            let ((u, hash), _) = captures[c];
+            format!("{}#{hash:x}", urls[u as usize].0)
+        };
+        let upload = |c: usize| {
+            let record = &records[captures[c].1];
+            (&record.url, record.content.as_ref().expect("planned captures exist"))
+        };
+        let capture_samples = {
+            let found = scan_chunked(captures.len(), workers, chunk, |c| {
+                let cached = || table.captures.get(capture_key(c).as_str()).cloned();
+                (!table.captures.is_empty()).then(cached).flatten()
+            });
+            // A body made from bare text has no id: its capture is a page
+            // of its own.
+            let mut bodies = Ids::new();
+            let slots = (found.into_iter().enumerate())
+                .map(|(c, found)| match found {
+                    Some(sample) => Slot::Cached(sample),
+                    None => Slot::Page(bodies.id(upload(c).1.id().ok_or(c), c)),
+                })
+                .collect();
+            let firsts = bodies.into_keys().into_iter().map(|(_, c)| c).collect();
+            let scan = |c: usize| {
+                let (url, content) = upload(c);
+                self.upload_page(url, content)
+            };
+            let keys = PageKeys { slots, firsts };
+            self.page_samples(&keys, workers, chunk, sample_nanos, scan, capture_key)
+        };
         drop(guard);
 
         // 5. Every outcome from its ids.
         let outcomes = scan_chunked(records.len(), workers, chunk, |i| {
-            let Some(visit) = &visits[i] else { return unscanned_outcome(&records[i]) };
-            let url = visit.url.map(|u| &*url_samples[u as usize]);
-            let capture = visit.capture.map(|c| &*capture_samples[c as usize]);
+            let Some(visit) = &visits[i] else { return unscanned_outcome() };
+            let url = visit.url.map(|u| &url_samples[u as usize]);
+            let capture = visit.capture.map(|c| &capture_samples[c as usize]);
             let domain =
                 visit.blacklisted.map(|d| Arc::clone(&host_domains[domains[d as usize].1]));
-            assemble(&records[i], visit, url, capture, domain)
+            assemble(visit, url, capture, domain)
         });
 
         let reached = |flags: &[bool]| flags.iter().filter(|&&r| r).count() as u64;
@@ -925,8 +1112,8 @@ impl<'w> ScanPipeline<'w> {
             for ((canon, _), sample) in urls.iter().zip(url_samples) {
                 table.urls.entry((*canon).into()).or_insert(sample);
             }
-            for (((u, hash), _), sample) in captures.into_iter().zip(capture_samples) {
-                table.captures.entry(capture_key(u, hash).into()).or_insert(sample);
+            for (c, sample) in capture_samples.into_iter().enumerate() {
+                table.captures.entry(capture_key(c).into()).or_insert(sample);
             }
             let hosts = hosts.iter().zip(&host_domains).zip(host_reached);
             for (((host, _), domain), _) in hosts.filter(|(_, reached)| *reached) {
@@ -1044,10 +1231,47 @@ impl<'w> ScanPipeline<'w> {
         hashes
     }
 
-    /// The URL-scan sample of one distinct URL: one scanner fetch,
-    /// shared by VT and Quttera. Redirected loads mark the redirect
-    /// feature the way the Quttera URL scan does.
-    fn url_sample(&self, url: &Url, canon: &str) -> Sample {
+    /// The samples of `keys`, which share their pages, in key order.
+    ///
+    /// A pass over the pages scans each page's first key: `scan` returns
+    /// the key's page as its clean sample. A pass over the keys then
+    /// gives each other key its page's sample under its own `key` text.
+    /// Every key either pass computes records one timing.
+    fn page_samples<K: AsRef<str>>(
+        &self,
+        keys: &PageKeys,
+        workers: usize,
+        chunk: usize,
+        timing: Option<&Histogram>,
+        scan: impl Fn(usize) -> Arc<Sample> + Sync,
+        key: impl Fn(usize) -> K + Sync,
+    ) -> Vec<Arc<Sample>> {
+        let PageKeys { slots, firsts } = keys;
+        let pages = scan_timed(firsts.len(), workers, chunk, timing, |p, timings| {
+            timings.time(|| {
+                let k = firsts[p];
+                let page = scan(k);
+                (self.keyed(&page, key(k).as_ref()), page)
+            })
+        });
+        scan_timed(slots.len(), workers, chunk, timing, |k, timings| match slots[k] {
+            Slot::Cached(ref sample) => Arc::clone(sample),
+            Slot::Page(p) => {
+                let (first, page) = &pages[p as usize];
+                if firsts[p as usize] == k {
+                    Arc::clone(first)
+                } else {
+                    timings.time(|| self.keyed(page, key(k).as_ref()))
+                }
+            }
+        })
+    }
+
+    /// One scanner fetch of `url`, shared by VT and Quttera: the loaded
+    /// page's clean sample, which is every URL's on `url`'s route (see
+    /// the module docs). Redirected loads mark the redirect feature the
+    /// way the Quttera URL scan does.
+    fn load_page(&self, url: &Url) -> Arc<Sample> {
         let mut browser = Browser::new(self.web)
             .with_context(RequestContext::scanner("pipeline"))
             .with_js_engine(self.js_engine);
@@ -1059,23 +1283,35 @@ impl<'w> ScanPipeline<'w> {
         if load.was_redirected() {
             features.js_redirect = true;
         }
-        Sample::new(
-            self.vt.aggregate(canon, &features),
-            self.quttera.report(url, &features),
-            JsRunStats::from_report(&load.js),
-        )
+        self.page_sample(url, &features, JsRunStats::from_report(&load.js))
     }
 
-    /// The upload sample of one distinct capture. `key` is
-    /// `canonical#content-hash`, the sample key `VirusTotal::scan_content`
-    /// derives, so engine decisions match a direct upload.
-    fn capture_sample(&self, url: &Url, content: &Body, key: &str) -> Sample {
+    /// The upload of `content` captured at `url`: its clean sample,
+    /// which is every capture's of the body (see the module docs).
+    fn upload_page(&self, url: &Url, content: &Body) -> Arc<Sample> {
         let (features, report) = self.content_features(url, content);
-        Sample::new(
-            self.vt.aggregate(key, &features),
-            self.quttera.report(url, &features),
-            JsRunStats::from_report(&report),
-        )
+        self.page_sample(url, &features, JsRunStats::from_report(&report))
+    }
+
+    /// The clean sample of a page showing `features`.
+    fn page_sample(&self, url: &Url, features: &Features, js: JsRunStats) -> Arc<Sample> {
+        let QutteraReport { findings, verdict, .. } = self.quttera.report(url, features);
+        let page = PageScan { findings, verdict, classes: ClassSet::of(features), js };
+        Arc::new(Sample { page: Arc::new(page), vt: self.vt.clean_report() })
+    }
+
+    /// The sample of `page` under `key` (a canonical URL, or
+    /// `canonical#content-hash` as `VirusTotal::scan_content` derives
+    /// it): the engines draw for `key` on the rules the page's classes
+    /// trigger, and a key whose draws all miss gets the page's clean
+    /// sample itself.
+    fn keyed(&self, page: &Arc<Sample>, key: &str) -> Arc<Sample> {
+        let vt = self.vt.draw(key, page.page.classes);
+        if vt.detections.is_empty() {
+            Arc::clone(page)
+        } else {
+            Arc::new(Sample { page: Arc::clone(&page.page), vt })
+        }
     }
 
     /// [`Features::from_load`], with the static pass over the load's
@@ -1119,52 +1355,41 @@ impl<'w> ScanPipeline<'w> {
 /// the upload sample when the upload convicts, plus the chain's
 /// blacklist hit. Only services that were up contribute a report.
 fn assemble(
-    record: &CrawlRecord,
     visit: &Visit,
-    url: Option<&Sample>,
-    capture: Option<&Sample>,
+    url: Option<&Arc<Sample>>,
+    capture: Option<&Arc<Sample>>,
     blacklisted_domain: Option<Arc<str>>,
 ) -> ScanOutcome {
     let upload = capture.filter(|s| visit.flagged(s));
-    let deciding = upload.or(url);
-    let vt = deciding.filter(|_| visit.vt_up).map_or_else(empty_vt_report, |s| s.vt.clone());
-    let quttera = deciding
-        .filter(|_| visit.quttera_up)
-        .map_or_else(|| empty_quttera_report(&record.url), |s| s.quttera_for(&record.url));
-    ScanOutcome {
-        malicious: vt.is_malicious() || quttera.is_malicious() || blacklisted_domain.is_some(),
-        vt,
-        quttera,
+    let mut outcome = ScanOutcome {
+        malicious: false,
         blacklisted_domain,
         needed_content_upload: upload.is_some(),
         source: VerdictSource::classify(visit.vt_up, visit.quttera_up, visit.blacklist_up),
         faults: visit.faults,
-    }
+        sample: upload.or(url).cloned(),
+        vt_up: visit.vt_up,
+        quttera_up: visit.quttera_up,
+    };
+    outcome.malicious = outcome.vt().is_malicious()
+        || outcome.quttera_verdict() == QutteraVerdict::Malicious
+        || outcome.blacklisted_domain.is_some();
+    outcome
 }
 
 /// The outcome of a record no service saw (a filtered referral): clean,
 /// with empty reports and full provenance.
-fn unscanned_outcome(record: &CrawlRecord) -> ScanOutcome {
+fn unscanned_outcome() -> ScanOutcome {
     ScanOutcome {
         malicious: false,
-        vt: empty_vt_report(),
-        quttera: empty_quttera_report(&record.url),
         blacklisted_domain: None,
         needed_content_upload: false,
         source: VerdictSource::Full,
         faults: FaultLog::default(),
+        sample: None,
+        vt_up: false,
+        quttera_up: false,
     }
-}
-
-/// The report an unreachable VirusTotal contributes: no detections, no
-/// engines consulted.
-fn empty_vt_report() -> VtReport {
-    VtReport { detections: Vec::new(), total_engines: 0, threshold: 2 }
-}
-
-/// The report an unreachable Quttera contributes.
-fn empty_quttera_report(url: &Url) -> QutteraReport {
-    QutteraReport { url: url.clone(), findings: Vec::new(), verdict: QutteraVerdict::Clean }
 }
 
 #[cfg(test)]
@@ -1217,7 +1442,9 @@ mod tests {
         let pipe = ScanPipeline::new(&web);
         let outcome = pipe.scan(&record_for(&web, &spec.url));
         assert!(outcome.malicious);
-        assert!(outcome.vt.is_malicious() || outcome.quttera.is_malicious());
+        assert!(
+            outcome.vt().is_malicious() || outcome.quttera_verdict() == QutteraVerdict::Malicious
+        );
     }
 
     #[test]
@@ -1264,6 +1491,35 @@ mod tests {
         assert_eq!(pipe.cached_urls(), 2);
         pipe.clear_caches();
         assert_eq!(pipe.cached_urls(), 0);
+    }
+
+    #[test]
+    fn an_outcome_points_at_its_sample_in_64_bytes() {
+        assert!(std::mem::size_of::<ScanOutcome>() <= 64, "{}", std::mem::size_of::<ScanOutcome>());
+    }
+
+    #[test]
+    fn urls_share_a_scanner_load_only_on_their_route() {
+        // Two short links on one shortener host: one host, two routes,
+        // each requested under two queries.
+        let mut b = WebBuilder::new(211);
+        let benign = b.benign_site(BenignOptions::default());
+        let bad = b.js_site(JsAttack::HiddenIframe, Tld::Com, ContentCategory::Business, false);
+        let web = b.finish();
+        let service = &web.shorteners().services()[0];
+        let links = [service.register("plain1", benign.url), service.register("inject1", bad.url)];
+        let records: Vec<CrawlRecord> = (links.iter())
+            .flat_map(|link| [1, 2].map(|n| Url::parse(&format!("{link}?ref={n}")).unwrap()))
+            .map(|url| record_for(&web, &url))
+            .collect();
+        let pipe = ScanPipeline::new(&web);
+        let batch = pipe.scan_all(&records);
+        for (record, slot) in records.iter().zip(&batch) {
+            pipe.clear_caches();
+            assert_eq!(&pipe.scan(record), slot, "{:?}", record.url);
+        }
+        assert_eq!(batch[0].findings(), batch[1].findings());
+        assert_ne!(batch[0].findings(), batch[2].findings(), "each route has its own page");
     }
 
     #[test]
@@ -1395,7 +1651,7 @@ mod tests {
         let pipe = ScanPipeline::new(&web).with_fault_plan(plan);
         let outcome = pipe.scan(&record);
         assert_eq!(outcome.source, VerdictSource::Degraded);
-        assert!(outcome.vt.detections.is_empty(), "unreachable VT contributes nothing");
+        assert!(outcome.vt().detections.is_empty(), "unreachable VT contributes nothing");
         assert!(outcome.faults.injected >= 1);
     }
 

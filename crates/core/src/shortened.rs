@@ -77,25 +77,11 @@ pub fn shortened_rows(
 mod tests {
     use super::*;
     use slum_browser::Browser;
-    use slum_detect::quttera::{QutteraReport, QutteraVerdict};
-    use slum_detect::virustotal::VtReport;
     use slum_websim::build::WebBuilder;
     use slum_websim::{ContentCategory, Tld};
 
     fn outcome(malicious: bool) -> ScanOutcome {
-        ScanOutcome {
-            malicious,
-            vt: VtReport { detections: vec![], total_engines: 12, threshold: 2 },
-            quttera: QutteraReport {
-                url: Url::parse("http://x.example/").unwrap(),
-                findings: vec![],
-                verdict: QutteraVerdict::Clean,
-            },
-            blacklisted_domain: None,
-            needed_content_upload: false,
-            source: crate::scanpipe::VerdictSource::Full,
-            faults: crate::scanpipe::FaultLog::default(),
-        }
+        ScanOutcome::answered(malicious, vec![], None)
     }
 
     #[test]

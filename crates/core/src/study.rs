@@ -921,14 +921,14 @@ impl<'a> OutcomeTally<'a> {
         self.benign += u64::from(!outcome.malicious);
         self.uploads += u64::from(outcome.needed_content_upload);
         self.consensus += u64::from(outcome.blacklisted_domain.is_some());
-        for (engine, label) in &outcome.vt.detections {
+        for (engine, label) in &outcome.vt().detections {
             *self.engines.entry(engine).or_default() += 1;
             *self.labels.entry(label).or_default() += 1;
         }
-        for finding in &outcome.quttera.findings {
+        for finding in outcome.findings() {
             *self.findings.entry(*finding).or_default() += 1;
         }
-        *self.verdicts.entry(outcome.quttera.verdict).or_default() += 1;
+        *self.verdicts.entry(outcome.quttera_verdict()).or_default() += 1;
         self.faults.add(&outcome.faults);
         match outcome.source {
             VerdictSource::Full => {}

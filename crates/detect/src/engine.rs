@@ -6,7 +6,7 @@
 //! the threat-label aliases the paper quotes from its scan reports.
 
 use crate::features::Features;
-use crate::hash::chance;
+use crate::hash::{fnv1a, fnv1a_extend, hashed_fraction};
 
 /// The classes of malicious behaviour an engine can specialize in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,6 +34,20 @@ pub enum FeatureClass {
 }
 
 impl FeatureClass {
+    /// Every class, in declaration order.
+    pub const ALL: [FeatureClass; 10] = [
+        FeatureClass::HiddenIframe,
+        FeatureClass::DynamicInjection,
+        FeatureClass::Obfuscation,
+        FeatureClass::DeceptiveDownload,
+        FeatureClass::Fingerprinting,
+        FeatureClass::Flash,
+        FeatureClass::Redirect,
+        FeatureClass::GenericSignature,
+        FeatureClass::GaBootstrapFp,
+        FeatureClass::OauthRelayFp,
+    ];
+
     /// Does `features` exhibit this class?
     pub fn present_in(self, f: &Features) -> bool {
         match self {
@@ -51,6 +65,30 @@ impl FeatureClass {
     }
 }
 
+/// The feature classes one sample exhibits: all an engine reads of the
+/// sample's features, so samples showing the same classes trigger the
+/// same rules and differ only in their per-key draws.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClassSet(u16);
+
+impl ClassSet {
+    /// The classes `features` exhibit.
+    pub fn of(features: &Features) -> ClassSet {
+        let present = FeatureClass::ALL.iter().filter(|class| class.present_in(features));
+        ClassSet(present.fold(0, |bits, &class| bits | 1 << class as u16))
+    }
+
+    /// Whether the set holds `class`.
+    pub fn contains(self, class: FeatureClass) -> bool {
+        self.0 & 1 << class as u16 != 0
+    }
+
+    /// True when the sample exhibits no class, so no rule draws.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
 /// One scanning engine: named strengths mapped to the labels it emits.
 #[derive(Debug, Clone)]
 pub struct EngineModel {
@@ -63,18 +101,25 @@ pub struct EngineModel {
 }
 
 impl EngineModel {
-    /// Scans features for sample `key` (canonical URL or content hash).
-    /// Returns the first matching label.
-    pub fn scan(&self, key: &str, features: &Features) -> Option<&'static str> {
-        for (class, label, sensitivity) in &self.rules {
-            if class.present_in(features) {
-                let decision_key = format!("{}|{}|{}", self.name, label, key);
-                if chance(&decision_key, *sensitivity) {
-                    return Some(label);
-                }
-            }
-        }
-        None
+    /// Scans sample `key` (canonical URL or content hash), which
+    /// exhibits `classes`, and returns the first matching label: each
+    /// rule of a present class fires with its sensitivity, drawn from
+    /// the decision key `name|label|key`.
+    pub fn scan_classes(&self, key: &str, classes: ClassSet) -> Option<&'static str> {
+        self.rules
+            .iter()
+            .find(|&&(class, label, sensitivity)| {
+                classes.contains(class) && self.draw(label, key) < sensitivity
+            })
+            .map(|&(_, label, _)| label)
+    }
+
+    /// The uniform draw `fraction(&format!("{name}|{label}|{key}"))`,
+    /// hashing the key's parts in turn instead of formatting it.
+    fn draw(&self, label: &str, key: &str) -> f64 {
+        let parts: [&[u8]; 4] = [b"|", label.as_bytes(), b"|", key.as_bytes()];
+        let h = parts.iter().fold(fnv1a(self.name.as_bytes()), |h, part| fnv1a_extend(h, part));
+        hashed_fraction(h)
     }
 }
 
@@ -180,6 +225,8 @@ pub fn default_engines() -> Vec<EngineModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::{chance, fraction};
+    use proptest::prelude::*;
 
     fn features_with(f: impl FnOnce(&mut Features)) -> Features {
         let mut features = Features::default();
@@ -191,7 +238,8 @@ mod tests {
     fn clean_features_fire_nothing() {
         let features = Features::default();
         for engine in default_engines() {
-            assert_eq!(engine.scan("http://x.example/", &features), None, "{}", engine.name);
+            let label = engine.scan_classes("http://x.example/", ClassSet::of(&features));
+            assert_eq!(label, None, "{}", engine.name);
         }
     }
 
@@ -199,15 +247,16 @@ mod tests {
     fn redirect_fires_microsoft_alias() {
         let features = features_with(|f| f.js_redirect = true);
         let ms = default_engines().into_iter().find(|e| e.name == "microsoft-sim").unwrap();
-        assert_eq!(ms.scan("http://r.example/", &features), Some("Trojan:JS/Redirector"));
+        let label = ms.scan_classes("http://r.example/", ClassSet::of(&features));
+        assert_eq!(label, Some("Trojan:JS/Redirector"));
     }
 
     #[test]
     fn scan_is_deterministic() {
         let features = features_with(|f| f.obfuscated_scripts = 1);
         let sophos = default_engines().into_iter().find(|e| e.name == "sophos-sim").unwrap();
-        let a = sophos.scan("http://o.example/", &features);
-        let b = sophos.scan("http://o.example/", &features);
+        let a = sophos.scan_classes("http://o.example/", ClassSet::of(&features));
+        let b = sophos.scan_classes("http://o.example/", ClassSet::of(&features));
         assert_eq!(a, b);
     }
 
@@ -215,8 +264,9 @@ mod tests {
     fn sensitivity_below_one_misses_some_samples() {
         let features = features_with(|f| f.obfuscated_scripts = 1);
         let sophos = default_engines().into_iter().find(|e| e.name == "sophos-sim").unwrap();
+        let classes = ClassSet::of(&features);
         let hits = (0..500)
-            .filter(|i| sophos.scan(&format!("http://s{i}.example/"), &features).is_some())
+            .filter(|i| sophos.scan_classes(&format!("http://s{i}.example/"), classes).is_some())
             .count();
         assert!(hits > 400 && hits < 500, "sensitivity 0.9 → ~450 hits, got {hits}");
     }
@@ -252,11 +302,40 @@ mod tests {
         let engines = default_engines();
         let fp_hits = engines
             .iter()
-            .filter_map(|e| e.scan("http://recipes.example/", &ga))
+            .filter_map(|e| e.scan_classes("http://recipes.example/", ClassSet::of(&ga)))
             .collect::<Vec<_>>();
         assert!(
             fp_hits.iter().any(|l| l.contains("Faceliker")),
             "GA bootstrap should draw Faceliker FPs: {fp_hits:?}"
         );
+    }
+
+    #[test]
+    fn class_set_holds_exactly_the_present_classes() {
+        let features = features_with(|f| {
+            f.js_redirect = true;
+            f.ga_bootstrap = true;
+        });
+        let classes = ClassSet::of(&features);
+        for class in FeatureClass::ALL {
+            assert_eq!(classes.contains(class), class.present_in(&features), "{class:?}");
+        }
+        assert!(ClassSet::of(&Features::default()).is_empty());
+    }
+
+    proptest! {
+        /// Hashing the decision key's parts in turn draws what hashing
+        /// the formatted key draws, for every rule of the battery.
+        #[test]
+        fn streamed_draw_equals_the_formatted_key_draw(key in ".{0,80}") {
+            for engine in default_engines() {
+                for &(_, label, sensitivity) in &engine.rules {
+                    let formatted = format!("{}|{}|{}", engine.name, label, key);
+                    let draw = engine.draw(label, &key);
+                    prop_assert_eq!(draw, fraction(&formatted));
+                    prop_assert_eq!(draw < sensitivity, chance(&formatted, sensitivity));
+                }
+            }
+        }
     }
 }

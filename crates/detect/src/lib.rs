@@ -44,7 +44,7 @@ pub mod vetting;
 pub mod virustotal;
 
 pub use blacklist::{BlacklistDb, BlacklistVerdict};
-pub use engine::{EngineModel, FeatureClass};
+pub use engine::{ClassSet, EngineModel, FeatureClass};
 pub use fault::{
     FaultKind, FaultPlan, FaultProfile, ScanError, ScanService, ServiceDecision,
     ServiceFaultProfile,

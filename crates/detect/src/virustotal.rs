@@ -13,7 +13,7 @@
 use slum_browser::Browser;
 use slum_websim::{RequestContext, SyntheticWeb, Url};
 
-use crate::engine::{default_engines, EngineModel};
+use crate::engine::{default_engines, ClassSet, EngineModel};
 use crate::features::Features;
 
 /// Aggregated scan report.
@@ -97,13 +97,29 @@ impl<'w> VirusTotal<'w> {
 
     /// Runs the battery over pre-extracted features.
     pub fn aggregate(&self, sample_key: &str, features: &Features) -> VtReport {
-        let mut detections = Vec::new();
-        for engine in &self.engines {
-            if let Some(label) = engine.scan(sample_key, features) {
-                detections.push((engine.name, label));
+        self.draw(sample_key, ClassSet::of(features))
+    }
+
+    /// Runs the battery over a sample exhibiting `classes`: each engine
+    /// draws for `sample_key` only on the rules those classes trigger,
+    /// so a sample triggering none gets [`VirusTotal::clean_report`]
+    /// whatever its key.
+    pub fn draw(&self, sample_key: &str, classes: ClassSet) -> VtReport {
+        let mut report = self.clean_report();
+        if !classes.is_empty() {
+            for engine in &self.engines {
+                if let Some(label) = engine.scan_classes(sample_key, classes) {
+                    report.detections.push((engine.name, label));
+                }
             }
         }
-        VtReport { detections, total_engines: self.engines.len(), threshold: self.threshold }
+        report
+    }
+
+    /// The report on a sample no engine flags.
+    pub fn clean_report(&self) -> VtReport {
+        let total_engines = self.engines.len();
+        VtReport { detections: Vec::new(), total_engines, threshold: self.threshold }
     }
 }
 

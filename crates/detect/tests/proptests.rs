@@ -8,7 +8,7 @@ use slum_detect::blacklist::BlacklistDb;
 use slum_detect::engine::default_engines;
 use slum_detect::hash::{chance, fraction};
 use slum_detect::retry::RetryPolicy;
-use slum_detect::Features;
+use slum_detect::{ClassSet, Features};
 use slum_websim::Url;
 
 proptest! {
@@ -32,8 +32,9 @@ proptest! {
             generic_malware_marker: true,
             ..Default::default()
         };
+        let classes = ClassSet::of(&features);
         for engine in default_engines() {
-            prop_assert_eq!(engine.scan(&key, &features), engine.scan(&key, &features));
+            prop_assert_eq!(engine.scan_classes(&key, classes), engine.scan_classes(&key, classes));
         }
     }
 
@@ -41,8 +42,9 @@ proptest! {
     #[test]
     fn engines_quiet_on_clean(key in "[ -~]{1,60}") {
         let clean = Features::default();
+        let classes = ClassSet::of(&clean);
         for engine in default_engines() {
-            prop_assert_eq!(engine.scan(&key, &clean), None);
+            prop_assert_eq!(engine.scan_classes(&key, classes), None);
         }
     }
 

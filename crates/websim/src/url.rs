@@ -202,7 +202,7 @@ impl Url {
     /// Host and path back to back: how the synthetic web routes a
     /// request (the query is ignored, so one installed page serves all
     /// its query variants).
-    pub(crate) fn host_path(&self) -> &str {
+    pub fn host_path(&self) -> &str {
         &self.text[host_start(self.scheme)..self.path_end as usize]
     }
 

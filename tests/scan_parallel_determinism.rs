@@ -11,11 +11,18 @@
 
 mod harness;
 
+use std::collections::HashSet;
+
 use harness::{check, Plan, Reference, World};
 use malware_slums::export;
+use malware_slums::filter::ReferralClass;
 use malware_slums::scanpipe::{ScanPipeline, DEFAULT_SCAN_CHUNK, DEFAULT_SERIAL_SCAN_THRESHOLD};
 use malware_slums::study::{ConfigError, Study};
 use malware_slums::substrate::Substrate;
+use proptest::prelude::*;
+use slum_crawler::CrawlRecord;
+use slum_detect::fault::FaultPlan;
+use slum_js::sandbox::JsEngine;
 
 const SEED: u64 = 4242;
 
@@ -48,6 +55,70 @@ fn parallel_scan_is_bit_identical_to_serial_for_all_worker_counts() {
             pipeline.clear_caches();
             let parallel = pipeline.scan_all_parallel_chunked(records, workers, chunk);
             assert_eq!(parallel, baseline, "{workers} workers, chunk {chunk} diverged from serial");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A batch shares scanner loads between the URLs of one route and
+    /// body scans between the captures of one body, and each record
+    /// adds only its own engine draws. A batch of one record shares
+    /// nothing, so it is the reference: every regular record's slot of
+    /// one batch scan (and of its study) equals the record scanned
+    /// alone under the same fault plan, for drawn substrates, seeds,
+    /// scan fault profiles and JS engines, at crawl scales where routes
+    /// repeat.
+    #[test]
+    fn every_record_scanned_alone_matches_its_slot_in_a_sharing_batch(
+        substrate in 0usize..3,
+        seed in 1u64..1_000_000,
+        scan_faults in 0usize..3,
+        engine in 0usize..2,
+        crawl_scale in 0.002f64..0.005,
+    ) {
+        let world = World {
+            substrate: [Substrate::Exchange, Substrate::AdNet, Substrate::Torrent][substrate],
+            seed,
+            scan_faults: ["none", "default", "harsh"][scan_faults],
+            crawl_faults: "none",
+        };
+        let engine = [JsEngine::Vm, JsEngine::TreeWalk][engine];
+        let config =
+            world.builder(false).crawl_scale(crawl_scale).js_engine(engine).build().unwrap();
+        let study = Study::run(&config);
+        let (regular, study_slots): (Vec<CrawlRecord>, Vec<_>) = (study.store.records().iter())
+            .zip(&study.outcomes)
+            .zip(&study.referrals)
+            .filter(|(_, class)| **class == ReferralClass::Regular)
+            .map(|((record, outcome), _)| (record.clone(), outcome.clone()))
+            .unzip();
+        let routes: HashSet<&str> = regular.iter().map(|r| r.url.host_path()).collect();
+        let urls: HashSet<&str> = regular.iter().map(|r| r.url.as_str()).collect();
+        prop_assert!(routes.len() < urls.len(), "{world:?}: no route repeats");
+
+        // The study compiles its plan from the regular records in corpus
+        // order; so does every pipeline here.
+        let pipeline = || {
+            let pipeline = ScanPipeline::new(&study.web).with_js_engine(engine);
+            if config.fault_profile.is_inert() {
+                return pipeline;
+            }
+            let requests = regular.iter().map(|r| (r.exchange.as_str(), r.seq, r.at));
+            let plan = FaultPlan::compile_requests(&config.fault_profile, seed, requests);
+            pipeline.with_fault_plan(plan)
+        };
+        let batch = pipeline().scan_all_parallel_chunked(&regular, 2, 64);
+        prop_assert!(batch == study_slots, "{world:?}: the batch diverged from its study");
+        // Clearing the sample table before each record makes the
+        // pipeline a fresh one: what survives (per-body static features
+        // and compiled modules) is a pure function of the body or script.
+        let alone = pipeline();
+        for (record, slot) in regular.iter().zip(&batch) {
+            alone.clear_caches();
+            let scanned = alone.scan(record);
+            prop_assert!(scanned == *slot, "{world:?} {:?}: {scanned:?} != {slot:?}", record.url);
         }
     }
 }
