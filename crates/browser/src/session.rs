@@ -82,6 +82,30 @@ impl LoadResult {
     pub fn was_redirected(&self) -> bool {
         self.requested_url != self.final_url
     }
+
+    /// True when the load fetched nothing but the requested route's own
+    /// page: no redirect hop, no external script or plugin named by the
+    /// page, no download, navigation or pop-up, and no failure.
+    ///
+    /// Such a load is a function of the route ([`Url::host_path`]) and
+    /// the browser's settings alone: the web serves a route's page
+    /// whatever the query and the clock, the only fetch with a side
+    /// effect (a shortener's hit count) answers with a redirect, and no
+    /// page script reads `location`, while `Math.random` and `Date` are
+    /// constants. So every load of the route at any time and under any
+    /// query sees the same page and the same effects.
+    pub fn is_static(&self) -> bool {
+        let Some(page) = &self.html else { return false };
+        let outline = page.outline();
+        let opens_a_url = |e: &Effect| matches!(e, Effect::Navigate { .. } | Effect::Popup { .. });
+        !self.failed
+            && self.chain.is_empty()
+            && self.final_url == self.requested_url
+            && outline.external_scripts.is_empty()
+            && outline.plugin_srcs.is_empty()
+            && self.downloads.is_empty()
+            && !self.js.effects.iter().any(opens_a_url)
+    }
 }
 
 /// A headless browser bound to a synthetic web.

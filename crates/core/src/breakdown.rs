@@ -127,7 +127,7 @@ mod tests {
             url: u.clone(),
             final_url: u,
             redirect_hops: 0,
-            chain_hosts: vec![],
+            chain_hosts: vec![].into(),
             via_shortener: false,
             via_js_redirect: false,
             content: None,

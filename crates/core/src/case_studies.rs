@@ -269,7 +269,7 @@ mod tests {
 
     fn crawl_one(web: &SyntheticWeb, url: &Url) -> CrawlRecord {
         let load = Browser::new(web).load(url);
-        CrawlRecord::from_load("case", 0, 0, &load)
+        CrawlRecord::from_load("case".into(), 0, 0, &load)
     }
 
     #[test]

@@ -183,7 +183,7 @@ mod tests {
             url: Url::parse(url).unwrap(),
             final_url: Url::parse(final_url).unwrap(),
             redirect_hops: u32::from(url != final_url),
-            chain_hosts: vec![],
+            chain_hosts: vec![].into(),
             via_shortener,
             via_js_redirect: false,
             content: None,

@@ -73,7 +73,7 @@ impl AdNetworkGuard {
     /// hosts cover the referrers of the load's HAR too.
     pub fn classify(&self, record: &CrawlRecord) -> ImpressionVerdict {
         let via_exchange = self.exchange_hosts.contains(record.url.host())
-            || record.chain_hosts.iter().any(|h| self.exchange_hosts.contains(h));
+            || record.chain_hosts.iter().any(|h| self.exchange_hosts.contains(&**h));
         if via_exchange {
             ImpressionVerdict::ExchangeFraud
         } else {
@@ -247,7 +247,7 @@ mod tests {
         let site = b.benign_site(Default::default());
         let web = b.finish();
         let load = Browser::new(&web).load(&site.url);
-        let record = slum_crawler::CrawlRecord::from_load("10KHits", 0, 0, &load);
+        let record = slum_crawler::CrawlRecord::from_load("10KHits".into(), 0, 0, &load);
 
         let organic = guard.audit(std::slice::from_ref(&record), &[String::new()]);
         assert_eq!(organic.fraudulent, 0);
@@ -272,7 +272,7 @@ mod tests {
         let home = b.exchange_home("otohits.exchange.example");
         let web = b.finish();
         let load = Browser::new(&web).load(&home.url);
-        let record = slum_crawler::CrawlRecord::from_load("Otohits", 0, 0, &load);
+        let record = slum_crawler::CrawlRecord::from_load("Otohits".into(), 0, 0, &load);
         assert_eq!(guard.classify(&record), ImpressionVerdict::ExchangeFraud);
     }
 

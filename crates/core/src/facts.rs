@@ -84,14 +84,14 @@ impl Facts {
                     })
                 });
                 let source = match run {
-                    Some((name, source)) if name == record.exchange => source,
+                    Some((name, source)) if record.exchange == name => source,
                     _ => {
                         let source = sources
                             .iter()
-                            .position(|meta| meta.name == record.exchange)
+                            .position(|meta| meta.name == record.exchange.as_str())
                             .expect("every record comes from one of the study's sources");
                         let source = u16::try_from(source).expect("fewer than 2^16 sources");
-                        run = Some((&record.exchange, source));
+                        run = Some((record.exchange.as_str(), source));
                         source
                     }
                 };

@@ -83,8 +83,8 @@ pub fn longest_chain(pairs: &[(&CrawlRecord, &ScanOutcome)]) -> Option<ChainExhi
                 r.redirect_hops
             );
             ChainExhibit {
-                exchange: r.exchange.clone(),
-                hosts: r.chain_hosts.clone(),
+                exchange: r.exchange.to_string(),
+                hosts: r.chain_hosts.iter().map(|h| h.to_string()).collect(),
                 hops: r.redirect_hops,
             }
         })
@@ -103,7 +103,7 @@ mod tests {
             url: Url::parse("http://entry.example/").unwrap(),
             final_url: Url::parse("http://dest.example/").unwrap(),
             redirect_hops: hops,
-            chain_hosts: (0..=hops).map(|i| format!("h{i}.example")).collect(),
+            chain_hosts: (0..=hops).map(|i| format!("h{i}.example").into()).collect(),
             via_shortener: false,
             via_js_redirect: false,
             content: None,
@@ -119,7 +119,7 @@ mod tests {
     fn record_with_url(hops: u32, url: &str, host_prefix: &str) -> CrawlRecord {
         CrawlRecord {
             url: Url::parse(url).unwrap(),
-            chain_hosts: (0..=hops).map(|i| format!("{host_prefix}{i}.example")).collect(),
+            chain_hosts: (0..=hops).map(|i| format!("{host_prefix}{i}.example").into()).collect(),
             ..record(hops)
         }
     }

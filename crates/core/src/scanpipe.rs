@@ -1196,10 +1196,10 @@ impl<'w> ScanPipeline<'w> {
             let decisions = match &self.fault_plan {
                 Some(plan) => {
                     let decisions = match source {
-                        Some((name, decisions)) if name == record.exchange => decisions,
+                        Some((name, decisions)) if record.exchange == name => decisions,
                         _ => {
                             let decisions = plan.source(&record.exchange);
-                            source = Some((&record.exchange, decisions));
+                            source = Some((record.exchange.as_str(), decisions));
                             decisions
                         }
                     };
@@ -1215,7 +1215,7 @@ impl<'w> ScanPipeline<'w> {
             }
             if blacklist_up {
                 let chain = record.chain_hosts.iter();
-                hashes.hosts.extend(chain.map(|host| hasher.hash_one(host.as_str())));
+                hashes.hosts.extend(chain.map(|host| hasher.hash_one(&**host)));
             }
             *slot = Some(Some(Visit {
                 vt_up,
@@ -1405,7 +1405,7 @@ mod tests {
 
     fn record_for(web: &SyntheticWeb, url: &Url) -> CrawlRecord {
         let load = Browser::new(web).load(url);
-        CrawlRecord::from_load("test", 0, 0, &load)
+        CrawlRecord::from_load("test".into(), 0, 0, &load)
     }
 
     #[test]

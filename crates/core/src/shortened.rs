@@ -95,7 +95,7 @@ mod tests {
             .iter()
             .map(|u| {
                 let load = Browser::new(&web).load(u);
-                CrawlRecord::from_load("X", 0, 0, &load)
+                CrawlRecord::from_load("X".into(), 0, 0, &load)
             })
             .collect();
         let outcomes = vec![outcome(true), outcome(true)];
@@ -118,7 +118,7 @@ mod tests {
         let spec = b.shortened_site(Tld::Com, ContentCategory::Business);
         let web = b.finish();
         let load = Browser::new(&web).load(&spec.url);
-        let rec = CrawlRecord::from_load("X", 0, 0, &load);
+        let rec = CrawlRecord::from_load("X".into(), 0, 0, &load);
         let records = [rec.clone(), rec.clone(), rec];
         let outcomes = vec![outcome(true), outcome(true), outcome(false)];
         let pairs: Vec<_> = records.iter().zip(&outcomes).collect();
@@ -132,7 +132,7 @@ mod tests {
         let site = b.benign_site(Default::default());
         let web = b.finish();
         let load = Browser::new(&web).load(&site.url);
-        let mut rec = CrawlRecord::from_load("X", 0, 0, &load);
+        let mut rec = CrawlRecord::from_load("X".into(), 0, 0, &load);
         rec.via_shortener = true; // inconsistent flag; host check must catch it
         let o = outcome(true);
         let rows = shortened_rows(&web, &[(&rec, &o)]);

@@ -250,7 +250,7 @@ mod tests {
             .iter()
             .map(|u| {
                 let load = Browser::new(&web).load(u);
-                slum_crawler::CrawlRecord::from_load("snip", 0, 0, &load)
+                slum_crawler::CrawlRecord::from_load("snip".into(), 0, 0, &load)
             })
             .collect();
         let pipe = ScanPipeline::new(&web);

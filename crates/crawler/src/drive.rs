@@ -11,6 +11,7 @@
 //! fault schedule: in bounded segments with the cursor checkpointed
 //! between them, or in one unbounded segment for a direct run.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -28,7 +29,7 @@ use slum_websim::rng::seeded;
 use slum_websim::SyntheticWeb;
 
 use crate::fault::CrawlHealth;
-use crate::record::{CrawlRecord, CrawlVisit};
+use crate::record::{CrawlRecord, CrawlVisit, SourceName};
 use crate::store::RecordStore;
 
 /// Virtual nanoseconds per virtual second.
@@ -267,6 +268,13 @@ pub fn crawl_exchange<S: TrafficSource + ?Sized>(
 /// loop, and fault decisions replay identically across resume
 /// boundaries. Page loads compile their scripts through `modules`, the
 /// crawl's compiled-module cache.
+///
+/// A visit of a route (host and path) whose first load in this call
+/// was static ([`slum_browser::LoadResult::is_static`]) loads nothing:
+/// its record is the first one's with the visit's own `seq`, `at` and
+/// URL, and shares its content and chain hosts. Every other visit loads
+/// in full, as [`record_visit`] does, and the records are the ones it
+/// builds.
 #[allow(clippy::too_many_arguments)] // the segment driver threads all crawl state explicitly
 pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
     web: &SyntheticWeb,
@@ -285,6 +293,8 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
     // The crawl surfs on a fresh, active account, which earns the same
     // credit for every logged page; the total lives in the cursor.
     let earn_per_view_millis = EconomyConfig::default().earn_per_view_millis;
+    let name = SourceName::from(source.name());
+    let mut static_routes: HashMap<String, CrawlRecord> = HashMap::new();
     let mut used = 0u64;
 
     while !cursor.done && used < budget {
@@ -350,8 +360,20 @@ pub fn crawl_exchange_segment<S: TrafficSource + ?Sized>(
             cursor.t += rng.gen_range(3..10);
         }
 
-        let visit = CrawlVisit { seq: cursor.seq, at: cursor.t, url: step.url };
-        let record = record_visit(web, &*source, modules, &visit);
+        let (seq, at, url) = (cursor.seq, cursor.t, step.url);
+        let record = match static_routes.get(url.host_path()) {
+            Some(first) => {
+                CrawlRecord { seq, at, url: url.clone(), final_url: url, ..first.clone() }
+            }
+            None => {
+                let load = surf_browser(web, &*source, modules, at).load(&url);
+                let record = CrawlRecord::from_load(name.clone(), seq, at, &load);
+                if load.is_static() {
+                    static_routes.insert(url.host_path().to_owned(), record.clone());
+                }
+                record
+            }
+        };
         cursor.load_failures += u64::from(record.failed);
         cursor.redirects += u64::from(record.redirect_hops);
         cursor.shortener_visits += u64::from(record.via_shortener);
@@ -403,10 +425,13 @@ fn surf_browser<'w, S: TrafficSource + ?Sized>(
 /// Surfs one visit and builds its record: loads `visit.url` at virtual
 /// time `visit.at` with the click mode of `source`'s kind. The record
 /// keeps the loaded page content (the cloaking-defeating upload scans
-/// need it) as the shared `Arc<str>` the browser loaded, so records of
-/// the same page cost one pointer each, not one copy. The crawl loop
-/// logs every page through this, and a checkpoint restore rebuilds
-/// every stored visit through it
+/// need it) as the web's handle on the body, so records of the same
+/// page cost one pointer each, not one copy.
+///
+/// This is the per-visit reference the crawl loop is held to: the loop
+/// builds the record of every load it makes the same way and serves a
+/// repeat visit of a static route the record this would build. A
+/// checkpoint restore rebuilds every stored visit through it
 /// ([`replay_restored_loads`](crate::run::replay_restored_loads)), so a
 /// rebuilt record equals the crawled one and reapplies the load's side
 /// effects on the web.
@@ -417,7 +442,7 @@ pub fn record_visit<S: TrafficSource + ?Sized>(
     visit: &CrawlVisit,
 ) -> CrawlRecord {
     let load = surf_browser(web, source, modules, visit.at).load(&visit.url);
-    CrawlRecord::from_load(source.name(), visit.seq, visit.at, &load)
+    CrawlRecord::from_load(SourceName::from(source.name()), visit.seq, visit.at, &load)
 }
 
 /// The HAR log of `record`'s load: its visit surfed again, as
@@ -446,8 +471,9 @@ pub fn estimated_span_secs(min_surf_secs: u32, kind: ExchangeKind, steps: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slum_exchange::{build_exchange, params::profile};
+    use slum_exchange::{build_exchange, params::profile, SurfStep};
     use slum_websim::build::WebBuilder;
+    use slum_websim::Url;
 
     fn crawl(name: &str, steps: u64, seed: u64) -> (RecordStore, CrawlStats) {
         let mut b = WebBuilder::new(seed);
@@ -630,6 +656,130 @@ mod tests {
         let (cursor2, store2) = run();
         assert_eq!(cursor, cursor2, "faulted crawl must be deterministic");
         assert_eq!(store, store2);
+    }
+
+    /// An auto-surf source that opens `urls` in order, one per step,
+    /// cycling.
+    struct Scripted {
+        urls: Vec<Url>,
+        next: usize,
+    }
+
+    impl TrafficSource for Scripted {
+        fn name(&self) -> &str {
+            "Scripted"
+        }
+        fn kind(&self) -> ExchangeKind {
+            ExchangeKind::AutoSurf
+        }
+        fn min_surf_secs(&self) -> u32 {
+            1
+        }
+        fn next_step(&mut self, _t: u64, _rng: &mut StdRng) -> SurfStep {
+            let url = self.urls[self.next % self.urls.len()].clone();
+            self.next += 1;
+            SurfStep { url, min_surf_secs: 1, captcha: None, campaign_boosted: false }
+        }
+        fn captcha_nonce(&self) -> u64 {
+            0
+        }
+        fn restore_captcha_nonce(&mut self, _nonce: u64) {}
+    }
+
+    /// Crawls `urls` once each, in order, on `web` and returns the
+    /// records, after checking each against [`record_visit`] on
+    /// `reference`, a second build of the same web.
+    fn crawl_scripted(
+        web: &SyntheticWeb,
+        reference: &SyntheticWeb,
+        urls: &[Url],
+    ) -> Vec<CrawlRecord> {
+        let mut source = Scripted { urls: urls.to_vec(), next: 0 };
+        let mut store = RecordStore::new();
+        let config = CrawlConfig { steps: urls.len() as u64, seed: 3, ..Default::default() };
+        crawl_exchange(web, &mut source, &config, &mut store);
+        let modules = Arc::new(JsModuleCache::new());
+        for record in store.records() {
+            let visit = CrawlVisit { seq: record.seq, at: record.at, url: record.url.clone() };
+            let reference = record_visit(reference, &source, &modules, &visit);
+            assert_eq!(*record, reference, "{}", record.url);
+        }
+        store.into_records()
+    }
+
+    /// Visits of one route under different queries share the first
+    /// visit's entry; another path on the same host does not.
+    #[test]
+    fn static_route_visits_share_one_entry_per_route() {
+        let build = || {
+            let mut b = WebBuilder::new(150);
+            let page = b.benign_site(Default::default()).url;
+            (b.finish(), page)
+        };
+        let (web, page) = build();
+        let (reference, _) = build();
+        let query = |q: &str| Url::parse(&format!("{page}{q}")).unwrap();
+        let missing = page.with_path("/offer");
+        let urls = [
+            query("?sid=a1"),
+            missing.clone(),
+            query("?imp=7&x=1"),
+            page.clone(),
+            missing.with_path("/offer?sid=b2"),
+        ];
+        let records = crawl_scripted(&web, &reference, &urls);
+        let shared =
+            |a: usize, b: usize| Arc::ptr_eq(&records[a].chain_hosts, &records[b].chain_hosts);
+        assert!(shared(0, 2) && shared(0, 3), "one route, one entry");
+        assert_ne!(records[2].url, records[3].url);
+        assert!(records[1].failed && records[4].failed, "a missing path loads as missing");
+        let apart = !shared(0, 1) && !shared(0, 4) && !shared(1, 4);
+        assert!(apart, "a path on the host is its own route");
+    }
+
+    /// Shortener links and a rotating redirector answer with a redirect
+    /// at every virtual time, so none of their visits is served from an
+    /// entry, and every shortener visit counts a hit. One link leads to a
+    /// page that loads statically: only its redirect keeps it unshared.
+    #[test]
+    fn redirecting_routes_are_never_shared() {
+        use slum_websim::{ContentCategory, Tld};
+
+        let build = || {
+            let mut b = WebBuilder::new(151);
+            let short = b.shortened_site(Tld::Com, ContentCategory::Business).url;
+            let rotator = b.rotating_redirector_site(3, ContentCategory::Advertisement).url;
+            let page = b.benign_site(Default::default()).url;
+            let web = b.finish();
+            let short_to_page = web.shorteners().services()[0].register("st4tic", page);
+            (web, [short, short_to_page, rotator])
+        };
+        let (web, urls) = build();
+        let (reference, _) = build();
+        let hits = |web: &SyntheticWeb, short: &Url| {
+            let service = web.shorteners().service(short.host()).expect("shortener host");
+            service.stats(short.path().trim_start_matches('/')).expect("registered code").hits
+        };
+        let before = urls[..2].iter().map(|short| hits(&web, short)).collect::<Vec<_>>();
+        let rounds = 8;
+        let visits: Vec<Url> = (0..rounds).flat_map(|_| urls.clone()).collect();
+        let records = crawl_scripted(&web, &reference, &visits);
+        for (short, before) in urls[..2].iter().zip(before) {
+            assert_eq!(hits(&web, short), before + rounds, "one hit per visit of {short}");
+            assert_eq!(hits(&reference, short), before + rounds);
+        }
+        for (i, a) in records.iter().enumerate() {
+            assert!(a.redirect_hops > 0, "{} at {}", a.url, a.at);
+            for b in &records[i + 1..] {
+                let shared = Arc::ptr_eq(&a.chain_hosts, &b.chain_hosts);
+                assert!(!shared, "{} at {} and {}", a.url, a.at, b.at);
+            }
+        }
+        let rotator = &urls[2];
+        let destinations: std::collections::BTreeSet<&str> =
+            records.iter().filter(|r| r.url == *rotator).map(|r| r.final_url.as_str()).collect();
+        let several = destinations.len() > 1;
+        assert!(several, "the rotator is visited at several times: {destinations:?}");
     }
 
     /// A scheduled shutdown forfeits the remaining slots and is

@@ -1,7 +1,63 @@
 //! The per-visit crawl record.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use slum_browser::{LoadResult, RedirectKind};
 use slum_websim::{Body, Url};
+
+/// The name of the traffic source a record was surfed on. A crawl
+/// segment makes it once and every record it logs holds a clone: a
+/// reference-count bump, not a copy of the name. It compares, orders,
+/// displays and debug-prints as the name's string.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SourceName(Arc<str>);
+
+impl SourceName {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for SourceName {
+    fn from(name: &str) -> Self {
+        SourceName(Arc::from(name))
+    }
+}
+
+impl Deref for SourceName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for SourceName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for SourceName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq<str> for SourceName {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for SourceName {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
 
 /// One surfed visit: which slot of the source's crawl, when, and what
 /// URL the surfbar opened. A page load is a pure function of the web,
@@ -28,8 +84,9 @@ pub struct CrawlVisit {
 /// to print it ([`corpus_jsonl`](crate::run::corpus_jsonl)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrawlRecord {
-    /// Exchange the URL was surfed on.
-    pub exchange: String,
+    /// Exchange the URL was surfed on, shared with the other records of
+    /// its crawl segment.
+    pub exchange: SourceName,
     /// Visit sequence number within the exchange's crawl.
     pub seq: u64,
     /// Virtual timestamp of the visit (seconds).
@@ -40,9 +97,10 @@ pub struct CrawlRecord {
     pub final_url: Url,
     /// Number of redirect hops traversed.
     pub redirect_hops: u32,
-    /// Hosts along the redirect chain (from → ... → final), deduplicated
-    /// in order.
-    pub chain_hosts: Vec<String>,
+    /// Hosts along the redirect chain (from → ... → final), with
+    /// consecutive repeats dropped. Visits of one static route share one
+    /// list (see [`LoadResult::is_static`]).
+    pub chain_hosts: Arc<[Arc<str>]>,
     /// Whether the chain included a shortener resolution.
     pub via_shortener: bool,
     /// Whether the chain included a JS-driven hop.
@@ -59,12 +117,12 @@ pub struct CrawlRecord {
 }
 
 impl CrawlRecord {
-    /// Builds a record from a browser load.
-    pub fn from_load(exchange: &str, seq: u64, at: u64, load: &LoadResult) -> CrawlRecord {
-        let mut chain_hosts: Vec<String> = Vec::new();
+    /// Builds a record from a browser load of the source `exchange`.
+    pub fn from_load(exchange: SourceName, seq: u64, at: u64, load: &LoadResult) -> CrawlRecord {
+        let mut chain_hosts: Vec<Arc<str>> = Vec::new();
         let mut push_host = |h: &str| {
-            if chain_hosts.last().map(String::as_str) != Some(h) {
-                chain_hosts.push(h.to_string());
+            if chain_hosts.last().map(|last| &**last) != Some(h) {
+                chain_hosts.push(Arc::from(h));
             }
         };
         push_host(load.requested_url.host());
@@ -74,24 +132,19 @@ impl CrawlRecord {
         push_host(load.final_url.host());
 
         CrawlRecord {
-            exchange: exchange.to_string(),
+            exchange,
             seq,
             at,
             url: load.requested_url.clone(),
             final_url: load.final_url.clone(),
             redirect_hops: load.redirect_count(),
-            chain_hosts,
+            chain_hosts: chain_hosts.into(),
             via_shortener: load.chain.iter().any(|h| h.kind == RedirectKind::Shortener),
             via_js_redirect: load.chain.iter().any(|h| h.kind == RedirectKind::JsLocation),
             content: load.html.clone(),
             download_filenames: load.downloads.iter().map(|d| d.filename.clone()).collect(),
             failed: load.failed,
         }
-    }
-
-    /// The registered domain of the surfed URL.
-    pub fn domain(&self) -> String {
-        self.url.registered_domain()
     }
 }
 
@@ -113,14 +166,14 @@ mod tests {
         let spec = b.redirect_chain_site(3, Tld::Com, ContentCategory::Business);
         let web = b.finish();
         let load = Browser::new(&web).at_time(42).load(&spec.url);
-        let rec = CrawlRecord::from_load("10KHits", 7, 42, &load);
+        let rec = CrawlRecord::from_load("10KHits".into(), 7, 42, &load);
 
         assert_eq!(rec.exchange, "10KHits");
         assert_eq!(rec.seq, 7);
         assert_eq!(rec.at, 42);
         assert_eq!(rec.redirect_hops, 3);
         assert!(rec.chain_hosts.len() >= 2);
-        assert_eq!(rec.chain_hosts.first().map(String::as_str), Some(spec.url.host()));
+        assert_eq!(rec.chain_hosts.first().map(|h| &**h), Some(spec.url.host()));
         assert!(rec.content.is_some());
         assert!(!rec.failed);
     }
@@ -134,7 +187,7 @@ mod tests {
             exchange: String,
             url: Url,
             final_url: Url,
-            chain_hosts: Vec<String>,
+            chain_hosts: Vec<Arc<str>>,
             content: Option<String>,
             har: HarLog,
             failed: bool,
@@ -143,14 +196,14 @@ mod tests {
         let site = b.benign_site(Default::default());
         let web = b.finish();
         let (load, har) = Browser::new(&web).load_logged(&site.url);
-        let rec = CrawlRecord::from_load("Otohits", 0, 0, &load);
+        let rec = CrawlRecord::from_load("Otohits".into(), 0, 0, &load);
         let store: RecordStore = std::iter::once(rec.clone()).collect();
         let json = store.to_jsonl(|_| har.clone()).unwrap();
         let back: Line = serde_json::from_str(json.trim_end()).unwrap();
-        assert_eq!(back.exchange, rec.exchange);
+        assert_eq!(back.exchange, rec.exchange.as_str());
         assert_eq!(back.url, rec.url);
         assert_eq!(back.final_url, rec.final_url);
-        assert_eq!(back.chain_hosts, rec.chain_hosts);
+        assert_eq!(*back.chain_hosts, *rec.chain_hosts);
         assert_eq!(back.content.as_deref(), rec.content.as_deref());
         assert_eq!(back.failed, rec.failed);
         assert_eq!(back.har, har);
@@ -163,7 +216,7 @@ mod tests {
         let site = b.benign_site(Default::default());
         let web = b.finish();
         let load = Browser::new(&web).load(&site.url);
-        let rec = CrawlRecord::from_load("x", 0, 0, &load);
+        let rec = CrawlRecord::from_load("x".into(), 0, 0, &load);
         assert_eq!(rec.chain_hosts.len(), 1, "{:?}", rec.chain_hosts);
     }
 
@@ -226,11 +279,12 @@ mod tests {
                     let plain = browser.load(&spec.url);
                     let (logged, har) = browser.load_logged(&spec.url);
                     assert_eq!(format!("{plain:?}"), format!("{logged:?}"), "{}", spec.url);
-                    let record = CrawlRecord::from_load("x", 0, at, &logged);
-                    assert_eq!(record, CrawlRecord::from_load("x", 0, at, &plain));
+                    let record = CrawlRecord::from_load("x".into(), 0, at, &logged);
+                    assert_eq!(record, CrawlRecord::from_load("x".into(), 0, at, &plain));
                     for entry in &har.entries {
                         assert!(
-                            entry.referrer.is_empty() || record.chain_hosts.contains(&entry.referrer),
+                            entry.referrer.is_empty()
+                                || record.chain_hosts.iter().any(|h| **h == *entry.referrer),
                             "{}: referrer {:?} outside {:?}",
                             spec.url,
                             entry.referrer,
@@ -244,9 +298,11 @@ mod tests {
         assert!(entries > specs.len() * 9, "every load logs its requests");
     }
 
-    /// The record keeps no HAR, so it fits in 176 bytes (200 with one).
+    /// The record keeps no HAR (24 bytes more) and shares its source
+    /// name and chain hosts (16 bytes less than owning them), so it fits
+    /// in 160 bytes.
     #[test]
     fn record_layout_holds_no_har() {
-        assert!(std::mem::size_of::<CrawlRecord>() <= 176, "{}", std::mem::size_of::<CrawlRecord>());
+        assert!(std::mem::size_of::<CrawlRecord>() <= 160, "{}", std::mem::size_of::<CrawlRecord>());
     }
 }

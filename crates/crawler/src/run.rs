@@ -493,7 +493,7 @@ pub fn corpus_jsonl<S: TrafficSource>(
     store.to_jsonl(|record| {
         let source = sources
             .iter()
-            .find(|s| s.name() == record.exchange)
+            .find(|s| record.exchange == s.name())
             .expect("every record's source is among the sources");
         record_har(web, source, &modules, record)
     })

@@ -1,6 +1,7 @@
 //! The crawl-record store.
 
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -19,7 +20,7 @@ struct CorpusLine<'a> {
     url: &'a Url,
     final_url: &'a Url,
     redirect_hops: u32,
-    chain_hosts: &'a [String],
+    chain_hosts: &'a [Arc<str>],
     via_shortener: bool,
     via_js_redirect: bool,
     content: Option<&'a str>,
@@ -72,16 +73,10 @@ impl RecordStore {
         self.records.is_empty()
     }
 
-    /// Records for one exchange.
-    pub fn by_exchange<'a>(&'a self, exchange: &'a str) -> impl Iterator<Item = &'a CrawlRecord> {
-        self.records.iter().filter(move |r| r.exchange == exchange)
-    }
-
     /// Exchange names present, sorted.
     pub fn exchanges(&self) -> Vec<String> {
-        let set: BTreeSet<String> =
-            self.records.iter().map(|r| r.exchange.clone()).collect();
-        set.into_iter().collect()
+        let set: BTreeSet<&str> = self.records.iter().map(|r| r.exchange.as_str()).collect();
+        set.into_iter().map(str::to_owned).collect()
     }
 
     /// Count of distinct surfed URLs (full canonical form, query
@@ -165,7 +160,7 @@ mod tests {
             url: u.clone(),
             final_url: u,
             redirect_hops: 0,
-            chain_hosts: vec![],
+            chain_hosts: Arc::new([]),
             via_shortener: false,
             via_js_redirect: false,
             content: None,
@@ -185,7 +180,6 @@ mod tests {
         assert_eq!(s.distinct_urls(), 3);
         assert_eq!(s.distinct_domains(), 2);
         assert_eq!(s.exchanges(), vec!["A".to_string(), "B".to_string()]);
-        assert_eq!(s.by_exchange("A").count(), 3);
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn main() {
         .map(|r| {
             PROFILES
                 .iter()
-                .find(|p| p.name == r.exchange)
+                .find(|p| r.exchange == p.name)
                 .map(|p| p.host.to_string())
                 .unwrap_or_default()
         })

@@ -287,7 +287,7 @@ fn a_cache_set_sized_for_one_web_rejects_another() {
     let large = large.finish();
     let shared = Arc::new(ScanCaches::new());
     let record = |web: &SyntheticWeb| {
-        CrawlRecord::from_load("x", 0, 0, &Browser::new(web).load(&site.url))
+        CrawlRecord::from_load("x".into(), 0, 0, &Browser::new(web).load(&site.url))
     };
     ScanPipeline::new(&small).with_shared_caches(Arc::clone(&shared)).scan(&record(&small));
     let other = ScanPipeline::new(&large).with_shared_caches(shared);

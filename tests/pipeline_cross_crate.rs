@@ -45,7 +45,7 @@ fn cloaking_lifecycle_url_scan_misses_upload_catches() {
     assert!(quttera.scan_content(&spec.url, &content).is_malicious());
 
     // 4. The pipeline does all of this automatically.
-    let record = CrawlRecord::from_load("test", 0, 0, &load);
+    let record = CrawlRecord::from_load("test".into(), 0, 0, &load);
     let pipeline = ScanPipeline::new(&web);
     let outcome = pipeline.scan(&record);
     assert!(outcome.malicious);
